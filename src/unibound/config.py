@@ -19,6 +19,8 @@ from . import classes as cls
 from . import spaces as sp
 from .errors import ConfigError
 from .functionals import (
+    ENUM_CAP,
+    MAX_SUBSETS,
     Statistic,
     class_separation_statistic,
     constant_kernel,
@@ -38,9 +40,6 @@ KERNELS = ("squared-difference", "product", "smoothed-min", "constant", "identit
 ROUTES = ("closed-form", "derived-bound", "numeric")
 ORACLE_METHODS = ("auto", "exact", "monte-carlo")
 MEMBER_TYPES = ("lookup", "threshold", "affine", "constant")
-
-ENUM_CAP = 1_000_000
-SUBSET_CAP = 10_000_000
 
 _TOP_KEYS = {
     "kind", "seed", "n", "out", "workers", "law", "class", "statistic",
@@ -285,8 +284,8 @@ def _validate_statistic(node, n, path, out) -> tuple[str | None, int | None]:
         if n is not None:
             if order > n:
                 out.append(f"{path}.kernel.order: exceeds n = {n}")
-            elif math.comb(n, order) > SUBSET_CAP:
-                out.append(f"{path}.kernel.order: C({n},{order}) exceeds the subset cap {SUBSET_CAP}")
+            elif math.comb(n, order) > MAX_SUBSETS:
+                out.append(f"{path}.kernel.order: C({n},{order}) exceeds the subset cap {MAX_SUBSETS}")
     elif "kernel" in node:
         out.append(f"{path}.kernel: only u-statistic takes a kernel")
     if name == "class-separation":

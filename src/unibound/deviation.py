@@ -2,9 +2,10 @@
 
 Pieces, in dependency order:
 
-* expectation oracle: E Phi(f(X')) per class member, by exact product-law
-  enumeration on small finite lattices or by Monte Carlo with per-member
-  standard errors.
+* expectation oracle: E Phi(f(X')) per class member, in closed form from
+  per-coordinate moments for the built-in statistics on finite spaces, by
+  exact product-law enumeration on small finite lattices, or by Monte Carlo
+  with per-member standard errors.
 * uniform deviation: sup over the class of (expected minus realised)
   statistic at a sample point, with the first maximizing label.
 * bound assembly: c (L + M) Eg + L sqrt(n ln(1/delta) / 2), where Eg
@@ -31,14 +32,14 @@ from .classes import FunctionClass
 from .complexity import EXACT_DIM_CAP, ComplexityEstimate, gaussian_mc, rademacher_exact, rademacher_mc
 from .derivative_bounds import NUMERIC_ESTIMATE, ConstantsReport
 from .errors import DomainError, OverrideRequiredError, ResourceError
-from .functionals import Statistic, mean_statistic
+from .functionals import ENUM_CAP, Statistic, mean_statistic
 from .rng import as_stream, stream
 from .spaces import FINITE, ProductLaw, SampleSpace, SampleVector, draw_batch, sample
 
+ANALYTIC = "analytic"
 EXACT_ENUMERATION = "exact-enumeration"
 MONTE_CARLO = "monte-carlo"
 
-ENUM_CAP = 1_000_000
 _ROW_CHUNK = 8192
 
 
@@ -75,6 +76,12 @@ def _lattice_indices(flat: np.ndarray, n: int, size: int) -> np.ndarray:
     return idx
 
 
+def _finite_expectations(values: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(values)):
+        raise DomainError("the statistic produced non-finite expectations")
+    return values
+
+
 def expectation_oracle(
     law: ProductLaw,
     fc: FunctionClass,
@@ -87,9 +94,12 @@ def expectation_oracle(
 ) -> ExpectationOracle:
     """Build the per-member expectation cache.
 
-    ``auto`` enumerates exactly when the space is finite and support^n fits
-    under ``enum_cap``, otherwise averages over ``replicas`` fresh draws.
-    Requesting exact enumeration beyond the cap is a resource error.
+    ``auto`` on a finite space takes the statistic's closed-form product-law
+    expectation when it carries one (method ``analytic``, no standard
+    errors). Otherwise it enumerates exactly when the space is finite and
+    support^n fits under ``enum_cap``, and averages over ``replicas`` fresh
+    draws beyond it. ``exact`` always enumerates, and requesting it beyond
+    the cap is a resource error; ``monte-carlo`` always draws.
     """
     if law.space != fc.space:
         raise DomainError("law and class live in different sample spaces")
@@ -101,6 +111,13 @@ def expectation_oracle(
     if method == "exact":
         method = EXACT_ENUMERATION
     if method == "auto":
+        if finite and stat.product_expectation is not None:
+            try:
+                values = stat.product_expectation(fc.support_matrix(), law.weight_matrix)
+            except ResourceError:
+                pass  # the closed form's own tuples pass the cap; sample below
+            else:
+                return ExpectationOracle(ANALYTIC, fc.labels, _finite_expectations(values))
         method = EXACT_ENUMERATION if finite and points <= enum_cap else MONTE_CARLO
     if method == EXACT_ENUMERATION:
         if not finite:
@@ -118,9 +135,7 @@ def expectation_oracle(
             w = np.multiply.reduce(w, axis=1)
             for k in range(len(fc)):
                 values[k] += float(w @ stat(support[k][idx]))
-        if not np.all(np.isfinite(values)):
-            raise DomainError("the statistic produced non-finite expectations")
-        return ExpectationOracle(EXACT_ENUMERATION, fc.labels, values)
+        return ExpectationOracle(EXACT_ENUMERATION, fc.labels, _finite_expectations(values))
     if method != MONTE_CARLO:
         raise DomainError(f"unknown oracle method {method!r}")
     if replicas < 100:
@@ -133,9 +148,7 @@ def expectation_oracle(
         phis = _phi_rows(stat, image)
         values[k] = float(phis.mean())
         stderrs[k] = float(phis.std(ddof=1) / math.sqrt(replicas))
-    if not np.all(np.isfinite(values)):
-        raise DomainError("the statistic produced non-finite expectations")
-    return ExpectationOracle(MONTE_CARLO, fc.labels, values, stderrs, replicas)
+    return ExpectationOracle(MONTE_CARLO, fc.labels, _finite_expectations(values), stderrs, replicas)
 
 
 def uniform_deviation(
@@ -478,6 +491,7 @@ class TailReport:
     swing_norm: float
     swing_is_exact: bool
     replicas: int
+    oracle_method: str
 
     @property
     def ok(self) -> bool:
@@ -501,7 +515,8 @@ def bounded_difference_tail(
     """Simulate the one-function tail and compare to the sub-Gaussian bound.
 
     The empirical exceedance frequency at each t must stay below
-    exp(-2 t^2 / swing_norm) plus four binomial standard errors.
+    exp(-2 t^2 / swing_norm) plus four binomial standard errors. A supplied
+    ``oracle`` must have been built for ``member`` alone.
     """
     t = np.asarray(t_grid, dtype=np.float64)
     if t.ndim != 1 or t.size == 0:
@@ -516,6 +531,8 @@ def bounded_difference_tail(
             law, single, stat, oracle_method,
             replicas=oracle_replicas, seed=stream(seed, "tail/oracle"),
         )
+    elif oracle.labels != single.labels:
+        raise DomainError("oracle was built for a different class than the tail member")
     expected = float(oracle.values[0])
     if swing is None:
         swing = squared_swing_sum(
@@ -534,7 +551,7 @@ def bounded_difference_tail(
     violations = empirical > bound + 4.0 * stderr
     return TailReport(
         t, empirical, bound, stderr, violations,
-        expected, swing.sup_norm, swing.sup_is_exact, replicas,
+        expected, swing.sup_norm, swing.sup_is_exact, replicas, oracle.method,
     )
 
 

@@ -9,6 +9,12 @@ pair (L, M) of derivative constants:
     L  bounds every first partial derivative uniformly on the box,
     M  = sqrt( sum_k sup_s sum_{l != k} (d^2 Phi / ds_l ds_k)^2 ).
 
+Under a product law, mean, variance and class separation are quadratic
+forms in the image, so their expectations need only per-coordinate first
+and second moments; a U-statistic is linear in its kernel terms, so its
+expectation sums the kernel over support^m tuples weighted by elementary
+symmetric sums of the coordinate laws (Hoeffding 1948).
+
 ``evaluate`` accepts batches of shape (..., n). All built-ins are global
 smooth functions, so finite-difference stencils may step slightly outside
 the unit box.
@@ -27,6 +33,10 @@ from .errors import DomainError, ResourceError
 from .rng import stream
 
 MAX_SUBSETS = 10_000_000
+# Largest product-law lattice the library enumerates: support^n points for
+# the exact oracle and the swing sup, support^m kernel tuples for the
+# closed-form U-statistic expectation.
+ENUM_CAP = 1_000_000
 _SYMMETRY_TOL = 1e-12
 
 
@@ -38,6 +48,10 @@ class Statistic:
     gradient : point map (n,) -> (n,) or None
     hessian  : point map (n,) -> (n, n), diagonal included, or None
     closed_form_constants : (L, M) pair or None
+    product_expectation : map (support (K, s), weights (n, s)) -> (K,), or
+        None. Row k of ``support`` holds member k's values on the s support
+        points and row i of ``weights`` the law of coordinate i; the result
+        is E Phi(f_k(X)) for X with independent coordinates.
     """
 
     name: str
@@ -46,6 +60,7 @@ class Statistic:
     gradient: Callable[[np.ndarray], np.ndarray] | None = None
     hessian: Callable[[np.ndarray], np.ndarray] | None = None
     closed_form_constants: tuple[float, float] | None = None
+    product_expectation: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __call__(self, s) -> np.ndarray:
         arr = np.asarray(s, dtype=np.float64)
@@ -165,7 +180,10 @@ def mean_statistic(n: int) -> Statistic:
     def hessian(s):
         return np.zeros((n, n))
 
-    return Statistic("mean", n, evaluate, gradient, hessian, (1.0 / n, 0.0))
+    def product_expectation(support, weights):
+        return (support @ weights.T).mean(axis=1)
+
+    return Statistic("mean", n, evaluate, gradient, hessian, (1.0 / n, 0.0), product_expectation)
 
 
 def sample_variance_statistic(n: int) -> Statistic:
@@ -193,8 +211,15 @@ def sample_variance_statistic(n: int) -> Statistic:
         np.fill_diagonal(h, 2.0 / n)
         return h
 
+    def product_expectation(support, weights):
+        # E (sum s)^2 = sum m2 + (sum mu)^2 - sum mu^2 for independent coordinates.
+        mu = support @ weights.T
+        m2 = (support * support) @ weights.T
+        total = mu.sum(axis=1)
+        return ((n - 1) * m2.sum(axis=1) - total * total + (mu * mu).sum(axis=1)) / denom
+
     constants = (2.0 / n, 2.0 / math.sqrt(n * (n - 1)))
-    return Statistic("variance", n, evaluate, gradient, hessian, constants)
+    return Statistic("variance", n, evaluate, gradient, hessian, constants, product_expectation)
 
 
 def u_statistic(n: int, kernel: Kernel, *, max_subsets: int = MAX_SUBSETS) -> Statistic:
@@ -202,6 +227,8 @@ def u_statistic(n: int, kernel: Kernel, *, max_subsets: int = MAX_SUBSETS) -> St
 
     Refuses when the subset count exceeds ``max_subsets``. No analytic
     derivatives are attached; the constants module estimates or bounds them.
+    The product-law expectation is attached; it refuses supports whose
+    support^m kernel tuples exceed ENUM_CAP.
     """
     n = int(n)
     m = kernel.order
@@ -220,7 +247,33 @@ def u_statistic(n: int, kernel: Kernel, *, max_subsets: int = MAX_SUBSETS) -> St
         # across the many same-magnitude subset terms.
         return np.sum(vals, axis=-1) / count
 
-    return Statistic(f"u-statistic[{kernel.name},m={m}]", n, evaluate)
+    def product_expectation(support, weights):
+        size = support.shape[1]
+        tuples = size**m
+        if tuples > ENUM_CAP:
+            raise ResourceError(
+                f"support^{m} = {tuples} kernel tuples exceed the enumeration cap {ENUM_CAP}"
+            )
+        # chains[r][t] sums prod_j weights[i_j, t_j] over index chains
+        # i_1 < ... < i_r among the coordinates seen so far; descending r
+        # uses each coordinate at most once per chain.
+        chains = [np.ones(())] + [np.zeros((size,) * r) for r in range(1, m + 1)]
+        for w in weights:
+            for r in range(m, 0, -1):
+                chains[r] += np.multiply.outer(chains[r - 1], w)
+        tuple_weights = chains[m].ravel()
+        grid = np.indices((size,) * m).reshape(m, -1).T    # (tuples, m) support indices
+        block = max(1, ENUM_CAP // tuples)                 # members per kernel call
+        out = np.empty(support.shape[0])
+        for start in range(0, support.shape[0], block):
+            values = support[start : start + block][:, grid]    # (block, tuples, m)
+            out[start : start + block] = kernel.fn(values) @ tuple_weights
+        return out / count
+
+    return Statistic(
+        f"u-statistic[{kernel.name},m={m}]", n, evaluate,
+        product_expectation=product_expectation,
+    )
 
 
 def class_separation_statistic(n: int, signs: np.ndarray) -> Statistic:
@@ -258,5 +311,14 @@ def class_separation_statistic(n: int, signs: np.ndarray) -> Statistic:
         np.fill_diagonal(h, 2.0 * row / denom)
         return h
 
+    def product_expectation(support, weights):
+        # The zero diagonal of r leaves only products of distinct, hence
+        # independent, coordinates in the quadratic term.
+        mu = support @ weights.T
+        m2 = (support * support) @ weights.T
+        return (m2 @ row - ((mu @ r) * mu).sum(axis=1)) / denom
+
     constants = (2.0 / n, 2.0 / math.sqrt(n * (n - 1)))
-    return Statistic("class-separation", n, evaluate, gradient, hessian, constants)
+    return Statistic(
+        "class-separation", n, evaluate, gradient, hessian, constants, product_expectation
+    )

@@ -1,14 +1,19 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unibound.classes import (
     FunctionClass,
     constant_member,
     lookup_member,
     random_lookup_class,
+    separation_labels,
 )
+from unibound.config import validate_config
 from unibound.derivative_bounds import (
     ConstantsReport,
     closed_form_constants,
@@ -29,14 +34,23 @@ from unibound.deviation import (
 )
 from unibound.errors import DomainError, OverrideRequiredError, ResourceError
 from unibound.functionals import (
+    Statistic,
+    class_separation_statistic,
     constant_kernel,
+    identity_kernel,
     mean_statistic,
+    product_kernel,
     sample_variance_statistic,
+    smoothed_min_kernel,
+    squared_difference_kernel,
     u_statistic,
 )
 from unibound.rng import stream
+from unibound.runner import EXIT_OK, run_experiment
 from unibound.spaces import (
+    ProductLaw,
     finite_space,
+    finite_weights,
     iid_law,
     point_mass_law,
     sample,
@@ -60,10 +74,13 @@ def test_oracle_point_mass_is_exact_evaluation():
     fc = random_lookup_class(law.space, 3, 2)
     stat = sample_variance_statistic(4)
     oracle = expectation_oracle(law, fc, stat)
-    assert oracle.method == "exact-enumeration"
+    assert oracle.method == "analytic"
     x = sample(law, 0)
     img = fc.image_matrix(x)
     assert np.allclose(oracle.values, stat(img), atol=1e-15)
+    exact = expectation_oracle(law, fc, stat, "exact")
+    assert exact.method == "exact-enumeration"
+    assert np.allclose(exact.values, oracle.values, atol=1e-15)
 
 
 def test_oracle_mean_matches_coordinatewise_expectations():
@@ -101,11 +118,112 @@ def test_oracle_exact_cap():
 
 
 def test_oracle_auto_switches_to_monte_carlo():
+    # no closed form: an opaque statistic past the enumeration cap is sampled
     space = finite_space([(str(j), j / 2.0) for j in range(3)])
     law = iid_law(uniform_on(space), 13)
     fc = random_lookup_class(space, 2, 7)
-    oracle = expectation_oracle(law, fc, mean_statistic(13), "auto", replicas=2000, seed=1)
+    opaque = Statistic("opaque-mean", 13, mean_statistic(13).evaluate)
+    oracle = expectation_oracle(law, fc, opaque, "auto", replicas=2000, seed=1)
     assert oracle.method == "monte-carlo" and oracle.replicas == 2000
+
+
+def test_oracle_auto_analytic_past_the_enumeration_cap():
+    space = finite_space([(str(j), j / 2.0) for j in range(3)])
+    law = iid_law(uniform_on(space), 13)  # 3^13 > 1e6
+    fc = random_lookup_class(space, 2, 7)
+    oracle = expectation_oracle(law, fc, mean_statistic(13), "auto", replicas=2000, seed=1)
+    assert oracle.method == "analytic"
+    assert oracle.stderrs is None and oracle.replicas is None
+    weights = law.weight_matrix
+    for k, member in enumerate(fc.members):
+        per_coord = weights @ member.on_support(space)
+        assert oracle.values[k] == pytest.approx(per_coord.mean(), abs=1e-15)
+
+
+def test_oracle_opaque_statistic_still_enumerates():
+    n = 4
+    law = bit_law(n)
+    fc = random_lookup_class(BITS, 3, 2)
+    builtin = sample_variance_statistic(n)
+    opaque = Statistic("opaque-variance", n, builtin.evaluate)
+    oracle = expectation_oracle(law, fc, opaque)
+    assert oracle.method == "exact-enumeration"
+    assert np.allclose(oracle.values, expectation_oracle(law, fc, builtin).values, atol=1e-15)
+
+
+def test_oracle_u_statistic_past_its_tuple_cap_is_sampled():
+    space = finite_space([(str(j), j / 100.0) for j in range(101)])
+    law = iid_law(uniform_on(space), 3)
+    fc = random_lookup_class(space, 2, 4)
+    stat = u_statistic(3, product_kernel(3))  # 101^3 kernel tuples > 1e6
+    with pytest.raises(ResourceError):
+        stat.product_expectation(fc.support_matrix(), law.weight_matrix)
+    oracle = expectation_oracle(law, fc, stat, replicas=500, seed=2)
+    assert oracle.method == "monte-carlo" and oracle.replicas == 500
+
+
+STATISTICS = {
+    "mean": mean_statistic,
+    "variance": sample_variance_statistic,
+    "class-separation": lambda n: class_separation_statistic(n, separation_labels([1, n - 1])),
+    "squared-difference": lambda n: u_statistic(n, squared_difference_kernel()),
+    "product-2": lambda n: u_statistic(n, product_kernel(2)),
+    "product-3": lambda n: u_statistic(n, product_kernel(3)),
+    "smoothed-min": lambda n: u_statistic(n, smoothed_min_kernel(3.0)),
+    "constant": lambda n: u_statistic(n, constant_kernel(0.7, 3)),
+    "identity": lambda n: u_statistic(n, identity_kernel()),
+}
+
+
+@st.composite
+def finite_laws(draw):
+    """Non-iid product laws with 2-5 support points and n <= 8, kept to
+    lattices of at most 2^14 points so enumeration stays quick."""
+    size = draw(st.integers(2, 5))
+    n = draw(st.integers(3, min(8, int(14 / math.log2(size)))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    space = finite_space([(str(j), float(v)) for j, v in enumerate(rng.random(size))])
+    coordinates = tuple(finite_weights(space, rng.dirichlet(np.ones(size))) for _ in range(n))
+    return ProductLaw(coordinates), int(rng.integers(1, 5))
+
+
+@pytest.mark.parametrize("name", sorted(STATISTICS))
+@settings(max_examples=15, deadline=None)
+@given(case=finite_laws(), seed=st.integers(0, 1000))
+def test_oracle_analytic_matches_enumeration(name, case, seed):
+    law, count = case
+    stat = STATISTICS[name](law.n)
+    fc = random_lookup_class(law.space, count, seed)
+    analytic = expectation_oracle(law, fc, stat)
+    exact = expectation_oracle(law, fc, stat, "exact")
+    assert analytic.method == "analytic" and exact.method == "exact-enumeration"
+    assert np.allclose(analytic.values, exact.values, rtol=0.0, atol=1e-12)
+
+
+def test_oracle_bounded_memory_for_order_three_product_at_n64(tmp_path):
+    # Monte Carlo at this size would gather (8192, C(64,3), 3) doubles per chunk.
+    raw = {
+        "kind": "deviate", "seed": 3, "n": 64,
+        "law": {"space": {"kind": "finite", "support": [
+            {"label": str(j), "value": j / 4.0} for j in range(5)
+        ]}},
+        "class": {"random_lookup": {"count": 8}},
+        "statistic": {"name": "u-statistic", "kernel": {"name": "product", "order": 3}},
+        "constants": {"route": "derived-bound"},
+        "c": 1.0, "delta": 0.1,
+        "replications": 100, "gaussian_draws": 200,
+        "oracle": {"method": "auto"},
+    }
+    assert validate_config(raw) == []
+    tracemalloc.start()
+    try:
+        code, record, _ = run_experiment(raw, out_dir=tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert record["results"]["deviation"]["oracle"]["method"] == "analytic"
+    assert peak < 64 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +540,29 @@ def test_tail_zero_threshold_trivial():
     rep = bounded_difference_tail(law, stat, member, [0.0], 500, 7)
     assert rep.bound[0] == 1.0
     assert rep.ok
+
+
+def test_tail_reports_oracle_method():
+    law = bit_law(6)
+    member = lookup_member("id", BITS, IDENTITY_TABLE)
+    stat = mean_statistic(6)
+    rep = bounded_difference_tail(law, stat, member, [0.1], 200, 7)
+    assert rep.oracle_method == "analytic"
+    assert rep.expected_value == pytest.approx(0.5, abs=1e-15)
+    rep = bounded_difference_tail(law, stat, member, [0.1], 200, 7, oracle_method="monte-carlo")
+    assert rep.oracle_method == "monte-carlo"
+
+
+def test_tail_rejects_oracle_of_another_class():
+    law = bit_law(4)
+    fc = random_lookup_class(BITS, 3, 5)
+    stat = mean_statistic(4)
+    oracle = expectation_oracle(law, fc, stat)
+    with pytest.raises(DomainError):
+        bounded_difference_tail(law, stat, fc.members[1], [0.1], 200, 1, oracle=oracle)
+    single = expectation_oracle(law, FunctionClass(BITS, (fc.members[1],)), stat)
+    rep = bounded_difference_tail(law, stat, fc.members[1], [0.1], 200, 1, oracle=single)
+    assert rep.expected_value == pytest.approx(oracle.values[1], abs=1e-15)
 
 
 def test_tail_rejects_negative_thresholds():
