@@ -9,7 +9,7 @@ retained; complexity averages act on that set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -99,6 +99,8 @@ class FunctionClass:
 
     space: SampleSpace
     members: tuple
+    # (|class|, support size) member values on a finite support, read-only.
+    _support: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if len(self.members) == 0:
@@ -108,10 +110,14 @@ class FunctionClass:
             raise DomainError("member labels must be unique")
         # Range check: exhaustive on finite supports, on a grid for the interval.
         if self.space.kind == FINITE:
+            rows = []
             for m in self.members:
-                out = m.on_support(self.space)
-                if np.any(out < 0.0) or np.any(out > 1.0):
+                rows.append(m.on_support(self.space))
+                if np.any(rows[-1] < 0.0) or np.any(rows[-1] > 1.0):
                     raise DomainError(f"member {m.label!r} leaves [0, 1] on the support")
+            support = np.stack(rows)
+            support.flags.writeable = False
+            object.__setattr__(self, "_support", support)
         else:
             grid = np.linspace(0.0, 1.0, _INTERVAL_GRID + 1)
             for m in self.members:
@@ -132,13 +138,17 @@ class FunctionClass:
         """(|class|, n) matrix of member images at x."""
         if x.space != self.space:
             raise DomainError("sample vector lives in a different sample space")
+        if self._support is not None:
+            # np.take keeps rows C-contiguous, so row sums add in the same order
+            # as on per-member images; a [:, idx] gather is F-ordered and does not.
+            return np.take(self._support, x.indices, axis=1)
         return np.stack([m.apply(x.values, x.indices) for m in self.members])
 
     def support_matrix(self) -> np.ndarray:
-        """(|class|, support size) member values per support point."""
-        if self.space.kind != FINITE:
+        """(|class|, support size) member values per support point, read-only."""
+        if self._support is None:
             raise DomainError("support matrix exists only for finite spaces")
-        return np.stack([m.on_support(self.space) for m in self.members])
+        return self._support
 
     def subclass(self, labels) -> "FunctionClass":
         wanted = list(labels)
@@ -186,6 +196,13 @@ def separation_labels(group_sizes) -> np.ndarray:
     return r
 
 
+def random_lookup_labels(count: int) -> list[str]:
+    """Member labels of a random lookup class: f00, f01, ... zero-padded to
+    the width of the largest index, at least two digits."""
+    width = max(2, len(str(count - 1)))
+    return [f"f{j:0{width}d}" for j in range(count)]
+
+
 def random_lookup_class(space: SampleSpace, count: int, seed) -> FunctionClass:
     """``count`` lookup tables with independent uniform [0, 1] entries."""
     if space.kind != FINITE:
@@ -194,9 +211,8 @@ def random_lookup_class(space: SampleSpace, count: int, seed) -> FunctionClass:
         raise DomainError("count must be positive")
     rng = as_stream(seed, "random-lookup-class")
     tables = rng.random((count, space.size))
-    width = max(2, len(str(count - 1)))
     members = tuple(
-        LookupMember(f"f{j:0{width}d}", tuple(float(v) for v in tables[j]))
-        for j in range(count)
+        LookupMember(label, tuple(float(v) for v in row))
+        for label, row in zip(random_lookup_labels(count), tables)
     )
     return FunctionClass(space, members)

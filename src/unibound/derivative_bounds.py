@@ -35,7 +35,13 @@ CLOSED_FORM = "closed-form"
 DERIVED_BOUND = "derived-bound"
 NUMERIC_ESTIMATE = "numeric-estimate"
 
+DEFAULT_PROBES = 200
 DEFAULT_FD_STEP = 1e-4
+FD_STEP_RANGE = (1e-7, 1e-2)
+# The range as messages state it: "[1e-7, 1e-2]".
+FD_STEP_RANGE_TEXT = "[{}, {}]".format(
+    *(np.format_float_scientific(v, trim="-", exp_digits=1) for v in FD_STEP_RANGE)
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,7 +154,7 @@ def _surrogate_extremizers(point: np.ndarray, hess_row: np.ndarray) -> tuple[np.
 
 def estimate_constants_numeric(
     stat: Statistic,
-    probes: int = 200,
+    probes: int = DEFAULT_PROBES,
     fd_step: float = DEFAULT_FD_STEP,
     seed=0,
 ) -> ConstantsReport:
@@ -164,8 +170,8 @@ def estimate_constants_numeric(
     """
     if probes < 1:
         raise DomainError("probes must be >= 1")
-    if not (1e-7 <= fd_step <= 1e-2):
-        raise DomainError("fd_step must lie in [1e-7, 1e-2]")
+    if not (FD_STEP_RANGE[0] <= fd_step <= FD_STEP_RANGE[1]):
+        raise DomainError(f"fd_step must lie in {FD_STEP_RANGE_TEXT}")
     n = stat.n
     rng = as_stream(seed, "constants-numeric")
     points = rng.random((probes, n))

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classes import FunctionClass
-from .complexity import EXACT_DIM_CAP, ComplexityEstimate, gaussian_mc, rademacher_exact, rademacher_mc
+from .complexity import EXACT_DIM_CAP, MIN_DRAWS, ComplexityEstimate
+from .complexity import gaussian_mc, rademacher_exact, rademacher_mc
 from .derivative_bounds import NUMERIC_ESTIMATE, ConstantsReport
 from .errors import DomainError, OverrideRequiredError, ResourceError
 from .functionals import ENUM_CAP, Statistic, mean_statistic
@@ -41,6 +42,11 @@ EXACT_ENUMERATION = "exact-enumeration"
 MONTE_CARLO = "monte-carlo"
 
 _ROW_CHUNK = 8192
+
+# Monte Carlo oracle draws and per-replication Gaussian draws when the caller
+# names none.
+DEFAULT_ORACLE_REPLICAS = 100_000
+DEFAULT_GAUSSIAN_DRAWS = 2000
 
 
 def _phi_rows(stat: Statistic, rows: np.ndarray, chunk: int = _ROW_CHUNK) -> np.ndarray:
@@ -88,7 +94,7 @@ def expectation_oracle(
     stat: Statistic,
     method: str = "auto",
     *,
-    replicas: int = 100_000,
+    replicas: int = DEFAULT_ORACLE_REPLICAS,
     enum_cap: int = ENUM_CAP,
     seed=0,
 ) -> ExpectationOracle:
@@ -138,8 +144,8 @@ def expectation_oracle(
         return ExpectationOracle(EXACT_ENUMERATION, fc.labels, _finite_expectations(values))
     if method != MONTE_CARLO:
         raise DomainError(f"unknown oracle method {method!r}")
-    if replicas < 100:
-        raise DomainError("Monte Carlo oracle needs replicas >= 100")
+    if replicas < MIN_DRAWS:
+        raise DomainError(f"Monte Carlo oracle needs replicas >= {MIN_DRAWS}")
     vals, idx = draw_batch(law, replicas, as_stream(seed, "expectation-oracle"))
     values = np.empty(len(fc))
     stderrs = np.empty(len(fc))
@@ -247,10 +253,10 @@ def deviation_experiment(
     replications: int,
     seed: int,
     *,
-    gaussian_draws: int = 2000,
+    gaussian_draws: int = DEFAULT_GAUSSIAN_DRAWS,
     oracle: ExpectationOracle | None = None,
     oracle_method: str = "auto",
-    oracle_replicas: int = 100_000,
+    oracle_replicas: int = DEFAULT_ORACLE_REPLICAS,
     allow_numeric_constants: bool = False,
     workers: int = 1,
 ) -> DeviationReport:
@@ -262,8 +268,8 @@ def deviation_experiment(
     draws the deviations use. Replication r derives its streams from
     (seed, tag, r), so results are identical for any worker count.
     """
-    if replications < 100:
-        raise DomainError("replications must be >= 100")
+    if replications < MIN_DRAWS:
+        raise DomainError(f"replications must be >= {MIN_DRAWS}")
     if oracle is None:
         oracle = expectation_oracle(
             law, fc, stat, oracle_method,
@@ -352,7 +358,7 @@ def symmetrization_check_mean(
     stat: Statistic | None = None,
     rademacher_draws: int = 20_000,
     oracle_method: str = "auto",
-    oracle_replicas: int = 100_000,
+    oracle_replicas: int = DEFAULT_ORACLE_REPLICAS,
     workers: int = 1,
 ) -> SymmetrizationReport:
     """Check mean deviation <= (2/n) * mean Rademacher average + slack.
@@ -365,8 +371,8 @@ def symmetrization_check_mean(
     if stat is not None and stat.name != "mean":
         raise DomainError("the symmetrization check applies to the arithmetic mean only")
     stat = mean_statistic(n)
-    if replications < 100:
-        raise DomainError("replications must be >= 100")
+    if replications < MIN_DRAWS:
+        raise DomainError(f"replications must be >= {MIN_DRAWS}")
     oracle = expectation_oracle(
         law, fc, stat, oracle_method,
         replicas=oracle_replicas, seed=stream(seed, "symmetrization/oracle"),
@@ -508,7 +514,7 @@ def bounded_difference_tail(
     *,
     oracle: ExpectationOracle | None = None,
     oracle_method: str = "auto",
-    oracle_replicas: int = 100_000,
+    oracle_replicas: int = DEFAULT_ORACLE_REPLICAS,
     swing: SwingReport | None = None,
     swing_samples: int = 4096,
 ) -> TailReport:
@@ -523,8 +529,8 @@ def bounded_difference_tail(
         raise DomainError("t_grid must be a non-empty vector")
     if np.any(t < 0.0):
         raise DomainError("thresholds must be nonnegative")
-    if replicas < 100:
-        raise DomainError("replicas must be >= 100")
+    if replicas < MIN_DRAWS:
+        raise DomainError(f"replicas must be >= {MIN_DRAWS}")
     single = FunctionClass(law.space, (member,))
     if oracle is None:
         oracle = expectation_oracle(
@@ -608,8 +614,8 @@ def swap_process_probe(
         raise DomainError("s_grid must be a non-empty vector")
     if np.any(s < 0.0):
         raise DomainError("thresholds must be nonnegative")
-    if draws < 100:
-        raise DomainError("draws must be >= 100")
+    if draws < MIN_DRAWS:
+        raise DomainError(f"draws must be >= {MIN_DRAWS}")
     if x.space != x_alt.space:
         raise DomainError("the two sample vectors live in different spaces")
     n = stat.n

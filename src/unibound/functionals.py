@@ -38,6 +38,9 @@ MAX_SUBSETS = 10_000_000
 # closed-form U-statistic expectation.
 ENUM_CAP = 1_000_000
 _SYMMETRY_TOL = 1e-12
+# Kernel order and smoothed-min sharpness when none is given.
+DEFAULT_KERNEL_ORDER = 2
+DEFAULT_SHARPNESS = 4.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,7 +127,7 @@ def squared_difference_kernel() -> Kernel:
     )
 
 
-def product_kernel(order: int = 2) -> Kernel:
+def product_kernel(order: int = DEFAULT_KERNEL_ORDER) -> Kernel:
     """kappa = product of the arguments; both derivative sups equal 1."""
     return Kernel(
         "product", int(order),
@@ -133,7 +136,7 @@ def product_kernel(order: int = 2) -> Kernel:
     )
 
 
-def smoothed_min_kernel(sharpness: float = 4.0) -> Kernel:
+def smoothed_min_kernel(sharpness: float = DEFAULT_SHARPNESS) -> Kernel:
     """Soft minimum -log(exp(-b s) + exp(-b t)) / b with b = sharpness.
 
     First partials are sigmoids (sup 1); the mixed partial is b * sig * (1 - sig),
@@ -149,7 +152,7 @@ def smoothed_min_kernel(sharpness: float = 4.0) -> Kernel:
     return Kernel("smoothed-min", 2, fn, sup_d1=1.0, sup_d12=b / 4.0)
 
 
-def constant_kernel(value: float, order: int = 2) -> Kernel:
+def constant_kernel(value: float, order: int = DEFAULT_KERNEL_ORDER) -> Kernel:
     v = float(value)
     return Kernel(
         "constant", int(order),

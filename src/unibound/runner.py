@@ -29,6 +29,8 @@ from .classes import class_image
 from .complexity import EXACT_DIM_CAP, comparison_report, gaussian_mc, rademacher_exact, rademacher_mc
 from .config import Experiment, load_config, resolve, validate_config
 from .derivative_bounds import (
+    CLOSED_FORM,
+    DERIVED_BOUND,
     closed_form_constants,
     estimate_constants_numeric,
     u_statistic_constant_bounds,
@@ -81,9 +83,9 @@ def _write_table(path: Path, header: list[str], rows: list[tuple]) -> None:
 
 
 def _constants_for(exp: Experiment):
-    if exp.constants_route == "closed-form":
+    if exp.constants_route == CLOSED_FORM:
         return closed_form_constants(exp.stat)
-    if exp.constants_route == "derived-bound":
+    if exp.constants_route == DERIVED_BOUND:
         return u_statistic_constant_bounds(exp.n, exp.kernel)
     return estimate_constants_numeric(
         exp.stat, exp.constants_probes, exp.constants_fd_step, stream(exp.seed, "constants")
@@ -160,7 +162,7 @@ def _run_deviate(exp: Experiment, stages: _Stages, summary: list[str]):
             gaussian_draws=exp.gaussian_draws,
             oracle_method=exp.oracle_method,
             oracle_replicas=exp.oracle_replicas,
-            allow_numeric_constants=exp.override_numeric,
+            allow_numeric_constants=exp.override_numeric_constants,
             workers=exp.workers,
         ),
     )
@@ -183,9 +185,9 @@ def _run_deviate(exp: Experiment, stages: _Stages, summary: list[str]):
 
 
 def _tail_member(exp: Experiment):
-    if exp.member_label is None:
+    if exp.member is None:
         return exp.fc.members[0]
-    return exp.fc.subclass([exp.member_label]).members[0]
+    return exp.fc.subclass([exp.member]).members[0]
 
 
 def _run_tail(exp: Experiment, stages: _Stages, summary: list[str]):

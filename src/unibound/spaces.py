@@ -19,7 +19,7 @@ from .rng import as_stream, open_uniforms
 FINITE = "finite"
 INTERVAL = "interval"
 
-_WEIGHT_TOL = 1e-12
+WEIGHT_TOL = 1e-12
 _FAMILIES = ("uniform", "bernoulli", "beta")
 
 
@@ -88,8 +88,8 @@ class CoordinateDistribution:
                 raise DomainError("weight vector must match the support size")
             if np.any(w < 0.0):
                 raise DomainError("weights must be nonnegative")
-            if abs(float(w.sum()) - 1.0) > _WEIGHT_TOL:
-                raise DomainError("weights must sum to 1 within 1e-12")
+            if abs(float(w.sum()) - 1.0) > WEIGHT_TOL:
+                raise DomainError(f"weights must sum to 1 within {WEIGHT_TOL}")
         else:
             if self.weights is not None:
                 raise DomainError("interval coordinates are specified by a family, not weights")

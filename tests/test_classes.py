@@ -12,6 +12,7 @@ from unibound.classes import (
     identity_member,
     lookup_member,
     random_lookup_class,
+    random_lookup_labels,
     separation_labels,
 )
 from unibound.errors import DomainError
@@ -127,3 +128,45 @@ def test_image_always_in_unit_box(count, idx):
     img = class_image(fc, x)
     assert img.vectors.shape == (count, len(idx))
     assert np.all((img.vectors >= 0.0) & (img.vectors <= 1.0))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=8))
+def test_finite_image_gathers_the_support_matrix(idx):
+    # independent oracle: every member applied to the sample on its own
+    members = (
+        lookup_member("lookup", FIVE, {str(j): (j * 0.37) % 1.0 for j in range(5)}),
+        ThresholdMember("ramp", 0.2, 0.45),
+        AffineClippedMember("affine", -1.5, 1.1),
+        constant_member("half", 0.5),
+    )
+    fc = FunctionClass(FIVE, members)
+    x = vector_from_values(FIVE, [j / 4.0 for j in idx])
+    image = fc.image_matrix(x)
+    expected = np.stack([m.apply(x.values, x.indices) for m in members])
+    assert np.array_equal(image, expected)
+    assert image.flags["C_CONTIGUOUS"]
+
+
+def test_support_matrix_is_read_only():
+    fc = random_lookup_class(FIVE, 3, 11)
+    support = fc.support_matrix()
+    assert support.shape == (3, 5)
+    with pytest.raises(ValueError):
+        support[0, 0] = 0.5
+    image = fc.image_matrix(vector_from_values(FIVE, [0.0, 1.0]))
+    image[0, 0] = -1.0  # an image is the caller's own copy
+    assert fc.support_matrix()[0, 0] == fc.members[0].table[0]
+
+
+def test_support_matrix_needs_a_finite_space():
+    fc = FunctionClass(interval_space(), (identity_member(),))
+    with pytest.raises(DomainError):
+        fc.support_matrix()
+
+
+def test_random_lookup_labels_pad_to_the_largest_index():
+    assert random_lookup_labels(3) == ["f00", "f01", "f02"]
+    assert random_lookup_labels(101)[-1] == "f100"
+    fc = random_lookup_class(FIVE, 12, 1)
+    assert list(fc.labels) == random_lookup_labels(12)

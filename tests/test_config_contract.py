@@ -1,0 +1,106 @@
+"""``validate`` accepts exactly the configurations ``run`` accepts.
+
+A configuration without violations resolves, and one with violations is
+refused by ``resolve`` with a ConfigError (exit code 2 from the CLI).
+"""
+
+import copy
+from pathlib import Path
+
+import pytest
+import yaml
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from unibound.cli import main
+from unibound.config import resolve, validate_config
+from unibound.errors import ConfigError
+from unibound.runner import EXIT_CONFIG
+
+from test_config_cli import small_deviate_config
+
+ROOT = Path(__file__).resolve().parent.parent
+BASES = {p.stem: yaml.safe_load(p.read_text()) for p in sorted(ROOT.glob("configs/*.yaml"))}
+BASES["small_deviate"] = small_deviate_config("results")
+
+# Replacements for a scalar: values of the wrong type, and values below or
+# outside every range in the schema (never huge ones, which can be valid).
+WRONG_TYPE = ["abc", [1], {"x": 1}, None, True]
+OUT_OF_RANGE = [-1, 0, -0.5, 1.5]
+
+
+def _gap_config(key, value):
+    """The numeric-constants config with its route left to the default."""
+    cfg = copy.deepcopy(BASES["constants_numeric_variance"])
+    del cfg["constants"]["route"]
+    cfg["constants"][key] = value
+    return cfg
+
+
+# ---------------------------------------------------------------------------
+# constants.probes and constants.fd_step are checked whatever the route
+
+@pytest.mark.parametrize("key, value", [("probes", "abc"), ("probes", [1]), ("fd_step", "x")])
+def test_constants_keys_checked_off_the_numeric_route(tmp_path, capsys, key, value):
+    for route in ("closed-form", "derived-bound", None):
+        cfg = _gap_config(key, value)
+        if route is not None:
+            cfg["constants"]["route"] = route
+        assert any(v.startswith(f"constants.{key}:") for v in validate_config(cfg))
+        with pytest.raises(ConfigError):
+            resolve(cfg)
+    cfg = _gap_config(key, value)
+    cfg["out"] = str(tmp_path / "out")
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert main(["validate", str(path)]) == EXIT_CONFIG
+    assert main(["run", str(path)]) == EXIT_CONFIG
+    assert f"constants.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# ---------------------------------------------------------------------------
+# validate and resolve agree on mutated shipped configurations
+
+def _paths(node, prefix=()):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield prefix + (key,)
+            yield from _paths(value, prefix + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _paths(value, prefix + (i,))
+
+
+@st.composite
+def mutated_configs(draw):
+    cfg = copy.deepcopy(BASES[draw(st.sampled_from(sorted(BASES)))])
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(cfg))
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        parent = cfg
+        for key in path[:-1]:
+            parent = parent[key]
+        op = draw(st.sampled_from(["drop", "wrong-type", "out-of-range"]))
+        if op == "drop" and isinstance(parent, dict):
+            del parent[path[-1]]
+        elif op == "wrong-type":
+            parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(WRONG_TYPE)))
+        elif isinstance(parent[path[-1]], (int, float)):
+            parent[path[-1]] = draw(st.sampled_from(OUT_OF_RANGE))
+    return cfg
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_configs())
+@example(_gap_config("probes", "abc"))
+@example(_gap_config("probes", [1]))
+@example(_gap_config("fd_step", "x"))
+def test_validate_accepts_exactly_what_resolve_accepts(cfg):
+    if validate_config(cfg) == []:
+        resolve(cfg)
+    else:
+        with pytest.raises(ConfigError):
+            resolve(cfg)

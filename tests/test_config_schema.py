@@ -1,0 +1,56 @@
+"""The README's configuration schema block against the field table."""
+
+import re
+from pathlib import Path
+
+import yaml
+
+from unibound.complexity import MIN_DRAWS
+from unibound.config import FIELDS
+from unibound.schema import OPTIONAL, REQUIRED, dig
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_block() -> str:
+    text = README.read_text()
+    return re.search(r"### Configuration schema\s+```yaml\n(.*?)```", text, re.S).group(1)
+
+
+def _readme_paths(node, sections, prefix=""):
+    """Key paths of the README block, entering only the table's sections."""
+    for key, value in node.items():
+        path = prefix + key
+        yield path
+        if isinstance(value, dict) and path in sections:
+            yield from _readme_paths(value, sections, path + ".")
+        elif isinstance(value, list) and path + "[]" in sections:
+            for item in value:
+                yield from _readme_paths(item, sections, path + "[].")
+
+
+def test_readme_schema_keys_match_the_field_table():
+    table = {f.path for f in FIELDS if not f.path.endswith("[]")}
+    sections = {p.rpartition(".")[0] for p in table} - {""}
+    assert set(_readme_paths(yaml.safe_load(_readme_block()), sections)) == table
+
+
+def test_readme_schema_values_are_the_table_defaults():
+    readme = yaml.safe_load(_readme_block())
+    plain = [f for f in FIELDS if not callable(f.default) and not isinstance(f.default, dict)
+             and f.default not in (None, REQUIRED, OPTIONAL)]
+    assert len(plain) >= 15
+    for f in plain:
+        assert dig(readme, f.path) == f.default, f.path
+
+
+def test_readme_states_the_draw_floor():
+    floors = [f.path for f in FIELDS
+              if f.test(MIN_DRAWS) is None and f.test(MIN_DRAWS - 1) is not None]
+    assert set(floors) == {"replications", "draws", "gaussian_draws", "tail_replicas",
+                           "oracle.replicas"}
+    lines = _readme_block().splitlines()
+    for path in floors:
+        key = path.rpartition(".")[2]
+        (line,) = [line for line in lines if re.search(rf"(^|[\s{{,]){key}:", line)]
+        assert f">= {MIN_DRAWS}" in line, path
