@@ -24,7 +24,8 @@ import numpy as np
 
 from .classes import ClassImage
 from .errors import DomainError, ResourceError
-from .rng import as_stream, standard_normals
+from .functionals import batches
+from .rng import as_stream, rademacher_signs, standard_normals
 
 EXACT = "exact"
 MONTE_CARLO = "monte-carlo"
@@ -33,7 +34,6 @@ GAUSSIAN = "gaussian"
 
 EXACT_DIM_CAP = 20
 MIN_DRAWS = 100
-_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,21 +73,23 @@ def rademacher_exact(y, *, dim_cap: int = EXACT_DIM_CAP) -> ComplexityEstimate:
     """R(Y) by full sign-pattern enumeration; refuses beyond n = ``dim_cap``.
 
     Patterns are enumerated in antithetic halves (each pattern summed with
-    its negation), so singletons come out exactly zero.
+    its negation), so singletons come out exactly zero. The per-pattern
+    sums, at most 2^(dim_cap - 1) doubles, are kept and added in one
+    pairwise sum, so the value does not depend on the batch size.
     """
     mat = _as_matrix(y)
     n = mat.shape[1]
     if n > dim_cap:
         raise ResourceError(f"exact enumeration needs n <= {dim_cap}, got {n}")
     half = 1 << (n - 1) if n >= 1 else 1
-    total = 0.0
     powers = 1 << np.arange(n, dtype=np.int64)
-    for start in range(0, half, _CHUNK):
-        codes = np.arange(start, min(start + _CHUNK, half), dtype=np.int64)
+    pair_sums = np.empty(half)
+    for part in batches(half, 8 * (n + mat.shape[0])):    # sign and product rows
+        codes = np.arange(part.start, part.stop, dtype=np.int64)
         signs = 2.0 * ((codes[:, None] & powers[None, :]) > 0).astype(np.float64) - 1.0
         prod = signs @ mat.T
-        total += float((prod.max(axis=1) + (-prod).max(axis=1)).sum())
-    value = total / (2.0 * half)
+        pair_sums[part] = prod.max(axis=1) + (-prod).max(axis=1)
+    value = float(np.sum(pair_sums)) / (2.0 * half)
     return ComplexityEstimate(value, RADEMACHER, EXACT)
 
 
@@ -97,16 +99,11 @@ def _antithetic_mc(mat: np.ndarray, draws: int, rng, gaussian: bool) -> tuple[fl
     if pairs < 1:
         raise DomainError("too few draws for a single antithetic pair")
     means = np.empty(pairs)
-    done = 0
-    while done < pairs:
-        m = min(_CHUNK, pairs - done)
-        if gaussian:
-            coeff = standard_normals(rng, (m, n))
-        else:
-            coeff = 2.0 * rng.integers(0, 2, size=(m, n)).astype(np.float64) - 1.0
+    for part in batches(pairs, 8 * (n + mat.shape[0])):    # coefficient and product rows
+        shape = (part.stop - part.start, n)
+        coeff = standard_normals(rng, shape) if gaussian else rademacher_signs(rng, shape)
         prod = coeff @ mat.T
-        means[done : done + m] = 0.5 * (prod.max(axis=1) + (-prod).max(axis=1))
-        done += m
+        means[part] = 0.5 * (prod.max(axis=1) + (-prod).max(axis=1))
     value = float(means.mean())
     stderr = float(means.std(ddof=1) / math.sqrt(pairs))
     return value, stderr, 2 * pairs

@@ -22,7 +22,9 @@ import yaml
 
 from . import classes as cls, derivative_bounds as db, functionals as fx, spaces as sp
 from .complexity import MIN_DRAWS
-from .deviation import DEFAULT_GAUSSIAN_DRAWS, DEFAULT_ORACLE_REPLICAS
+from .deviation import (
+    DEFAULT_GAUSSIAN_DRAWS, DEFAULT_ORACLE_METHOD, DEFAULT_ORACLE_REPLICAS, EXACT, ORACLE_METHODS,
+)
 from .errors import ConfigError
 from .rng import stream
 from .schema import (
@@ -50,11 +52,6 @@ MEMBER_TYPES = {
     "threshold": lambda m, space: cls.ThresholdMember(m["label"], m["theta"], m["width"]),
     "affine": lambda m, space: cls.AffineClippedMember(m["label"], m["slope"], m["intercept"]),
     "constant": lambda m, space: cls.constant_member(m["label"], m["value"]),
-}
-FAMILIES = {
-    "uniform": lambda f: sp.uniform_on(sp.interval_space()),
-    "bernoulli": lambda f: sp.bernoulli(f["p"]),
-    "beta": lambda f: sp.beta_family(f["a"], f["b"]),
 }
 # The orders the kernels fix themselves.
 _FIXED_ORDER = {k.name: k.order for k in (
@@ -121,7 +118,7 @@ FIELDS = (
         lambda f: f.get("name") != "beta" or all(is_num(f.get(k)) and f[k] > 0.0 for k in "ab"),
         "beta needs positive a and b",
     ), {"name": "uniform"}, when=ON_INTERVAL, elsewhere="finite laws are specified by weights"),
-    Field("law.family.name", choice(FAMILIES, "must be uniform, bernoulli, or beta")),
+    Field("law.family.name", choice(sp.FAMILIES)),
     Field("law.family.p", number("bernoulli needs p in [0, 1]", lambda v: 0.0 <= v <= 1.0),
           when=("bernoulli",), elsewhere=IGNORED),
     Field("law.family.a", default=OPTIONAL, when=("beta",), elsewhere=IGNORED),
@@ -183,7 +180,7 @@ FIELDS = (
     Field("out", of_type(str, "must be a path string"), "results"),
     Field("override_numeric_constants", of_type(bool, "must be a boolean"), False),
     Field("oracle", _MAPPING, {}),
-    Field("oracle.method", choice(("auto", "exact", "monte-carlo")), "auto"),
+    Field("oracle.method", choice(ORACLE_METHODS), DEFAULT_ORACLE_METHOD),
     Field("oracle.replicas", at_least(MIN_DRAWS), DEFAULT_ORACLE_REPLICAS),
     *_grid_fields("t_grid"),
     *_grid_fields("s_grid"),
@@ -258,7 +255,7 @@ def _cross_check(v: dict, raw: dict, out: list) -> None:
                    "use derived-bound or numeric")
     elif route == db.DERIVED_BOUND and stat.get("name") not in (None, "u-statistic"):
         out.append("constants.route: derived-bound applies to u-statistics only")
-    if dig(v, "oracle.method") == "exact":
+    if dig(v, "oracle.method") == EXACT:
         if space_kind != sp.FINITE:
             out.append("oracle.method: exact enumeration needs a finite sample space")
         elif n is not None and labels and len(labels) ** n > fx.ENUM_CAP:
@@ -334,7 +331,10 @@ class Experiment:
 
 def _build_law(law: dict, n: int) -> sp.ProductLaw:
     if law["space"]["kind"] == sp.INTERVAL:
-        return sp.iid_law(FAMILIES[law["family"]["name"]](law["family"]), n)
+        name = law["family"]["name"]
+        params = tuple(float(law["family"][key]) for key in sp.FAMILIES[name])
+        coordinate = sp.CoordinateDistribution(sp.interval_space(), family=name, params=params)
+        return sp.iid_law(coordinate, n)
     space = sp.finite_space([(p["label"], p["value"]) for p in law["space"]["support"]])
     weights = law["weights"]
     if weights is None:

@@ -33,28 +33,24 @@ from .complexity import EXACT_DIM_CAP, MIN_DRAWS, ComplexityEstimate
 from .complexity import gaussian_mc, rademacher_exact, rademacher_mc
 from .derivative_bounds import NUMERIC_ESTIMATE, ConstantsReport
 from .errors import DomainError, OverrideRequiredError, ResourceError
-from .functionals import ENUM_CAP, Statistic, mean_statistic
+from .functionals import ENUM_CAP, Statistic, batches, mean_statistic
 from .rng import as_stream, stream
 from .spaces import FINITE, ProductLaw, SampleSpace, SampleVector, draw_batch, sample
 
 ANALYTIC = "analytic"
 EXACT_ENUMERATION = "exact-enumeration"
 MONTE_CARLO = "monte-carlo"
-
-_ROW_CHUNK = 8192
+# The methods a caller may ask the expectation oracle for; ``auto`` picks
+# one of the three above.
+AUTO = "auto"
+EXACT = "exact"
+ORACLE_METHODS = (AUTO, EXACT, MONTE_CARLO)
+DEFAULT_ORACLE_METHOD = AUTO
 
 # Monte Carlo oracle draws and per-replication Gaussian draws when the caller
 # names none.
 DEFAULT_ORACLE_REPLICAS = 100_000
 DEFAULT_GAUSSIAN_DRAWS = 2000
-
-
-def _phi_rows(stat: Statistic, rows: np.ndarray, chunk: int = _ROW_CHUNK) -> np.ndarray:
-    """Apply the statistic to a (rows, n) matrix in bounded-memory chunks."""
-    out = np.empty(rows.shape[0])
-    for start in range(0, rows.shape[0], chunk):
-        out[start : start + chunk] = stat(rows[start : start + chunk])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -71,11 +67,11 @@ class ExpectationOracle:
     replicas: int | None = None
 
 
-def _lattice_indices(flat: np.ndarray, n: int, size: int) -> np.ndarray:
-    # Mixed-radix decomposition of flat lattice codes into per-coordinate
-    # support indices, most significant coordinate first.
-    idx = np.empty((flat.shape[0], n), dtype=np.int64)
-    rem = flat.copy()
+def _lattice_indices(part: slice, n: int, size: int) -> np.ndarray:
+    # Mixed-radix decomposition of the flat lattice codes in ``part`` into
+    # per-coordinate support indices, most significant coordinate first.
+    rem = np.arange(part.start, part.stop, dtype=np.int64)
+    idx = np.empty((rem.shape[0], n), dtype=np.int64)
     for pos in range(n - 1, -1, -1):
         idx[:, pos] = rem % size
         rem //= size
@@ -92,7 +88,7 @@ def expectation_oracle(
     law: ProductLaw,
     fc: FunctionClass,
     stat: Statistic,
-    method: str = "auto",
+    method: str = DEFAULT_ORACLE_METHOD,
     *,
     replicas: int = DEFAULT_ORACLE_REPLICAS,
     enum_cap: int = ENUM_CAP,
@@ -114,9 +110,9 @@ def expectation_oracle(
     n = law.n
     finite = law.space.kind == FINITE
     points = law.space.size**n if finite else None
-    if method == "exact":
+    if method == EXACT:
         method = EXACT_ENUMERATION
-    if method == "auto":
+    if method == AUTO:
         if finite and stat.product_expectation is not None:
             try:
                 values = stat.product_expectation(fc.support_matrix(), law.weight_matrix)
@@ -134,9 +130,9 @@ def expectation_oracle(
         weights = law.weight_matrix            # (n, s)
         values = np.zeros(len(fc))
         size = law.space.size
-        for start in range(0, points, _ROW_CHUNK):
-            flat = np.arange(start, min(start + _ROW_CHUNK, points), dtype=np.int64)
-            idx = _lattice_indices(flat, n, size)
+        # A point costs its index, weight and image rows of n values.
+        for part in batches(points, 3 * 8 * n):
+            idx = _lattice_indices(part, n, size)
             w = weights[np.arange(n)[None, :], idx]
             w = np.multiply.reduce(w, axis=1)
             for k in range(len(fc)):
@@ -151,7 +147,7 @@ def expectation_oracle(
     stderrs = np.empty(len(fc))
     for k, member in enumerate(fc.members):
         image = member.apply(vals, idx)
-        phis = _phi_rows(stat, image)
+        phis = stat(image)
         values[k] = float(phis.mean())
         stderrs[k] = float(phis.std(ddof=1) / math.sqrt(replicas))
     return ExpectationOracle(MONTE_CARLO, fc.labels, _finite_expectations(values), stderrs, replicas)
@@ -165,7 +161,7 @@ def uniform_deviation(
     if oracle.labels != fc.labels:
         raise DomainError("oracle was built for a different class")
     image = fc.image_matrix(x)
-    gaps = oracle.values - _phi_rows(stat, image)
+    gaps = oracle.values - stat(image)
     best = int(np.argmax(gaps))
     return float(gaps[best]), fc.labels[best]
 
@@ -255,7 +251,7 @@ def deviation_experiment(
     *,
     gaussian_draws: int = DEFAULT_GAUSSIAN_DRAWS,
     oracle: ExpectationOracle | None = None,
-    oracle_method: str = "auto",
+    oracle_method: str = DEFAULT_ORACLE_METHOD,
     oracle_replicas: int = DEFAULT_ORACLE_REPLICAS,
     allow_numeric_constants: bool = False,
     workers: int = 1,
@@ -357,7 +353,7 @@ def symmetrization_check_mean(
     *,
     stat: Statistic | None = None,
     rademacher_draws: int = 20_000,
-    oracle_method: str = "auto",
+    oracle_method: str = DEFAULT_ORACLE_METHOD,
     oracle_replicas: int = DEFAULT_ORACLE_REPLICAS,
     workers: int = 1,
 ) -> SymmetrizationReport:
@@ -467,10 +463,8 @@ def squared_swing_sum(
     if points <= enum_cap:
         fv = member.on_support(space)
         phi_flat = np.empty(points)
-        for start in range(0, points, _ROW_CHUNK):
-            flat = np.arange(start, min(start + _ROW_CHUNK, points), dtype=np.int64)
-            idx = _lattice_indices(flat, n, size)
-            phi_flat[start : start + flat.shape[0]] = stat(fv[idx])
+        for part in batches(points, 2 * 8 * n):    # index and image rows
+            phi_flat[part] = stat(fv[_lattice_indices(part, n, size)])
         lattice = phi_flat.reshape((size,) * n)
         acc = np.zeros((size,) * n)
         for k in range(n):
@@ -480,8 +474,27 @@ def squared_swing_sum(
 
     rng = as_stream(seed, "swing-sup")
     idx = rng.integers(0, size, size=(sup_samples, n))
-    sampled = _swing_at_indices(stat, member, space, idx)
-    return SwingReport(at_point, float(sampled.max()), False)
+    sup = max(
+        float(_swing_at_indices(stat, member, space, idx[part]).max())
+        for part in batches(sup_samples, 8 * size * n)    # a point's s variants
+    )
+    return SwingReport(at_point, sup, False)
+
+
+def _exceedance(excess: np.ndarray, thresholds: np.ndarray, scale: float, draws: int):
+    """(empirical, bound, stderr, violations) per threshold t.
+
+    The empirical frequency of excess > t is checked against the bound
+    exp(-t^2 / scale), 1 at t = 0 and 0 beyond when the scale is 0; it
+    violates the bound by more than four binomial standard errors.
+    """
+    empirical = np.asarray([(excess > t).mean() for t in thresholds])
+    if scale > 0.0:
+        bound = np.exp(-(thresholds * thresholds) / scale)
+    else:
+        bound = np.where(thresholds > 0.0, 0.0, 1.0)
+    stderr = np.sqrt(empirical * (1.0 - empirical) / draws)
+    return empirical, bound, stderr, empirical > bound + 4.0 * stderr
 
 
 @dataclass(frozen=True, eq=False)
@@ -513,7 +526,7 @@ def bounded_difference_tail(
     seed: int,
     *,
     oracle: ExpectationOracle | None = None,
-    oracle_method: str = "auto",
+    oracle_method: str = DEFAULT_ORACLE_METHOD,
     oracle_replicas: int = DEFAULT_ORACLE_REPLICAS,
     swing: SwingReport | None = None,
     swing_samples: int = 4096,
@@ -545,16 +558,9 @@ def bounded_difference_tail(
             stat, member, law.space, sup_samples=swing_samples, seed=stream(seed, "tail/swing")
         )
     vals, idx = draw_batch(law, replicas, stream(seed, "tail/x"))
-    phis = _phi_rows(stat, member.apply(vals, idx))
-    excess = phis - expected
-
-    empirical = np.asarray([(excess > ti).mean() for ti in t])
-    if swing.sup_norm > 0.0:
-        bound = np.exp(-2.0 * t * t / swing.sup_norm)
-    else:
-        bound = np.where(t > 0.0, 0.0, 1.0)
-    stderr = np.sqrt(empirical * (1.0 - empirical) / replicas)
-    violations = empirical > bound + 4.0 * stderr
+    excess = stat(member.apply(vals, idx)) - expected
+    # exp(-2 t^2 / swing); halving the swing is exact.
+    empirical, bound, stderr, violations = _exceedance(excess, t, swing.sup_norm / 2.0, replicas)
     return TailReport(
         t, empirical, bound, stderr, violations,
         expected, swing.sup_norm, swing.sup_is_exact, replicas, oracle.method,
@@ -631,27 +637,17 @@ def swap_process_probe(
     rng = as_stream(seed, "process-probe")
     y_f = np.empty(draws)
     y_g = np.empty(draws)
-    done = 0
-    while done < draws:
-        m = min(_ROW_CHUNK, draws - done)
-        sigma = rng.integers(0, 2, size=(m, n)).astype(np.float64)
+    for part in batches(draws, 5 * 8 * n):    # sign and four mixed rows
+        sigma = rng.integers(0, 2, size=(part.stop - part.start, n)).astype(np.float64)
         mix_f = sigma * fx + (1.0 - sigma) * fx_alt
         mix_f_swapped = sigma * fx_alt + (1.0 - sigma) * fx
         mix_g = sigma * gx + (1.0 - sigma) * gx_alt
         mix_g_swapped = sigma * gx_alt + (1.0 - sigma) * gx
-        y_f[done : done + m] = stat(mix_f) - stat(mix_f_swapped)
-        y_g[done : done + m] = stat(mix_g) - stat(mix_g_swapped)
-        done += m
+        y_f[part] = stat(mix_f) - stat(mix_f_swapped)
+        y_g[part] = stat(mix_g) - stat(mix_g_swapped)
 
-    z = y_f - y_g
-    empirical = np.asarray([(z > si).mean() for si in s])
     scale = 8.0 * (constants.lipschitz**2 + constants.mixed**2) * distance**2
-    if scale > 0.0:
-        bound = np.exp(-(s * s) / scale)
-    else:
-        bound = np.where(s > 0.0, 0.0, 1.0)
-    stderr = np.sqrt(empirical * (1.0 - empirical) / draws)
-    violations = empirical > bound + 4.0 * stderr
+    empirical, bound, stderr, violations = _exceedance(y_f - y_g, s, scale, draws)
 
     mean_f = float(y_f.mean())
     stderr_f = float(y_f.std(ddof=1) / math.sqrt(draws))

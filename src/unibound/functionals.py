@@ -18,6 +18,11 @@ symmetric sums of the coordinate laws (Hoeffding 1948).
 ``evaluate`` accepts batches of shape (..., n). All built-ins are global
 smooth functions, so finite-difference stencils may step slightly outside
 the unit box.
+
+Memory follows one policy: every batched loop in the library takes its row
+slices from ``batches``, which fits each slice into ``BATCH_BYTES`` given
+the bytes one row costs. A statistic states its own row cost, so calling it
+on any number of rows stays within the budget.
 """
 
 from __future__ import annotations
@@ -38,9 +43,19 @@ MAX_SUBSETS = 10_000_000
 # closed-form U-statistic expectation.
 ENUM_CAP = 1_000_000
 _SYMMETRY_TOL = 1e-12
+# Bytes one batch of rows may cost, at the row cost each loop states: the
+# rows it holds at once. A variance row at n = 64 costs 64 doubles, so it is
+# evaluated 2^13 rows at a time.
+BATCH_BYTES = 4 << 20
 # Kernel order and smoothed-min sharpness when none is given.
 DEFAULT_KERNEL_ORDER = 2
 DEFAULT_SHARPNESS = 4.0
+
+
+def batches(count: int, row_bytes: int):
+    """Slices covering range(count), each of max(1, BATCH_BYTES // row_bytes) rows."""
+    step = max(1, BATCH_BYTES // row_bytes)
+    return (slice(start, min(start + step, count)) for start in range(0, count, step))
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,6 +70,8 @@ class Statistic:
         None. Row k of ``support`` holds member k's values on the s support
         points and row i of ``weights`` the law of coordinate i; the result
         is E Phi(f_k(X)) for X with independent coordinates.
+    row_bytes : bytes one row costs ``evaluate``, or None for n doubles.
+        Calling the statistic evaluates batches of rows that fit BATCH_BYTES.
     """
 
     name: str
@@ -64,12 +81,17 @@ class Statistic:
     hessian: Callable[[np.ndarray], np.ndarray] | None = None
     closed_form_constants: tuple[float, float] | None = None
     product_expectation: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    row_bytes: int | None = None
 
     def __call__(self, s) -> np.ndarray:
         arr = np.asarray(s, dtype=np.float64)
         if arr.shape[-1] != self.n:
             raise DomainError(f"{self.name} expects vectors of length {self.n}")
-        return self.evaluate(arr)
+        rows = arr.reshape(-1, self.n)
+        out = np.empty(rows.shape[0])
+        for part in batches(rows.shape[0], self.row_bytes or 8 * self.n):
+            out[part] = self.evaluate(rows[part])
+        return out.reshape(arr.shape[:-1])[()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,16 +288,14 @@ def u_statistic(n: int, kernel: Kernel, *, max_subsets: int = MAX_SUBSETS) -> St
                 chains[r] += np.multiply.outer(chains[r - 1], w)
         tuple_weights = chains[m].ravel()
         grid = np.indices((size,) * m).reshape(m, -1).T    # (tuples, m) support indices
-        block = max(1, ENUM_CAP // tuples)                 # members per kernel call
         out = np.empty(support.shape[0])
-        for start in range(0, support.shape[0], block):
-            values = support[start : start + block][:, grid]    # (block, tuples, m)
-            out[start : start + block] = kernel.fn(values) @ tuple_weights
+        for part in batches(support.shape[0], tuples * m * 8):
+            out[part] = kernel.fn(support[part][:, grid]) @ tuple_weights
         return out / count
 
     return Statistic(
         f"u-statistic[{kernel.name},m={m}]", n, evaluate,
-        product_expectation=product_expectation,
+        product_expectation=product_expectation, row_bytes=count * m * 8,
     )
 
 

@@ -20,7 +20,9 @@ FINITE = "finite"
 INTERVAL = "interval"
 
 WEIGHT_TOL = 1e-12
-_FAMILIES = ("uniform", "bernoulli", "beta")
+# The parametric families of interval coordinates, each with the names of
+# its parameters in order.
+FAMILIES = {"uniform": (), "bernoulli": ("p",), "beta": ("a", "b")}
 
 
 @dataclass(frozen=True)
@@ -93,8 +95,8 @@ class CoordinateDistribution:
         else:
             if self.weights is not None:
                 raise DomainError("interval coordinates are specified by a family, not weights")
-            if self.family not in _FAMILIES:
-                raise DomainError(f"unknown family {self.family!r}; choose from {_FAMILIES}")
+            if self.family not in FAMILIES:
+                raise DomainError(f"unknown family {self.family!r}; choose from {tuple(FAMILIES)}")
             if self.family == "bernoulli":
                 (p,) = self.params
                 if not (0.0 <= p <= 1.0):

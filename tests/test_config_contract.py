@@ -16,6 +16,7 @@ from unibound.cli import main
 from unibound.config import resolve, validate_config
 from unibound.errors import ConfigError
 from unibound.runner import EXIT_CONFIG
+from unibound.spaces import FAMILIES
 
 from test_config_cli import small_deviate_config
 
@@ -57,6 +58,31 @@ def test_constants_keys_checked_off_the_numeric_route(tmp_path, capsys, key, val
     assert main(["run", str(path)]) == EXIT_CONFIG
     assert f"constants.{key}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# ---------------------------------------------------------------------------
+# the interval families are the ones the spaces module defines
+
+def _interval_config(family):
+    cfg = copy.deepcopy(BASES["small_deviate"])
+    cfg["law"] = {"space": {"kind": "interval"}, "family": family}
+    cfg["class"] = {"members": [{"type": "threshold", "label": "f", "theta": 0.2, "width": 0.5}]}
+    return cfg
+
+
+def test_unknown_family_message_names_every_family():
+    (message,) = [v for v in validate_config(_interval_config({"name": "cauchy"}))
+                  if v.startswith("law.family.name:")]
+    for name in FAMILIES:
+        assert name in message
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_every_family_resolves(name):
+    family = {"name": name, **{key: 0.5 for key in FAMILIES[name]}}
+    assert validate_config(_interval_config(family)) == []
+    coordinate = resolve(_interval_config(family)).law.coordinates[0]
+    assert (coordinate.family, coordinate.params) == (name, (0.5,) * len(FAMILIES[name]))
 
 
 # ---------------------------------------------------------------------------

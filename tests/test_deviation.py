@@ -200,29 +200,57 @@ def test_oracle_analytic_matches_enumeration(name, case, seed):
     assert np.allclose(analytic.values, exact.values, rtol=0.0, atol=1e-12)
 
 
-def test_oracle_bounded_memory_for_order_three_product_at_n64(tmp_path):
-    # Monte Carlo at this size would gather (8192, C(64,3), 3) doubles per chunk.
-    raw = {
-        "kind": "deviate", "seed": 3, "n": 64,
+def _traced_peak(fn):
+    """fn()'s result and the peak bytes tracemalloc saw while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def order_three_product_config(kind, n, **keys):
+    """The order-3 product U-statistic of 8 lookup members on 5 support points.
+
+    Each evaluated row gathers (C(n,3), 3) doubles: 1 MB at n = 64.
+    """
+    return {
+        "kind": kind, "seed": 3, "n": n,
         "law": {"space": {"kind": "finite", "support": [
             {"label": str(j), "value": j / 4.0} for j in range(5)
         ]}},
         "class": {"random_lookup": {"count": 8}},
         "statistic": {"name": "u-statistic", "kernel": {"name": "product", "order": 3}},
         "constants": {"route": "derived-bound"},
-        "c": 1.0, "delta": 0.1,
-        "replications": 100, "gaussian_draws": 200,
-        "oracle": {"method": "auto"},
+        **keys,
     }
+
+
+DEVIATE_KEYS = {"c": 1.0, "delta": 0.1, "replications": 100, "gaussian_draws": 200}
+
+
+def test_oracle_bounded_memory_for_order_three_product_at_n64(tmp_path):
+    raw = order_three_product_config("deviate", 64, **DEVIATE_KEYS, oracle={"method": "auto"})
     assert validate_config(raw) == []
-    tracemalloc.start()
-    try:
-        code, record, _ = run_experiment(raw, out_dir=tmp_path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    (code, record, _), peak = _traced_peak(lambda: run_experiment(raw, out_dir=tmp_path))
     assert code == EXIT_OK
     assert record["results"]["deviation"]["oracle"]["method"] == "analytic"
+    assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize("kind, n, keys", [
+    ("deviate", 64, {**DEVIATE_KEYS, "oracle": {"method": "monte-carlo", "replicas": 100}}),
+    ("constants", 32, {"constants": {"route": "numeric", "probes": 1}}),
+    ("tail", 12, {"t_grid": [0.0, 0.1], "tail_replicas": 100}),
+    ("probe", 16, {"s_grid": [0.0, 0.1], "draws": 8192, "probe_pairs": 1}),
+], ids=["deviate-monte-carlo", "constants-numeric", "tail", "probe"])
+def test_order_three_product_runs_in_bounded_memory(tmp_path, kind, n, keys):
+    raw = order_three_product_config(kind, n, **keys)
+    assert validate_config(raw) == []
+    (code, _, _), peak = _traced_peak(lambda: run_experiment(raw, out_dir=tmp_path))
+    assert code == EXIT_OK
     assert peak < 64 * 2**20
 
 

@@ -1,6 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+import yaml
 
+from unibound import functionals
+from unibound.complexity import rademacher_exact
 from unibound.derivative_bounds import fd_gradient, fd_hessian
 from unibound.errors import DomainError, ResourceError
 from unibound.functionals import (
@@ -17,6 +22,9 @@ from unibound.functionals import (
 )
 from unibound.classes import separation_labels
 from unibound.rng import stream
+from unibound.runner import run_experiment
+
+FULL_REPORT = Path(__file__).resolve().parent.parent / "configs" / "full_report.yaml"
 
 
 def dyadic(rng, shape, denom=32):
@@ -171,3 +179,21 @@ def test_sign_matrix_validation():
 def test_arity_checked_on_call():
     with pytest.raises(DomainError):
         mean_statistic(4)([0.1, 0.2])
+
+
+# ---------------------------------------------------------------------------
+# batch budget
+
+def _full_report_outputs(out):
+    raw = yaml.safe_load(FULL_REPORT.read_text())
+    raw.update(replications=100, draws=2000, tail_replicas=1000)
+    _, record, _ = run_experiment(raw, out_dir=out)
+    del record["wall_clock"], record["config"]["out"]
+    return record, (out / "table.csv").read_bytes()
+
+
+def test_results_do_not_depend_on_the_batch_budget(tmp_path, monkeypatch):
+    y = stream(5, "budget").random((6, 17))
+    default = _full_report_outputs(tmp_path / "default"), rademacher_exact(y).value
+    monkeypatch.setattr(functionals, "BATCH_BYTES", 512)  # one to five rows per batch
+    assert (_full_report_outputs(tmp_path / "small"), rademacher_exact(y).value) == default
