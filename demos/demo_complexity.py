@@ -7,7 +7,6 @@ import math
 import numpy as np
 
 from unibound import (
-    class_image,
     comparison_report,
     finite_space,
     gaussian_mc,
@@ -24,9 +23,9 @@ law = iid_law(uniform_on(space), 10)
 fc = random_lookup_class(space, 8, seed=7)
 
 x = sample(law, seed=1)
-image = class_image(fc, x)
+image = fc.image_matrix(x)
 print("sample x:", np.round(x.values, 2))
-print(f"image of the class: {image.vectors.shape[0]} vectors in R^{image.vectors.shape[1]}")
+print(f"image of the class: {image.shape[0]} vectors in R^{image.shape[1]}")
 
 exact = rademacher_exact(image)
 mc = rademacher_mc(image, draws=100_000, seed=2)

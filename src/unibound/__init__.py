@@ -12,11 +12,9 @@ __version__ = "0.1.0"
 
 from .classes import (
     AffineClippedMember,
-    ClassImage,
     FunctionClass,
     LookupMember,
     ThresholdMember,
-    class_image,
     constant_member,
     identity_member,
     lookup_member,

@@ -4,7 +4,9 @@ Members map the sample space into [0, 1], either as lookup tables over a
 finite support or as parametric forms on values (threshold ramps and clipped
 affine maps). The image of a class at a sample vector x is the finite set
 { (f(x_1), ..., f(x_n)) : f in class }, one row per member with duplicates
-retained; complexity averages act on that set.
+retained; complexity averages act on that set. Members are imaged only
+through their class: ``image_matrix`` at one sample vector, ``member_image``
+for one member over a batch of draws.
 """
 
 from __future__ import annotations
@@ -27,11 +29,6 @@ class LookupMember:
     label: str
     table: tuple[float, ...]
 
-    def apply(self, values: np.ndarray, indices: np.ndarray | None) -> np.ndarray:
-        if indices is None:
-            raise DomainError(f"lookup member {self.label!r} needs a finite sample space")
-        return np.asarray(self.table, dtype=np.float64)[indices]
-
     def on_support(self, space: SampleSpace) -> np.ndarray:
         if len(self.table) != space.size:
             raise DomainError(f"lookup member {self.label!r} does not match the support")
@@ -50,11 +47,11 @@ class ThresholdMember:
         if self.width <= 0.0:
             raise DomainError("threshold width must be positive")
 
-    def apply(self, values: np.ndarray, indices: np.ndarray | None) -> np.ndarray:
+    def apply(self, values: np.ndarray) -> np.ndarray:
         return np.clip((values - self.theta) / self.width, 0.0, 1.0)
 
     def on_support(self, space: SampleSpace) -> np.ndarray:
-        return self.apply(space.support_values, None)
+        return self.apply(space.support_values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,11 +62,11 @@ class AffineClippedMember:
     slope: float
     intercept: float
 
-    def apply(self, values: np.ndarray, indices: np.ndarray | None) -> np.ndarray:
+    def apply(self, values: np.ndarray) -> np.ndarray:
         return np.clip(self.slope * values + self.intercept, 0.0, 1.0)
 
     def on_support(self, space: SampleSpace) -> np.ndarray:
-        return self.apply(space.support_values, None)
+        return self.apply(space.support_values)
 
 
 def lookup_member(label: str, space: SampleSpace, mapping: dict) -> LookupMember:
@@ -123,7 +120,7 @@ class FunctionClass:
             for m in self.members:
                 if isinstance(m, LookupMember):
                     raise DomainError("lookup members exist only on finite spaces")
-                out = m.apply(grid, None)
+                out = m.apply(grid)
                 if np.any(out < 0.0) or np.any(out > 1.0):
                     raise DomainError(f"member {m.label!r} leaves [0, 1] on the grid")
 
@@ -135,14 +132,22 @@ class FunctionClass:
         return len(self.members)
 
     def image_matrix(self, x: SampleVector) -> np.ndarray:
-        """(|class|, n) matrix of member images at x."""
+        """The image F(x): a (|class|, n) matrix, row k member k's image of x,
+        in the order of ``labels``."""
         if x.space != self.space:
             raise DomainError("sample vector lives in a different sample space")
         if self._support is not None:
             # np.take keeps rows C-contiguous, so row sums add in the same order
             # as on per-member images; a [:, idx] gather is F-ordered and does not.
             return np.take(self._support, x.indices, axis=1)
-        return np.stack([m.apply(x.values, x.indices) for m in self.members])
+        return np.stack([m.apply(x.values) for m in self.members])
+
+    def member_image(self, k: int, values: np.ndarray, indices: np.ndarray | None) -> np.ndarray:
+        """Member k's image of a batch of draws: ``values`` of any shape, with
+        their support ``indices`` on a finite space (as ``draw_batch`` gives)."""
+        if self._support is not None:
+            return np.take(self._support[k], indices)
+        return self.members[k].apply(values)
 
     def support_matrix(self) -> np.ndarray:
         """(|class|, support size) member values per support point, read-only."""
@@ -157,23 +162,6 @@ class FunctionClass:
         if missing:
             raise DomainError(f"unknown member labels {missing}")
         return FunctionClass(self.space, tuple(by_label[lab] for lab in wanted))
-
-
-@dataclass(frozen=True, eq=False)
-class ClassImage:
-    """The image set F(x): one row per member, labels retained."""
-
-    vectors: np.ndarray
-    labels: tuple[str, ...]
-
-    def __post_init__(self):
-        if self.vectors.ndim != 2 or self.vectors.shape[0] != len(self.labels):
-            raise DomainError("image matrix must have one row per label")
-
-
-def class_image(fc: FunctionClass, x: SampleVector) -> ClassImage:
-    """Image set of the class at x; duplicates retained with their labels."""
-    return ClassImage(fc.image_matrix(x), fc.labels)
 
 
 def separation_labels(group_sizes) -> np.ndarray:

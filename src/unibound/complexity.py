@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classes import ClassImage
 from .errors import DomainError, ResourceError
 from .functionals import batches
 from .rng import as_stream, rademacher_signs, standard_normals
@@ -58,9 +57,13 @@ class ComplexityEstimate:
             raise DomainError("Monte Carlo estimates need a nonnegative standard error")
 
 
+def mean_stderr(samples: np.ndarray) -> float:
+    """Standard error of the mean of iid ``samples``: their sample standard
+    deviation over sqrt(count)."""
+    return float(samples.std(ddof=1) / math.sqrt(samples.size))
+
+
 def _as_matrix(y) -> np.ndarray:
-    if isinstance(y, ClassImage):
-        y = y.vectors
     arr = np.asarray(y, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr[None, :]
@@ -104,9 +107,7 @@ def _antithetic_mc(mat: np.ndarray, draws: int, rng, gaussian: bool) -> tuple[fl
         coeff = standard_normals(rng, shape) if gaussian else rademacher_signs(rng, shape)
         prod = coeff @ mat.T
         means[part] = 0.5 * (prod.max(axis=1) + (-prod).max(axis=1))
-    value = float(means.mean())
-    stderr = float(means.std(ddof=1) / math.sqrt(pairs))
-    return value, stderr, 2 * pairs
+    return float(means.mean()), mean_stderr(means), 2 * pairs
 
 
 def rademacher_mc(y, draws: int, seed) -> ComplexityEstimate:

@@ -162,7 +162,7 @@ FIELDS = (
           list_of("must be a non-empty list of positive integers", lambda g: is_int(g) and g >= 1),
           when=("class-separation",), elsewhere="only class-separation takes group sizes"),
     Field("constants", _MAPPING, {}),
-    Field("constants.route", choice((db.CLOSED_FORM, db.DERIVED_BOUND, "numeric")),
+    Field("constants.route", choice((db.CLOSED_FORM, db.DERIVED_BOUND, db.NUMERIC)),
           db.CLOSED_FORM),
     Field("constants.probes", _POSITIVE_INT, db.DEFAULT_PROBES),
     Field("constants.fd_step", number(f"must lie in {db.FD_STEP_RANGE_TEXT}",
@@ -267,7 +267,7 @@ def _cross_check(v: dict, raw: dict, out: list) -> None:
     needs = {"deviate": ("delta", "replications"), "full-report": ("delta", "replications"),
              "tail": ("t_grid",), "probe": ("s_grid",)}.get(kind, ())
     out.extend(f"{key}: required for kind {kind}" for key in needs if key not in raw)
-    if "delta" in needs and route == "numeric" and not raw.get("override_numeric_constants"):
+    if "delta" in needs and route == db.NUMERIC and not raw.get("override_numeric_constants"):
         out.append("constants.route: numeric constants are lower bounds; bound assembly "
                    "refuses them unless override_numeric_constants is true")
     if kind == "probe" and member_labels and len(member_labels) < 2:

@@ -31,8 +31,10 @@ from .errors import DomainError, NumericError, UnsupportedStatisticError
 from .functionals import Kernel, Statistic
 from .rng import as_stream
 
+# The routes a configuration names; a numeric estimate reports NUMERIC_ESTIMATE.
 CLOSED_FORM = "closed-form"
 DERIVED_BOUND = "derived-bound"
+NUMERIC = "numeric"
 NUMERIC_ESTIMATE = "numeric-estimate"
 
 DEFAULT_PROBES = 200

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classes import FunctionClass
-from .complexity import EXACT_DIM_CAP, MIN_DRAWS, ComplexityEstimate
+from .complexity import EXACT_DIM_CAP, MIN_DRAWS, ComplexityEstimate, mean_stderr
 from .complexity import gaussian_mc, rademacher_exact, rademacher_mc
 from .derivative_bounds import NUMERIC_ESTIMATE, ConstantsReport
 from .errors import DomainError, OverrideRequiredError, ResourceError
@@ -47,10 +47,12 @@ EXACT = "exact"
 ORACLE_METHODS = (AUTO, EXACT, MONTE_CARLO)
 DEFAULT_ORACLE_METHOD = AUTO
 
-# Monte Carlo oracle draws and per-replication Gaussian draws when the caller
+# Monte Carlo oracle draws, per-replication Gaussian draws, and the lattice
+# points sampled for a swing sup past the enumeration cap, when the caller
 # names none.
 DEFAULT_ORACLE_REPLICAS = 100_000
 DEFAULT_GAUSSIAN_DRAWS = 2000
+DEFAULT_SWING_SAMPLES = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -145,22 +147,23 @@ def expectation_oracle(
     vals, idx = draw_batch(law, replicas, as_stream(seed, "expectation-oracle"))
     values = np.empty(len(fc))
     stderrs = np.empty(len(fc))
-    for k, member in enumerate(fc.members):
-        image = member.apply(vals, idx)
-        phis = stat(image)
+    for k in range(len(fc)):
+        # The member's image is freed before the next member's is built.
+        phis = stat(fc.member_image(k, vals, idx))
         values[k] = float(phis.mean())
-        stderrs[k] = float(phis.std(ddof=1) / math.sqrt(replicas))
+        stderrs[k] = mean_stderr(phis)
     return ExpectationOracle(MONTE_CARLO, fc.labels, _finite_expectations(values), stderrs, replicas)
 
 
 def uniform_deviation(
-    x: SampleVector, fc: FunctionClass, stat: Statistic, oracle: ExpectationOracle
+    image: np.ndarray, fc: FunctionClass, stat: Statistic, oracle: ExpectationOracle
 ) -> tuple[float, str]:
     """sup over the class of E Phi(f(X')) - Phi(f(x)), with the first
-    maximizing label."""
+    maximizing label; ``image`` is the class image ``fc.image_matrix(x)``."""
     if oracle.labels != fc.labels:
         raise DomainError("oracle was built for a different class")
-    image = fc.image_matrix(x)
+    if len(image) != len(fc):
+        raise DomainError("the image needs one row per class member")
     gaps = oracle.values - stat(image)
     best = int(np.argmax(gaps))
     return float(gaps[best]), fc.labels[best]
@@ -232,11 +235,34 @@ class DeviationReport:
     oracle: ExpectationOracle
 
 
-def _map_replications(worker, replications: int, workers: int):
+def _replicate(law: ProductLaw, fc: FunctionClass, stat: Statistic, replications: int,
+               seed: int, tag: str, average, *, oracle_method: str, oracle_replicas: int,
+               workers: int):
+    """(oracle, deviations, argmax labels, averages) over the replications.
+
+    Replication r samples x on the stream (seed, tag + "/x", r), images the
+    class at x once, and hands that image to the uniform deviation and to
+    ``average(image, r)``. Results are identical for any worker count.
+    """
+    if replications < MIN_DRAWS:
+        raise DomainError(f"replications must be >= {MIN_DRAWS}")
+    oracle = expectation_oracle(
+        law, fc, stat, oracle_method,
+        replicas=oracle_replicas, seed=stream(seed, f"{tag}/oracle"),
+    )
+
+    def one(r: int):
+        image = fc.image_matrix(sample(law, stream(seed, f"{tag}/x", r)))
+        dev, label = uniform_deviation(image, fc, stat, oracle)
+        return dev, label, average(image, r)
+
     if workers <= 1:
-        return [worker(r) for r in range(replications)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, range(replications)))
+        rows = [one(r) for r in range(replications)]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(one, range(replications)))
+    devs, labels, averages = zip(*rows)
+    return oracle, np.asarray(devs), labels, np.asarray(averages)
 
 
 def deviation_experiment(
@@ -250,7 +276,6 @@ def deviation_experiment(
     seed: int,
     *,
     gaussian_draws: int = DEFAULT_GAUSSIAN_DRAWS,
-    oracle: ExpectationOracle | None = None,
     oracle_method: str = DEFAULT_ORACLE_METHOD,
     oracle_replicas: int = DEFAULT_ORACLE_REPLICAS,
     allow_numeric_constants: bool = False,
@@ -264,29 +289,18 @@ def deviation_experiment(
     draws the deviations use. Replication r derives its streams from
     (seed, tag, r), so results are identical for any worker count.
     """
-    if replications < MIN_DRAWS:
-        raise DomainError(f"replications must be >= {MIN_DRAWS}")
-    if oracle is None:
-        oracle = expectation_oracle(
-            law, fc, stat, oracle_method,
-            replicas=oracle_replicas, seed=stream(seed, "deviation/oracle"),
-        )
 
-    def one(r: int):
-        x = sample(law, stream(seed, "deviation/x", r))
-        dev, label = uniform_deviation(x, fc, stat, oracle)
-        g = gaussian_mc(fc.image_matrix(x), gaussian_draws, stream(seed, "deviation/g", r))
-        return dev, label, g.value
+    def gaussian(image: np.ndarray, r: int) -> float:
+        return gaussian_mc(image, gaussian_draws, stream(seed, "deviation/g", r)).value
 
-    rows = _map_replications(one, replications, workers)
-    devs = np.asarray([row[0] for row in rows])
-    labels = tuple(row[1] for row in rows)
-    g_vals = np.asarray([row[2] for row in rows])
-
+    oracle, devs, labels, g_vals = _replicate(
+        law, fc, stat, replications, seed, "deviation", gaussian,
+        oracle_method=oracle_method, oracle_replicas=oracle_replicas, workers=workers,
+    )
     dev_mean = float(devs.mean())
-    dev_stderr = float(devs.std(ddof=1) / math.sqrt(replications))
+    dev_stderr = mean_stderr(devs)
     g_mean = float(g_vals.mean())
-    g_stderr = float(g_vals.std(ddof=1) / math.sqrt(replications))
+    g_stderr = mean_stderr(g_vals)
     image_g = ComplexityEstimate(g_mean, "gaussian", MONTE_CARLO, replications, g_stderr)
 
     bound = assemble_bound(
@@ -367,30 +381,20 @@ def symmetrization_check_mean(
     if stat is not None and stat.name != "mean":
         raise DomainError("the symmetrization check applies to the arithmetic mean only")
     stat = mean_statistic(n)
-    if replications < MIN_DRAWS:
-        raise DomainError(f"replications must be >= {MIN_DRAWS}")
-    oracle = expectation_oracle(
-        law, fc, stat, oracle_method,
-        replicas=oracle_replicas, seed=stream(seed, "symmetrization/oracle"),
-    )
 
-    def one(r: int):
-        x = sample(law, stream(seed, "symmetrization/x", r))
-        dev, _ = uniform_deviation(x, fc, stat, oracle)
-        image = fc.image_matrix(x)
+    def rademacher(image: np.ndarray, r: int) -> float:
         if n <= EXACT_DIM_CAP:
-            rad = rademacher_exact(image).value
-        else:
-            rad = rademacher_mc(image, rademacher_draws, stream(seed, "symmetrization/r", r)).value
-        return dev, rad
+            return rademacher_exact(image).value
+        return rademacher_mc(image, rademacher_draws, stream(seed, "symmetrization/r", r)).value
 
-    rows = _map_replications(one, replications, workers)
-    devs = np.asarray([row[0] for row in rows])
-    rads = np.asarray([row[1] for row in rows])
+    _, devs, _, rads = _replicate(
+        law, fc, stat, replications, seed, "symmetrization", rademacher,
+        oracle_method=oracle_method, oracle_replicas=oracle_replicas, workers=workers,
+    )
     dev_mean = float(devs.mean())
-    dev_stderr = float(devs.std(ddof=1) / math.sqrt(replications))
+    dev_stderr = mean_stderr(devs)
     rad_mean = float(rads.mean())
-    rad_stderr = float(rads.std(ddof=1) / math.sqrt(replications))
+    rad_stderr = mean_stderr(rads)
     bound_side = (2.0 / n) * rad_mean
     allowance = 4.0 * (dev_stderr + (2.0 / n) * rad_stderr)
     return SymmetrizationReport(
@@ -415,13 +419,11 @@ class SwingReport:
     sup_is_exact: bool
 
 
-def _swing_at_indices(
-    stat: Statistic, member, space: SampleSpace, idx: np.ndarray
-) -> np.ndarray:
-    # idx: (batch, n) support indices. Returns the swing sum per row.
+def _swing_at_indices(stat: Statistic, fv: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    # fv: (s,) member values on the support; idx: (batch, n) support indices.
+    # Returns the swing sum per row.
     batch, n = idx.shape
-    size = space.size
-    fv = member.on_support(space)
+    size = fv.shape[0]
     base_img = fv[idx]
     total = np.zeros(batch)
     for k in range(n):
@@ -439,7 +441,7 @@ def squared_swing_sum(
     x: SampleVector | None = None,
     *,
     enum_cap: int = ENUM_CAP,
-    sup_samples: int = 4096,
+    sup_samples: int = DEFAULT_SWING_SAMPLES,
     seed=0,
 ) -> SwingReport:
     """Per-coordinate squared swings of Phi(f(.)) on a finite space.
@@ -453,15 +455,15 @@ def squared_swing_sum(
         raise DomainError("swing sums need a finite sample space")
     n = stat.n
     size = space.size
+    fv = FunctionClass(space, (member,)).support_matrix()[0]
     at_point = None
     if x is not None:
         if x.space != space:
             raise DomainError("sample vector lives in a different sample space")
-        at_point = float(_swing_at_indices(stat, member, space, x.indices[None, :])[0])
+        at_point = float(_swing_at_indices(stat, fv, x.indices[None, :])[0])
 
     points = size**n
     if points <= enum_cap:
-        fv = member.on_support(space)
         phi_flat = np.empty(points)
         for part in batches(points, 2 * 8 * n):    # index and image rows
             phi_flat[part] = stat(fv[_lattice_indices(part, n, size)])
@@ -475,7 +477,7 @@ def squared_swing_sum(
     rng = as_stream(seed, "swing-sup")
     idx = rng.integers(0, size, size=(sup_samples, n))
     sup = max(
-        float(_swing_at_indices(stat, member, space, idx[part]).max())
+        float(_swing_at_indices(stat, fv, idx[part]).max())
         for part in batches(sup_samples, 8 * size * n)    # a point's s variants
     )
     return SwingReport(at_point, sup, False)
@@ -529,7 +531,7 @@ def bounded_difference_tail(
     oracle_method: str = DEFAULT_ORACLE_METHOD,
     oracle_replicas: int = DEFAULT_ORACLE_REPLICAS,
     swing: SwingReport | None = None,
-    swing_samples: int = 4096,
+    swing_samples: int = DEFAULT_SWING_SAMPLES,
 ) -> TailReport:
     """Simulate the one-function tail and compare to the sub-Gaussian bound.
 
@@ -558,7 +560,7 @@ def bounded_difference_tail(
             stat, member, law.space, sup_samples=swing_samples, seed=stream(seed, "tail/swing")
         )
     vals, idx = draw_batch(law, replicas, stream(seed, "tail/x"))
-    excess = stat(member.apply(vals, idx)) - expected
+    excess = stat(single.member_image(0, vals, idx)) - expected
     # exp(-2 t^2 / swing); halving the swing is exact.
     empirical, bound, stderr, violations = _exceedance(excess, t, swing.sup_norm / 2.0, replicas)
     return TailReport(
@@ -628,10 +630,9 @@ def swap_process_probe(
     if x.n != n or x_alt.n != n:
         raise DomainError("sample vectors do not match the statistic arity")
 
-    fx = f.apply(x.values, x.indices)
-    fx_alt = f.apply(x_alt.values, x_alt.indices)
-    gx = g.apply(x.values, x.indices)
-    gx_alt = g.apply(x_alt.values, x_alt.indices)
+    pair = FunctionClass(x.space, (f, g))
+    fx, gx = pair.image_matrix(x)
+    fx_alt, gx_alt = pair.image_matrix(x_alt)
     distance = float(np.sqrt(((fx - gx) ** 2).sum() + ((fx_alt - gx_alt) ** 2).sum()))
 
     rng = as_stream(seed, "process-probe")
@@ -650,7 +651,7 @@ def swap_process_probe(
     empirical, bound, stderr, violations = _exceedance(y_f - y_g, s, scale, draws)
 
     mean_f = float(y_f.mean())
-    stderr_f = float(y_f.std(ddof=1) / math.sqrt(draws))
+    stderr_f = mean_stderr(y_f)
     zero_ok = abs(mean_f) <= 4.0 * stderr_f
     return ProcessProbe(
         f.label, g.label, x.values.copy(), x_alt.values.copy(), distance,

@@ -266,10 +266,11 @@ def u_statistic(n: int, kernel: Kernel, *, max_subsets: int = MAX_SUBSETS) -> St
     combos = np.asarray(list(itertools.combinations(range(n), m)), dtype=np.intp)
 
     def evaluate(s):
-        sub = s[..., combos]            # (..., count, m)
-        vals = kernel.fn(sub)           # (..., count)
-        # np.sum reduces pairwise, which keeps cancellation error in check
-        # across the many same-magnitude subset terms.
+        # np.take keeps each row's subset terms contiguous (s[..., combos] does
+        # not), so np.sum adds them pairwise, whatever the batch height, which
+        # keeps cancellation error in check across the same-magnitude terms.
+        sub = np.take(s, combos, axis=-1)   # (..., count, m)
+        vals = kernel.fn(sub)               # (..., count)
         return np.sum(vals, axis=-1) / count
 
     def product_expectation(support, weights):

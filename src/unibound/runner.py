@@ -25,7 +25,8 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .classes import class_image
+# rademacher_exact stays importable here: perfbench traces each layer through
+# the names the runner imports, though comparison_report now makes the call.
 from .complexity import EXACT_DIM_CAP, comparison_report, gaussian_mc, rademacher_exact, rademacher_mc
 from .config import Experiment, load_config, resolve, validate_config
 from .derivative_bounds import (
@@ -82,16 +83,6 @@ def _write_table(path: Path, header: list[str], rows: list[tuple]) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _constants_for(exp: Experiment):
-    if exp.constants_route == CLOSED_FORM:
-        return closed_form_constants(exp.stat)
-    if exp.constants_route == DERIVED_BOUND:
-        return u_statistic_constant_bounds(exp.n, exp.kernel)
-    return estimate_constants_numeric(
-        exp.stat, exp.constants_probes, exp.constants_fd_step, stream(exp.seed, "constants")
-    )
-
-
 class _Stages:
     def __init__(self):
         self.seconds: dict[str, float] = {}
@@ -103,17 +94,24 @@ class _Stages:
         return result
 
 
+def _constants(exp: Experiment, stages: _Stages):
+    """(L, M) along the configured route, timed as the ``constants`` stage;
+    a run computes them once."""
+    def compute():
+        if exp.constants_route == CLOSED_FORM:
+            return closed_form_constants(exp.stat)
+        if exp.constants_route == DERIVED_BOUND:
+            return u_statistic_constant_bounds(exp.n, exp.kernel)
+        return estimate_constants_numeric(
+            exp.stat, exp.constants_probes, exp.constants_fd_step, stream(exp.seed, "constants")
+        )
+
+    return stages.run("constants", compute)
+
+
 def _run_complexity(exp: Experiment, stages: _Stages, summary: list[str]):
     x = sample(exp.law, stream(exp.seed, "complexity/x"))
-    image = class_image(exp.fc, x)
-    results: dict = {}
-    rows: list[tuple] = []
-    header = ["quantity", "method", "value", "draws", "stderr"]
-    if exp.n <= EXACT_DIM_CAP:
-        exact = stages.run("rademacher-exact", lambda: rademacher_exact(image))
-        results["rademacher_exact"] = exact
-        rows.append(("rademacher", "exact", exact.value, "", ""))
-        summary.append(f"rademacher exact           {exact.value!r}")
+    image = exp.fc.image_matrix(x)
     mc = stages.run(
         "rademacher-mc", lambda: rademacher_mc(image, exp.draws, stream(exp.seed, "complexity/r"))
     )
@@ -123,9 +121,15 @@ def _run_complexity(exp: Experiment, stages: _Stages, summary: list[str]):
     comparison = stages.run(
         "comparison", lambda: comparison_report(image, exp.draws, exp.seed)
     )
-    results["rademacher_mc"] = mc
-    results["gaussian_mc"] = gauss
-    results["comparison"] = comparison
+    results: dict = {"rademacher_mc": mc, "gaussian_mc": gauss, "comparison": comparison}
+    rows: list[tuple] = []
+    header = ["quantity", "method", "value", "draws", "stderr"]
+    if exp.n <= EXACT_DIM_CAP:
+        # At this n the comparison enumerates every sign pattern.
+        exact = comparison.rademacher
+        results["rademacher_exact"] = exact
+        rows.append(("rademacher", "exact", exact.value, "", ""))
+        summary.append(f"rademacher exact           {exact.value!r}")
     rows.append(("rademacher", "monte-carlo", mc.value, mc.draws, mc.stderr))
     rows.append(("gaussian", "monte-carlo", gauss.value, gauss.draws, gauss.stderr))
     summary.append(f"rademacher monte-carlo     {mc.value!r} (stderr {mc.stderr!r})")
@@ -135,8 +139,7 @@ def _run_complexity(exp: Experiment, stages: _Stages, summary: list[str]):
     return results, header, rows, ok
 
 
-def _run_constants(exp: Experiment, stages: _Stages, summary: list[str]):
-    report = stages.run("constants", lambda: _constants_for(exp))
+def _run_constants(exp: Experiment, stages: _Stages, summary: list[str], report):
     results = {"constants": report}
     summary.append(f"L ({report.method})         {report.lipschitz!r}")
     summary.append(f"M ({report.method})         {report.mixed!r}")
@@ -152,8 +155,7 @@ def _run_constants(exp: Experiment, stages: _Stages, summary: list[str]):
     return results, header, rows, True
 
 
-def _run_deviate(exp: Experiment, stages: _Stages, summary: list[str]):
-    constants = stages.run("constants", lambda: _constants_for(exp))
+def _run_deviate(exp: Experiment, stages: _Stages, summary: list[str], constants):
     report = stages.run(
         "deviation-experiment",
         lambda: deviation_experiment(
@@ -222,8 +224,7 @@ def _run_tail(exp: Experiment, stages: _Stages, summary: list[str]):
     return results, header, rows, report.ok
 
 
-def _run_probe(exp: Experiment, stages: _Stages, summary: list[str]):
-    constants = stages.run("constants", lambda: _constants_for(exp))
+def _run_probe(exp: Experiment, stages: _Stages, summary: list[str], constants):
     x = sample(exp.law, stream(exp.seed, "probe/x", 0))
     x_alt = sample(exp.law, stream(exp.seed, "probe/x", 1))
     rng = stream(exp.seed, "probe/pairs")
@@ -263,17 +264,18 @@ def _run_probe(exp: Experiment, stages: _Stages, summary: list[str]):
 
 
 def _run_full_report(exp: Experiment, stages: _Stages, summary: list[str]):
+    constants = _constants(exp, stages)
     results: dict = {}
     ok = True
     summary.append("[constants]")
-    const_results, _, _, _ = _run_constants(exp, stages, summary)
+    const_results, _, _, _ = _run_constants(exp, stages, summary, constants)
     results.update(const_results)
     summary.append("[complexity]")
     comp_results, _, _, comp_ok = _run_complexity(exp, stages, summary)
     results.update(comp_results)
     ok = ok and comp_ok
     summary.append("[deviation]")
-    dev_results, header, rows, dev_ok = _run_deviate(exp, stages, summary)
+    dev_results, header, rows, dev_ok = _run_deviate(exp, stages, summary, constants)
     results.update(dev_results)
     ok = ok and dev_ok
     if exp.t_grid is not None and exp.law.space.kind == "finite":
@@ -283,18 +285,23 @@ def _run_full_report(exp: Experiment, stages: _Stages, summary: list[str]):
         ok = ok and tail_ok
     if exp.s_grid is not None and len(exp.fc) >= 2:
         summary.append("[process probe]")
-        probe_results, _, _, probe_ok = _run_probe(exp, stages, summary)
+        probe_results, _, _, probe_ok = _run_probe(exp, stages, summary, constants)
         results.update(probe_results)
         ok = ok and probe_ok
     return results, header, rows, ok
 
 
+def _with_constants(run):
+    """``run`` as a runner of its own kind: the constants stage comes first."""
+    return lambda exp, stages, summary: run(exp, stages, summary, _constants(exp, stages))
+
+
 _RUNNERS = {
     "complexity": _run_complexity,
-    "constants": _run_constants,
-    "deviate": _run_deviate,
+    "constants": _with_constants(_run_constants),
+    "deviate": _with_constants(_run_deviate),
     "tail": _run_tail,
-    "probe": _run_probe,
+    "probe": _with_constants(_run_probe),
     "full-report": _run_full_report,
 }
 

@@ -203,17 +203,12 @@ class SampleVector:
 
 
 def sample(law: ProductLaw, seed) -> SampleVector:
-    """Draw one vector from the law; identical seeds give identical vectors."""
-    rng = as_stream(seed, "sample")
-    u = open_uniforms(rng, law.n)
-    values = np.empty(law.n, dtype=np.float64)
-    indices = np.empty(law.n, dtype=np.int64) if law.space.kind == FINITE else None
-    for i, coord in enumerate(law.coordinates):
-        v, idx = coord.invert(np.asarray([u[i]]))
-        values[i] = v[0]
-        if indices is not None:
-            indices[i] = idx[0]
-    return SampleVector(law.space, values, indices)
+    """Draw one vector from the law; identical seeds give identical vectors.
+
+    The one-row case of ``draw_batch``, on the stream tagged ``sample``.
+    """
+    values, indices = draw_batch(law, 1, as_stream(seed, "sample"))
+    return SampleVector(law.space, values[0], None if indices is None else indices[0])
 
 
 def draw_batch(law: ProductLaw, count: int, seed) -> tuple[np.ndarray, np.ndarray | None]:

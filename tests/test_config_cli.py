@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from unibound import complexity, runner
 from unibound.cli import main
 from unibound.config import resolve, validate_config
 from unibound.errors import ConfigError
@@ -166,6 +167,31 @@ def test_numeric_constants_refused_then_overridden(tmp_path):
     code, record, _ = run_experiment(cfg, override=True)
     assert code == EXIT_OK
     assert record["results"]["deviation"]["constants"]["method"] == "numeric-estimate"
+
+
+def test_full_report_computes_each_quantity_once(tmp_path, monkeypatch):
+    calls = {"constants": 0, "rademacher_exact": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(
+        runner, "estimate_constants_numeric", counted("constants", runner.estimate_constants_numeric)
+    )
+    exact = counted("rademacher_exact", complexity.rademacher_exact)
+    monkeypatch.setattr(runner, "rademacher_exact", exact)
+    monkeypatch.setattr(complexity, "rademacher_exact", exact)
+    cfg = yaml.safe_load((CONFIG_DIR / "full_report.yaml").read_text())
+    cfg.update(constants={"route": "numeric", "probes": 5}, replications=100, draws=200,
+               gaussian_draws=200, tail_replicas=200)
+    _, record, _ = run_experiment(cfg, out_dir=tmp_path, override=True)
+    assert calls == {"constants": 1, "rademacher_exact": 1}
+    results = record["results"]
+    assert results["rademacher_exact"] == results["comparison"]["rademacher"]
+    assert results["constants"] == results["deviation"]["constants"]
 
 
 # ---------------------------------------------------------------------------

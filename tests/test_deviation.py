@@ -262,7 +262,7 @@ def test_deviation_zero_under_point_mass():
     fc = random_lookup_class(law.space, 4, 11)
     stat = mean_statistic(3)
     oracle = expectation_oracle(law, fc, stat)
-    value, label = uniform_deviation(sample(law, 1), fc, stat, oracle)
+    value, label = uniform_deviation(fc.image_matrix(sample(law, 1)), fc, stat, oracle)
     assert value == pytest.approx(0.0, abs=1e-15)
     assert label == fc.labels[0]  # ties resolve to the first member
 
@@ -273,7 +273,7 @@ def test_deviation_single_member_needs_no_sup():
     stat = mean_statistic(6)
     oracle = expectation_oracle(law, fc, stat)
     x = sample(law, 3)
-    value, label = uniform_deviation(x, fc, stat, oracle)
+    value, label = uniform_deviation(fc.image_matrix(x), fc, stat, oracle)
     assert label == "f"
     assert value == pytest.approx(oracle.values[0] - float(stat(fc.image_matrix(x)[0])), abs=1e-15)
 
@@ -286,7 +286,7 @@ def test_deviation_matches_brute_force():
     stat = mean_statistic(n)
     oracle = expectation_oracle(law, fc, stat)
     x = sample(law, 29)
-    value, label = uniform_deviation(x, fc, stat, oracle)
+    value, label = uniform_deviation(fc.image_matrix(x), fc, stat, oracle)
     gaps = []
     for k, member in enumerate(fc.members):
         image = [member.table[int(i)] for i in x.indices]
@@ -302,9 +302,8 @@ def test_deviation_dominates_every_member_gap():
     stat = sample_variance_statistic(n)
     oracle = expectation_oracle(law, fc, stat)
     for seed in range(10):
-        x = sample(law, seed)
-        value, _ = uniform_deviation(x, fc, stat, oracle)
-        img = fc.image_matrix(x)
+        img = fc.image_matrix(sample(law, seed))
+        value, _ = uniform_deviation(img, fc, stat, oracle)
         for k in range(len(fc)):
             assert value >= oracle.values[k] - float(stat(img[k])) - 1e-15
 
@@ -319,8 +318,8 @@ def test_deviation_monotone_in_class_extension():
     sub_oracle = ExpectationOracle(oracle.method, sub.labels, oracle.values[:3])
     for seed in range(10):
         x = sample(law, seed)
-        small, _ = uniform_deviation(x, sub, stat, sub_oracle)
-        large, _ = uniform_deviation(x, fc, stat, oracle)
+        small, _ = uniform_deviation(sub.image_matrix(x), sub, stat, sub_oracle)
+        large, _ = uniform_deviation(fc.image_matrix(x), fc, stat, oracle)
         assert large >= small
 
 
@@ -330,8 +329,11 @@ def test_deviation_oracle_class_mismatch():
     stat = mean_statistic(4)
     oracle = expectation_oracle(law, fc, stat)
     other = random_lookup_class(BITS, 4, 29)
+    x = sample(law, 0)
     with pytest.raises(DomainError):
-        uniform_deviation(sample(law, 0), other, stat, oracle)
+        uniform_deviation(other.image_matrix(x), other, stat, oracle)
+    with pytest.raises(DomainError):
+        uniform_deviation(fc.image_matrix(x)[:1], fc, stat, oracle)  # one row short
 
 
 # ---------------------------------------------------------------------------

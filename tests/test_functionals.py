@@ -184,16 +184,41 @@ def test_arity_checked_on_call():
 # ---------------------------------------------------------------------------
 # batch budget
 
-def _full_report_outputs(out):
+def _full_report_outputs(out, **changes):
     raw = yaml.safe_load(FULL_REPORT.read_text())
-    raw.update(replications=100, draws=2000, tail_replicas=1000)
+    raw.update(replications=100, draws=2000, tail_replicas=1000, **changes)
     _, record, _ = run_experiment(raw, out_dir=out)
     del record["wall_clock"], record["config"]["out"]
     return record, (out / "table.csv").read_bytes()
 
 
+SMOOTHED_MIN_REPORT = {
+    "statistic": {"name": "u-statistic", "kernel": {"name": "smoothed-min"}},
+    "constants": {"route": "derived-bound"},
+}
+
+
 def test_results_do_not_depend_on_the_batch_budget(tmp_path, monkeypatch):
     y = stream(5, "budget").random((6, 17))
-    default = _full_report_outputs(tmp_path / "default"), rademacher_exact(y).value
-    monkeypatch.setattr(functionals, "BATCH_BYTES", 512)  # one to five rows per batch
-    assert (_full_report_outputs(tmp_path / "small"), rademacher_exact(y).value) == default
+
+    def outputs(tag):
+        return (
+            _full_report_outputs(tmp_path / tag),
+            _full_report_outputs(tmp_path / f"{tag}-u", **SMOOTHED_MIN_REPORT),
+            rademacher_exact(y).value,
+        )
+
+    default = outputs("default")
+    # One to five rows per batch; one row for the U-statistic (C(12, 2) pairs).
+    monkeypatch.setattr(functionals, "BATCH_BYTES", 512)
+    assert outputs("small") == default
+
+
+@pytest.mark.parametrize("kernel", [
+    smoothed_min_kernel(), squared_difference_kernel(), product_kernel(3),
+], ids=["smoothed-min", "squared-difference", "product-3"])
+def test_u_statistic_row_does_not_depend_on_its_batch(kernel):
+    stat = u_statistic(12, kernel)
+    rows = stream(4, "u-batch").random((8, 12))
+    alone = [stat.evaluate(row[None, :])[0] for row in rows]
+    assert np.array_equal(stat.evaluate(rows), alone)
