@@ -50,5 +50,4 @@ detail = numeric.detail
 print("\nnumeric detail for the variance (per-coordinate suprema)")
 print("  grad_sup   :", [f"{v:.5f}" for v in detail.grad_sup])
 print("  row sumsq  :", [f"{v:.6f}" for v in detail.mixed_rowsq])
-print(f"  entrywise aggregate {detail.mixed_entry_aggregate:.6f}; "
-      f"joint-sup variant {detail.mixed_joint_sup:.6f} (reported only)")
+print(f"  entrywise aggregate {detail.mixed_entry_aggregate:.6f} (reported only)")

@@ -5,8 +5,9 @@ For a finite Y in R^n,
     R(Y) = E sup_{y in Y} sum_i eps_i y_i,   eps_i uniform in {-1, +1},
     G(Y) = E sup_{y in Y} sum_i gam_i y_i,   gam_i standard normal.
 
-R is computed exactly by enumerating sign patterns when n <= 20 and by
-Monte Carlo otherwise; G by Monte Carlo. Monte Carlo draws are antithetic:
+R is computed exactly by enumerating sign patterns when its 2^(n-1)
+antithetic pattern pairs fit ``functionals.ENUM_CAP`` (n <= 20) and by Monte
+Carlo otherwise; G by Monte Carlo. Monte Carlo draws are antithetic:
 each eps (or gamma) is paired with its negation, the estimate is the mean
 of per-pair means, and the standard error is the sample standard deviation
 of the iid pair means over sqrt(pairs). Pairing keeps the estimator
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ResourceError
-from .functionals import batches
+from .functionals import ENUM_CAP, batches
 from .rng import as_stream, rademacher_signs, standard_normals
 
 EXACT = "exact"
@@ -31,7 +32,6 @@ MONTE_CARLO = "monte-carlo"
 RADEMACHER = "rademacher"
 GAUSSIAN = "gaussian"
 
-EXACT_DIM_CAP = 20
 MIN_DRAWS = 100
 
 
@@ -72,19 +72,20 @@ def _as_matrix(y) -> np.ndarray:
     return arr
 
 
-def rademacher_exact(y, *, dim_cap: int = EXACT_DIM_CAP) -> ComplexityEstimate:
-    """R(Y) by full sign-pattern enumeration; refuses beyond n = ``dim_cap``.
+def rademacher_exact(y) -> ComplexityEstimate:
+    """R(Y) by full sign-pattern enumeration; refuses when the 2^(n-1)
+    antithetic pattern pairs exceed ENUM_CAP.
 
     Patterns are enumerated in antithetic halves (each pattern summed with
-    its negation), so singletons come out exactly zero. The per-pattern
-    sums, at most 2^(dim_cap - 1) doubles, are kept and added in one
-    pairwise sum, so the value does not depend on the batch size.
+    its negation), so singletons come out exactly zero. The per-pair sums,
+    at most ENUM_CAP doubles, are kept and added in one pairwise sum, so the
+    value does not depend on the batch size.
     """
     mat = _as_matrix(y)
     n = mat.shape[1]
-    if n > dim_cap:
-        raise ResourceError(f"exact enumeration needs n <= {dim_cap}, got {n}")
     half = 1 << (n - 1) if n >= 1 else 1
+    if half > ENUM_CAP:
+        raise ResourceError(f"2^{n - 1} sign-pattern pairs exceed the enumeration cap {ENUM_CAP}")
     powers = 1 << np.arange(n, dtype=np.int64)
     pair_sums = np.empty(half)
     for part in batches(half, 8 * (n + mat.shape[0])):    # sign and product rows
@@ -118,6 +119,15 @@ def rademacher_mc(y, draws: int, seed) -> ComplexityEstimate:
     rng = as_stream(seed, "rademacher-mc")
     value, stderr, used = _antithetic_mc(mat, draws, rng, gaussian=False)
     return ComplexityEstimate(value, RADEMACHER, MONTE_CARLO, used, stderr)
+
+
+def rademacher_average(y, draws: int, seed) -> ComplexityEstimate:
+    """R(Y) exactly when its sign-pattern pairs fit ENUM_CAP, otherwise by
+    Monte Carlo with ``draws`` draws from ``seed``."""
+    try:
+        return rademacher_exact(y)
+    except ResourceError:
+        return rademacher_mc(y, draws, seed)
 
 
 def gaussian_mc(y, draws: int, seed) -> ComplexityEstimate:
@@ -164,10 +174,7 @@ def comparison_report(y, draws: int, seed) -> ComparisonReport:
     n = mat.shape[1]
     if n < 2:
         raise DomainError("the logarithmic comparison needs n >= 2")
-    if n <= EXACT_DIM_CAP:
-        r = rademacher_exact(mat)
-    else:
-        r = rademacher_mc(mat, draws, as_stream(seed, "comparison-r"))
+    r = rademacher_average(mat, draws, as_stream(seed, "comparison-r"))
     g = gaussian_mc(mat, draws, as_stream(seed, "comparison-g"))
     r_err = r.stderr or 0.0
     g_err = g.stderr or 0.0

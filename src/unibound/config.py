@@ -270,9 +270,13 @@ def _cross_check(v: dict, raw: dict, out: list) -> None:
     if "delta" in needs and route == db.NUMERIC and not raw.get("override_numeric_constants"):
         out.append("constants.route: numeric constants are lower bounds; bound assembly "
                    "refuses them unless override_numeric_constants is true")
-    if kind == "probe" and member_labels and len(member_labels) < 2:
+    # A full report runs the tail and the probe stages when given their grids.
+    full = kind == "full-report"
+    tail = kind == "tail" or (full and v["t_grid"] is not None)
+    probe = kind == "probe" or (full and v["s_grid"] is not None)
+    if probe and member_labels and len(member_labels) < 2:
         out.append("class: the probe needs at least two members")
-    if kind == "tail" and space_kind == sp.INTERVAL:
+    if tail and space_kind == sp.INTERVAL:
         out.append("law.space.kind: the tail experiment needs a finite sample space (swing sums)")
 
 

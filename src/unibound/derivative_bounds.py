@@ -54,14 +54,11 @@ class ConstantsDetail:
     mixed_rowsq[k]    max observed sum_{l != k} (d^2 Phi / ds_l ds_k)^2
     mixed_entry_aggregate   sqrt(sum over k != l of (max |entry|)^2); the
                             coarser entrywise aggregate, reported only
-    mixed_joint_sup   sqrt(max observed total sum of squares); a conjectural
-                      relaxation, reported only and never used for bounds
     """
 
     grad_sup: np.ndarray
     mixed_rowsq: np.ndarray
     mixed_entry_aggregate: float
-    mixed_joint_sup: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,7 +178,6 @@ def estimate_constants_numeric(
     grad_sup = np.zeros(n)
     rowsq_sup = np.zeros(n)
     entry_sup = np.zeros((n, n))
-    joint_sq_sup = 0.0
 
     for p in points:
         grad = fd_gradient(stat, p, fd_step)
@@ -195,7 +191,6 @@ def estimate_constants_numeric(
         np.maximum(grad_sup, np.abs(grad), out=grad_sup)
         np.maximum(rowsq_sup, rowsq, out=rowsq_sup)
         np.maximum(entry_sup, np.abs(off), out=entry_sup)
-        joint_sq_sup = max(joint_sq_sup, float(rowsq.sum()))
 
         # Candidate refinement: evaluate each partial at the box points that
         # extremize its affine surrogate. Exact for degree <= 2 statistics.
@@ -218,7 +213,6 @@ def estimate_constants_numeric(
         grad_sup=grad_sup,
         mixed_rowsq=rowsq_sup,
         mixed_entry_aggregate=float(np.sqrt((entry_sup**2).sum())),
-        mixed_joint_sup=float(np.sqrt(joint_sq_sup)),
     )
     lip = float(grad_sup.max())
     mixed = float(np.sqrt(rowsq_sup.sum()))

@@ -29,8 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classes import FunctionClass
-from .complexity import EXACT_DIM_CAP, MIN_DRAWS, ComplexityEstimate, mean_stderr
-from .complexity import gaussian_mc, rademacher_exact, rademacher_mc
+from .complexity import MIN_DRAWS, ComplexityEstimate, gaussian_mc, mean_stderr, rademacher_average
 from .derivative_bounds import NUMERIC_ESTIMATE, ConstantsReport
 from .errors import DomainError, OverrideRequiredError, ResourceError
 from .functionals import ENUM_CAP, Statistic, batches, mean_statistic
@@ -47,12 +46,13 @@ EXACT = "exact"
 ORACLE_METHODS = (AUTO, EXACT, MONTE_CARLO)
 DEFAULT_ORACLE_METHOD = AUTO
 
-# Monte Carlo oracle draws, per-replication Gaussian draws, and the lattice
-# points sampled for a swing sup past the enumeration cap, when the caller
-# names none.
+# Monte Carlo oracle draws and per-replication Gaussian draws when the caller
+# names none; past the enumeration cap, the lattice points sampled for a
+# swing sup and the per-replication draws of the symmetrization check's R.
 DEFAULT_ORACLE_REPLICAS = 100_000
 DEFAULT_GAUSSIAN_DRAWS = 2000
-DEFAULT_SWING_SAMPLES = 4096
+SWING_SAMPLES = 4096
+SYMMETRIZATION_DRAWS = 20_000
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +93,6 @@ def expectation_oracle(
     method: str = DEFAULT_ORACLE_METHOD,
     *,
     replicas: int = DEFAULT_ORACLE_REPLICAS,
-    enum_cap: int = ENUM_CAP,
     seed=0,
 ) -> ExpectationOracle:
     """Build the per-member expectation cache.
@@ -101,7 +100,7 @@ def expectation_oracle(
     ``auto`` on a finite space takes the statistic's closed-form product-law
     expectation when it carries one (method ``analytic``, no standard
     errors). Otherwise it enumerates exactly when the space is finite and
-    support^n fits under ``enum_cap``, and averages over ``replicas`` fresh
+    support^n fits under ENUM_CAP, and averages over ``replicas`` fresh
     draws beyond it. ``exact`` always enumerates, and requesting it beyond
     the cap is a resource error; ``monte-carlo`` always draws.
     """
@@ -122,12 +121,12 @@ def expectation_oracle(
                 pass  # the closed form's own tuples pass the cap; sample below
             else:
                 return ExpectationOracle(ANALYTIC, fc.labels, _finite_expectations(values))
-        method = EXACT_ENUMERATION if finite and points <= enum_cap else MONTE_CARLO
+        method = EXACT_ENUMERATION if finite and points <= ENUM_CAP else MONTE_CARLO
     if method == EXACT_ENUMERATION:
         if not finite:
             raise DomainError("exact enumeration needs a finite sample space")
-        if points > enum_cap:
-            raise ResourceError(f"support^n = {points} exceeds the enumeration cap {enum_cap}")
+        if points > ENUM_CAP:
+            raise ResourceError(f"support^n = {points} exceeds the enumeration cap {ENUM_CAP}")
         support = fc.support_matrix()          # (K, s)
         weights = law.weight_matrix            # (n, s)
         values = np.zeros(len(fc))
@@ -365,27 +364,23 @@ def symmetrization_check_mean(
     replications: int,
     seed: int,
     *,
-    stat: Statistic | None = None,
-    rademacher_draws: int = 20_000,
     oracle_method: str = DEFAULT_ORACLE_METHOD,
     oracle_replicas: int = DEFAULT_ORACLE_REPLICAS,
     workers: int = 1,
 ) -> SymmetrizationReport:
     """Check mean deviation <= (2/n) * mean Rademacher average + slack.
 
-    Valid for the arithmetic mean only; the statistic is built internally
-    and a caller-supplied one is rejected unless it is that mean.
+    The statistic is the arithmetic mean, the only one the check is valid
+    for. Each replication's Rademacher average is exact when it fits the
+    enumeration cap and takes SYMMETRIZATION_DRAWS Monte Carlo draws beyond.
     """
     if n != law.n:
         raise DomainError("n does not match the law")
-    if stat is not None and stat.name != "mean":
-        raise DomainError("the symmetrization check applies to the arithmetic mean only")
     stat = mean_statistic(n)
 
     def rademacher(image: np.ndarray, r: int) -> float:
-        if n <= EXACT_DIM_CAP:
-            return rademacher_exact(image).value
-        return rademacher_mc(image, rademacher_draws, stream(seed, "symmetrization/r", r)).value
+        rng = stream(seed, "symmetrization/r", r)
+        return rademacher_average(image, SYMMETRIZATION_DRAWS, rng).value
 
     _, devs, _, rads = _replicate(
         law, fc, stat, replications, seed, "symmetrization", rademacher,
@@ -440,8 +435,6 @@ def squared_swing_sum(
     space: SampleSpace,
     x: SampleVector | None = None,
     *,
-    enum_cap: int = ENUM_CAP,
-    sup_samples: int = DEFAULT_SWING_SAMPLES,
     seed=0,
 ) -> SwingReport:
     """Per-coordinate squared swings of Phi(f(.)) on a finite space.
@@ -449,7 +442,7 @@ def squared_swing_sum(
     The swing at x sums, over coordinates k, the squared range of
     Phi(f(x with coordinate k replaced)) as the replacement runs over the
     support. The sup over all lattice points is enumerated exactly when
-    support^n <= enum_cap and otherwise maximized over sampled points.
+    support^n <= ENUM_CAP and otherwise maximized over SWING_SAMPLES points.
     """
     if space.kind != FINITE:
         raise DomainError("swing sums need a finite sample space")
@@ -463,7 +456,7 @@ def squared_swing_sum(
         at_point = float(_swing_at_indices(stat, fv, x.indices[None, :])[0])
 
     points = size**n
-    if points <= enum_cap:
+    if points <= ENUM_CAP:
         phi_flat = np.empty(points)
         for part in batches(points, 2 * 8 * n):    # index and image rows
             phi_flat[part] = stat(fv[_lattice_indices(part, n, size)])
@@ -475,10 +468,10 @@ def squared_swing_sum(
         return SwingReport(at_point, float(acc.max()), True)
 
     rng = as_stream(seed, "swing-sup")
-    idx = rng.integers(0, size, size=(sup_samples, n))
+    idx = rng.integers(0, size, size=(SWING_SAMPLES, n))
     sup = max(
         float(_swing_at_indices(stat, fv, idx[part]).max())
-        for part in batches(sup_samples, 8 * size * n)    # a point's s variants
+        for part in batches(SWING_SAMPLES, 8 * size * n)    # a point's s variants
     )
     return SwingReport(at_point, sup, False)
 
@@ -527,17 +520,14 @@ def bounded_difference_tail(
     replicas: int,
     seed: int,
     *,
-    oracle: ExpectationOracle | None = None,
     oracle_method: str = DEFAULT_ORACLE_METHOD,
     oracle_replicas: int = DEFAULT_ORACLE_REPLICAS,
     swing: SwingReport | None = None,
-    swing_samples: int = DEFAULT_SWING_SAMPLES,
 ) -> TailReport:
     """Simulate the one-function tail and compare to the sub-Gaussian bound.
 
     The empirical exceedance frequency at each t must stay below
-    exp(-2 t^2 / swing_norm) plus four binomial standard errors. A supplied
-    ``oracle`` must have been built for ``member`` alone.
+    exp(-2 t^2 / swing_norm) plus four binomial standard errors.
     """
     t = np.asarray(t_grid, dtype=np.float64)
     if t.ndim != 1 or t.size == 0:
@@ -547,18 +537,13 @@ def bounded_difference_tail(
     if replicas < MIN_DRAWS:
         raise DomainError(f"replicas must be >= {MIN_DRAWS}")
     single = FunctionClass(law.space, (member,))
-    if oracle is None:
-        oracle = expectation_oracle(
-            law, single, stat, oracle_method,
-            replicas=oracle_replicas, seed=stream(seed, "tail/oracle"),
-        )
-    elif oracle.labels != single.labels:
-        raise DomainError("oracle was built for a different class than the tail member")
+    oracle = expectation_oracle(
+        law, single, stat, oracle_method,
+        replicas=oracle_replicas, seed=stream(seed, "tail/oracle"),
+    )
     expected = float(oracle.values[0])
     if swing is None:
-        swing = squared_swing_sum(
-            stat, member, law.space, sup_samples=swing_samples, seed=stream(seed, "tail/swing")
-        )
+        swing = squared_swing_sum(stat, member, law.space, seed=stream(seed, "tail/swing"))
     vals, idx = draw_batch(law, replicas, stream(seed, "tail/x"))
     excess = stat(single.member_image(0, vals, idx)) - expected
     # exp(-2 t^2 / swing); halving the swing is exact.

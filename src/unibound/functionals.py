@@ -38,10 +38,13 @@ from .errors import DomainError, ResourceError
 from .rng import stream
 
 MAX_SUBSETS = 10_000_000
-# Largest product-law lattice the library enumerates: support^n points for
-# the exact oracle and the swing sup, support^m kernel tuples for the
-# closed-form U-statistic expectation.
+# Largest enumeration the library runs: support^n points for the exact
+# oracle and the swing sup, support^m kernel tuples for the closed-form
+# U-statistic expectation, 2^(n-1) antithetic sign-pattern pairs for the
+# exact Rademacher average.
 ENUM_CAP = 1_000_000
+# A kernel's symmetry is spot-checked at this many random points.
+_SYMMETRY_TRIALS = 16
 _SYMMETRY_TOL = 1e-12
 # Bytes one batch of rows may cost, at the row cost each loop states: the
 # rows it holds at once. A variance row at n = 64 costs 64 doubles, so it is
@@ -123,12 +126,12 @@ class Kernel:
         return self.fn(arr)
 
 
-def check_kernel_symmetry(kernel: Kernel, trials: int = 16, seed: int = 0) -> None:
+def check_kernel_symmetry(kernel: Kernel) -> None:
     """Spot-check invariance under argument permutation (tolerance 1e-12)."""
     if kernel.order == 1:
         return
-    rng = stream(seed, f"kernel-symmetry/{kernel.name}")
-    pts = rng.random((trials, kernel.order))
+    rng = stream(0, f"kernel-symmetry/{kernel.name}")
+    pts = rng.random((_SYMMETRY_TRIALS, kernel.order))
     base = kernel(pts)
     for _ in range(3):
         perm = rng.permutation(kernel.order)
@@ -247,10 +250,10 @@ def sample_variance_statistic(n: int) -> Statistic:
     return Statistic("variance", n, evaluate, gradient, hessian, constants, product_expectation)
 
 
-def u_statistic(n: int, kernel: Kernel, *, max_subsets: int = MAX_SUBSETS) -> Statistic:
+def u_statistic(n: int, kernel: Kernel) -> Statistic:
     """Average of the kernel over all m-subsets in increasing-index order.
 
-    Refuses when the subset count exceeds ``max_subsets``. No analytic
+    Refuses when the subset count exceeds MAX_SUBSETS. No analytic
     derivatives are attached; the constants module estimates or bounds them.
     The product-law expectation is attached; it refuses supports whose
     support^m kernel tuples exceed ENUM_CAP.
@@ -260,8 +263,8 @@ def u_statistic(n: int, kernel: Kernel, *, max_subsets: int = MAX_SUBSETS) -> St
     if m > n:
         raise DomainError(f"kernel order {m} exceeds n = {n}")
     count = math.comb(n, m)
-    if count > max_subsets:
-        raise ResourceError(f"C({n},{m}) = {count} subsets exceed the cap {max_subsets}")
+    if count > MAX_SUBSETS:
+        raise ResourceError(f"C({n},{m}) = {count} subsets exceed the cap {MAX_SUBSETS}")
     check_kernel_symmetry(kernel)
     combos = np.asarray(list(itertools.combinations(range(n), m)), dtype=np.intp)
 

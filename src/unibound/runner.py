@@ -27,7 +27,7 @@ import yaml
 from . import __version__
 # rademacher_exact stays importable here: perfbench traces each layer through
 # the names the runner imports, though comparison_report now makes the call.
-from .complexity import EXACT_DIM_CAP, comparison_report, gaussian_mc, rademacher_exact, rademacher_mc
+from .complexity import EXACT, comparison_report, gaussian_mc, rademacher_exact, rademacher_mc
 from .config import Experiment, load_config, resolve, validate_config
 from .derivative_bounds import (
     CLOSED_FORM,
@@ -124,8 +124,7 @@ def _run_complexity(exp: Experiment, stages: _Stages, summary: list[str]):
     results: dict = {"rademacher_mc": mc, "gaussian_mc": gauss, "comparison": comparison}
     rows: list[tuple] = []
     header = ["quantity", "method", "value", "draws", "stderr"]
-    if exp.n <= EXACT_DIM_CAP:
-        # At this n the comparison enumerates every sign pattern.
+    if comparison.rademacher.method == EXACT:
         exact = comparison.rademacher
         results["rademacher_exact"] = exact
         rows.append(("rademacher", "exact", exact.value, "", ""))
@@ -278,12 +277,12 @@ def _run_full_report(exp: Experiment, stages: _Stages, summary: list[str]):
     dev_results, header, rows, dev_ok = _run_deviate(exp, stages, summary, constants)
     results.update(dev_results)
     ok = ok and dev_ok
-    if exp.t_grid is not None and exp.law.space.kind == "finite":
+    if exp.t_grid is not None:
         summary.append("[tail]")
         tail_results, _, _, tail_ok = _run_tail(exp, stages, summary)
         results.update(tail_results)
         ok = ok and tail_ok
-    if exp.s_grid is not None and len(exp.fc) >= 2:
+    if exp.s_grid is not None:
         summary.append("[process probe]")
         probe_results, _, _, probe_ok = _run_probe(exp, stages, summary, constants)
         results.update(probe_results)

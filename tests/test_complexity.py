@@ -183,6 +183,14 @@ def test_comparison_on_basis_pair():
     assert rep.ok
 
 
+def test_comparison_exact_up_to_the_cap():
+    # 2^19 sign-pattern pairs fit the enumeration cap at n = 20; 2^20 do not at n = 21.
+    assert comparison_report(np.eye(2, 20), 200, 23).rademacher.method == "exact"
+    rep = comparison_report(np.eye(2, 21), 200, 23)
+    assert rep.rademacher.method == "monte-carlo"
+    assert rep.rademacher.draws == 200
+
+
 def test_comparison_singleton_trivial():
     rep = comparison_report(np.asarray([[0.2, 0.8, 0.5]]), 2000, 22)
     assert rep.ok

@@ -194,6 +194,60 @@ def test_full_report_computes_each_quantity_once(tmp_path, monkeypatch):
     assert results["constants"] == results["deviation"]["constants"]
 
 
+def full_report_config(out, **changes):
+    cfg = yaml.safe_load((CONFIG_DIR / "full_report.yaml").read_text())
+    cfg.update(replications=100, draws=200, gaussian_draws=200, tail_replicas=200, out=str(out))
+    cfg.update(changes)
+    return cfg
+
+
+AFFINE_PAIR = {"members": [
+    {"type": "affine", "label": "a", "slope": 1.0, "intercept": 0.0},
+    {"type": "affine", "label": "b", "slope": 0.5, "intercept": 0.25},
+]}
+
+
+def test_full_report_refuses_tail_on_interval_space(tmp_path):
+    cfg = full_report_config(tmp_path, law={"space": {"kind": "interval"}})
+    cfg["class"] = AFFINE_PAIR
+    violations = validate_config(cfg)
+    assert violations == [
+        "law.space.kind: the tail experiment needs a finite sample space (swing sums)"
+    ]
+    with pytest.raises(ConfigError):
+        run_experiment(cfg)
+    del cfg["t_grid"]
+    assert validate_config(cfg) == []
+
+
+def test_full_report_refuses_probe_on_one_member(tmp_path):
+    cfg = full_report_config(tmp_path, **{"class": {"random_lookup": {"count": 1}}})
+    assert validate_config(cfg) == ["class: the probe needs at least two members"]
+    path = tmp_path / "cfg.yaml"
+    write_config(path, cfg)
+    assert main(["run", str(path)]) == EXIT_CONFIG
+    del cfg["s_grid"]
+    assert validate_config(cfg) == []
+
+
+def test_full_report_runs_every_requested_stage(tmp_path):
+    _, record, _ = run_experiment(full_report_config(tmp_path))
+    assert {"tail", "probes"} <= set(record["results"])
+
+
+@pytest.mark.parametrize("n, exact", [(20, True), (21, False)])
+def test_complexity_record_names_exact_rademacher(tmp_path, n, exact):
+    # The comparison's R is exact while its 2^(n-1) sign-pattern pairs fit
+    # the enumeration cap; only then does the record carry rademacher_exact.
+    cfg = yaml.safe_load((CONFIG_DIR / "complexity_lookup.yaml").read_text())
+    cfg.update(n=n, draws=200)
+    _, record, summary = run_experiment(cfg, out_dir=tmp_path)
+    results = record["results"]
+    assert (results["comparison"]["rademacher"]["method"] == "exact") == exact
+    assert ("rademacher_exact" in results) == exact
+    assert any(line.startswith("rademacher exact") for line in summary) == exact
+
+
 # ---------------------------------------------------------------------------
 # CLI surface
 

@@ -137,8 +137,7 @@ def test_numeric_detail_fields():
     d = rep.detail
     assert d.grad_sup.shape == (4,)
     assert d.mixed_rowsq.shape == (4,)
-    # variance: all mixed entries equal, so the joint and rowwise aggregates agree
-    assert d.mixed_joint_sup == pytest.approx(rep.mixed, rel=1e-6)
+    # variance: all mixed entries equal, so the entrywise and rowwise aggregates agree
     assert d.mixed_entry_aggregate == pytest.approx(rep.mixed, rel=1e-6)
 
 
