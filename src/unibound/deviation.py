@@ -5,7 +5,8 @@ Pieces, in dependency order:
 * expectation oracle: E Phi(f(X')) per class member, in closed form from
   per-coordinate moments for the built-in statistics on finite spaces, by
   exact product-law enumeration on small finite lattices, or by Monte Carlo
-  with per-member standard errors.
+  with per-member standard errors (from the draws' support counts when the
+  statistic is coordinate-symmetric and the space finite).
 * uniform deviation: sup over the class of (expected minus realised)
   statistic at a sample point, with the first maximizing label.
 * bound assembly: c (L + M) Eg + L sqrt(n ln(1/delta) / 2), where Eg
@@ -34,7 +35,15 @@ from .derivative_bounds import NUMERIC_ESTIMATE, ConstantsReport
 from .errors import DomainError, OverrideRequiredError, ResourceError
 from .functionals import ENUM_CAP, Statistic, batches, mean_statistic
 from .rng import as_stream, stream
-from .spaces import FINITE, ProductLaw, SampleSpace, SampleVector, draw_batch, sample
+from .spaces import (
+    FINITE,
+    ProductLaw,
+    SampleSpace,
+    SampleVector,
+    draw_batch,
+    sample,
+    support_counts,
+)
 
 ANALYTIC = "analytic"
 EXACT_ENUMERATION = "exact-enumeration"
@@ -86,6 +95,46 @@ def _finite_expectations(values: np.ndarray) -> np.ndarray:
     return values
 
 
+def _counted(law: ProductLaw, stat: Statistic) -> bool:
+    """Whether the oracle evaluates the statistic from support counts: the
+    space is finite, a row of counts costs the count form no more than a
+    row of values costs ``evaluate`` (so the counts never outweigh the
+    draws), and the form takes the support. A call on no members and no
+    points lets the form refuse before anything is drawn."""
+    if law.space.kind != FINITE or stat.count_form is None:
+        return False
+    if stat.count_row_bytes(law.space.size) > (stat.row_bytes or 8 * law.n):
+        return False
+    empty = np.zeros((0, law.space.size))
+    try:
+        stat.count_form(empty, empty.astype(np.int64))
+    except ResourceError:
+        return False
+    return True
+
+
+def _phis_from_rows(law: ProductLaw, fc: FunctionClass, stat: Statistic, replicas: int, rng):
+    """Phi(f_k(X)) over the draws, member by member, from the draws' images."""
+    vals, idx = draw_batch(law, replicas, rng)
+    for k in range(len(fc)):
+        # The member's image is freed before the next member's is built.
+        yield stat(fc.member_image(k, vals, idx))
+
+
+def _phis_from_counts(law: ProductLaw, fc: FunctionClass, stat: Statistic, replicas: int, rng):
+    """The same values from the draws' support counts: the draws come in
+    slices from one stream, so they match one ``draw_batch`` of them all."""
+    size = law.space.size
+    counts = np.empty((replicas, size), dtype=np.int64)
+    # A draw costs its integers, uniforms, values and indices, n of each.
+    for part in batches(replicas, 4 * 8 * law.n):
+        _, idx = draw_batch(law, part.stop - part.start, rng)
+        counts[part] = support_counts(idx, size)
+    support = fc.support_matrix()
+    for part in batches(len(fc), 8 * replicas):    # a member's column of values
+        yield from stat.count_form(support[part], counts).T
+
+
 def expectation_oracle(
     law: ProductLaw,
     fc: FunctionClass,
@@ -102,7 +151,9 @@ def expectation_oracle(
     errors). Otherwise it enumerates exactly when the space is finite and
     support^n fits under ENUM_CAP, and averages over ``replicas`` fresh
     draws beyond it. ``exact`` always enumerates, and requesting it beyond
-    the cap is a resource error; ``monte-carlo`` always draws.
+    the cap is a resource error; ``monte-carlo`` always draws. On a finite
+    space a statistic with a count form is evaluated from the draws'
+    support counts rather than from their images.
     """
     if law.space != fc.space:
         raise DomainError("law and class live in different sample spaces")
@@ -143,12 +194,10 @@ def expectation_oracle(
         raise DomainError(f"unknown oracle method {method!r}")
     if replicas < MIN_DRAWS:
         raise DomainError(f"Monte Carlo oracle needs replicas >= {MIN_DRAWS}")
-    vals, idx = draw_batch(law, replicas, as_stream(seed, "expectation-oracle"))
+    phis_of = _phis_from_counts if _counted(law, stat) else _phis_from_rows
     values = np.empty(len(fc))
     stderrs = np.empty(len(fc))
-    for k in range(len(fc)):
-        # The member's image is freed before the next member's is built.
-        phis = stat(fc.member_image(k, vals, idx))
+    for k, phis in enumerate(phis_of(law, fc, stat, replicas, as_stream(seed, "expectation-oracle"))):
         values[k] = float(phis.mean())
         stderrs[k] = mean_stderr(phis)
     return ExpectationOracle(MONTE_CARLO, fc.labels, _finite_expectations(values), stderrs, replicas)

@@ -15,6 +15,12 @@ and second moments; a U-statistic is linear in its kernel terms, so its
 expectation sums the kernel over support^m tuples weighted by elementary
 symmetric sums of the coordinate laws (Hoeffding 1948).
 
+Mean, variance and U-statistics are symmetric in the coordinates, so on a
+finite support Phi(f(x)) depends on x only through the support counts
+c_j(x), the number of coordinates of x at support point j. Their count
+forms evaluate Phi from those counts, at a cost set by the support size
+rather than by n.
+
 ``evaluate`` accepts batches of shape (..., n). All built-ins are global
 smooth functions, so finite-difference stencils may step slightly outside
 the unit box.
@@ -27,6 +33,7 @@ on any number of rows stays within the budget.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -75,6 +82,13 @@ class Statistic:
         is E Phi(f_k(X)) for X with independent coordinates.
     row_bytes : bytes one row costs ``evaluate``, or None for n doubles.
         Calling the statistic evaluates batches of rows that fit BATCH_BYTES.
+    count_form : map (support (K, s), counts (rows, s)) -> (rows, K), or
+        None. Row r of ``counts`` holds how many coordinates of a point take
+        each support value; entry (r, k) is Phi(f_k(x)) for that point. Only
+        coordinate-symmetric statistics carry one.
+    count_row_bytes : map s -> bytes one row of counts costs ``count_form``
+        per member on s support points, in the units of ``row_bytes``; set
+        with ``count_form``. Counting pays only where it is no larger.
     """
 
     name: str
@@ -85,6 +99,8 @@ class Statistic:
     closed_form_constants: tuple[float, float] | None = None
     product_expectation: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     row_bytes: int | None = None
+    count_form: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    count_row_bytes: Callable[[int], int] | None = None
 
     def __call__(self, s) -> np.ndarray:
         arr = np.asarray(s, dtype=np.float64)
@@ -193,6 +209,34 @@ def identity_kernel() -> Kernel:
 # ---------------------------------------------------------------------------
 # Built-in statistics
 
+def _count_sums(table: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """(K, rows) sums over the support of table[k, j] * counts[r, j].
+
+    Each entry adds its terms one at a time in support order, so it does not
+    depend on how many rows or members share the call; a matrix product
+    would, since BLAS rounds a one-column product differently from a wider
+    one.
+    """
+    members, size = table.shape
+    out = np.empty((members, counts.shape[0]))
+    # A point costs its counts, and its sums and terms for every member.
+    for part in batches(counts.shape[0], 8 * (size + 2 * members)):
+        cols = np.ascontiguousarray(counts[part].T, dtype=np.float64)
+        acc = out[:, part]
+        np.multiply(table[:, :1], cols[0], out=acc)
+        term = np.empty_like(acc)
+        for j in range(1, size):
+            np.multiply(table[:, j:j + 1], cols[j], out=term)
+            acc += term
+    return out
+
+
+def _support_doubles(size: int) -> int:
+    # A row of counts costs the mean and the variance one term per support
+    # point, as a row of values costs them one per coordinate.
+    return 8 * size
+
+
 def mean_statistic(n: int) -> Statistic:
     """Arithmetic mean. L = 1/n, M = 0."""
     if n < 1:
@@ -211,7 +255,13 @@ def mean_statistic(n: int) -> Statistic:
     def product_expectation(support, weights):
         return (support @ weights.T).mean(axis=1)
 
-    return Statistic("mean", n, evaluate, gradient, hessian, (1.0 / n, 0.0), product_expectation)
+    def count_form(support, counts):
+        return (_count_sums(support, counts) / n).T
+
+    return Statistic(
+        "mean", n, evaluate, gradient, hessian, (1.0 / n, 0.0), product_expectation,
+        count_form=count_form, count_row_bytes=_support_doubles,
+    )
 
 
 def sample_variance_statistic(n: int) -> Statistic:
@@ -246,8 +296,20 @@ def sample_variance_statistic(n: int) -> Statistic:
         total = mu.sum(axis=1)
         return ((n - 1) * m2.sum(axis=1) - total * total + (mu * mu).sum(axis=1)) / denom
 
+    def count_form(support, counts):
+        total = _count_sums(support, counts)
+        out = _count_sums(support * support, counts)
+        # (n * sq - total^2) / denom, in place.
+        out *= n
+        out -= np.square(total, out=total)
+        out /= denom
+        return out.T
+
     constants = (2.0 / n, 2.0 / math.sqrt(n * (n - 1)))
-    return Statistic("variance", n, evaluate, gradient, hessian, constants, product_expectation)
+    return Statistic(
+        "variance", n, evaluate, gradient, hessian, constants, product_expectation,
+        count_form=count_form, count_row_bytes=_support_doubles,
+    )
 
 
 def u_statistic(n: int, kernel: Kernel) -> Statistic:
@@ -256,7 +318,10 @@ def u_statistic(n: int, kernel: Kernel) -> Statistic:
     Refuses when the subset count exceeds MAX_SUBSETS. No analytic
     derivatives are attached; the constants module estimates or bounds them.
     The product-law expectation is attached; it refuses supports whose
-    support^m kernel tuples exceed ENUM_CAP.
+    support^m kernel tuples exceed ENUM_CAP. So is the count form, which
+    sums the kernel over the C(s+m-1, m) support multisets a, each weighted
+    by prod_j C(c_j, a_j) subsets; it refuses supports whose multisets
+    exceed ENUM_CAP.
     """
     n = int(n)
     m = kernel.order
@@ -297,9 +362,48 @@ def u_statistic(n: int, kernel: Kernel) -> Statistic:
             out[part] = kernel.fn(support[part][:, grid]) @ tuple_weights
         return out / count
 
+    # binomials[a][c] = C(c, a): the m-subsets of a point that take a given
+    # support value a times among its c coordinates there.
+    binomials = np.asarray(
+        [[math.comb(c, a) for c in range(n + 1)] for a in range(m + 1)], dtype=np.float64
+    )
+
+    def multisets(size):
+        return math.comb(size + m - 1, m)
+
+    @functools.lru_cache(maxsize=1)
+    def multiset_tables(size):
+        chosen = list(itertools.combinations_with_replacement(range(size), m))
+        # Each multiset as its (support point, multiplicity) pairs.
+        terms = [[(j, len(list(run))) for j, run in itertools.groupby(ms)] for ms in chosen]
+        return terms, np.asarray(chosen, dtype=np.intp).reshape(-1, m)
+
+    def count_form(support, counts):
+        size = support.shape[1]
+        kinds = multisets(size)
+        if kinds > ENUM_CAP:
+            raise ResourceError(
+                f"C({size}+{m}-1, {m}) = {kinds} support multisets exceed the enumeration cap {ENUM_CAP}"
+            )
+        terms, gather = multiset_tables(size)
+        cols = counts.T
+        members = support.shape[0]
+        out = np.zeros((members, counts.shape[0]))
+        # A multiset costs its kernel arguments and value for every member;
+        # its weight over the rows is formed once for all of them.
+        for part in batches(kinds, 8 * max(members, 1) * (m + 1)):
+            kernel_values = kernel.fn(support[:, gather[part]])    # (members, multisets)
+            for a, pairs in enumerate(terms[part]):
+                weight = binomials[pairs[0][1]][cols[pairs[0][0]]]
+                for j, mult in pairs[1:]:
+                    weight = weight * binomials[mult][cols[j]]
+                out += kernel_values[:, a:a + 1] * weight
+        return (out / count).T
+
     return Statistic(
         f"u-statistic[{kernel.name},m={m}]", n, evaluate,
         product_expectation=product_expectation, row_bytes=count * m * 8,
+        count_form=count_form, count_row_bytes=lambda size: multisets(size) * m * 8,
     )
 
 

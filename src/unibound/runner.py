@@ -3,9 +3,10 @@
 Each run writes two files into the output directory:
 
 * ``result.<kind>.json``: a self-describing record with the fully resolved
-  configuration echo, the artifact version, per-operation outputs, and
-  wall-clock seconds per stage. Re-running the echoed configuration with
-  the same seed reproduces every numeric field bit for bit (timings aside).
+  configuration echo, the artifact version, the Python, numpy and scipy
+  versions, per-operation outputs, and wall-clock seconds per stage.
+  Re-running the echoed configuration with the same seed and versions
+  reproduces every numeric field bit for bit (timings aside).
 * ``table.csv``: a flat table, one row per replication or grid point, with
   full round-trip decimal formatting.
 
@@ -18,15 +19,18 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import platform
 import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 import yaml
 
 from . import __version__
-# rademacher_exact stays importable here: perfbench traces each layer through
-# the names the runner imports, though comparison_report now makes the call.
+# gaussian_mc and rademacher_exact stay importable here: perfbench traces each
+# layer through the names the runner imports, though comparison_report now
+# makes those calls.
 from .complexity import EXACT, comparison_report, gaussian_mc, rademacher_exact, rademacher_mc
 from .config import Experiment, load_config, resolve, validate_config
 from .derivative_bounds import (
@@ -110,25 +114,27 @@ def _constants(exp: Experiment, stages: _Stages):
 
 
 def _run_complexity(exp: Experiment, stages: _Stages, summary: list[str]):
+    """R and G of one sample's class image; the comparison estimates each
+    once, and a Monte Carlo R is drawn on its own only when its R is exact."""
     x = sample(exp.law, stream(exp.seed, "complexity/x"))
     image = exp.fc.image_matrix(x)
-    mc = stages.run(
-        "rademacher-mc", lambda: rademacher_mc(image, exp.draws, stream(exp.seed, "complexity/r"))
-    )
-    gauss = stages.run(
-        "gaussian-mc", lambda: gaussian_mc(image, exp.draws, stream(exp.seed, "complexity/g"))
-    )
     comparison = stages.run(
         "comparison", lambda: comparison_report(image, exp.draws, exp.seed)
     )
-    results: dict = {"rademacher_mc": mc, "gaussian_mc": gauss, "comparison": comparison}
+    gauss = comparison.gaussian
+    results: dict = {"gaussian_mc": gauss, "comparison": comparison}
     rows: list[tuple] = []
     header = ["quantity", "method", "value", "draws", "stderr"]
-    if comparison.rademacher.method == EXACT:
-        exact = comparison.rademacher
-        results["rademacher_exact"] = exact
-        rows.append(("rademacher", "exact", exact.value, "", ""))
-        summary.append(f"rademacher exact           {exact.value!r}")
+    mc = comparison.rademacher
+    if mc.method == EXACT:
+        results["rademacher_exact"] = mc
+        rows.append(("rademacher", "exact", mc.value, "", ""))
+        summary.append(f"rademacher exact           {mc.value!r}")
+        mc = stages.run(
+            "rademacher-mc",
+            lambda: rademacher_mc(image, exp.draws, stream(exp.seed, "complexity/r")),
+        )
+    results["rademacher_mc"] = mc
     rows.append(("rademacher", "monte-carlo", mc.value, mc.draws, mc.stderr))
     rows.append(("gaussian", "monte-carlo", gauss.value, gauss.draws, gauss.stderr))
     summary.append(f"rademacher monte-carlo     {mc.value!r} (stderr {mc.stderr!r})")
@@ -174,6 +180,9 @@ def _run_deviate(exp: Experiment, stages: _Stages, summary: list[str], constants
          bool(report.dev_samples[r] > report.bound))
         for r in range(exp.replications)
     ]
+    oracle = report.oracle
+    largest = "" if oracle.stderrs is None else f" (largest stderr {float(oracle.stderrs.max())!r})"
+    summary.append(f"expectation oracle         {oracle.method}{largest}")
     summary.append(f"mean deviation             {report.dev_mean!r} (stderr {report.dev_stderr!r})")
     summary.append(f"image gaussian average     {report.image_g.value!r}")
     summary.append(f"assembled bound            {report.bound!r} (tail {report.tail!r})")
@@ -329,6 +338,12 @@ def run_experiment(raw: dict, *, out_dir=None, workers=None, seed=None, override
 
     record = {
         "artifact_version": __version__,
+        # Bit-for-bit reruns hold for the same versions of these.
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+        },
         "kind": exp.kind,
         "config": exp.echo,
         "results": _jsonable(results),

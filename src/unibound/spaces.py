@@ -227,6 +227,14 @@ def draw_batch(law: ProductLaw, count: int, seed) -> tuple[np.ndarray, np.ndarra
     return values, indices
 
 
+def support_counts(indices: np.ndarray, size: int) -> np.ndarray:
+    """(rows, size) support counts of a batch of draws: entry (r, j) is how
+    many coordinates of row r of ``indices`` take support point j."""
+    rows = indices.shape[0]
+    flat = indices + size * np.arange(rows)[:, None]
+    return np.bincount(flat.ravel(), minlength=rows * size).reshape(rows, size)
+
+
 def vector_from_values(space: SampleSpace, values) -> SampleVector:
     """Wrap raw coordinate values, resolving support indices on finite spaces.
 

@@ -1,7 +1,10 @@
 import json
+import platform
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 import yaml
 
 from unibound import complexity, runner
@@ -127,6 +130,20 @@ def test_run_writes_record_and_table(tmp_path):
     assert header == "replication,deviation,argmax,image_gaussian,exceeds_bound"
 
 
+def test_record_names_versions_and_oracle(tmp_path):
+    code, record, summary = run_experiment(small_deviate_config(tmp_path / "auto"))
+    assert code == EXIT_OK
+    assert record["environment"] == {
+        "python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__,
+    }
+    assert "expectation oracle         analytic" in summary
+    cfg = small_deviate_config(tmp_path / "mc")
+    cfg["oracle"] = {"method": "monte-carlo", "replicas": 1000}
+    _, record, summary = run_experiment(cfg)
+    largest = max(record["results"]["deviation"]["oracle"]["stderrs"])
+    assert f"expectation oracle         monte-carlo (largest stderr {largest!r})" in summary
+
+
 def test_record_round_trips_from_echo(tmp_path):
     cfg = small_deviate_config(tmp_path / "a")
     code, record, _ = run_experiment(cfg)
@@ -236,16 +253,33 @@ def test_full_report_runs_every_requested_stage(tmp_path):
 
 
 @pytest.mark.parametrize("n, exact", [(20, True), (21, False)])
-def test_complexity_record_names_exact_rademacher(tmp_path, n, exact):
+def test_complexity_record_names_exact_rademacher(tmp_path, monkeypatch, n, exact):
     # The comparison's R is exact while its 2^(n-1) sign-pattern pairs fit
     # the enumeration cap; only then does the record carry rademacher_exact.
+    # G, and a Monte Carlo R, are estimated once and read off the comparison.
+    calls = {"gaussian": 0, "rademacher_mc": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (runner, complexity):
+        monkeypatch.setattr(module, "gaussian_mc", counted("gaussian", complexity.gaussian_mc))
+        monkeypatch.setattr(
+            module, "rademacher_mc", counted("rademacher_mc", complexity.rademacher_mc)
+        )
     cfg = yaml.safe_load((CONFIG_DIR / "complexity_lookup.yaml").read_text())
     cfg.update(n=n, draws=200)
     _, record, summary = run_experiment(cfg, out_dir=tmp_path)
     results = record["results"]
+    assert calls == {"gaussian": 1, "rademacher_mc": 1}
     assert (results["comparison"]["rademacher"]["method"] == "exact") == exact
     assert ("rademacher_exact" in results) == exact
     assert any(line.startswith("rademacher exact") for line in summary) == exact
+    assert results["gaussian_mc"] == results["comparison"]["gaussian"]
+    assert (results["rademacher_mc"] == results["comparison"]["rademacher"]) == (not exact)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -33,6 +34,7 @@ from unibound.deviation import (
     uniform_deviation,
 )
 from unibound.errors import DomainError, OverrideRequiredError, ResourceError
+from unibound import functionals
 from unibound.functionals import (
     Statistic,
     class_separation_statistic,
@@ -45,15 +47,17 @@ from unibound.functionals import (
     squared_difference_kernel,
     u_statistic,
 )
-from unibound.rng import stream
+from unibound.rng import as_stream, stream
 from unibound.runner import EXIT_OK, run_experiment
 from unibound.spaces import (
     ProductLaw,
+    draw_batch,
     finite_space,
     finite_weights,
     iid_law,
     point_mass_law,
     sample,
+    support_counts,
     uniform_on,
     vector_from_values,
 )
@@ -162,6 +166,90 @@ def test_oracle_u_statistic_past_its_tuple_cap_is_sampled():
     assert oracle.method == "monte-carlo" and oracle.replicas == 500
 
 
+FIVE_POINTS = finite_space([(str(j), j / 4.0) for j in range(5)])
+
+
+def five_point_law(n, seed):
+    """A non-iid law on five support points."""
+    rng = np.random.default_rng(seed)
+    return ProductLaw(tuple(finite_weights(FIVE_POINTS, rng.dirichlet(np.ones(5))) for _ in range(n)))
+
+
+def test_sliced_draws_match_one_batch():
+    law = five_point_law(7, 0)
+    values, indices = draw_batch(law, 1001, stream(6, "draws"))
+    rng = stream(6, "draws")
+    parts = [draw_batch(law, count, rng) for count in (337, 1, 663)]
+    assert np.array_equal(np.concatenate([v for v, _ in parts]), values)
+    sliced = np.concatenate([support_counts(idx, 5) for _, idx in parts])
+    assert np.array_equal(sliced, support_counts(indices, 5))
+
+
+@pytest.mark.parametrize("name", ["mean", "variance", "smoothed-min", "product-3"])
+def test_oracle_count_path_matches_the_row_path(name, monkeypatch):
+    # An opaque wrapper of the same statistic has no count form, so it images
+    # the same draws row by row. The budget splits the count path's draws
+    # into 85-row slices and its members into one per call.
+    monkeypatch.setattr(functionals, "BATCH_BYTES", 1 << 15)
+    n = 12
+    law = five_point_law(n, 1)
+    fc = random_lookup_class(FIVE_POINTS, 6, 2)
+    calls = []
+    stat = _spied(STATISTICS[name](n), calls)
+    opaque = Statistic(f"opaque-{name}", n, stat.evaluate, row_bytes=stat.row_bytes)
+    counted, rows = (
+        expectation_oracle(law, fc, s, "monte-carlo", replicas=3000, seed=stream(4, "oracle"))
+        for s in (stat, opaque)
+    )
+    assert calls[0] == 0 and len(calls) == 1 + len(fc)    # the probe, then one per member
+    assert counted.method == rows.method == "monte-carlo"
+    assert np.allclose(counted.values, rows.values, rtol=0.0, atol=1e-14)
+    assert np.allclose(counted.stderrs, rows.stderrs, rtol=1e-9, atol=0.0)
+
+
+def _spied(stat, calls):
+    """The statistic with a count form that records each call."""
+    def count_form(support, counts):
+        calls.append(counts.shape[0])
+        return stat.count_form(support, counts)
+
+    return dataclasses.replace(stat, count_form=count_form)
+
+
+@pytest.mark.parametrize("name, size, n", [
+    ("mean", 50, 3),
+    ("variance", 50, 3),
+    ("product-2", 12, 8),     # C(13, 2) = 78 multisets > C(8, 2) = 28 subsets
+    ("product-3", 101, 3),    # C(103, 3) multisets > C(3, 3) = 1 subset
+    ("product-3", 200, 3),    # C(202, 3) multisets > 1e6
+])
+def test_oracle_takes_the_row_path_where_counting_costs_more(name, size, n):
+    space = finite_space([(str(j), j / (size - 1)) for j in range(size)])
+    law = iid_law(uniform_on(space), n)
+    fc = random_lookup_class(space, 2, 4)
+    calls = []
+    stat = _spied(STATISTICS[name](n), calls)
+    opaque = Statistic("opaque", n, stat.evaluate, row_bytes=stat.row_bytes)
+    oracle, rows = (
+        expectation_oracle(law, fc, s, "monte-carlo", replicas=500, seed=2) for s in (stat, opaque)
+    )
+    assert calls == []
+    assert np.array_equal(oracle.values, rows.values)
+    assert np.array_equal(oracle.stderrs, rows.stderrs)
+
+
+def test_oracle_row_path_images_one_batch_of_draws():
+    # Class separation has no count form: the oracle images one draw_batch.
+    n = 6
+    law = five_point_law(n, 3)
+    fc = random_lookup_class(FIVE_POINTS, 3, 5)
+    stat = class_separation_statistic(n, separation_labels([2, 4]))
+    oracle = expectation_oracle(law, fc, stat, "monte-carlo", replicas=500, seed=3)
+    vals, idx = draw_batch(law, 500, as_stream(3, "expectation-oracle"))
+    phis = [stat(fc.member_image(k, vals, idx)) for k in range(len(fc))]
+    assert np.array_equal(oracle.values, [p.mean() for p in phis])
+
+
 STATISTICS = {
     "mean": mean_statistic,
     "variance": sample_variance_statistic,
@@ -252,6 +340,20 @@ def test_order_three_product_runs_in_bounded_memory(tmp_path, kind, n, keys):
     (code, _, _), peak = _traced_peak(lambda: run_experiment(raw, out_dir=tmp_path))
     assert code == EXIT_OK
     assert peak < 64 * 2**20
+
+
+def test_monte_carlo_oracle_counts_in_bounded_memory():
+    # The oracle-mc benchmark's shape. Its 100 000 draws of 64 coordinates
+    # cost about 150 MiB as uniforms, values and indices; as support counts
+    # they cost 4 MB.
+    law = iid_law(uniform_on(FIVE_POINTS), 64)
+    fc = random_lookup_class(FIVE_POINTS, 256, 1)
+    stat = sample_variance_statistic(64)
+    oracle, peak = _traced_peak(
+        lambda: expectation_oracle(law, fc, stat, "monte-carlo", replicas=100_000, seed=1)
+    )
+    assert oracle.method == "monte-carlo" and oracle.replicas == 100_000
+    assert peak < 32 * 2**20
 
 
 # ---------------------------------------------------------------------------

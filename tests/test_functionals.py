@@ -3,6 +3,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unibound import functionals
 from unibound.complexity import rademacher_exact
@@ -23,8 +25,9 @@ from unibound.functionals import (
 from unibound.classes import separation_labels
 from unibound.rng import stream
 from unibound.runner import run_experiment
+from unibound.spaces import support_counts
 
-FULL_REPORT = Path(__file__).resolve().parent.parent / "configs" / "full_report.yaml"
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def dyadic(rng, shape, denom=32):
@@ -184,12 +187,17 @@ def test_arity_checked_on_call():
 # ---------------------------------------------------------------------------
 # batch budget
 
-def _full_report_outputs(out, **changes):
-    raw = yaml.safe_load(FULL_REPORT.read_text())
-    raw.update(replications=100, draws=2000, tail_replicas=1000, **changes)
+def _run_outputs(name, out, **changes):
+    raw = yaml.safe_load((CONFIGS / f"{name}.yaml").read_text())
+    raw.update(changes)
     _, record, _ = run_experiment(raw, out_dir=out)
     del record["wall_clock"], record["config"]["out"]
     return record, (out / "table.csv").read_bytes()
+
+
+def _full_report_outputs(out, **changes):
+    return _run_outputs("full_report", out, replications=100, draws=2000, tail_replicas=1000,
+                        **changes)
 
 
 SMOOTHED_MIN_REPORT = {
@@ -205,11 +213,14 @@ def test_results_do_not_depend_on_the_batch_budget(tmp_path, monkeypatch):
         return (
             _full_report_outputs(tmp_path / tag),
             _full_report_outputs(tmp_path / f"{tag}-u", **SMOOTHED_MIN_REPORT),
+            _run_outputs("deviate_variance", tmp_path / f"{tag}-mc", replications=100,
+                         oracle={"method": "monte-carlo", "replicas": 1000}),
             rademacher_exact(y).value,
         )
 
     default = outputs("default")
-    # One to five rows per batch; one row for the U-statistic (C(12, 2) pairs).
+    # One to five rows per batch; one row for the U-statistic (C(12, 2) pairs);
+    # one draw per slice and one member per call of the oracle's count form.
     monkeypatch.setattr(functionals, "BATCH_BYTES", 512)
     assert outputs("small") == default
 
@@ -222,3 +233,44 @@ def test_u_statistic_row_does_not_depend_on_its_batch(kernel):
     rows = stream(4, "u-batch").random((8, 12))
     alone = [stat.evaluate(row[None, :])[0] for row in rows]
     assert np.array_equal(stat.evaluate(rows), alone)
+
+
+# ---------------------------------------------------------------------------
+# count forms
+
+COUNTED = {
+    "mean": mean_statistic,
+    "variance": sample_variance_statistic,
+    "squared-difference": lambda n: u_statistic(n, squared_difference_kernel()),
+    "product-2": lambda n: u_statistic(n, product_kernel(2)),
+    "product-3": lambda n: u_statistic(n, product_kernel(3)),
+    "smoothed-min": lambda n: u_statistic(n, smoothed_min_kernel(3.0)),
+    "constant": lambda n: u_statistic(n, constant_kernel(0.7, 3)),
+    "identity": lambda n: u_statistic(n, identity_kernel()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNTED))
+@settings(max_examples=25, deadline=None)
+@given(size=st.integers(1, 6), n=st.integers(3, 12), seed=st.integers(0, 2**32 - 1))
+def test_count_form_matches_row_evaluation(name, size, n, seed):
+    stat = COUNTED[name](n)
+    rng = np.random.default_rng(seed)
+    support = rng.random((int(rng.integers(1, 5)), size))
+    indices = rng.integers(0, size, size=(int(rng.integers(1, 20)), n))
+    counted = stat.count_form(support, support_counts(indices, size))
+    rows = np.stack([stat(np.take(member, indices)) for member in support], axis=1)
+    assert counted.shape == rows.shape
+    assert np.allclose(counted, rows, rtol=0.0, atol=1e-12)
+
+
+def test_support_counts_tally_each_row():
+    indices = np.array([[0, 2, 2, 1], [3, 3, 3, 3]])
+    assert support_counts(indices, 4).tolist() == [[1, 1, 2, 0], [0, 0, 0, 4]]
+
+
+def test_u_statistic_count_form_refuses_past_the_multiset_cap():
+    stat = u_statistic(3, product_kernel(3))
+    support = np.full((1, 200), 0.5)    # C(202, 3) multisets > 1e6
+    with pytest.raises(ResourceError):
+        stat.count_form(support, np.zeros((0, 200), dtype=np.int64))
