@@ -96,15 +96,18 @@ class FunctionClass:
 
     space: SampleSpace
     members: tuple
+    # Member labels, in member order.
+    labels: tuple[str, ...] = field(init=False, repr=False)
     # (|class|, support size) member values on a finite support, read-only.
     _support: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if len(self.members) == 0:
             raise DomainError("a function class needs at least one member")
-        labels = [m.label for m in self.members]
+        labels = tuple(m.label for m in self.members)
         if len(set(labels)) != len(labels):
             raise DomainError("member labels must be unique")
+        object.__setattr__(self, "labels", labels)
         # Range check: exhaustive on finite supports, on a grid for the interval.
         if self.space.kind == FINITE:
             rows = []
@@ -123,10 +126,6 @@ class FunctionClass:
                 out = m.apply(grid)
                 if np.any(out < 0.0) or np.any(out > 1.0):
                     raise DomainError(f"member {m.label!r} leaves [0, 1] on the grid")
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(m.label for m in self.members)
 
     def __len__(self) -> int:
         return len(self.members)

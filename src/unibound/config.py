@@ -243,9 +243,9 @@ def _cross_check(v: dict, raw: dict, out: list) -> None:
             out.append(f"statistic.kernel.order: {name} is a {arguments}-argument kernel")
         if n is not None and order > n:
             out.append(f"statistic.kernel.order: exceeds n = {n}")
-        elif n is not None and math.comb(n, order) > fx.MAX_SUBSETS:
-            out.append(f"statistic.kernel.order: C({n},{order}) exceeds the subset cap "
-                       f"{fx.MAX_SUBSETS}")
+        elif n is not None and math.comb(n, order) > fx.ENUM_CAP:
+            out.append(f"statistic.kernel.order: C({n},{order}) subsets exceed the enumeration cap "
+                       f"{fx.ENUM_CAP}")
     if stat.get("group_sizes") and n is not None and sum(stat["group_sizes"]) != n:
         out.append(f"statistic.group_sizes: must sum to n = {n}")
 

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classes import FunctionClass
-from .complexity import MIN_DRAWS, ComplexityEstimate, gaussian_mc, mean_stderr, rademacher_average
+from .complexity import (EXACT, GAUSSIAN, MIN_DRAWS, MONTE_CARLO, ComplexityEstimate, gaussian_mc,
+                         mean_stderr, rademacher_average)
 from .derivative_bounds import NUMERIC_ESTIMATE, ConstantsReport
 from .errors import DomainError, OverrideRequiredError, ResourceError
 from .functionals import ENUM_CAP, Statistic, batches, mean_statistic
@@ -47,11 +48,9 @@ from .spaces import (
 
 ANALYTIC = "analytic"
 EXACT_ENUMERATION = "exact-enumeration"
-MONTE_CARLO = "monte-carlo"
 # The methods a caller may ask the expectation oracle for; ``auto`` picks
-# one of the three above.
+# analytic, exact enumeration or Monte Carlo.
 AUTO = "auto"
-EXACT = "exact"
 ORACLE_METHODS = (AUTO, EXACT, MONTE_CARLO)
 DEFAULT_ORACLE_METHOD = AUTO
 
@@ -97,20 +96,14 @@ def _finite_expectations(values: np.ndarray) -> np.ndarray:
 
 def _counted(law: ProductLaw, stat: Statistic) -> bool:
     """Whether the oracle evaluates the statistic from support counts: the
-    space is finite, a row of counts costs the count form no more than a
-    row of values costs ``evaluate`` (so the counts never outweigh the
-    draws), and the form takes the support. A call on no members and no
-    points lets the form refuse before anything is drawn."""
-    if law.space.kind != FINITE or stat.count_form is None:
-        return False
-    if stat.count_row_bytes(law.space.size) > (stat.row_bytes or 8 * law.n):
-        return False
-    empty = np.zeros((0, law.space.size))
-    try:
-        stat.count_form(empty, empty.astype(np.int64))
-    except ResourceError:
-        return False
-    return True
+    space is finite and a row of counts costs the count form no more than a
+    row of values costs ``evaluate``, so the counts never outweigh the
+    draws. A U-statistic's multisets then number at most its subsets, which
+    ``u_statistic`` keeps under ENUM_CAP, so its count form never refuses."""
+    return (
+        law.space.kind == FINITE and stat.count_form is not None
+        and stat.count_row_bytes(law.space.size) <= stat.row_bytes
+    )
 
 
 def _phis_from_rows(law: ProductLaw, fc: FunctionClass, stat: Statistic, replicas: int, rng):
@@ -349,7 +342,7 @@ def deviation_experiment(
     dev_stderr = mean_stderr(devs)
     g_mean = float(g_vals.mean())
     g_stderr = mean_stderr(g_vals)
-    image_g = ComplexityEstimate(g_mean, "gaussian", MONTE_CARLO, replications, g_stderr)
+    image_g = ComplexityEstimate(g_mean, GAUSSIAN, MONTE_CARLO, replications, g_stderr)
 
     bound = assemble_bound(
         constants, g_mean, c, delta, law.n, allow_numeric=allow_numeric_constants
@@ -525,6 +518,16 @@ def squared_swing_sum(
     return SwingReport(at_point, sup, False)
 
 
+def _threshold_grid(grid, name: str) -> np.ndarray:
+    """``grid`` as a float vector, refused unless non-empty and nonnegative."""
+    t = np.asarray(grid, dtype=np.float64)
+    if t.ndim != 1 or t.size == 0:
+        raise DomainError(f"{name} must be a non-empty vector")
+    if np.any(t < 0.0):
+        raise DomainError("thresholds must be nonnegative")
+    return t
+
+
 def _exceedance(excess: np.ndarray, thresholds: np.ndarray, scale: float, draws: int):
     """(empirical, bound, stderr, violations) per threshold t.
 
@@ -578,11 +581,7 @@ def bounded_difference_tail(
     The empirical exceedance frequency at each t must stay below
     exp(-2 t^2 / swing_norm) plus four binomial standard errors.
     """
-    t = np.asarray(t_grid, dtype=np.float64)
-    if t.ndim != 1 or t.size == 0:
-        raise DomainError("t_grid must be a non-empty vector")
-    if np.any(t < 0.0):
-        raise DomainError("thresholds must be nonnegative")
+    t = _threshold_grid(t_grid, "t_grid")
     if replicas < MIN_DRAWS:
         raise DomainError(f"replicas must be >= {MIN_DRAWS}")
     single = FunctionClass(law.space, (member,))
@@ -651,11 +650,7 @@ def swap_process_probe(
     """Probe the two-member swapped process tail at fixed (x, x_alt)."""
     if f.label == g.label:
         raise DomainError("the probe needs two distinct members")
-    s = np.asarray(s_grid, dtype=np.float64)
-    if s.ndim != 1 or s.size == 0:
-        raise DomainError("s_grid must be a non-empty vector")
-    if np.any(s < 0.0):
-        raise DomainError("thresholds must be nonnegative")
+    s = _threshold_grid(s_grid, "s_grid")
     if draws < MIN_DRAWS:
         raise DomainError(f"draws must be >= {MIN_DRAWS}")
     if x.space != x_alt.space:

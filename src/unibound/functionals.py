@@ -44,11 +44,11 @@ import numpy as np
 from .errors import DomainError, ResourceError
 from .rng import stream
 
-MAX_SUBSETS = 10_000_000
 # Largest enumeration the library runs: support^n points for the exact
-# oracle and the swing sup, support^m kernel tuples for the closed-form
-# U-statistic expectation, 2^(n-1) antithetic sign-pattern pairs for the
-# exact Rademacher average.
+# oracle and the swing sup, a U-statistic's C(n, m) index subsets, its
+# support^m kernel tuples for the closed-form expectation and its
+# C(s+m-1, m) support multisets for the count form, 2^(n-1) antithetic
+# sign-pattern pairs for the exact Rademacher average.
 ENUM_CAP = 1_000_000
 # A kernel's symmetry is spot-checked at this many random points.
 _SYMMETRY_TRIALS = 16
@@ -80,7 +80,7 @@ class Statistic:
         None. Row k of ``support`` holds member k's values on the s support
         points and row i of ``weights`` the law of coordinate i; the result
         is E Phi(f_k(X)) for X with independent coordinates.
-    row_bytes : bytes one row costs ``evaluate``, or None for n doubles.
+    row_bytes : bytes one row costs ``evaluate``; n doubles when not given.
         Calling the statistic evaluates batches of rows that fit BATCH_BYTES.
     count_form : map (support (K, s), counts (rows, s)) -> (rows, K), or
         None. Row r of ``counts`` holds how many coordinates of a point take
@@ -102,13 +102,17 @@ class Statistic:
     count_form: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     count_row_bytes: Callable[[int], int] | None = None
 
+    def __post_init__(self):
+        if self.row_bytes is None:
+            object.__setattr__(self, "row_bytes", 8 * self.n)
+
     def __call__(self, s) -> np.ndarray:
         arr = np.asarray(s, dtype=np.float64)
         if arr.shape[-1] != self.n:
             raise DomainError(f"{self.name} expects vectors of length {self.n}")
         rows = arr.reshape(-1, self.n)
         out = np.empty(rows.shape[0])
-        for part in batches(rows.shape[0], self.row_bytes or 8 * self.n):
+        for part in batches(rows.shape[0], self.row_bytes):
             out[part] = self.evaluate(rows[part])
         return out.reshape(arr.shape[:-1])[()]
 
@@ -315,7 +319,7 @@ def sample_variance_statistic(n: int) -> Statistic:
 def u_statistic(n: int, kernel: Kernel) -> Statistic:
     """Average of the kernel over all m-subsets in increasing-index order.
 
-    Refuses when the subset count exceeds MAX_SUBSETS. No analytic
+    Refuses when the subset count exceeds ENUM_CAP. No analytic
     derivatives are attached; the constants module estimates or bounds them.
     The product-law expectation is attached; it refuses supports whose
     support^m kernel tuples exceed ENUM_CAP. So is the count form, which
@@ -328,10 +332,11 @@ def u_statistic(n: int, kernel: Kernel) -> Statistic:
     if m > n:
         raise DomainError(f"kernel order {m} exceeds n = {n}")
     count = math.comb(n, m)
-    if count > MAX_SUBSETS:
-        raise ResourceError(f"C({n},{m}) = {count} subsets exceed the cap {MAX_SUBSETS}")
+    if count > ENUM_CAP:
+        raise ResourceError(f"C({n},{m}) = {count} subsets exceed the enumeration cap {ENUM_CAP}")
     check_kernel_symmetry(kernel)
-    combos = np.asarray(list(itertools.combinations(range(n), m)), dtype=np.intp)
+    combos = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n), m)),
+                         dtype=np.intp, count=count * m).reshape(count, m)
 
     def evaluate(s):
         # np.take keeps each row's subset terms contiguous (s[..., combos] does

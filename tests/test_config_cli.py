@@ -91,6 +91,35 @@ def test_u_statistic_requires_kernel(tmp_path):
     assert any("kernel" in v for v in validate_config(cfg))
 
 
+def squared_difference_config(out, n):
+    """An order-2 squared-difference U-statistic of 2 lookup members."""
+    cfg = small_deviate_config(out)
+    cfg.update(n=n, constants={"route": "derived-bound"})
+    cfg["class"] = {"random_lookup": {"count": 2}}
+    cfg["statistic"] = {"name": "u-statistic", "kernel": {"name": "squared-difference"}}
+    return cfg
+
+
+def test_u_statistic_subsets_at_the_enumeration_cap(tmp_path):
+    # C(1414, 2) = 998 991 subsets fit the cap of 1e6; C(1415, 2) do not.
+    assert validate_config(squared_difference_config(tmp_path, 1414)) == []
+
+
+@pytest.mark.parametrize("n", [1415, 4472])
+def test_u_statistic_past_the_enumeration_cap_is_refused(tmp_path, capsys, n):
+    # Refused as a config error before any subset table is built: building
+    # one would raise a resource error (exit 3) instead.
+    cfg = squared_difference_config(tmp_path / "out", n)
+    message = f"statistic.kernel.order: C({n},2) subsets exceed the enumeration cap 1000000"
+    assert validate_config(cfg) == [message]
+    path = tmp_path / "cfg.yaml"
+    write_config(path, cfg)
+    assert main(["validate", str(path)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().out
+    assert main(["run", str(path)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
 def test_numeric_route_needs_override_for_bounds(tmp_path):
     cfg = small_deviate_config(tmp_path)
     cfg["constants"] = {"route": "numeric"}

@@ -156,5 +156,5 @@ def test_numeric_reports_non_finite_probe():
     from unibound.functionals import Statistic
 
     bad = Statistic("bad", 3, lambda s: np.log(s.sum(axis=-1) - 5.0))
-    with pytest.raises(NumericError, match="probe"):
+    with pytest.raises(NumericError, match="probe"), pytest.warns(RuntimeWarning):
         estimate_constants_numeric(bad, probes=3, seed=8)

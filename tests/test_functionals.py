@@ -1,3 +1,5 @@
+import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -158,6 +160,22 @@ def test_u_statistic_rejects_large_order():
 def test_u_statistic_subset_cap():
     with pytest.raises(ResourceError):
         u_statistic(40, product_kernel(9))  # C(40, 9) ~ 2.7e8
+
+
+def test_u_statistic_subsets_stop_at_the_enumeration_cap():
+    # C(1415, 2) = 1 000 405 subsets exceed ENUM_CAP; C(1414, 2) = 998 991 fit
+    # it, and their (C(n, 2), 2) index table alone is 15 MiB.
+    assert math.comb(1414, 2) <= functionals.ENUM_CAP < math.comb(1415, 2)
+    with pytest.raises(ResourceError, match="enumeration cap"):
+        u_statistic(1415, squared_difference_kernel())
+    tracemalloc.start()
+    try:
+        stat = u_statistic(1414, squared_difference_kernel())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stat.row_bytes == math.comb(1414, 2) * 2 * 8
+    assert peak < 32 * 2**20
 
 
 def test_asymmetric_kernel_rejected():
