@@ -5,9 +5,12 @@ For a finite Y in R^n,
     R(Y) = E sup_{y in Y} sum_i eps_i y_i,   eps_i uniform in {-1, +1},
     G(Y) = E sup_{y in Y} sum_i gam_i y_i,   gam_i standard normal.
 
-R is computed exactly by enumerating sign patterns when its 2^(n-1)
-antithetic pattern pairs fit ``functionals.ENUM_CAP`` (n <= 20) and by Monte
-Carlo otherwise; G by Monte Carlo. Monte Carlo draws are antithetic:
+Both depend on Y only through its distinct columns and how often each
+appears: with s distinct columns, R is computed exactly over the
+prod_j (m_j + 1) count patterns of the multiplicities m_j when their
+antithetic pairs fit ``functionals.ENUM_CAP`` (with no repeated column, the
+2^(n-1) sign-pattern pairs, n <= 20) and by Monte Carlo otherwise; G by
+Monte Carlo with s normals per draw. Monte Carlo draws are antithetic:
 each eps (or gamma) is paired with its negation, the estimate is the mean
 of per-pair means, and the standard error is the sample standard deviation
 of the iid pair means over sqrt(pairs). Pairing keeps the estimator
@@ -72,29 +75,93 @@ def _as_matrix(y) -> np.ndarray:
     return arr
 
 
-def rademacher_exact(y) -> ComplexityEstimate:
-    """R(Y) by full sign-pattern enumeration; refuses when the 2^(n-1)
-    antithetic pattern pairs exceed ENUM_CAP.
+def _merged_columns(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Y', m): the distinct columns of ``mat`` in order of first appearance
+    and how many times each appears; ``mat`` itself when no two columns are
+    equal. Columns merge when they are equal as floats (0.0 and -0.0 alike).
+    """
+    slot: dict[bytes, int] = {}
+    owner = np.empty(mat.shape[1], dtype=np.intp)
+    keep: list[int] = []
+    for i, col in enumerate(np.ascontiguousarray(mat.T) + 0.0):    # -0.0 + 0.0 is 0.0
+        j = slot.setdefault(col.tobytes(), len(keep))
+        if j == len(keep):
+            keep.append(i)
+        owner[i] = j
+    counts = np.bincount(owner, minlength=len(keep))
+    if len(keep) == mat.shape[1]:
+        return mat, counts
+    return mat[:, keep], counts
 
-    Patterns are enumerated in antithetic halves (each pattern summed with
-    its negation), so singletons come out exactly zero. The per-pair sums,
-    at most ENUM_CAP doubles, are kept and added in one pairwise sum, so the
-    value does not depend on the batch size.
+
+def _binomial_shares(c: int) -> np.ndarray:
+    """C(c, k) / 2^c for k = 0..c, each at most 1.
+
+    While 2^-c is a normal double the quotients are exact integer divisions,
+    correctly rounded, so they carry the bits of C(c, k) scaled by 2^-c;
+    past that C(c, k) overflows a double, and the shares come from the ratio
+    recurrence outward from the middle, normalised to sum 1.
+    """
+    if c <= 1022:
+        scale = 1 << c
+        return np.array([math.comb(c, k) / scale for k in range(c + 1)])
+    mid = c // 2
+    k = np.arange(mid, c)
+    upper = np.concatenate(([1.0], np.cumprod((c - k) / (k + 1.0))))    # C(c, mid + i) / C(c, mid)
+    row = np.concatenate((upper[::-1][:mid], upper))    # C(c, k) = C(c, c - k)
+    return row / row.sum()
+
+
+def _count_patterns(codes: np.ndarray, mult: np.ndarray, shares: list[np.ndarray]):
+    """(coefficients 2 b - m, weights prod_j C(m_j, b_j) / 2^(m_j)) of the
+    count patterns b with the mixed-radix ``codes``, digit j in [0, m_j] and
+    column 0 the least significant; ``shares[j]`` is column j's
+    ``_binomial_shares``."""
+    coeff = np.empty((codes.shape[0], mult.shape[0]))
+    weight = np.ones(codes.shape[0])
+    rem = codes
+    for j, c in enumerate(mult.tolist()):
+        quot = rem // (c + 1)
+        b = rem - (c + 1) * quot
+        coeff[:, j] = 2 * b - c
+        weight *= shares[j][b]
+        rem = quot
+    return coeff, weight
+
+
+def rademacher_exact(y) -> ComplexityEstimate:
+    """R(Y) by enumerating count patterns; refuses when their antithetic
+    pairs exceed ENUM_CAP.
+
+    Y is first reduced to its s distinct columns, column j appearing m_j
+    times. The signs on column j's copies add up to 2 b_j - m_j, with b_j of
+    them positive in C(m_j, b_j) of the 2^(m_j) ways, so R(Y) sums
+    sup_y sum_j (2 b_j - m_j) y_j with weight prod_j C(m_j, b_j) / 2^(m_j)
+    over the prod_j (m_j + 1) patterns b. Each pattern is enumerated with
+    its complement m - b (the negated sum) as one pair, so singletons come
+    out exactly zero; without repeated columns the patterns are the 2^n sign
+    patterns, each of weight 2^-n, and the pairs number 2^(n-1). The
+    weighted per-pair sums, at most ENUM_CAP doubles, are kept and added in
+    one pairwise sum, so the value does not depend on the batch size.
     """
     mat = _as_matrix(y)
-    n = mat.shape[1]
-    half = 1 << (n - 1) if n >= 1 else 1
+    merged, mult = _merged_columns(mat)
+    size = merged.shape[1]
+    patterns = math.prod(int(c) + 1 for c in mult)
+    # An odd number of patterns leaves out the middle one, b = m / 2, which is
+    # its own complement and sums to 0.
+    half = patterns // 2
     if half > ENUM_CAP:
-        raise ResourceError(f"2^{n - 1} sign-pattern pairs exceed the enumeration cap {ENUM_CAP}")
-    powers = 1 << np.arange(n, dtype=np.int64)
+        raise ResourceError(
+            f"{half} count-pattern pairs of {size} distinct columns exceed the enumeration cap {ENUM_CAP}"
+        )
+    shares = [_binomial_shares(c) for c in mult.tolist()]
     pair_sums = np.empty(half)
-    for part in batches(half, 8 * (n + mat.shape[0])):    # sign and product rows
-        codes = np.arange(part.start, part.stop, dtype=np.int64)
-        signs = 2.0 * ((codes[:, None] & powers[None, :]) > 0).astype(np.float64) - 1.0
-        prod = signs @ mat.T
-        pair_sums[part] = prod.max(axis=1) + (-prod).max(axis=1)
-    value = float(np.sum(pair_sums)) / (2.0 * half)
-    return ComplexityEstimate(value, RADEMACHER, EXACT)
+    for part in batches(half, 8 * (size + mat.shape[0])):    # coefficient and product rows
+        coeff, weight = _count_patterns(np.arange(part.start, part.stop, dtype=np.int64), mult, shares)
+        prod = coeff @ merged.T
+        pair_sums[part] = weight * (prod.max(axis=1) - prod.min(axis=1))
+    return ComplexityEstimate(float(np.sum(pair_sums)), RADEMACHER, EXACT)
 
 
 def _antithetic_mc(mat: np.ndarray, draws: int, rng, gaussian: bool) -> tuple[float, float, int]:
@@ -107,7 +174,7 @@ def _antithetic_mc(mat: np.ndarray, draws: int, rng, gaussian: bool) -> tuple[fl
         shape = (part.stop - part.start, n)
         coeff = standard_normals(rng, shape) if gaussian else rademacher_signs(rng, shape)
         prod = coeff @ mat.T
-        means[part] = 0.5 * (prod.max(axis=1) + (-prod).max(axis=1))
+        means[part] = 0.5 * (prod.max(axis=1) - prod.min(axis=1))
     return float(means.mean()), mean_stderr(means), 2 * pairs
 
 
@@ -122,7 +189,7 @@ def rademacher_mc(y, draws: int, seed) -> ComplexityEstimate:
 
 
 def rademacher_average(y, draws: int, seed) -> ComplexityEstimate:
-    """R(Y) exactly when its sign-pattern pairs fit ENUM_CAP, otherwise by
+    """R(Y) exactly when its count-pattern pairs fit ENUM_CAP, otherwise by
     Monte Carlo with ``draws`` draws from ``seed``."""
     try:
         return rademacher_exact(y)
@@ -131,12 +198,19 @@ def rademacher_average(y, draws: int, seed) -> ComplexityEstimate:
 
 
 def gaussian_mc(y, draws: int, seed) -> ComplexityEstimate:
-    """Monte Carlo G(Y); normals come from the inversion sampler."""
+    """Monte Carlo G(Y); normals come from the inversion sampler.
+
+    Y is first reduced to its s distinct columns, column j appearing m_j
+    times: the normals on column j's copies add up to sqrt(m_j) times one
+    normal, so each draw takes s normals against the columns scaled by
+    sqrt(m_j); without repeated columns each scale is 1.
+    """
     mat = _as_matrix(y)
     if draws < MIN_DRAWS:
         raise DomainError(f"draws must be >= {MIN_DRAWS}")
     rng = as_stream(seed, "gaussian-mc")
-    value, stderr, used = _antithetic_mc(mat, draws, rng, gaussian=True)
+    merged, mult = _merged_columns(mat)
+    value, stderr, used = _antithetic_mc(merged * np.sqrt(mult), draws, rng, gaussian=True)
     return ComplexityEstimate(value, GAUSSIAN, MONTE_CARLO, used, stderr)
 
 

@@ -47,8 +47,9 @@ from .rng import stream
 # Largest enumeration the library runs: support^n points for the exact
 # oracle and the swing sup, a U-statistic's C(n, m) index subsets, its
 # support^m kernel tuples for the closed-form expectation and its
-# C(s+m-1, m) support multisets for the count form, 2^(n-1) antithetic
-# sign-pattern pairs for the exact Rademacher average.
+# C(s+m-1, m) support multisets for the count form, the antithetic
+# count-pattern pairs of the exact Rademacher average (2^(n-1) sign-pattern
+# pairs when no column of the image repeats).
 ENUM_CAP = 1_000_000
 # A kernel's symmetry is spot-checked at this many random points.
 _SYMMETRY_TRIALS = 16
@@ -378,10 +379,25 @@ def u_statistic(n: int, kernel: Kernel) -> Statistic:
 
     @functools.lru_cache(maxsize=1)
     def multiset_tables(size):
-        chosen = list(itertools.combinations_with_replacement(range(size), m))
-        # Each multiset as its (support point, multiplicity) pairs.
-        terms = [[(j, len(list(run))) for j, run in itertools.groupby(ms)] for ms in chosen]
-        return terms, np.asarray(chosen, dtype=np.intp).reshape(-1, m)
+        """(gather, runs): each multiset as its m nondecreasing support points,
+        and at each position the length of the run of equal points starting
+        there, 0 inside a run."""
+        kinds = multisets(size)
+        gather = np.fromiter(
+            itertools.chain.from_iterable(itertools.combinations_with_replacement(range(size), m)),
+            dtype=np.intp, count=kinds * m,
+        ).reshape(kinds, m)
+        runs = np.zeros((kinds, m), dtype=np.intp)
+        length = np.zeros(kinds, dtype=np.intp)
+        for p in range(m - 1, -1, -1):
+            length += 1
+            if p > 0:
+                starts = gather[:, p] != gather[:, p - 1]
+                runs[starts, p] = length[starts]
+                length[starts] = 0
+            else:
+                runs[:, 0] = length
+        return gather, runs
 
     def count_form(support, counts):
         size = support.shape[1]
@@ -390,19 +406,27 @@ def u_statistic(n: int, kernel: Kernel) -> Statistic:
             raise ResourceError(
                 f"C({size}+{m}-1, {m}) = {kinds} support multisets exceed the enumeration cap {ENUM_CAP}"
             )
-        terms, gather = multiset_tables(size)
+        gather, runs = multiset_tables(size)
         cols = counts.T
-        members = support.shape[0]
-        out = np.zeros((members, counts.shape[0]))
-        # A multiset costs its kernel arguments and value for every member;
-        # its weight over the rows is formed once for all of them.
-        for part in batches(kinds, 8 * max(members, 1) * (m + 1)):
+        members, rows = support.shape[0], counts.shape[0]
+        out = np.zeros((members, rows))
+        # A multiset costs its kernel arguments and value for every member,
+        # its weight, one factor and the counts it gathers over the rows, and
+        # its term and running sum for every member and row.
+        for part in batches(kinds, 8 * (max(members, 1) * (m + 1 + 2 * rows) + 3 * rows)):
             kernel_values = kernel.fn(support[:, gather[part]])    # (members, multisets)
-            for a, pairs in enumerate(terms[part]):
-                weight = binomials[pairs[0][1]][cols[pairs[0][0]]]
-                for j, mult in pairs[1:]:
-                    weight = weight * binomials[mult][cols[j]]
-                out += kernel_values[:, a:a + 1] * weight
+            # prod_j C(c_j, a_j), one factor per run of the multiset in
+            # position order; a position inside a run gathers C(c, 0) = 1.
+            weights = binomials[runs[part, :1], cols[gather[part, 0]]]    # (multisets, rows)
+            for p in range(1, m):
+                weights *= binomials[runs[part, p:p + 1], cols[gather[part, p]]]
+            # A running sum adds each entry's terms one multiset at a time in
+            # multiset order, so an entry does not depend on the batches or on
+            # how many members and rows share the call (a matrix product's
+            # rounding does).
+            terms = kernel_values[:, :, None] * weights    # (members, multisets, rows)
+            terms[:, 0] += out
+            out = np.cumsum(terms, axis=1)[:, -1]
         return (out / count).T
 
     return Statistic(

@@ -8,12 +8,14 @@ sample space. All draws are inversion-based on the derived uniform stream.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import betaincinv
 
 from .errors import DomainError
+from .functionals import batches
 from .rng import as_stream, open_uniforms
 
 FINITE = "finite"
@@ -108,11 +110,15 @@ class CoordinateDistribution:
             elif self.params:
                 raise DomainError("uniform family takes no parameters")
 
+    @functools.cached_property
+    def _cumulative(self) -> np.ndarray:
+        return np.cumsum(np.asarray(self.weights, dtype=np.float64))
+
     def invert(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        """Map open-(0,1) uniforms to draws; returns (values, indices-or-None)."""
+        """Map open-(0,1) uniforms, of any shape, to draws elementwise;
+        returns (values, indices-or-None)."""
         if self.space.kind == FINITE:
-            cum = np.cumsum(np.asarray(self.weights, dtype=np.float64))
-            idx = np.searchsorted(cum, u, side="left")
+            idx = np.searchsorted(self._cumulative, u, side="left")
             idx = np.minimum(idx, self.space.size - 1)
             return self.space.support_values[idx], idx
         if self.family == "uniform":
@@ -160,6 +166,17 @@ class ProductLaw:
     @property
     def space(self) -> SampleSpace:
         return self.coordinates[0].space
+
+    @functools.cached_property
+    def _groups(self) -> tuple[tuple[CoordinateDistribution, np.ndarray | slice], ...]:
+        """Each distinct coordinate law with the coordinates that follow it,
+        as a slice when they are all of them (an iid law)."""
+        groups: dict[CoordinateDistribution, list[int]] = {}
+        for i, coord in enumerate(self.coordinates):
+            groups.setdefault(coord, []).append(i)
+        if len(groups) == 1:
+            return ((self.coordinates[0], slice(None)),)
+        return tuple((coord, np.asarray(cols)) for coord, cols in groups.items())
 
     @property
     def weight_matrix(self) -> np.ndarray:
@@ -212,18 +229,25 @@ def sample(law: ProductLaw, seed) -> SampleVector:
 
 
 def draw_batch(law: ProductLaw, count: int, seed) -> tuple[np.ndarray, np.ndarray | None]:
-    """Draw ``count`` vectors at once; returns (values (count, n), indices)."""
+    """Draw ``count`` vectors at once; returns (values (count, n), indices).
+
+    Each distinct coordinate law inverts its coordinates' uniforms in one
+    call per slice of rows; inversion is elementwise, so the draws are those
+    of inverting coordinate by coordinate.
+    """
     if count < 1:
         raise DomainError("count must be positive")
     rng = as_stream(seed, "draw-batch")
     u = open_uniforms(rng, (count, law.n))
     values = np.empty((count, law.n), dtype=np.float64)
     indices = np.empty((count, law.n), dtype=np.int64) if law.space.kind == FINITE else None
-    for i, coord in enumerate(law.coordinates):
-        v, idx = coord.invert(u[:, i])
-        values[:, i] = v
-        if indices is not None:
-            indices[:, i] = idx
+    # A row's inversion holds its uniforms, positions, indices and values.
+    for part in batches(count, 4 * 8 * law.n):
+        for coord, cols in law._groups:
+            v, idx = coord.invert(u[part, cols])
+            values[part, cols] = v
+            if indices is not None:
+                indices[part, cols] = idx
     return values, indices
 
 

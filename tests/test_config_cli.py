@@ -283,9 +283,11 @@ def test_full_report_runs_every_requested_stage(tmp_path):
 
 @pytest.mark.parametrize("n, exact", [(20, True), (21, False)])
 def test_complexity_record_names_exact_rademacher(tmp_path, monkeypatch, n, exact):
-    # The comparison's R is exact while its 2^(n-1) sign-pattern pairs fit
-    # the enumeration cap; only then does the record carry rademacher_exact.
-    # G, and a Monte Carlo R, are estimated once and read off the comparison.
+    # The comparison's R is exact while its count-pattern pairs fit the
+    # enumeration cap; only then does the record carry rademacher_exact. G,
+    # and a Monte Carlo R, are estimated once and read off the comparison.
+    # Coordinate i is a point mass at support point i, so the image's n
+    # columns are distinct and its pattern pairs are the 2^(n-1) sign pairs.
     calls = {"gaussian": 0, "rademacher_mc": 0}
 
     def counted(name, fn):
@@ -301,6 +303,11 @@ def test_complexity_record_names_exact_rademacher(tmp_path, monkeypatch, n, exac
         )
     cfg = yaml.safe_load((CONFIG_DIR / "complexity_lookup.yaml").read_text())
     cfg.update(n=n, draws=200)
+    cfg["law"] = {
+        "space": {"kind": "finite",
+                  "support": [{"label": f"p{i}", "value": i / (n - 1)} for i in range(n)]},
+        "weights": np.eye(n).tolist(),
+    }
     _, record, summary = run_experiment(cfg, out_dir=tmp_path)
     results = record["results"]
     assert calls == {"gaussian": 1, "rademacher_mc": 1}

@@ -34,7 +34,7 @@ from unibound.deviation import (
     uniform_deviation,
 )
 from unibound.errors import DomainError, OverrideRequiredError, ResourceError
-from unibound import functionals
+from unibound import complexity, functionals
 from unibound.functionals import (
     Statistic,
     class_separation_statistic,
@@ -580,10 +580,26 @@ def test_symmetrization_rejects_mismatched_n():
 
 
 def test_symmetrization_monte_carlo_past_the_cap():
-    # 2^21 sign-pattern pairs exceed the enumeration cap: R is sampled.
+    # Point masses at 22 distinct values image to 22 distinct columns, whose
+    # 2^21 sign-pattern pairs exceed the enumeration cap: R is sampled, so
+    # at the law's one point its value varies only with the draws.
+    law = point_mass_law(np.linspace(0.0, 1.0, 22))
+    fc = random_lookup_class(law.space, 4, 59)
+    rep = symmetrization_check_mean(law, fc, 22, 100, 13)
+    assert rep.rad_stderr > 0.0
+    assert rep.holds
+
+
+def test_symmetrization_exact_past_n_20_on_two_support_points(monkeypatch):
+    # On bits the image has two distinct columns, so at n = 22 its at most
+    # 12 * 12 count patterns are enumerated and no Monte Carlo R is drawn.
+    def refuse(*args, **kwargs):
+        raise AssertionError("Monte Carlo R drawn")
+
+    monkeypatch.setattr(complexity, "rademacher_mc", refuse)
     fc = random_lookup_class(BITS, 4, 59)
     rep = symmetrization_check_mean(bit_law(22), fc, 22, 100, 13)
-    assert rep.rad_stderr > 0.0
+    assert rep.rad_mean > 0.0
     assert rep.holds
 
 

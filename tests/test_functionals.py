@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -224,6 +225,13 @@ SMOOTHED_MIN_REPORT = {
 }
 
 
+# 36 support multisets of a U-statistic of order 2, fewer than its C(16, 2)
+# subsets, so its Monte Carlo oracle takes the count form.
+EIGHT_POINT_LAW = {"space": {"kind": "finite", "support": [
+    {"label": str(j), "value": j / 7} for j in range(8)
+]}}
+
+
 def test_results_do_not_depend_on_the_batch_budget(tmp_path, monkeypatch):
     y = stream(5, "budget").random((6, 17))
 
@@ -233,12 +241,16 @@ def test_results_do_not_depend_on_the_batch_budget(tmp_path, monkeypatch):
             _full_report_outputs(tmp_path / f"{tag}-u", **SMOOTHED_MIN_REPORT),
             _run_outputs("deviate_variance", tmp_path / f"{tag}-mc", replications=100,
                          oracle={"method": "monte-carlo", "replicas": 1000}),
+            _run_outputs("deviate_variance", tmp_path / f"{tag}-mc-u", replications=100,
+                         oracle={"method": "monte-carlo", "replicas": 1000},
+                         law=EIGHT_POINT_LAW, **SMOOTHED_MIN_REPORT),
             rademacher_exact(y).value,
         )
 
     default = outputs("default")
     # One to five rows per batch; one row for the U-statistic (C(12, 2) pairs);
-    # one draw per slice and one member per call of the oracle's count form.
+    # one draw per slice and one member per call of the oracle's count form,
+    # one multiset per batch of the U-statistic's.
     monkeypatch.setattr(functionals, "BATCH_BYTES", 512)
     assert outputs("small") == default
 
@@ -285,6 +297,22 @@ def test_count_form_matches_row_evaluation(name, size, n, seed):
 def test_support_counts_tally_each_row():
     indices = np.array([[0, 2, 2, 1], [3, 3, 3, 3]])
     assert support_counts(indices, 4).tolist() == [[1, 1, 2, 0], [0, 0, 0, 4]]
+
+
+def test_u_statistic_count_form_is_vectorised_over_multisets():
+    # C(1000 + 1, 2) = 500 500 multisets for one row and one member: a
+    # Python loop over them took tens of seconds.
+    stat = u_statistic(1414, squared_difference_kernel())
+    rng = np.random.default_rng(3)
+    support = rng.random((1, 1000))
+    counts = rng.multinomial(1414, np.full(1000, 1e-3), size=1)
+    start = time.perf_counter()
+    counted = stat.count_form(support, counts)
+    elapsed = time.perf_counter() - start
+    row = stat(np.repeat(support[0], counts[0]))
+    assert counted.shape == (1, 1)
+    assert counted[0, 0] == pytest.approx(row, rel=1e-12)
+    assert elapsed < 1.0
 
 
 def test_u_statistic_count_form_refuses_past_the_multiset_cap():

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from unibound import functionals
 from unibound.errors import DomainError
+from unibound.rng import as_stream, open_uniforms
 from unibound.spaces import (
     ProductLaw,
     bernoulli,
@@ -111,3 +113,31 @@ def test_vector_from_values_matches_support():
         vector_from_values(BITS, [0.5])
     with pytest.raises(DomainError):
         vector_from_values(interval_space(), [1.2])
+
+
+FIVE = finite_space([(str(j), j / 4) for j in range(5)])
+
+
+def _mixed_law():
+    rng = np.random.default_rng(0)
+    skewed = [finite_weights(FIVE, rng.dirichlet(np.ones(5))) for _ in range(3)]
+    return ProductLaw(tuple(skewed[i % 3] if i % 4 else uniform_on(FIVE) for i in range(10)))
+
+
+@pytest.mark.parametrize("law", [
+    iid_law(uniform_on(FIVE), 10),
+    point_mass_law([0.1, 0.7, 0.1, 0.3, 0.7, 0.9, 0.3, 0.1]),
+    _mixed_law(),
+    ProductLaw((bernoulli(0.3), beta_family(2.0, 3.0), bernoulli(0.3), uniform_on(interval_space()))),
+], ids=["iid", "point-mass", "mixed", "interval-mixed"])
+def test_draw_batch_matches_per_coordinate_inversion(law, monkeypatch):
+    # A 4 KiB budget cuts the 1000 rows into slices of at most 32 rows.
+    monkeypatch.setattr(functionals, "BATCH_BYTES", 1 << 12)
+    values, indices = draw_batch(law, 1000, 17)
+    u = open_uniforms(as_stream(17, "draw-batch"), (1000, law.n))
+    for i, coord in enumerate(law.coordinates):
+        v, idx = coord.invert(u[:, i])
+        assert values[:, i].tobytes() == v.tobytes()
+        if idx is not None:
+            assert indices[:, i].tobytes() == idx.tobytes()
+    assert (indices is None) == (law.space.kind != "finite")
