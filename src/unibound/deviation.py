@@ -19,6 +19,14 @@ Pieces, in dependency order:
   the empirical constant c_hat = mean deviation / ((L + M) Eg).
 * bounded-difference tail and swapped-coordinate process probes: direct
   Monte Carlo checks of the sub-Gaussian tail bounds the theory rests on.
+
+The Monte Carlo oracle, the tail (the oracle's draw loop for one member),
+the swing (at a point, at sampled points and over the lattice) and the
+probe (at its mixed points) evaluate Phi through one function, which picks
+counts or rows once: a coordinate-symmetric statistic on a finite space is
+evaluated from support counts where a row of counts costs it no more than
+a row of values, and every other one from the members' images. The exact
+oracle and the replications image rows.
 """
 
 from __future__ import annotations
@@ -94,38 +102,56 @@ def _finite_expectations(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _counted(law: ProductLaw, stat: Statistic) -> bool:
-    """Whether the oracle evaluates the statistic from support counts: the
-    space is finite and a row of counts costs the count form no more than a
-    row of values costs ``evaluate``, so the counts never outweigh the
-    draws. A U-statistic's multisets then number at most its subsets, which
+def _counted(space: SampleSpace, stat: Statistic) -> bool:
+    """Whether Phi is evaluated from support counts on ``space``: the space
+    is finite and a row of counts costs the count form no more than a row of
+    values costs ``evaluate``, so the counts never outweigh the points. A
+    U-statistic's multisets then number at most its subsets, which
     ``u_statistic`` keeps under ENUM_CAP, so its count form never refuses."""
     return (
-        law.space.kind == FINITE and stat.count_form is not None
-        and stat.count_row_bytes(law.space.size) <= stat.row_bytes
+        space.kind == FINITE and stat.count_form is not None
+        and stat.count_row_bytes(space.size) <= stat.row_bytes
     )
 
 
-def _phis_from_rows(law: ProductLaw, fc: FunctionClass, stat: Statistic, replicas: int, rng):
-    """Phi(f_k(X)) over the draws, member by member, from the draws' images."""
-    vals, idx = draw_batch(law, replicas, rng)
-    for k in range(len(fc)):
-        # The member's image is freed before the next member's is built.
-        yield stat(fc.member_image(k, vals, idx))
+def _phis_at(stat: Statistic, fc: FunctionClass, values, indices, *, counts=None) -> np.ndarray:
+    """Phi(f_k(x)) for every member k of the class at a batch of points x,
+    as a (rows, K) array whose member columns are contiguous.
+
+    The points come as their ``values`` and support ``indices``, as
+    ``draw_batch`` gives them; on a finite space members read only the
+    indices, so ``values`` may be None there. Where the statistic counts on
+    the class's space (``_counted``), Phi is evaluated from the points'
+    support counts, which a caller that holds only those passes as
+    ``counts``; otherwise from each member's image of the points.
+    """
+    if _counted(fc.space, stat):
+        if counts is None:
+            counts = support_counts(indices, fc.space.size)
+        return stat.count_form(fc.support_matrix(), counts)
+    return np.stack([stat(fc.member_image(k, values, indices)) for k in range(len(fc))]).T
 
 
-def _phis_from_counts(law: ProductLaw, fc: FunctionClass, stat: Statistic, replicas: int, rng):
-    """The same values from the draws' support counts: the draws come in
-    slices from one stream, so they match one ``draw_batch`` of them all."""
-    size = law.space.size
-    counts = np.empty((replicas, size), dtype=np.int64)
-    # A draw costs its integers, uniforms, values and indices, n of each.
-    for part in batches(replicas, 4 * 8 * law.n):
-        _, idx = draw_batch(law, part.stop - part.start, rng)
-        counts[part] = support_counts(idx, size)
-    support = fc.support_matrix()
+def _phis_of_draws(law: ProductLaw, fc: FunctionClass, stat: Statistic, replicas: int, rng):
+    """Phi(f_k(X)) over ``replicas`` draws from ``rng``, member by member.
+
+    Where the statistic counts, only the draws' support counts are held,
+    ``replicas`` x s of them: the draws come in slices from the one stream,
+    so they match one ``draw_batch`` of them all. Otherwise the draws are
+    held whole and each member images them.
+    """
+    values = indices = counts = None
+    if _counted(law.space, stat):
+        counts = np.empty((replicas, law.space.size), dtype=np.int64)
+        # A draw costs its integers, uniforms, values and indices, n of each.
+        for part in batches(replicas, 4 * 8 * law.n):
+            _, sliced = draw_batch(law, part.stop - part.start, rng)
+            counts[part] = support_counts(sliced, law.space.size)
+    else:
+        values, indices = draw_batch(law, replicas, rng)
     for part in batches(len(fc), 8 * replicas):    # a member's column of values
-        yield from stat.count_form(support[part], counts).T
+        members = fc.subclass(fc.labels[part])
+        yield from _phis_at(stat, members, values, indices, counts=counts).T
 
 
 def expectation_oracle(
@@ -187,10 +213,10 @@ def expectation_oracle(
         raise DomainError(f"unknown oracle method {method!r}")
     if replicas < MIN_DRAWS:
         raise DomainError(f"Monte Carlo oracle needs replicas >= {MIN_DRAWS}")
-    phis_of = _phis_from_counts if _counted(law, stat) else _phis_from_rows
     values = np.empty(len(fc))
     stderrs = np.empty(len(fc))
-    for k, phis in enumerate(phis_of(law, fc, stat, replicas, as_stream(seed, "expectation-oracle"))):
+    draws = _phis_of_draws(law, fc, stat, replicas, as_stream(seed, "expectation-oracle"))
+    for k, phis in enumerate(draws):
         values[k] = float(phis.mean())
         stderrs[k] = mean_stderr(phis)
     return ExpectationOracle(MONTE_CARLO, fc.labels, _finite_expectations(values), stderrs, replicas)
@@ -456,18 +482,39 @@ class SwingReport:
     sup_is_exact: bool
 
 
-def _swing_at_indices(stat: Statistic, fv: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    # fv: (s,) member values on the support; idx: (batch, n) support indices.
-    # Returns the swing sum per row.
+def _swing_at_indices(stat: Statistic, single: FunctionClass, idx: np.ndarray) -> np.ndarray:
+    """The swing sum of the one member of ``single`` at each row of ``idx``,
+    a (batch, n) array of support indices."""
     batch, n = idx.shape
-    size = fv.shape[0]
-    base_img = fv[idx]
+    size = single.space.size
     total = np.zeros(batch)
-    for k in range(n):
-        variants = np.repeat(base_img[:, None, :], size, axis=1)  # (batch, s, n)
-        variants[:, :, k] = fv[None, :]
-        phi = stat(variants.reshape(batch * size, n)).reshape(batch, size)
-        total += (phi.max(axis=1) - phi.min(axis=1)) ** 2
+    if _counted(single.space, stat):
+        # Phi reads only the counts, so coordinate k's range depends only on
+        # its support value a: the s x s variants of each point's counts, a
+        # replaced by j, give every range at once. Where a is absent from
+        # the point a present value is replaced instead, so every variant
+        # keeps n coordinates; that range is never read.
+        counts = support_counts(idx, size)
+        unit = np.eye(size, dtype=counts.dtype)
+        spread = np.empty((batch, size))
+        for part in batches(batch, 8 * size**3):    # a point's s^2 variant counts
+            c = counts[part]
+            drop = np.where(c > 0, np.arange(size), c.argmax(axis=1)[:, None])
+            variants = (c[:, None, :] - unit[drop])[:, :, None, :] + unit
+            phi = _phis_at(stat, single, None, None, counts=variants.reshape(-1, size))
+            phi = phi.reshape(-1, size, size)
+            spread[part] = phi.max(axis=2) - phi.min(axis=2)
+        squared = spread**2
+        points = np.arange(batch)
+        for k in range(n):
+            total += squared[points, idx[:, k]]
+        return total
+    for part in batches(batch, 8 * size * n):    # a point's s variants
+        for k in range(n):
+            variants = np.repeat(idx[part, None, :], size, axis=1)    # (points, s, n)
+            variants[:, :, k] = np.arange(size)
+            phi = _phis_at(stat, single, None, variants.reshape(-1, n)).reshape(-1, size)
+            total[part] += (phi.max(axis=1) - phi.min(axis=1)) ** 2
     return total
 
 
@@ -490,18 +537,18 @@ def squared_swing_sum(
         raise DomainError("swing sums need a finite sample space")
     n = stat.n
     size = space.size
-    fv = FunctionClass(space, (member,)).support_matrix()[0]
+    single = FunctionClass(space, (member,))
     at_point = None
     if x is not None:
         if x.space != space:
             raise DomainError("sample vector lives in a different sample space")
-        at_point = float(_swing_at_indices(stat, fv, x.indices[None, :])[0])
+        at_point = float(_swing_at_indices(stat, single, x.indices[None, :])[0])
 
     points = size**n
     if points <= ENUM_CAP:
         phi_flat = np.empty(points)
         for part in batches(points, 2 * 8 * n):    # index and image rows
-            phi_flat[part] = stat(fv[_lattice_indices(part, n, size)])
+            phi_flat[part] = _phis_at(stat, single, None, _lattice_indices(part, n, size))[:, 0]
         lattice = phi_flat.reshape((size,) * n)
         acc = np.zeros((size,) * n)
         for k in range(n):
@@ -511,11 +558,7 @@ def squared_swing_sum(
 
     rng = as_stream(seed, "swing-sup")
     idx = rng.integers(0, size, size=(SWING_SAMPLES, n))
-    sup = max(
-        float(_swing_at_indices(stat, fv, idx[part]).max())
-        for part in batches(SWING_SAMPLES, 8 * size * n)    # a point's s variants
-    )
-    return SwingReport(at_point, sup, False)
+    return SwingReport(at_point, float(_swing_at_indices(stat, single, idx).max()), False)
 
 
 def _threshold_grid(grid, name: str) -> np.ndarray:
@@ -592,8 +635,7 @@ def bounded_difference_tail(
     expected = float(oracle.values[0])
     if swing is None:
         swing = squared_swing_sum(stat, member, law.space, seed=stream(seed, "tail/swing"))
-    vals, idx = draw_batch(law, replicas, stream(seed, "tail/x"))
-    excess = stat(single.member_image(0, vals, idx)) - expected
+    excess = next(_phis_of_draws(law, single, stat, replicas, stream(seed, "tail/x"))) - expected
     # exp(-2 t^2 / swing); halving the swing is exact.
     empirical, bound, stderr, violations = _exceedance(excess, t, swing.sup_norm / 2.0, replicas)
     return TailReport(
@@ -636,6 +678,38 @@ class ProcessProbe:
         return self.zero_mean_ok and not bool(self.violations.any())
 
 
+def _mix(swap: np.ndarray, x: SampleVector, x_alt: SampleVector):
+    """The points that take x's coordinates where ``swap`` is set and
+    x_alt's elsewhere, as (values, indices): the indices alone on a finite
+    space, where members read only those."""
+    if x.indices is None:
+        return np.where(swap, x.values, x_alt.values), None
+    return None, np.where(swap, x.indices, x_alt.indices)
+
+
+def _swap_process(stat: Statistic, pair: FunctionClass, x: SampleVector, x_alt: SampleVector,
+                  draws: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """The process values (y_f, y_g) of the pair's two members over ``draws``
+    swap patterns sigma from ``rng``.
+
+    The sigma-mix of two points is itself a point, and a member's image of
+    it is the sigma-mix of the member's images, since sigma is 0 or 1; so
+    Phi is evaluated at the mixed points.
+    """
+    n = stat.n
+    y_f = np.empty(draws)
+    y_g = np.empty(draws)
+    # The slices fix how the sign draws split; a draw costs its signs, its
+    # two mixed points and a member's images of them.
+    for part in batches(draws, 5 * 8 * n):
+        swap = rng.integers(0, 2, size=(part.stop - part.start, n)) == 1
+        mixed = _phis_at(stat, pair, *_mix(swap, x, x_alt))
+        swapped = _phis_at(stat, pair, *_mix(swap, x_alt, x))
+        y_f[part] = mixed[:, 0] - swapped[:, 0]
+        y_g[part] = mixed[:, 1] - swapped[:, 1]
+    return y_f, y_g
+
+
 def swap_process_probe(
     x: SampleVector,
     x_alt: SampleVector,
@@ -664,17 +738,7 @@ def swap_process_probe(
     fx_alt, gx_alt = pair.image_matrix(x_alt)
     distance = float(np.sqrt(((fx - gx) ** 2).sum() + ((fx_alt - gx_alt) ** 2).sum()))
 
-    rng = as_stream(seed, "process-probe")
-    y_f = np.empty(draws)
-    y_g = np.empty(draws)
-    for part in batches(draws, 5 * 8 * n):    # sign and four mixed rows
-        sigma = rng.integers(0, 2, size=(part.stop - part.start, n)).astype(np.float64)
-        mix_f = sigma * fx + (1.0 - sigma) * fx_alt
-        mix_f_swapped = sigma * fx_alt + (1.0 - sigma) * fx
-        mix_g = sigma * gx + (1.0 - sigma) * gx_alt
-        mix_g_swapped = sigma * gx_alt + (1.0 - sigma) * gx
-        y_f[part] = stat(mix_f) - stat(mix_f_swapped)
-        y_g[part] = stat(mix_g) - stat(mix_g_swapped)
+    y_f, y_g = _swap_process(stat, pair, x, x_alt, draws, as_stream(seed, "process-probe"))
 
     scale = 8.0 * (constants.lipschitz**2 + constants.mixed**2) * distance**2
     empirical, bound, stderr, violations = _exceedance(y_f - y_g, s, scale, draws)

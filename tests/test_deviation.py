@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from unibound.classes import (
     FunctionClass,
+    ThresholdMember,
     constant_member,
     lookup_member,
     random_lookup_class,
@@ -34,7 +35,7 @@ from unibound.deviation import (
     uniform_deviation,
 )
 from unibound.errors import DomainError, OverrideRequiredError, ResourceError
-from unibound import complexity, functionals
+from unibound import complexity, deviation, functionals
 from unibound.functionals import (
     Statistic,
     class_separation_statistic,
@@ -51,6 +52,7 @@ from unibound.rng import as_stream, stream
 from unibound.runner import EXIT_OK, run_experiment
 from unibound.spaces import (
     ProductLaw,
+    beta_family,
     draw_batch,
     finite_space,
     finite_weights,
@@ -354,6 +356,20 @@ def test_monte_carlo_oracle_counts_in_bounded_memory():
     )
     assert oracle.method == "monte-carlo" and oracle.replicas == 100_000
     assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("name", ["mean", "variance"])
+def test_tail_counts_in_bounded_memory(name):
+    # 200 000 tail draws of 64 coordinates cost about 300 MiB as uniforms,
+    # values and indices; as support counts on 5 points they cost 8 MB.
+    law = iid_law(uniform_on(FIVE_POINTS), 64)
+    member = random_lookup_class(FIVE_POINTS, 1, 2).members[0]
+    stat = STATISTICS[name](64)
+    rep, peak = _traced_peak(
+        lambda: bounded_difference_tail(law, stat, member, [0.0, 0.05], 200_000, 1)
+    )
+    assert rep.replicas == 200_000 and not rep.swing_is_exact
+    assert peak < 64 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -791,3 +807,124 @@ def test_probe_variance_no_tail_violations():
     )
     assert np.array_equal(rep.empirical, again.empirical)
     assert rep.process_mean == again.process_mean
+
+
+# ---------------------------------------------------------------------------
+# tail, swing and probe: support counts against rows
+
+def _rows_only(stat):
+    """The statistic without its count form, so every stage images rows."""
+    return dataclasses.replace(stat, count_form=None, count_row_bytes=None)
+
+
+def bit_mixed_law(n):
+    return ProductLaw(tuple(finite_weights(BITS, [p, 1.0 - p]) for p in np.linspace(0.2, 0.7, n)))
+
+
+COUNTED_STAGES = ["mean", "variance", "smoothed-min", "squared-difference", "product-3"]
+# (support, law by n and seed, n with an enumerable lattice, n past the cap)
+SUPPORTS = {
+    "2-point-iid": (BITS, lambda n, seed: bit_law(n), 10, 20),
+    "2-point-mixed": (BITS, lambda n, seed: bit_mixed_law(n), 10, 20),
+    "5-point-iid": (FIVE_POINTS, lambda n, seed: iid_law(uniform_on(FIVE_POINTS), n), 7, 9),
+    "5-point-mixed": (FIVE_POINTS, five_point_law, 7, 9),
+}
+# Values of statistics on [0, 1]: the count path may round each differently.
+TOL = {"rtol": 1e-12, "atol": 1e-12}
+
+
+@pytest.mark.parametrize("support", sorted(SUPPORTS))
+@pytest.mark.parametrize("name", COUNTED_STAGES)
+def test_tail_swing_and_probe_counts_match_rows(name, support):
+    space, law_of, n, _ = SUPPORTS[support]
+    law = law_of(n, 4)
+    fc = random_lookup_class(space, 3, 6)
+    stat = STATISTICS[name](n)
+    rows = _rows_only(stat)
+    assert deviation._counted(space, stat) and not deviation._counted(space, rows)
+
+    single = fc.subclass([fc.labels[0]])
+    excess = [next(deviation._phis_of_draws(law, single, s, 2000, stream(3, "tail/x")))
+              for s in (stat, rows)]
+    np.testing.assert_allclose(*excess, **TOL)
+    tails = [bounded_difference_tail(law, s, fc.members[0], [0.0, 0.01, 0.03], 2000, 3)
+             for s in (stat, rows)]
+    assert tails[0].expected_value == tails[1].expected_value
+    assert np.array_equal(tails[0].empirical, tails[1].empirical)
+    np.testing.assert_allclose(tails[0].swing_norm, tails[1].swing_norm, **TOL)
+
+    x = sample(law, stream(5, "x"))
+    swings = [squared_swing_sum(s, fc.members[1], space, x) for s in (stat, rows)]
+    np.testing.assert_allclose(swings[0].at_point, swings[1].at_point, **TOL)
+    np.testing.assert_allclose(swings[0].sup_norm, swings[1].sup_norm, **TOL)
+    assert swings[0].sup_is_exact and swings[1].sup_is_exact
+
+    x_alt = sample(law, stream(5, "x-alt"))
+    pair = fc.subclass(fc.labels[1:])
+    processes = [deviation._swap_process(s, pair, x, x_alt, 2000, stream(7, "sigma"))
+                 for s in (stat, rows)]
+    for counted, imaged in zip(*processes):
+        np.testing.assert_allclose(counted, imaged, **TOL)
+
+
+# Not product-3 on two points: its C(20, 3) subsets per row make the row
+# reference too slow there.
+@pytest.mark.parametrize("name, support", [
+    *((name, "5-point-iid") for name in COUNTED_STAGES),
+    *((name, "2-point-iid") for name in COUNTED_STAGES if name != "product-3"),
+])
+def test_sampled_swing_counts_match_rows(name, support):
+    space, _, _, n = SUPPORTS[support]
+    member = random_lookup_class(space, 1, 8).members[0]
+    stat = STATISTICS[name](n)
+    counted, imaged = (squared_swing_sum(s, member, space, seed=2) for s in (stat, _rows_only(stat)))
+    assert not counted.sup_is_exact and not imaged.sup_is_exact
+    np.testing.assert_allclose(counted.sup_norm, imaged.sup_norm, **TOL)
+
+
+def test_row_path_keeps_its_values():
+    # An interval space and class separation have no count form. These
+    # values are those of the row-by-row probe and tail before the count
+    # path existed.
+    n = 8
+    law = iid_law(beta_family(2.0, 3.0), n)
+    stat = sample_variance_statistic(n)
+    f, g = ThresholdMember("low", 0.2, 0.5), ThresholdMember("high", 0.5, 0.3)
+    x, x_alt = sample(law, stream(7, "x")), sample(law, stream(7, "x-alt"))
+    probe = swap_process_probe(x, x_alt, f, g, stat, closed_form_constants(stat), [0.05, 0.1],
+                               20_000, 5)
+    assert repr(probe.process_mean) == "-9.331861132469398e-06"
+
+    n = 6
+    stat = class_separation_statistic(n, separation_labels([2, 4]))
+    member = random_lookup_class(FIVE_POINTS, 2, 8).members[1]
+    tail = bounded_difference_tail(five_point_law(n, 3), stat, member, [0.0, 0.02, 0.05, 0.1],
+                                   20_000, 9)
+    assert repr(tail.expected_value) == "0.002680297821321805"
+    assert [repr(float(v)) for v in tail.empirical] == ["0.46915", "0.04475", "0.0", "0.0"]
+
+
+def _counting_evaluate(stat, calls):
+    """The statistic with an ``evaluate`` that records each call."""
+    def evaluate(s):
+        calls.append(s.shape[0])
+        return stat.evaluate(s)
+
+    return dataclasses.replace(stat, evaluate=evaluate)
+
+
+@pytest.mark.parametrize("name, evaluated", [
+    ("variance", False), ("smoothed-min", False), ("product-3", False), ("class-separation", True),
+])
+def test_tail_swing_and_probe_evaluate_rows_only_without_counts(name, evaluated):
+    n = 8
+    law = bit_law(n)
+    fc = random_lookup_class(BITS, 2, 3)
+    calls = []
+    stat = _counting_evaluate(STATISTICS[name](n), calls)
+    constants = ConstantsReport(1.0, 1.0, "closed-form")
+    x, x_alt = sample(law, stream(1, "x")), sample(law, stream(1, "x-alt"))
+    bounded_difference_tail(law, stat, fc.members[0], [0.1], 500, 1, oracle_method="monte-carlo")
+    squared_swing_sum(stat, fc.members[0], BITS, x)
+    swap_process_probe(x, x_alt, *fc.members, stat, constants, [0.1], 500, 1)
+    assert bool(calls) == evaluated

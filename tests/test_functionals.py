@@ -244,13 +244,18 @@ def test_results_do_not_depend_on_the_batch_budget(tmp_path, monkeypatch):
             _run_outputs("deviate_variance", tmp_path / f"{tag}-mc-u", replications=100,
                          oracle={"method": "monte-carlo", "replicas": 1000},
                          law=EIGHT_POINT_LAW, **SMOOTHED_MIN_REPORT),
+            # The count path of the tail's draws and of the sampled swing
+            # (2^25 points), and of the probe on five support points.
+            _run_outputs("tail_mean", tmp_path / f"{tag}-tail", tail_replicas=2000),
+            _run_outputs("probe_variance", tmp_path / f"{tag}-probe", draws=2000),
             rademacher_exact(y).value,
         )
 
     default = outputs("default")
     # One to five rows per batch; one row for the U-statistic (C(12, 2) pairs);
     # one draw per slice and one member per call of the oracle's count form,
-    # one multiset per batch of the U-statistic's.
+    # one multiset per batch of the U-statistic's; one draw of signs per
+    # probe slice and eight points per slice of the sampled swing.
     monkeypatch.setattr(functionals, "BATCH_BYTES", 512)
     assert outputs("small") == default
 
