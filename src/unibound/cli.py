@@ -6,8 +6,9 @@
 
 ``run`` executes the configured pipeline deterministically from the root
 seed and writes ``result.<kind>.json`` plus ``table.csv``; ``--workers``
-affects speed only, never results. ``validate`` reports every schema
-violation without executing anything.
+is accepted and echoed but has no effect, since replications run in one
+thread. ``validate`` reports every schema violation without executing
+anything.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=None, help="override the configured root seed")
     run.add_argument("--out", default=None, help="override the output directory")
     run.add_argument("--workers", type=int, default=None,
-                     help="replication worker count (speed only, never results)")
+                     help="accepted and echoed; no effect (replications run in one thread)")
     run.add_argument("--override-numeric-constants", action="store_true",
                      help="permit numeric-estimate L, M in bound assembly")
 

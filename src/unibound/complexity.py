@@ -173,8 +173,8 @@ def _antithetic_mc(mat: np.ndarray, draws: int, rng, gaussian: bool) -> tuple[fl
     for part in batches(pairs, 8 * (n + mat.shape[0])):    # coefficient and product rows
         shape = (part.stop - part.start, n)
         coeff = standard_normals(rng, shape) if gaussian else rademacher_signs(rng, shape)
-        prod = coeff @ mat.T
-        means[part] = 0.5 * (prod.max(axis=1) - prod.min(axis=1))
+        prod = mat @ coeff.T    # (K, rows): the reductions run along contiguous rows
+        means[part] = 0.5 * (prod.max(axis=0) - prod.min(axis=0))
     return float(means.mean()), mean_stderr(means), 2 * pairs
 
 

@@ -20,19 +20,18 @@ Pieces, in dependency order:
 * bounded-difference tail and swapped-coordinate process probes: direct
   Monte Carlo checks of the sub-Gaussian tail bounds the theory rests on.
 
-The Monte Carlo oracle, the tail (the oracle's draw loop for one member),
-the swing (at a point, at sampled points and over the lattice) and the
-probe (at its mixed points) evaluate Phi through one function, which picks
-counts or rows once: a coordinate-symmetric statistic on a finite space is
-evaluated from support counts where a row of counts costs it no more than
-a row of values, and every other one from the members' images. The exact
-oracle and the replications image rows.
+The exact and Monte Carlo oracles, the tail (the oracle's draw loop for
+one member), the swing (at a point, at sampled points and over the
+lattice) and the probe (at its mixed points) evaluate Phi through one
+function, which picks counts or rows once: a coordinate-symmetric
+statistic on a finite space is evaluated from support counts where a row
+of counts costs it no more than a row of values, and every other one from
+the members' images. Only the replications image rows.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,7 +196,6 @@ def expectation_oracle(
             raise DomainError("exact enumeration needs a finite sample space")
         if points > ENUM_CAP:
             raise ResourceError(f"support^n = {points} exceeds the enumeration cap {ENUM_CAP}")
-        support = fc.support_matrix()          # (K, s)
         weights = law.weight_matrix            # (n, s)
         values = np.zeros(len(fc))
         size = law.space.size
@@ -206,8 +204,11 @@ def expectation_oracle(
             idx = _lattice_indices(part, n, size)
             w = weights[np.arange(n)[None, :], idx]
             w = np.multiply.reduce(w, axis=1)
-            for k in range(len(fc)):
-                values[k] += float(w @ stat(support[k][idx]))
+            # One dot per member column keeps the row path's summation order.
+            for members in batches(len(fc), 8 * len(idx)):    # a member's column of Phi
+                phis = _phis_at(stat, fc.subclass(fc.labels[members]), None, idx)
+                for k, column in enumerate(phis.T, members.start):
+                    values[k] += float(w @ column)
         return ExpectationOracle(EXACT_ENUMERATION, fc.labels, _finite_expectations(values))
     if method != MONTE_CARLO:
         raise DomainError(f"unknown oracle method {method!r}")
@@ -303,13 +304,12 @@ class DeviationReport:
 
 
 def _replicate(law: ProductLaw, fc: FunctionClass, stat: Statistic, replications: int,
-               seed: int, tag: str, average, *, oracle_method: str, oracle_replicas: int,
-               workers: int):
+               seed: int, tag: str, average, *, oracle_method: str, oracle_replicas: int):
     """(oracle, deviations, argmax labels, averages) over the replications.
 
     Replication r samples x on the stream (seed, tag + "/x", r), images the
     class at x once, and hands that image to the uniform deviation and to
-    ``average(image, r)``. Results are identical for any worker count.
+    ``average(image, r)``.
     """
     if replications < MIN_DRAWS:
         raise DomainError(f"replications must be >= {MIN_DRAWS}")
@@ -318,16 +318,10 @@ def _replicate(law: ProductLaw, fc: FunctionClass, stat: Statistic, replications
         replicas=oracle_replicas, seed=stream(seed, f"{tag}/oracle"),
     )
 
-    def one(r: int):
+    rows = []
+    for r in range(replications):
         image = fc.image_matrix(sample(law, stream(seed, f"{tag}/x", r)))
-        dev, label = uniform_deviation(image, fc, stat, oracle)
-        return dev, label, average(image, r)
-
-    if workers <= 1:
-        rows = [one(r) for r in range(replications)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, range(replications)))
+        rows.append((*uniform_deviation(image, fc, stat, oracle), average(image, r)))
     devs, labels, averages = zip(*rows)
     return oracle, np.asarray(devs), labels, np.asarray(averages)
 
@@ -346,7 +340,6 @@ def deviation_experiment(
     oracle_method: str = DEFAULT_ORACLE_METHOD,
     oracle_replicas: int = DEFAULT_ORACLE_REPLICAS,
     allow_numeric_constants: bool = False,
-    workers: int = 1,
 ) -> DeviationReport:
     """Replicate the uniform deviation and check bound coverage.
 
@@ -354,7 +347,7 @@ def deviation_experiment(
     estimates the Gaussian average of the class image at that sample; the
     image average across replications estimates E_X G(F(X)) on the same
     draws the deviations use. Replication r derives its streams from
-    (seed, tag, r), so results are identical for any worker count.
+    (seed, tag, r).
     """
 
     def gaussian(image: np.ndarray, r: int) -> float:
@@ -362,7 +355,7 @@ def deviation_experiment(
 
     oracle, devs, labels, g_vals = _replicate(
         law, fc, stat, replications, seed, "deviation", gaussian,
-        oracle_method=oracle_method, oracle_replicas=oracle_replicas, workers=workers,
+        oracle_method=oracle_method, oracle_replicas=oracle_replicas,
     )
     dev_mean = float(devs.mean())
     dev_stderr = mean_stderr(devs)
@@ -434,7 +427,6 @@ def symmetrization_check_mean(
     *,
     oracle_method: str = DEFAULT_ORACLE_METHOD,
     oracle_replicas: int = DEFAULT_ORACLE_REPLICAS,
-    workers: int = 1,
 ) -> SymmetrizationReport:
     """Check mean deviation <= (2/n) * mean Rademacher average + slack.
 
@@ -452,7 +444,7 @@ def symmetrization_check_mean(
 
     _, devs, _, rads = _replicate(
         law, fc, stat, replications, seed, "symmetrization", rademacher,
-        oracle_method=oracle_method, oracle_replicas=oracle_replicas, workers=workers,
+        oracle_method=oracle_method, oracle_replicas=oracle_replicas,
     )
     dev_mean = float(devs.mean())
     dev_stderr = mean_stderr(devs)

@@ -170,7 +170,6 @@ def _run_deviate(exp: Experiment, stages: _Stages, summary: list[str], constants
             oracle_method=exp.oracle_method,
             oracle_replicas=exp.oracle_replicas,
             allow_numeric_constants=exp.override_numeric_constants,
-            workers=exp.workers,
         ),
     )
     results = {"deviation": report}
@@ -319,7 +318,8 @@ def run_experiment(raw: dict, *, out_dir=None, workers=None, seed=None, override
 
     ``out_dir``, ``workers``, ``seed`` and ``override`` mirror the CLI flags
     and override their configuration counterparts before resolution, so the
-    echoed configuration reproduces the run by itself.
+    echoed configuration reproduces the run by itself; ``workers`` is only
+    echoed and has no effect.
     """
     raw = dict(raw)
     if seed is not None:

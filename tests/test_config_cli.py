@@ -187,12 +187,15 @@ def test_record_round_trips_from_echo(tmp_path):
     assert a == b
 
 
-def test_workers_only_affect_speed(tmp_path):
+def test_results_do_not_depend_on_workers(tmp_path):
     cfg = small_deviate_config(tmp_path / "w1")
     code, _, _ = run_experiment(cfg, workers=1)
     cfg2 = small_deviate_config(tmp_path / "w3")
     code2, _, _ = run_experiment(cfg2, workers=3)
     assert code == code2 == EXIT_OK
+    cfg4 = {**small_deviate_config(tmp_path / "w4"), "workers": 4}
+    assert validate_config(cfg4) == []
+    assert run_experiment(cfg4)[1]["config"]["workers"] == 4
     assert (tmp_path / "w1" / "table.csv").read_bytes() == (tmp_path / "w3" / "table.csv").read_bytes()
 
 

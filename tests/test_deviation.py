@@ -545,18 +545,6 @@ def test_experiment_mean_deviation_shrinks_with_n():
     assert reports[64].dev_mean <= reports[16].dev_mean + slack
 
 
-def test_experiment_workers_do_not_change_results():
-    n = 8
-    stat = sample_variance_statistic(n)
-    fc = random_lookup_class(BITS, 4, 43)
-    args = (bit_law(n), fc, stat, closed_form_constants(stat), 1.0, 0.1, 100, 17)
-    seq = deviation_experiment(*args, gaussian_draws=200, workers=1)
-    par = deviation_experiment(*args, gaussian_draws=200, workers=4)
-    assert np.array_equal(seq.dev_samples, par.dev_samples)
-    assert np.array_equal(seq.image_g_samples, par.image_g_samples)
-    assert seq.bound == par.bound and seq.c_hat == par.c_hat
-
-
 def test_experiment_replication_floor():
     stat = mean_statistic(4)
     fc = random_lookup_class(BITS, 2, 5)
@@ -843,6 +831,9 @@ def test_tail_swing_and_probe_counts_match_rows(name, support):
     rows = _rows_only(stat)
     assert deviation._counted(space, stat) and not deviation._counted(space, rows)
 
+    oracles = [expectation_oracle(law, fc, s, "exact") for s in (stat, rows)]
+    np.testing.assert_allclose(oracles[0].values, oracles[1].values, **TOL)
+
     single = fc.subclass([fc.labels[0]])
     excess = [next(deviation._phis_of_draws(law, single, s, 2000, stream(3, "tail/x")))
               for s in (stat, rows)]
@@ -884,8 +875,8 @@ def test_sampled_swing_counts_match_rows(name, support):
 
 def test_row_path_keeps_its_values():
     # An interval space and class separation have no count form. These
-    # values are those of the row-by-row probe and tail before the count
-    # path existed.
+    # values are those of the row-by-row probe, tail and exact oracle before
+    # the count path existed.
     n = 8
     law = iid_law(beta_family(2.0, 3.0), n)
     stat = sample_variance_statistic(n)
@@ -902,6 +893,25 @@ def test_row_path_keeps_its_values():
                                    20_000, 9)
     assert repr(tail.expected_value) == "0.002680297821321805"
     assert [repr(float(v)) for v in tail.empirical] == ["0.46915", "0.04475", "0.0", "0.0"]
+    oracle = expectation_oracle(five_point_law(n, 3), random_lookup_class(FIVE_POINTS, 2, 8),
+                                stat, "exact")
+    assert [repr(float(v)) for v in oracle.values] == [
+        "-0.009276185473620911", "0.002680297821321824"]
+
+
+@pytest.mark.parametrize("name", ["variance", "class-separation"])
+def test_exact_oracle_member_batches_match_single_members(monkeypatch, name):
+    # A budget this small splits both the lattice and the 40 members into
+    # batches; each member's value must not depend on its batch.
+    monkeypatch.setattr(functionals, "BATCH_BYTES", 2048)
+    n = 8
+    law = bit_mixed_law(n)
+    fc = random_lookup_class(BITS, 40, 12)
+    stat = STATISTICS[name](n)
+    whole = expectation_oracle(law, fc, stat, "exact").values
+    alone = [expectation_oracle(law, fc.subclass([lab]), stat, "exact").values[0]
+             for lab in fc.labels]
+    np.testing.assert_allclose(whole, alone, **TOL)
 
 
 def _counting_evaluate(stat, calls):
@@ -924,6 +934,7 @@ def test_tail_swing_and_probe_evaluate_rows_only_without_counts(name, evaluated)
     stat = _counting_evaluate(STATISTICS[name](n), calls)
     constants = ConstantsReport(1.0, 1.0, "closed-form")
     x, x_alt = sample(law, stream(1, "x")), sample(law, stream(1, "x-alt"))
+    expectation_oracle(law, fc, stat, "exact")
     bounded_difference_tail(law, stat, fc.members[0], [0.1], 500, 1, oracle_method="monte-carlo")
     squared_swing_sum(stat, fc.members[0], BITS, x)
     swap_process_probe(x, x_alt, *fc.members, stat, constants, [0.1], 500, 1)
