@@ -16,16 +16,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import load_config
+from .config import load_config, validate_config
 from .errors import ConfigError, DomainError, OverrideRequiredError, ResourceError, UniboundError
-from .runner import (
-    EXIT_CONFIG,
-    EXIT_IO,
-    EXIT_OK,
-    EXIT_RESOURCE,
-    run_experiment,
-    validate_file,
-)
+from .runner import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_RESOURCE, run_experiment
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -48,24 +41,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "validate":
-        try:
-            violations = validate_file(args.config)
-        except OSError as exc:
-            print(f"i/o error: {exc}", file=sys.stderr)
-            return EXIT_IO
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        if violations:
-            for v in violations:
-                print(f"violation: {v}")
-            return EXIT_CONFIG
-        print("valid")
-        return EXIT_OK
-
     try:
         raw = load_config(args.config)
+        if args.command == "validate":
+            violations = validate_config(raw)
+            for v in violations:
+                print(f"violation: {v}")
+            if violations:
+                return EXIT_CONFIG
+            print("valid")
+            return EXIT_OK
         code, _, summary = run_experiment(
             raw,
             out_dir=args.out,

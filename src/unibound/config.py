@@ -60,7 +60,10 @@ _FIXED_ORDER = {k.name: k.order for k in (
 
 def load_config(path) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
-        raw = yaml.safe_load(handle)
+        try:
+            raw = yaml.safe_load(handle)
+        except (yaml.YAMLError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"unparseable configuration: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("configuration must be a key-value document")
     return raw

@@ -204,11 +204,12 @@ def expectation_oracle(
             idx = _lattice_indices(part, n, size)
             w = weights[np.arange(n)[None, :], idx]
             w = np.multiply.reduce(w, axis=1)
-            # One dot per member column keeps the row path's summation order.
-            for members in batches(len(fc), 8 * len(idx)):    # a member's column of Phi
+            # A member costs its column of Phi and that column weighted. Each
+            # member sums its own contiguous row in numpy, not in a BLAS dot,
+            # so its value depends neither on its batch nor on BLAS threads.
+            for members in batches(len(fc), 2 * 8 * len(idx)):
                 phis = _phis_at(stat, fc.subclass(fc.labels[members]), None, idx)
-                for k, column in enumerate(phis.T, members.start):
-                    values[k] += float(w @ column)
+                values[members] += np.sum(w * phis.T, axis=1)
         return ExpectationOracle(EXACT_ENUMERATION, fc.labels, _finite_expectations(values))
     if method != MONTE_CARLO:
         raise DomainError(f"unknown oracle method {method!r}")

@@ -25,14 +25,13 @@ from pathlib import Path
 
 import numpy as np
 import scipy
-import yaml
 
 from . import __version__
 # gaussian_mc and rademacher_exact stay importable here: perfbench traces each
 # layer through the names the runner imports, though comparison_report now
 # makes those calls.
 from .complexity import EXACT, comparison_report, gaussian_mc, rademacher_exact, rademacher_mc
-from .config import Experiment, load_config, resolve, validate_config
+from .config import Experiment, resolve
 from .derivative_bounds import (
     CLOSED_FORM,
     DERIVED_BOUND,
@@ -46,7 +45,6 @@ from .deviation import (
     swap_process_probe,
     squared_swing_sum,
 )
-from .errors import ConfigError
 from .rng import stream
 from .spaces import sample
 
@@ -357,16 +355,3 @@ def run_experiment(raw: dict, *, out_dir=None, workers=None, seed=None, override
     _write_table(out_path / "table.csv", header, rows)
     summary.append(f"results written to {out_path}")
     return (EXIT_OK if ok else EXIT_INVARIANT), record, summary
-
-
-def validate_file(path) -> list[str]:
-    """Schema verdict for a configuration file.
-
-    OSError propagates for unreadable files; unparseable YAML becomes a
-    ConfigError.
-    """
-    try:
-        raw = load_config(path)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"unparseable configuration: {exc}") from exc
-    return validate_config(raw)

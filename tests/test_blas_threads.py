@@ -1,0 +1,64 @@
+"""Results do not depend on how many threads BLAS may use.
+
+Each test runs the same computation in two fresh processes, one with one
+BLAS thread and one with two, and compares what they print or write. A
+BLAS dot or matrix product on a reported value can sum in a different
+order per thread count, and would show here as a difference in the last
+digits.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+EXACT_ORACLE = """
+from unibound.classes import random_lookup_class, separation_labels
+from unibound.deviation import expectation_oracle
+from unibound.functionals import class_separation_statistic, sample_variance_statistic
+from unibound.spaces import finite_space, iid_law, uniform_on
+
+bits = finite_space([("0", 0.0), ("1", 1.0)])
+n = 16
+law = iid_law(uniform_on(bits), n)
+for stat in (sample_variance_statistic(n), class_separation_statistic(n, separation_labels([8, 8]))):
+    for seed in range(4):
+        oracle = expectation_oracle(law, random_lookup_class(bits, 2, seed), stat, "exact")
+        print([repr(float(v)) for v in oracle.values])
+"""
+
+
+def _run(args, threads):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[name] = str(threads)
+    done = subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_exact_oracle_does_not_depend_on_blas_threads():
+    one, two = (_run(["-c", EXACT_ORACLE], threads) for threads in (1, 2))
+    assert one == two
+
+
+def _record(out):
+    record = json.loads((out / "result.full-report.json").read_text(encoding="utf-8"))
+    del record["wall_clock"], record["config"]["out"]
+    return json.dumps(record, sort_keys=True)
+
+
+def test_full_report_does_not_depend_on_blas_threads(tmp_path):
+    # full_report.yaml runs every stage: constants, complexity, deviations,
+    # swing, tail and probes.
+    outs = [tmp_path / f"threads-{threads}" for threads in (1, 2)]
+    for threads, out in zip((1, 2), outs):
+        _run(["-m", "unibound.cli", "run", str(ROOT / "configs" / "full_report.yaml"),
+              "--out", str(out)], threads)
+    assert _record(outs[0]) == _record(outs[1])
+    assert (outs[0] / "table.csv").read_bytes() == (outs[1] / "table.csv").read_bytes()

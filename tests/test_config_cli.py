@@ -345,8 +345,26 @@ def test_cli_validate_reports_violations(tmp_path, capsys):
     assert "delta" in capsys.readouterr().out
 
 
-def test_cli_validate_unreadable_file(tmp_path):
-    assert main(["validate", str(tmp_path / "missing.yaml")]) == EXIT_IO
+# A file's bytes, None for no file, with the exit code and stderr text that
+# both commands give it.
+BAD_FILES = {
+    "missing": (None, EXIT_IO, "i/o error: "),
+    "unparseable": (b"kind: [deviate\n", EXIT_CONFIG, "config error: unparseable configuration: "),
+    "not-utf-8": (b"\xffkind: deviate\n", EXIT_CONFIG, "config error: unparseable configuration: "),
+    "list": (b"- kind\n- seed\n", EXIT_CONFIG, "config error: configuration must be a key-value"),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_FILES)
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_cli_refuses_bad_files(tmp_path, capsys, command, bad):
+    content, code, message = BAD_FILES[bad]
+    path = tmp_path / "cfg.yaml"
+    if content is not None:
+        path.write_bytes(content)
+    assert main([command, str(path)]) == code
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(message)
 
 
 def test_cli_run_and_rerun_byte_identical(tmp_path, capsys):
@@ -369,7 +387,3 @@ def test_cli_run_numeric_without_override_refused(tmp_path, capsys):
     assert main(["run", str(path)]) == EXIT_CONFIG
     assert main(["run", str(path), "--override-numeric-constants"]) == EXIT_OK
     capsys.readouterr()
-
-
-def test_cli_run_missing_config(tmp_path):
-    assert main(["run", str(tmp_path / "nope.yaml")]) == EXIT_IO
