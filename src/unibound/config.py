@@ -5,11 +5,13 @@ states every key of the schema once: what it accepts, its default, and the
 sample spaces, statistics, kernels, families or member types it applies
 to. Checking walks a document against the table in one pass and yields its
 normalised values, every default filled in; ``resolve`` builds the
-experiment from those values. Validation is strict: unknown keys anywhere
-in the tree are rejected, every violation is reported with its path, and
-statically decidable runtime refusals (enumeration caps, numeric constants
-without the override flag) are flagged here too, so that ``validate``
-accepts exactly the configurations ``run`` accepts.
+experiment from those values. ``KINDS`` states the stages each kind runs
+and ``STAGES`` the keys each stage needs; the runner executes the stages
+that ``resolve`` derives from them. Validation is strict: unknown keys
+anywhere in the tree are rejected, every violation is reported with its
+path, and statically decidable runtime refusals (enumeration caps, numeric
+constants without the override flag) are flagged here too, so that
+``validate`` accepts exactly the configurations ``run`` accepts.
 """
 
 from __future__ import annotations
@@ -98,9 +100,25 @@ _MAPPING = of_type(dict, "must be a mapping")
 _POSITIVE_INT = at_least(1, "must be a positive integer")
 _UNIT = number("must lie in [0, 1]", lambda v: 0.0 <= v <= 1.0)
 
+# The stages of each kind: those it always runs, then those it runs only
+# when the configuration gives their keys, in the order they run.
+KINDS = {
+    "complexity": (("complexity",), ()),
+    "constants": (("constants",), ()),
+    "deviate": (("deviation",), ()),
+    "tail": (("tail",), ()),
+    "probe": (("probe",), ()),
+    "full-report": (("constants", "complexity", "deviation"), ("tail", "probe")),
+}
+# The keys each stage needs.
+STAGES = {
+    "constants": (), "complexity": (), "deviation": ("delta", "replications"),
+    "tail": ("t_grid",), "probe": ("s_grid",),
+}
+
 ON_FINITE, ON_INTERVAL = (sp.FINITE,), (sp.INTERVAL,)
 FIELDS = (
-    Field("kind", choice(("complexity", "constants", "deviate", "tail", "probe", "full-report"))),
+    Field("kind", choice(KINDS)),
     Field("seed", at_least(0, "must be a nonnegative integer"), REQUIRED),
     Field("n", at_least(2)),
     Field("law", _MAPPING, REQUIRED),
@@ -267,21 +285,23 @@ def _cross_check(v: dict, raw: dict, out: list) -> None:
     if v["member"] is not None and member_labels and v["member"] not in member_labels:
         out.append(f"member: unknown label {v['member']!r}; class members: {member_labels}")
 
-    kind = v["kind"]
-    needs = {"deviate": ("delta", "replications"), "full-report": ("delta", "replications"),
-             "tail": ("t_grid",), "probe": ("s_grid",)}.get(kind, ())
-    out.extend(f"{key}: required for kind {kind}" for key in needs if key not in raw)
-    if "delta" in needs and route == db.NUMERIC and not raw.get("override_numeric_constants"):
+    kind, stages = v["kind"], _stages(v)
+    out.extend(f"{key}: required for kind {kind}"
+               for stage in KINDS.get(kind, ((), ()))[0] for key in STAGES[stage] if key not in raw)
+    # The deviation stage assembles the bound.
+    if "deviation" in stages and route == db.NUMERIC and not raw.get("override_numeric_constants"):
         out.append("constants.route: numeric constants are lower bounds; bound assembly "
                    "refuses them unless override_numeric_constants is true")
-    # A full report runs the tail and the probe stages when given their grids.
-    full = kind == "full-report"
-    tail = kind == "tail" or (full and v["t_grid"] is not None)
-    probe = kind == "probe" or (full and v["s_grid"] is not None)
-    if probe and member_labels and len(member_labels) < 2:
+    if "probe" in stages and member_labels and len(member_labels) < 2:
         out.append("class: the probe needs at least two members")
-    if tail and space_kind == sp.INTERVAL:
+    if "tail" in stages and space_kind == sp.INTERVAL:
         out.append("law.space.kind: the tail experiment needs a finite sample space (swing sums)")
+
+
+def _stages(v: dict) -> tuple[str, ...]:
+    """The stages a configuration's kind runs, given its normalised values."""
+    always, if_given = KINDS.get(v["kind"], ((), ()))
+    return always + tuple(s for s in if_given if all(v[key] is not None for key in STAGES[s]))
 
 
 def _parse(raw) -> tuple[list[str], dict | None]:
@@ -310,6 +330,7 @@ class Experiment:
     """
 
     kind: str
+    stages: tuple[str, ...]   # from KINDS; derived, neither a key nor echoed
     seed: int
     n: int
     law: sp.ProductLaw
@@ -365,6 +386,7 @@ def resolve(raw: dict) -> Experiment:
     violations, settings = _parse(raw)
     if violations:
         raise ConfigError("; ".join(violations))
+    settings["stages"] = _stages(settings)
     n, seed, spec = settings.pop("n"), settings.pop("seed"), settings.pop("statistic")
     settings.pop("workers")    # echoed only; replications run in one thread
     law = _build_law(settings.pop("law"), n)

@@ -364,8 +364,11 @@ def u_statistic(n: int, kernel: Kernel) -> Statistic:
         tuple_weights = chains[m].ravel()
         grid = np.indices((size,) * m).reshape(m, -1).T    # (tuples, m) support indices
         out = np.empty(support.shape[0])
-        for part in batches(support.shape[0], tuples * m * 8):
-            out[part] = kernel.fn(support[part][:, grid]) @ tuple_weights
+        # A numpy sum, not a BLAS gemv, so the value does not depend on the
+        # BLAS thread count; a row holds the gather, the kernel values and
+        # their weighted terms.
+        for part in batches(support.shape[0], tuples * (m + 2) * 8):
+            out[part] = np.sum(kernel.fn(support[part][:, grid]) * tuple_weights, axis=1)
         return out / count
 
     # binomials[a][c] = C(c, a): the m-subsets of a point that take a given

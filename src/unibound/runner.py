@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import json
 import platform
 import time
@@ -31,7 +32,7 @@ from . import __version__
 # layer through the names the runner imports, though comparison_report now
 # makes those calls.
 from .complexity import EXACT, comparison_report, gaussian_mc, rademacher_exact, rademacher_mc
-from .config import Experiment, resolve
+from .config import KINDS, Experiment, resolve
 from .derivative_bounds import (
     CLOSED_FORM,
     DERIVED_BOUND,
@@ -85,40 +86,42 @@ def _write_table(path: Path, header: list[str], rows: list[tuple]) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-class _Stages:
-    def __init__(self):
-        self.seconds: dict[str, float] = {}
+class _Run:
+    """One run's state: the experiment, the seconds per timed step, the
+    summary lines, and (L, M), computed once on first use."""
 
-    def run(self, name, fn):
+    def __init__(self, exp: Experiment):
+        self.exp = exp
+        self.seconds: dict[str, float] = {}
+        self.summary = [f"unibound {__version__}  kind={exp.kind}  seed={exp.seed}  n={exp.n}"]
+
+    def timed(self, name, fn, *args, **kwargs):
         start = time.perf_counter()
-        result = fn()
+        result = fn(*args, **kwargs)
         self.seconds[name] = time.perf_counter() - start
         return result
 
-
-def _constants(exp: Experiment, stages: _Stages):
-    """(L, M) along the configured route, timed as the ``constants`` stage;
-    a run computes them once."""
-    def compute():
+    @functools.cached_property
+    def constants(self):
+        """(L, M) along the configured route, timed as ``constants``."""
+        exp = self.exp
         if exp.constants_route == CLOSED_FORM:
-            return closed_form_constants(exp.stat)
+            return self.timed("constants", closed_form_constants, exp.stat)
         if exp.constants_route == DERIVED_BOUND:
-            return u_statistic_constant_bounds(exp.n, exp.kernel)
-        return estimate_constants_numeric(
-            exp.stat, exp.constants_probes, exp.constants_fd_step, stream(exp.seed, "constants")
-        )
-
-    return stages.run("constants", compute)
+            return self.timed("constants", u_statistic_constant_bounds, exp.n, exp.kernel)
+        return self.timed("constants", estimate_constants_numeric, exp.stat, exp.constants_probes,
+                          exp.constants_fd_step, stream(exp.seed, "constants"))
 
 
-def _run_complexity(exp: Experiment, stages: _Stages, summary: list[str]):
+# Each stage takes the run and returns (results, (header, rows), ok).
+
+def _run_complexity(run: _Run):
     """R and G of one sample's class image; the comparison estimates each
     once, and a Monte Carlo R is drawn on its own only when its R is exact."""
+    exp, summary = run.exp, run.summary
     x = sample(exp.law, stream(exp.seed, "complexity/x"))
     image = exp.fc.image_matrix(x)
-    comparison = stages.run(
-        "comparison", lambda: comparison_report(image, exp.draws, exp.seed)
-    )
+    comparison = run.timed("comparison", comparison_report, image, exp.draws, exp.seed)
     gauss = comparison.gaussian
     results: dict = {"gaussian_mc": gauss, "comparison": comparison}
     rows: list[tuple] = []
@@ -128,24 +131,21 @@ def _run_complexity(exp: Experiment, stages: _Stages, summary: list[str]):
         results["rademacher_exact"] = mc
         rows.append(("rademacher", "exact", mc.value, "", ""))
         summary.append(f"rademacher exact           {mc.value!r}")
-        mc = stages.run(
-            "rademacher-mc",
-            lambda: rademacher_mc(image, exp.draws, stream(exp.seed, "complexity/r")),
-        )
+        mc = run.timed("rademacher-mc", rademacher_mc, image, exp.draws,
+                       stream(exp.seed, "complexity/r"))
     results["rademacher_mc"] = mc
     rows.append(("rademacher", "monte-carlo", mc.value, mc.draws, mc.stderr))
     rows.append(("gaussian", "monte-carlo", gauss.value, gauss.draws, gauss.stderr))
     summary.append(f"rademacher monte-carlo     {mc.value!r} (stderr {mc.stderr!r})")
     summary.append(f"gaussian monte-carlo       {gauss.value!r} (stderr {gauss.stderr!r})")
     summary.append(f"comparison inequalities    {'ok' if comparison.ok else 'VIOLATED'}")
-    ok = comparison.ok
-    return results, header, rows, ok
+    return results, (header, rows), comparison.ok
 
 
-def _run_constants(exp: Experiment, stages: _Stages, summary: list[str], report):
-    results = {"constants": report}
-    summary.append(f"L ({report.method})         {report.lipschitz!r}")
-    summary.append(f"M ({report.method})         {report.mixed!r}")
+def _run_constants(run: _Run):
+    exp, report = run.exp, run.constants
+    run.summary.append(f"L ({report.method})         {report.lipschitz!r}")
+    run.summary.append(f"M ({report.method})         {report.mixed!r}")
     if report.detail is not None:
         header = ["coordinate", "grad_sup", "mixed_rowsq"]
         rows = [
@@ -155,22 +155,19 @@ def _run_constants(exp: Experiment, stages: _Stages, summary: list[str], report)
     else:
         header = ["lipschitz", "mixed", "method"]
         rows = [(report.lipschitz, report.mixed, report.method)]
-    return results, header, rows, True
+    return {"constants": report}, (header, rows), True
 
 
-def _run_deviate(exp: Experiment, stages: _Stages, summary: list[str], constants):
-    report = stages.run(
-        "deviation-experiment",
-        lambda: deviation_experiment(
-            exp.law, exp.fc, exp.stat, constants, exp.c, exp.delta,
-            exp.replications, exp.seed,
-            gaussian_draws=exp.gaussian_draws,
-            oracle_method=exp.oracle_method,
-            oracle_replicas=exp.oracle_replicas,
-            allow_numeric_constants=exp.override_numeric_constants,
-        ),
+def _run_deviation(run: _Run):
+    exp, summary, constants = run.exp, run.summary, run.constants
+    report = run.timed(
+        "deviation-experiment", deviation_experiment,
+        exp.law, exp.fc, exp.stat, constants, exp.c, exp.delta, exp.replications, exp.seed,
+        gaussian_draws=exp.gaussian_draws,
+        oracle_method=exp.oracle_method,
+        oracle_replicas=exp.oracle_replicas,
+        allow_numeric_constants=exp.override_numeric_constants,
     )
-    results = {"deviation": report}
     header = ["replication", "deviation", "argmax", "image_gaussian", "exceeds_bound"]
     rows = [
         (r, report.dev_samples[r], report.argmax_labels[r], report.image_g_samples[r],
@@ -188,31 +185,19 @@ def _run_deviate(exp: Experiment, stages: _Stages, summary: list[str], constants
         f"coverage at delta={exp.delta}    rate {report.violation_rate!r} "
         f"(allowance {report.violation_allowance!r}) -> {'ok' if report.coverage_ok else 'VIOLATED'}"
     )
-    return results, header, rows, report.coverage_ok
+    return {"deviation": report}, (header, rows), report.coverage_ok
 
 
-def _tail_member(exp: Experiment):
-    if exp.member is None:
-        return exp.fc.members[0]
-    return exp.fc.subclass([exp.member]).members[0]
-
-
-def _run_tail(exp: Experiment, stages: _Stages, summary: list[str]):
-    member = _tail_member(exp)
-    swing = stages.run(
-        "swing", lambda: squared_swing_sum(
-            exp.stat, member, exp.law.space, seed=stream(exp.seed, "tail/swing")
-        )
+def _run_tail(run: _Run):
+    exp, summary = run.exp, run.summary
+    member = exp.fc.members[0 if exp.member is None else exp.fc.labels.index(exp.member)]
+    swing = run.timed("swing", squared_swing_sum, exp.stat, member, exp.law.space,
+                      seed=stream(exp.seed, "tail/swing"))
+    report = run.timed(
+        "tail-simulation", bounded_difference_tail,
+        exp.law, exp.stat, member, exp.t_grid, exp.tail_replicas, exp.seed,
+        oracle_method=exp.oracle_method, oracle_replicas=exp.oracle_replicas, swing=swing,
     )
-    report = stages.run(
-        "tail-simulation",
-        lambda: bounded_difference_tail(
-            exp.law, exp.stat, member, exp.t_grid, exp.tail_replicas, exp.seed,
-            oracle_method=exp.oracle_method, oracle_replicas=exp.oracle_replicas,
-            swing=swing,
-        ),
-    )
-    results = {"tail": report}
     header = ["t", "empirical", "bound", "stderr", "violation"]
     rows = [
         (report.t_grid[i], report.empirical[i], report.bound[i], report.stderr[i],
@@ -226,10 +211,11 @@ def _run_tail(exp: Experiment, stages: _Stages, summary: list[str]):
         f"({'exact' if report.swing_is_exact else 'sampled lower bound'})"
     )
     summary.append(f"tail violations            {int(report.violations.sum())} -> {'ok' if report.ok else 'VIOLATED'}")
-    return results, header, rows, report.ok
+    return {"tail": report}, (header, rows), report.ok
 
 
-def _run_probe(exp: Experiment, stages: _Stages, summary: list[str], constants):
+def _run_probe(run: _Run):
+    exp, summary, constants = run.exp, run.summary, run.constants
     x = sample(exp.law, stream(exp.seed, "probe/x", 0))
     x_alt = sample(exp.law, stream(exp.seed, "probe/x", 1))
     rng = stream(exp.seed, "probe/pairs")
@@ -248,8 +234,7 @@ def _run_probe(exp: Experiment, stages: _Stages, summary: list[str], constants):
             )
         return out
 
-    probes = stages.run("probes", run_probes)
-    results = {"probes": probes}
+    probes = run.timed("probes", run_probes)
     header = ["pair", "f", "g", "distance", "s", "empirical", "bound", "stderr", "violation"]
     rows = []
     ok = True
@@ -265,49 +250,17 @@ def _run_probe(exp: Experiment, stages: _Stages, summary: list[str], constants):
             f"violations {int(probe.violations.sum())}  zero-mean {'ok' if probe.zero_mean_ok else 'VIOLATED'}"
         )
     summary.append(f"process probes             {'ok' if ok else 'VIOLATED'}")
-    return results, header, rows, ok
+    return {"probes": probes}, (header, rows), ok
 
 
-def _run_full_report(exp: Experiment, stages: _Stages, summary: list[str]):
-    constants = _constants(exp, stages)
-    results: dict = {}
-    ok = True
-    summary.append("[constants]")
-    const_results, _, _, _ = _run_constants(exp, stages, summary, constants)
-    results.update(const_results)
-    summary.append("[complexity]")
-    comp_results, _, _, comp_ok = _run_complexity(exp, stages, summary)
-    results.update(comp_results)
-    ok = ok and comp_ok
-    summary.append("[deviation]")
-    dev_results, header, rows, dev_ok = _run_deviate(exp, stages, summary, constants)
-    results.update(dev_results)
-    ok = ok and dev_ok
-    if exp.t_grid is not None:
-        summary.append("[tail]")
-        tail_results, _, _, tail_ok = _run_tail(exp, stages, summary)
-        results.update(tail_results)
-        ok = ok and tail_ok
-    if exp.s_grid is not None:
-        summary.append("[process probe]")
-        probe_results, _, _, probe_ok = _run_probe(exp, stages, summary, constants)
-        results.update(probe_results)
-        ok = ok and probe_ok
-    return results, header, rows, ok
-
-
-def _with_constants(run):
-    """``run`` as a runner of its own kind: the constants stage comes first."""
-    return lambda exp, stages, summary: run(exp, stages, summary, _constants(exp, stages))
-
-
-_RUNNERS = {
-    "complexity": _run_complexity,
-    "constants": _with_constants(_run_constants),
-    "deviate": _with_constants(_run_deviate),
-    "tail": _run_tail,
-    "probe": _with_constants(_run_probe),
-    "full-report": _run_full_report,
+# Each stage of ``config.STAGES``: its heading in a run of several stages,
+# and its function.
+_STAGES = {
+    "constants": ("constants", _run_constants),
+    "complexity": ("complexity", _run_complexity),
+    "deviation": ("deviation", _run_deviation),
+    "tail": ("tail", _run_tail),
+    "probe": ("process probe", _run_probe),
 }
 
 
@@ -330,9 +283,19 @@ def run_experiment(raw: dict, *, out_dir=None, workers=None, seed=None, override
         raw["override_numeric_constants"] = True
     exp = resolve(raw)
 
-    stages = _Stages()
-    summary: list[str] = [f"unibound {__version__}  kind={exp.kind}  seed={exp.seed}  n={exp.n}"]
-    results, header, rows, ok = _RUNNERS[exp.kind](exp, stages, summary)
+    run = _Run(exp)
+    results: dict = {}
+    tables = {}
+    ok = True
+    for stage in exp.stages:
+        heading, execute = _STAGES[stage]
+        if len(exp.stages) > 1:
+            run.summary.append(f"[{heading}]")
+        stage_results, tables[stage], stage_ok = execute(run)
+        results.update(stage_results)
+        ok = ok and stage_ok
+    # A run writes the table of the last stage its kind always runs.
+    header, rows = tables[KINDS[exp.kind][0][-1]]
 
     record = {
         "artifact_version": __version__,
@@ -345,7 +308,7 @@ def run_experiment(raw: dict, *, out_dir=None, workers=None, seed=None, override
         "kind": exp.kind,
         "config": exp.echo,
         "results": _jsonable(results),
-        "wall_clock": stages.seconds,
+        "wall_clock": run.seconds,
     }
     out_path = Path(exp.out)
     out_path.mkdir(parents=True, exist_ok=True)
@@ -353,5 +316,5 @@ def run_experiment(raw: dict, *, out_dir=None, workers=None, seed=None, override
         json.dump(record, handle, indent=2, sort_keys=True)
         handle.write("\n")
     _write_table(out_path / "table.csv", header, rows)
-    summary.append(f"results written to {out_path}")
-    return (EXIT_OK if ok else EXIT_INVARIANT), record, summary
+    run.summary.append(f"results written to {out_path}")
+    return (EXIT_OK if ok else EXIT_INVARIANT), record, run.summary

@@ -4,6 +4,7 @@ Run with ``pytest -v -s tests/test_acceptance.py`` to see the PASS/FAIL line
 per criterion on the terminal.
 """
 
+import json
 import math
 import time
 from pathlib import Path
@@ -222,6 +223,15 @@ def test_criterion_10_process_probe():
     verdict(10, ok, "; ".join(details))
 
 
+def _record_without_run_details(out_dir):
+    """The run record, serialised, without its timings and the echoed run
+    location and worker count, which differ between reruns."""
+    (path,) = out_dir.glob("result.*.json")
+    record = json.loads(path.read_text(encoding="utf-8"))
+    del record["wall_clock"], record["config"]["out"], record["config"]["workers"]
+    return json.dumps(record, sort_keys=True)
+
+
 def test_criterion_11_determinism_of_shipped_configs(tmp_path):
     mismatches = []
     for config in sorted(CONFIG_DIR.glob("*.yaml")):
@@ -230,8 +240,10 @@ def test_criterion_11_determinism_of_shipped_configs(tmp_path):
         code_a = cli_main(["run", str(config), "--out", str(out_a), "--workers", "1"])
         code_b = cli_main(["run", str(config), "--out", str(out_b), "--workers", "3"])
         same = (out_a / "table.csv").read_bytes() == (out_b / "table.csv").read_bytes()
+        same = same and _record_without_run_details(out_a) == _record_without_run_details(out_b)
         if not (same and code_a == code_b == 0):
             mismatches.append(config.name)
     verdict(11, not mismatches,
-            f"{7 - len(mismatches)}/7 shipped configs byte-identical across reruns and worker counts"
+            f"{7 - len(mismatches)}/7 shipped configs give identical records and byte-identical "
+            "tables across reruns and worker counts"
             + (f"; mismatches: {mismatches}" if mismatches else ""))

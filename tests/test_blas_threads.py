@@ -30,6 +30,21 @@ for stat in (sample_variance_statistic(n), class_separation_statistic(n, separat
         print([repr(float(v)) for v in oracle.values])
 """
 
+# The analytic U-statistic oracle sums a member's kernel values over its
+# support^m tuples, here 1e6 of them.
+U_STATISTIC_ORACLE = """
+from unibound.classes import random_lookup_class
+from unibound.deviation import expectation_oracle
+from unibound.functionals import smoothed_min_kernel, u_statistic
+from unibound.spaces import finite_space, iid_law, uniform_on
+
+points = finite_space([(str(j), j / 999) for j in range(1000)])
+n = 6
+oracle = expectation_oracle(iid_law(uniform_on(points), n), random_lookup_class(points, 3, 5),
+                            u_statistic(n, smoothed_min_kernel()), "auto")
+print(oracle.method, [repr(float(v)) for v in oracle.values])
+"""
+
 
 def _run(args, threads):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -42,9 +57,17 @@ def _run(args, threads):
     return done.stdout
 
 
-def test_exact_oracle_does_not_depend_on_blas_threads():
-    one, two = (_run(["-c", EXACT_ORACLE], threads) for threads in (1, 2))
+def _same_output_at_one_and_two_threads(script):
+    one, two = (_run(["-c", script], threads) for threads in (1, 2))
     assert one == two
+
+
+def test_exact_oracle_does_not_depend_on_blas_threads():
+    _same_output_at_one_and_two_threads(EXACT_ORACLE)
+
+
+def test_u_statistic_oracle_does_not_depend_on_blas_threads():
+    _same_output_at_one_and_two_threads(U_STATISTIC_ORACLE)
 
 
 def _record(out):

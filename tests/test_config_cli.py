@@ -9,7 +9,7 @@ import yaml
 
 from unibound import complexity, runner
 from unibound.cli import main
-from unibound.config import resolve, validate_config
+from unibound.config import KINDS, STAGES, resolve, validate_config
 from unibound.errors import ConfigError
 from unibound.runner import EXIT_CONFIG, EXIT_IO, EXIT_OK, run_experiment
 
@@ -218,6 +218,30 @@ def test_numeric_constants_refused_then_overridden(tmp_path):
     assert record["results"]["deviation"]["constants"]["method"] == "numeric-estimate"
 
 
+def test_one_member_class_has_no_c_hat(tmp_path):
+    # One member's image has G = 0, so (L + M) E G is 0 and a nonzero mean
+    # deviation gives no ratio.
+    cfg = small_deviate_config(tmp_path)
+    cfg["class"] = {"random_lookup": {"count": 1}}
+    _, record, summary = run_experiment(cfg)
+    deviation = record["results"]["deviation"]
+    assert deviation["image_g"]["value"] == 0.0 and deviation["dev_mean"] != 0.0
+    assert deviation["c_hat"] is None and deviation["c_hat_rel_stderr"] is None
+    assert "empirical constant c_hat   None" in summary
+
+
+def test_constant_member_has_zero_c_hat(tmp_path):
+    # A constant member's mean never deviates: 0 / 0 reads as c_hat = 0.
+    cfg = small_deviate_config(tmp_path)
+    cfg["class"] = {"members": [{"type": "constant", "label": "half", "value": 0.5}]}
+    cfg["statistic"] = {"name": "mean"}
+    _, record, summary = run_experiment(cfg)
+    deviation = record["results"]["deviation"]
+    assert deviation["image_g"]["value"] == 0.0 and deviation["dev_mean"] == 0.0
+    assert deviation["c_hat"] == 0.0
+    assert "empirical constant c_hat   0.0" in summary
+
+
 def test_full_report_computes_each_quantity_once(tmp_path, monkeypatch):
     calls = {"constants": 0, "rademacher_exact": 0}
 
@@ -282,6 +306,27 @@ def test_full_report_refuses_probe_on_one_member(tmp_path):
 def test_full_report_runs_every_requested_stage(tmp_path):
     _, record, _ = run_experiment(full_report_config(tmp_path))
     assert {"tail", "probes"} <= set(record["results"])
+
+
+def test_every_kind_runs_stages_the_runner_knows():
+    assert set(runner._STAGES) == set(STAGES)
+    for always, if_given in KINDS.values():
+        assert always and set(always + if_given) <= set(STAGES)
+
+
+def test_full_report_without_grids_skips_tail_and_probe(tmp_path):
+    cfg = full_report_config(tmp_path)
+    del cfg["t_grid"], cfg["s_grid"]
+    exp = resolve(cfg)
+    assert exp.stages == ("constants", "complexity", "deviation")
+    assert "stages" not in exp.echo
+    _, record, summary = run_experiment(cfg)
+    assert set(record["results"]) == {"constants", "gaussian_mc", "comparison",
+                                      "rademacher_exact", "rademacher_mc", "deviation"}
+    assert [line for line in summary if line.startswith("[")] == [
+        "[constants]", "[complexity]", "[deviation]"]
+    header = (tmp_path / "table.csv").read_text(encoding="utf-8").splitlines()[0]
+    assert header == "replication,deviation,argmax,image_gaussian,exceeds_bound"
 
 
 @pytest.mark.parametrize("n, exact", [(20, True), (21, False)])

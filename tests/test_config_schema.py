@@ -6,7 +6,7 @@ from pathlib import Path
 import yaml
 
 from unibound.complexity import MIN_DRAWS
-from unibound.config import FIELDS
+from unibound.config import FIELDS, KINDS
 from unibound.schema import OPTIONAL, REQUIRED, dig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -54,3 +54,10 @@ def test_readme_states_the_draw_floor():
         key = path.rpartition(".")[2]
         (line,) = [line for line in lines if re.search(rf"(^|[\s{{,]){key}:", line)]
         assert f">= {MIN_DRAWS}" in line, path
+
+
+def test_readme_lists_the_kinds_table():
+    kinds = re.search(r"Experiment kinds: (.*?)\.", README.read_text(), re.S).group(1)
+    assert re.findall(r"`([^`]+)`", kinds) == list(KINDS)
+    comment = re.search(r"^kind: \S+ +# (.*)$", _readme_block(), re.M).group(1)
+    assert comment.split(" | ") == list(KINDS)
