@@ -11,6 +11,7 @@ for one member over a batch of draws.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,12 +103,7 @@ class FunctionClass:
     _support: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if len(self.members) == 0:
-            raise DomainError("a function class needs at least one member")
-        labels = tuple(m.label for m in self.members)
-        if len(set(labels)) != len(labels):
-            raise DomainError("member labels must be unique")
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", _member_labels(self.members))
         # Range check: exhaustive on finite supports, on a grid for the interval.
         if self.space.kind == FINITE:
             rows = []
@@ -155,12 +151,34 @@ class FunctionClass:
         return self._support
 
     def subclass(self, labels) -> "FunctionClass":
+        """The members named by ``labels``, in that order. On a finite space
+        their support rows are taken from this class's, already checked."""
         wanted = list(labels)
-        by_label = {m.label: m for m in self.members}
-        missing = [lab for lab in wanted if lab not in by_label]
+        position = {lab: k for k, lab in enumerate(self.labels)}
+        missing = [lab for lab in wanted if lab not in position]
         if missing:
             raise DomainError(f"unknown member labels {missing}")
-        return FunctionClass(self.space, tuple(by_label[lab] for lab in wanted))
+        picks = [position[lab] for lab in wanted]
+        members = tuple(self.members[k] for k in picks)
+        if self._support is None:
+            return FunctionClass(self.space, members)
+        labels = _member_labels(members)
+        support = self._support[picks]
+        support.flags.writeable = False
+        sub = copy.copy(self)
+        for name, value in (("members", members), ("labels", labels), ("_support", support)):
+            object.__setattr__(sub, name, value)
+        return sub
+
+
+def _member_labels(members) -> tuple[str, ...]:
+    """The members' labels, which must be at least one and unique."""
+    if len(members) == 0:
+        raise DomainError("a function class needs at least one member")
+    labels = tuple(m.label for m in members)
+    if len(set(labels)) != len(labels):
+        raise DomainError("member labels must be unique")
+    return labels
 
 
 def separation_labels(group_sizes) -> np.ndarray:

@@ -193,3 +193,35 @@ def test_random_lookup_labels_pad_to_the_largest_index():
     assert random_lookup_labels(101)[-1] == "f100"
     fc = random_lookup_class(FIVE, 12, 1)
     assert list(fc.labels) == random_lookup_labels(12)
+
+
+def test_subclass_takes_its_rows_from_the_parent(monkeypatch):
+    fc = random_lookup_class(FIVE, 6, 3)
+    labels = [fc.labels[4], fc.labels[1], fc.labels[2]]
+    fresh = FunctionClass(FIVE, tuple(fc.members[k] for k in (4, 1, 2)))
+
+    def refuse(self, space):
+        raise AssertionError("a subclass re-read a member's support values")
+
+    monkeypatch.setattr(LookupMember, "on_support", refuse)
+    sub = fc.subclass(labels)
+    assert sub.labels == tuple(labels)
+    assert sub.members == fresh.members
+    assert np.array_equal(sub.support_matrix(), fresh.support_matrix())
+    assert sub.support_matrix().flags.c_contiguous
+    with pytest.raises(ValueError):
+        sub.support_matrix()[0, 0] = 0.5
+    with pytest.raises(DomainError, match="unknown member labels"):
+        fc.subclass([fc.labels[0], "nope"])
+    with pytest.raises(DomainError, match="unique"):
+        fc.subclass([fc.labels[0], fc.labels[0]])
+    with pytest.raises(DomainError, match="at least one member"):
+        fc.subclass([])
+
+
+def test_subclass_on_the_interval_keeps_its_members():
+    fc = FunctionClass(interval_space(), (identity_member("a"), constant_member("b", 0.5)))
+    sub = fc.subclass(["b"])
+    assert sub.labels == ("b",) and sub.members == (fc.members[1],)
+    x = vector_from_values(interval_space(), [0.25, 0.75])
+    assert np.array_equal(sub.image_matrix(x), fc.image_matrix(x)[1:])

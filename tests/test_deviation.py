@@ -199,11 +199,21 @@ def test_oracle_count_path_matches_the_row_path(name, monkeypatch):
     calls = []
     stat = _spied(STATISTICS[name](n), calls)
     opaque = Statistic(f"opaque-{name}", n, stat.evaluate, row_bytes=stat.row_bytes)
+    typed = []
+    count_types = deviation._count_types
+    monkeypatch.setattr(deviation, "_count_types",
+                        lambda counts, n: typed.append(len(counts)) or count_types(counts, n))
     counted, rows = (
         expectation_oracle(law, fc, s, "monte-carlo", replicas=3000, seed=stream(4, "oracle"))
         for s in (stat, opaque)
     )
-    assert calls == [3000] * len(fc)    # one per member, none on zero rows
+    # One call per member, each on the distinct count rows of the same 3000
+    # draws, which the one stream gives as one batch.
+    _, indices = draw_batch(law, 3000, as_stream(stream(4, "oracle"), "expectation-oracle"))
+    distinct = len(np.unique(support_counts(indices, FIVE_POINTS.size), axis=0))
+    assert 0 < distinct < 3000
+    assert calls == [distinct] * len(fc)
+    assert typed == [3000]    # the draws are typed once, not once per member batch
     assert counted.method == rows.method == "monte-carlo"
     assert np.allclose(counted.values, rows.values, rtol=0.0, atol=1e-14)
     assert np.allclose(counted.stderrs, rows.stderrs, rtol=1e-9, atol=0.0)
@@ -940,3 +950,79 @@ def test_tail_swing_and_probe_evaluate_rows_only_without_counts(name, evaluated)
     squared_swing_sum(stat, fc.members[0], BITS, x)
     swap_process_probe(x, x_alt, *fc.members, stat, constants, [0.1], 500, 1)
     assert bool(calls) == evaluated
+
+
+# ---------------------------------------------------------------------------
+# count types: Phi once per distinct count row, bit for bit
+
+@pytest.mark.parametrize("n, size", [(6, 5), (16, 2), (64, 5), (3, 1), (40, 20), (12, 40)])
+def test_count_types_are_the_distinct_rows(n, size):
+    rng = np.random.default_rng(n * size)
+    # Random rows, and the rows with every count but one or two at zero,
+    # where a code in a smaller base would collide.
+    unit = np.eye(size, dtype=np.int64)
+    edges = (n - 1) * unit[:, None, :] + unit[None, :, :]
+    counts = np.concatenate([rng.multinomial(n, rng.dirichlet(np.ones(size)), size=3000),
+                             edges.reshape(-1, size)])
+    types, inverse = deviation._count_types(counts, n)
+    # Ordered as by np.unique over whole rows, since each code and rank
+    # keeps the rows' lexicographic order; at n = 40 on 20 points the codes
+    # are ranked before a step, as 41^19 > 2^63.
+    assert np.array_equal(types, np.unique(counts, axis=0))
+    assert np.array_equal(types[inverse], counts)
+
+
+def _one_type_law(n):
+    """Coordinate i a point mass at support point i mod 5: one count type."""
+    return ProductLaw(tuple(finite_weights(FIVE_POINTS, np.eye(5)[i % 5]) for i in range(n)))
+
+
+def _twenty_point_law(n):
+    space = finite_space([(str(j), j / 19.0) for j in range(20)])
+    return iid_law(uniform_on(space), n)
+
+
+# (law, members, whether the lattice is enumerable)
+TYPED_SHAPES = {
+    "5-point-mixed": (lambda: five_point_law(6, 1), 12, True),
+    "one-type": (lambda: _one_type_law(6), 12, True),
+    "int64-overflow": (lambda: _twenty_point_law(40), 3, False),    # 41^19 > 2^63
+}
+
+
+def _typed_outputs(law, members, enumerable, stat):
+    """Every count-path output the types feed, by name."""
+    fc = random_lookup_class(law.space, members, 5)
+    single = fc.subclass([fc.labels[0]])
+    mc = expectation_oracle(law, fc, stat, "monte-carlo", replicas=1000, seed=stream(2, "oracle"))
+    outputs = {
+        "oracle values": mc.values,
+        "oracle stderrs": mc.stderrs,
+        "tail phis": next(deviation._phis_of_draws(law, single, stat, 1000, stream(4, "tail/x"))),
+    }
+    if enumerable:
+        outputs["exact"] = expectation_oracle(law, fc, stat, "exact").values
+    return outputs
+
+
+@pytest.mark.parametrize("shape", sorted(TYPED_SHAPES))
+@pytest.mark.parametrize("name", ["mean", "variance", "smoothed-min"])
+def test_count_types_keep_the_bits_of_every_row(monkeypatch, name, shape):
+    # A budget this small splits the draws and the lattice into many slices
+    # and the members into several batches per slice. The reference types
+    # every point as its own row, so count_form runs on every row as it did
+    # before types.
+    monkeypatch.setattr(functionals, "BATCH_BYTES", 1 << 12)
+    law_of, members, enumerable = TYPED_SHAPES[shape]
+    law = law_of()
+    stat = STATISTICS[name](law.n)
+    assert deviation._counted(law.space, stat)
+    if shape == "one-type":
+        draws = deviation._draw_counts(law, 1000, stream(4, "tail/x"))
+        assert len(deviation._count_types(draws, law.n)[0]) == 1
+    typed = _typed_outputs(law, members, enumerable, stat)
+    monkeypatch.setattr(deviation, "_count_types",
+                        lambda counts, n: (counts, np.arange(counts.shape[0])))
+    every_row = _typed_outputs(law, members, enumerable, stat)
+    for key, value in typed.items():
+        assert np.array_equal(value, every_row[key]), key
