@@ -5,7 +5,8 @@ Pieces, in dependency order:
 * expectation oracle: E Phi(f(X')) per class member, in closed form from
   per-coordinate moments for the built-in statistics on finite spaces, by
   exact product-law enumeration on small finite lattices, or by Monte Carlo
-  with per-member standard errors (from the draws' support counts when the
+  with per-member standard errors (from the draws' support counts, which
+  ``spaces.draw_counts`` forms straight from the uniforms, when the
   statistic is coordinate-symmetric and the space finite).
 * uniform deviation: sup over the class of (expected minus realised)
   statistic at a sample point, with the first maximizing label.
@@ -31,7 +32,9 @@ members (the Monte Carlo oracle's and the tail's draws, the exact oracle's
 lattice slices), Phi is evaluated from counts once per distinct count row:
 the distinct rows are found once per set, before any batch of members, and
 each point takes its row's value, so every result keeps the bits it has
-when Phi is evaluated at each point. Only the replications image rows.
+when Phi is evaluated at each point. The probe counts only its sigma-mix:
+the complementary mix's counts are the two points' counts less the mix's.
+Only the replications image rows.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ from .spaces import (
     SampleSpace,
     SampleVector,
     draw_batch,
+    draw_counts,
     sample,
     support_counts,
 )
@@ -173,18 +177,6 @@ def _phis_at(stat: Statistic, fc: FunctionClass, values, indices, *,
     return np.stack([stat(fc.member_image(k, values, indices)) for k in range(len(fc))]).T
 
 
-def _draw_counts(law: ProductLaw, replicas: int, rng) -> np.ndarray:
-    """The (replicas, s) support counts of ``replicas`` draws from ``rng``:
-    the draws come in slices from the one stream, so they match one
-    ``draw_batch`` of them all."""
-    counts = np.empty((replicas, law.space.size), dtype=np.int64)
-    # A draw costs its integers, uniforms, values and indices, n of each.
-    for part in batches(replicas, 4 * 8 * law.n):
-        _, sliced = draw_batch(law, part.stop - part.start, rng)
-        counts[part] = support_counts(sliced, law.space.size)
-    return counts
-
-
 def _phis_of_draws(law: ProductLaw, fc: FunctionClass, stat: Statistic, replicas: int, rng):
     """Phi(f_k(X)) over ``replicas`` draws from ``rng``, member by member.
 
@@ -195,7 +187,7 @@ def _phis_of_draws(law: ProductLaw, fc: FunctionClass, stat: Statistic, replicas
     """
     values = indices = counts = inverse = None
     if _counted(law.space, stat):
-        counts, inverse = _count_types(_draw_counts(law, replicas, rng), law.n)
+        counts, inverse = _count_types(draw_counts(law, replicas, rng), law.n)
     else:
         values, indices = draw_batch(law, replicas, rng)
     for part in batches(len(fc), 8 * replicas):    # a member's column of values
@@ -743,17 +735,28 @@ def _swap_process(stat: Statistic, pair: FunctionClass, x: SampleVector, x_alt: 
 
     The sigma-mix of two points is itself a point, and a member's image of
     it is the sigma-mix of the member's images, since sigma is 0 or 1; so
-    Phi is evaluated at the mixed points.
+    Phi is evaluated at the mixed points. Where Phi reads counts, the two
+    mixes together hold every coordinate of x and x_alt, so the
+    complementary mix's counts are the two points' counts less the mix's.
     """
     n = stat.n
+    counted = _counted(pair.space, stat)
+    if counted:
+        size = pair.space.size
+        both = support_counts(np.stack([x.indices, x_alt.indices]), size).sum(axis=0)
     y_f = np.empty(draws)
     y_g = np.empty(draws)
     # The slices fix how the sign draws split; a draw costs its signs, its
     # two mixed points and a member's images of them.
     for part in batches(draws, 5 * 8 * n):
         swap = rng.integers(0, 2, size=(part.stop - part.start, n)) == 1
-        mixed = _phis_at(stat, pair, *_mix(swap, x, x_alt))
-        swapped = _phis_at(stat, pair, *_mix(swap, x_alt, x))
+        if counted:
+            counts = support_counts(_mix(swap, x, x_alt)[1], size)
+            mixed = _phis_at(stat, pair, None, None, counts=counts)
+            swapped = _phis_at(stat, pair, None, None, counts=both - counts)
+        else:
+            mixed = _phis_at(stat, pair, *_mix(swap, x, x_alt))
+            swapped = _phis_at(stat, pair, *_mix(swap, x_alt, x))
         y_f[part] = mixed[:, 0] - swapped[:, 0]
         y_g[part] = mixed[:, 1] - swapped[:, 1]
     return y_f, y_g

@@ -54,6 +54,7 @@ from unibound.spaces import (
     ProductLaw,
     beta_family,
     draw_batch,
+    draw_counts,
     finite_space,
     finite_weights,
     iid_law,
@@ -952,6 +953,32 @@ def test_tail_swing_and_probe_evaluate_rows_only_without_counts(name, evaluated)
     assert bool(calls) == evaluated
 
 
+
+def _swap_process_of_both_mixes(stat, pair, x, x_alt, draws, rng):
+    """``_swap_process`` with each mix formed and evaluated on its own."""
+    y = np.empty((draws, 2))
+    for part in functionals.batches(draws, 5 * 8 * stat.n):
+        swap = rng.integers(0, 2, size=(part.stop - part.start, stat.n)) == 1
+        y[part] = (deviation._phis_at(stat, pair, *deviation._mix(swap, x, x_alt))
+                   - deviation._phis_at(stat, pair, *deviation._mix(swap, x_alt, x)))
+    return y[:, 0], y[:, 1]
+
+
+@pytest.mark.parametrize("name", ["mean", "variance", "smoothed-min"])
+def test_swap_process_counts_the_complementary_mix_bit_for_bit(name, monkeypatch):
+    # A 4 KiB budget splits the 3000 draws into slices of 10 rows.
+    monkeypatch.setattr(functionals, "BATCH_BYTES", 1 << 12)
+    n = 10
+    law = five_point_law(n, 2)
+    stat = STATISTICS[name](n)
+    assert deviation._counted(FIVE_POINTS, stat)
+    pair = random_lookup_class(FIVE_POINTS, 2, 8)
+    x, x_alt = sample(law, stream(3, "x")), sample(law, stream(3, "x-alt"))
+    y_f, y_g = deviation._swap_process(stat, pair, x, x_alt, 3000, stream(3, "sigma"))
+    ref_f, ref_g = _swap_process_of_both_mixes(stat, pair, x, x_alt, 3000, stream(3, "sigma"))
+    assert np.array_equal(y_f, ref_f)
+    assert np.array_equal(y_g, ref_g)
+
 # ---------------------------------------------------------------------------
 # count types: Phi once per distinct count row, bit for bit
 
@@ -1018,7 +1045,7 @@ def test_count_types_keep_the_bits_of_every_row(monkeypatch, name, shape):
     stat = STATISTICS[name](law.n)
     assert deviation._counted(law.space, stat)
     if shape == "one-type":
-        draws = deviation._draw_counts(law, 1000, stream(4, "tail/x"))
+        draws = draw_counts(law, 1000, stream(4, "tail/x"))
         assert len(deviation._count_types(draws, law.n)[0]) == 1
     typed = _typed_outputs(law, members, enumerable, stat)
     monkeypatch.setattr(deviation, "_count_types",

@@ -2,20 +2,23 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from unibound import functionals
+from unibound import functionals, spaces
 from unibound.errors import DomainError
 from unibound.rng import as_stream, open_uniforms
 from unibound.spaces import (
+    COMPARE_MAX_SIZE,
     ProductLaw,
     bernoulli,
     beta_family,
     draw_batch,
+    draw_counts,
     finite_space,
     finite_weights,
     iid_law,
     interval_space,
     point_mass_law,
     sample,
+    support_counts,
     uniform_on,
     vector_from_values,
 )
@@ -141,3 +144,54 @@ def test_draw_batch_matches_per_coordinate_inversion(law, monkeypatch):
         if idx is not None:
             assert indices[:, i].tobytes() == idx.tobytes()
     assert (indices is None) == (law.space.kind != "finite")
+
+
+def _two_group_law(size, n):
+    """Every other coordinate uniform on ``size`` points, the rest skewed."""
+    space = finite_space([(str(j), j / (size - 1)) for j in range(size)])
+    skewed = finite_weights(space, np.random.default_rng(size).dirichlet(np.ones(size)))
+    return ProductLaw(tuple(skewed if i % 2 else uniform_on(space) for i in range(n)))
+
+
+DRAW_COUNT_LAWS = {
+    "iid": lambda: iid_law(uniform_on(FIVE), 10),
+    "mixed": _mixed_law,
+    # Zero weights, so cumulative weights tie.
+    "point-mass": lambda: point_mass_law([0.1, 0.7, 0.1, 0.3, 0.7, 0.9, 0.3, 0.1]),
+    "short-sum": lambda: iid_law(finite_weights(FIVE, [0.2, 0.2, 0.2, 0.2, 0.2 - 1e-13]), 10),
+    **{f"s={size}": (lambda size=size: _two_group_law(size, 9))
+       for size in (2, COMPARE_MAX_SIZE, COMPARE_MAX_SIZE + 1)},
+}
+
+
+@pytest.mark.parametrize("budget", [functionals.BATCH_BYTES, 1 << 12])
+@pytest.mark.parametrize("name", sorted(DRAW_COUNT_LAWS))
+def test_draw_counts_are_the_counts_of_draw_batch(name, budget, monkeypatch):
+    # A 4 KiB budget cuts the 1001 rows into slices of 12 to 16 rows and a
+    # shorter last one.
+    monkeypatch.setattr(functionals, "BATCH_BYTES", budget)
+    law = DRAW_COUNT_LAWS[name]()
+    if name == "short-sum":
+        # Every other uniform within 1e-12 of 1, so some lie past the last
+        # cumulative weight, 1 - 1e-13, and only the clamp keeps them on
+        # the last support point.
+        drawn = []
+
+        def near_one(rng, size):
+            u = open_uniforms(rng, size)
+            u.flat[::2] = 1.0 - 1e-12 * u.flat[::2]
+            drawn.append(u)
+            return u
+
+        monkeypatch.setattr(spaces, "open_uniforms", near_one)
+    reference = support_counts(draw_batch(law, 1001, 17)[1], law.space.size)
+    assert np.array_equal(draw_counts(law, 1001, 17), reference)
+    if name == "short-sum":
+        assert any(np.any(u > law.coordinates[0]._cumulative[-1]) for u in drawn)
+
+
+def test_draw_counts_need_a_finite_space():
+    with pytest.raises(DomainError):
+        draw_counts(iid_law(bernoulli(0.3), 2), 10, 1)
+    with pytest.raises(DomainError):
+        draw_counts(iid_law(uniform_on(FIVE), 2), 0, 1)
