@@ -11,7 +11,6 @@ from unibound import (
     mean_statistic,
     product_kernel,
     sample_variance_statistic,
-    separation_labels,
     squared_difference_kernel,
     u_statistic,
     u_statistic_constant_bounds,
@@ -23,7 +22,7 @@ print("closed forms")
 for stat in (
     mean_statistic(n),
     sample_variance_statistic(n),
-    class_separation_statistic(n, separation_labels([3, 5])),
+    class_separation_statistic([3, 5]),    # groups of 3 and 5 coordinates
 ):
     rep = closed_form_constants(stat)
     print(f"  {stat.name:18s} L = {rep.lipschitz:.6f}  M = {rep.mixed:.6f}")

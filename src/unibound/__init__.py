@@ -19,7 +19,6 @@ from .classes import (
     identity_member,
     lookup_member,
     random_lookup_class,
-    separation_labels,
 )
 from .complexity import (
     ComparisonReport,

@@ -181,26 +181,6 @@ def _member_labels(members) -> tuple[str, ...]:
     return labels
 
 
-def separation_labels(group_sizes) -> np.ndarray:
-    """Sign matrix for the class-separation functional.
-
-    Entry (i, j) is +1 when i and j fall in the same group block and -1
-    across blocks; the diagonal is unused and set to +1.
-    """
-    sizes = [int(g) for g in group_sizes]
-    if len(sizes) == 0:
-        raise DomainError("group sizes must be a non-empty list")
-    if any(g < 1 for g in sizes):
-        raise DomainError("group sizes must be positive")
-    n = sum(sizes)
-    r = -np.ones((n, n), dtype=np.float64)
-    start = 0
-    for g in sizes:
-        r[start : start + g, start : start + g] = 1.0
-        start += g
-    return r
-
-
 def random_lookup_labels(count: int) -> list[str]:
     """Member labels of a random lookup class: f00, f01, ... zero-padded to
     the width of the largest index, at least two digits."""

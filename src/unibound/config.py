@@ -46,8 +46,7 @@ STATISTICS = {
     "mean": lambda s, n, kernel: fx.mean_statistic(n),
     "variance": lambda s, n, kernel: fx.sample_variance_statistic(n),
     "u-statistic": lambda s, n, kernel: fx.u_statistic(n, kernel),
-    "class-separation": lambda s, n, kernel: fx.class_separation_statistic(
-        n, cls.separation_labels(s["group_sizes"])),
+    "class-separation": lambda s, n, kernel: fx.class_separation_statistic(s["group_sizes"]),
 }
 MEMBER_TYPES = {
     "lookup": lambda m, space: cls.lookup_member(m["label"], space, m["table"]),

@@ -583,6 +583,8 @@ def squared_swing_sum(
     if x is not None:
         if x.space != space:
             raise DomainError("sample vector lives in a different sample space")
+        if x.n != n:
+            raise DomainError("sample vector does not match the statistic arity")
         at_point = float(_swing_at_indices(stat, single, x.indices[None, :])[0])
 
     points = size**n

@@ -2,8 +2,8 @@
 
 Each statistic is a smooth map from [0, 1]^n to the reals: the arithmetic
 mean, the pairwise sample variance, general m-th order U-statistics of a
-symmetric kernel, and the signed class-separation functional. Where closed
-forms exist the statistic also carries its gradient, its Hessian, and the
+symmetric kernel, and the signed class-separation functional of consecutive
+coordinate groups. Where closed forms exist the statistic also carries the
 pair (L, M) of derivative constants:
 
     L  bounds every first partial derivative uniformly on the box,
@@ -13,7 +13,9 @@ Under a product law, mean, variance and class separation are quadratic
 forms in the image, so their expectations need only per-coordinate first
 and second moments; a U-statistic is linear in its kernel terms, so its
 expectation sums the kernel over support^m tuples weighted by elementary
-symmetric sums of the coordinate laws (Hoeffding 1948).
+symmetric sums of the coordinate laws (Hoeffding 1948). Variance and class
+separation evaluate from sums and sums of squares (per group for class
+separation), so a row costs O(n).
 
 Mean, variance and U-statistics are symmetric in the coordinates, so on a
 finite support Phi(f(x)) depends on x only through the support counts
@@ -71,11 +73,9 @@ def batches(count: int, row_bytes: int):
 
 @dataclass(frozen=True, eq=False)
 class Statistic:
-    """An evaluable statistic with optional analytic derivative data.
+    """An evaluable statistic with optional closed-form (L, M) and expectation.
 
     evaluate : batch map (..., n) -> (...)
-    gradient : point map (n,) -> (n,) or None
-    hessian  : point map (n,) -> (n, n), diagonal included, or None
     closed_form_constants : (L, M) pair or None
     product_expectation : map (support (K, s), weights (n, s)) -> (K,), or
         None. Row k of ``support`` holds member k's values on the s support
@@ -95,8 +95,6 @@ class Statistic:
     name: str
     n: int
     evaluate: Callable[[np.ndarray], np.ndarray]
-    gradient: Callable[[np.ndarray], np.ndarray] | None = None
-    hessian: Callable[[np.ndarray], np.ndarray] | None = None
     closed_form_constants: tuple[float, float] | None = None
     product_expectation: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     row_bytes: int | None = None
@@ -236,6 +234,22 @@ def _count_sums(table: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return out
 
 
+def _pair_sums(s):
+    """sum_{i<j} (s_i - s_j)^2 over the last axis, as g Q - T^2 for its g
+    coordinates of sum T and sum of squares Q."""
+    total = s.sum(axis=-1)
+    sq = (s * s).sum(axis=-1)
+    return s.shape[-1] * sq - total * total
+
+
+def _expected_pair_sums(mu, m2):
+    """The mean of ``_pair_sums`` over independent coordinates whose means
+    and second moments lie along the last axis of ``mu`` and ``m2``."""
+    # E T^2 = sum m2 + (sum mu)^2 - sum mu^2 for independent coordinates.
+    total = mu.sum(axis=-1)
+    return (mu.shape[-1] - 1) * m2.sum(axis=-1) - total * total + (mu * mu).sum(axis=-1)
+
+
 def _support_doubles(size: int) -> int:
     # A row of counts costs the mean and the variance one term per support
     # point, as a row of values costs them one per coordinate.
@@ -251,12 +265,6 @@ def mean_statistic(n: int) -> Statistic:
     def evaluate(s):
         return s.mean(axis=-1)
 
-    def gradient(s):
-        return np.full(n, 1.0 / n)
-
-    def hessian(s):
-        return np.zeros((n, n))
-
     def product_expectation(support, weights):
         return (support @ weights.T).mean(axis=1)
 
@@ -264,7 +272,7 @@ def mean_statistic(n: int) -> Statistic:
         return (_count_sums(support, counts) / n).T
 
     return Statistic(
-        "mean", n, evaluate, gradient, hessian, (1.0 / n, 0.0), product_expectation,
+        "mean", n, evaluate, (1.0 / n, 0.0), product_expectation,
         count_form=count_form, count_row_bytes=_support_doubles,
     )
 
@@ -282,24 +290,10 @@ def sample_variance_statistic(n: int) -> Statistic:
     denom = float(n * (n - 1))
 
     def evaluate(s):
-        total = s.sum(axis=-1)
-        sq = (s * s).sum(axis=-1)
-        return (n * sq - total * total) / denom
-
-    def gradient(s):
-        return 2.0 * (n * s - s.sum()) / denom
-
-    def hessian(s):
-        h = np.full((n, n), -2.0 / denom)
-        np.fill_diagonal(h, 2.0 / n)
-        return h
+        return _pair_sums(s) / denom
 
     def product_expectation(support, weights):
-        # E (sum s)^2 = sum m2 + (sum mu)^2 - sum mu^2 for independent coordinates.
-        mu = support @ weights.T
-        m2 = (support * support) @ weights.T
-        total = mu.sum(axis=1)
-        return ((n - 1) * m2.sum(axis=1) - total * total + (mu * mu).sum(axis=1)) / denom
+        return _expected_pair_sums(support @ weights.T, (support * support) @ weights.T) / denom
 
     def count_form(support, counts):
         total = _count_sums(support, counts)
@@ -312,7 +306,7 @@ def sample_variance_statistic(n: int) -> Statistic:
 
     constants = (2.0 / n, 2.0 / math.sqrt(n * (n - 1)))
     return Statistic(
-        "variance", n, evaluate, gradient, hessian, constants, product_expectation,
+        "variance", n, evaluate, constants, product_expectation,
         count_form=count_form, count_row_bytes=_support_doubles,
     )
 
@@ -439,49 +433,41 @@ def u_statistic(n: int, kernel: Kernel) -> Statistic:
     )
 
 
-def class_separation_statistic(n: int, signs: np.ndarray) -> Statistic:
+def class_separation_statistic(group_sizes) -> Statistic:
     """Signed pairwise functional sum_{i<j} r_ij (s_i - s_j)^2 / (n(n-1)).
 
-    ``signs`` must be a symmetric n x n matrix with +/-1 off the diagonal
-    (the diagonal is ignored). With all signs +1 this is exactly the sample
-    variance. Same constants as the variance: L = 2/n, M = 2/sqrt(n(n-1)).
+    The n = sum(group_sizes) coordinates fall into consecutive groups of the
+    given sizes; r_ij is +1 for a pair within one group and -1 across
+    groups. With one group this is exactly the sample variance. The signed
+    sum is twice the within-group pair sums less the sum over all pairs,
+
+        Phi = [2 sum_a (g_a Q_a - T_a^2) - (n Q - T^2)] / (n(n-1)),
+
+    with T_a, Q_a the sum and the sum of squares of group a's g_a
+    coordinates and T, Q the totals. Its product-law expectation takes the
+    variance's moment identity of each group and of the whole. Same
+    constants as the variance: L = 2/n, M = 2/sqrt(n(n-1)).
     """
-    n = int(n)
+    sizes = [int(g) for g in group_sizes]
+    if not sizes:
+        raise DomainError("group sizes must be a non-empty list")
+    if min(sizes) < 1:
+        raise DomainError("group sizes must be positive")
+    n = sum(sizes)
     if n < 2:
         raise DomainError("class separation needs n >= 2")
-    r = np.asarray(signs, dtype=np.float64)
-    if r.shape != (n, n):
-        raise DomainError(f"sign matrix must be {n} x {n}")
-    if not np.array_equal(r, r.T):
-        raise DomainError("sign matrix must be symmetric")
-    off = ~np.eye(n, dtype=bool)
-    if not np.all(np.abs(r[off]) == 1.0):
-        raise DomainError("off-diagonal signs must be +1 or -1")
-    r = r.copy()
-    np.fill_diagonal(r, 0.0)
-    row = r.sum(axis=1)
+    groups = [slice(end - g, end) for end, g in zip(itertools.accumulate(sizes), sizes)]
     denom = float(n * (n - 1))
 
+    def signed(pair_sums, *arrays):
+        within = sum(pair_sums(*(a[..., group] for a in arrays)) for group in groups)
+        return (2.0 * within - pair_sums(*arrays)) / denom
+
     def evaluate(s):
-        quad = ((s @ r) * s).sum(axis=-1)
-        return ((s * s) @ row - quad) / denom
-
-    def gradient(s):
-        return 2.0 * (row * s - r @ s) / denom
-
-    def hessian(s):
-        h = -2.0 * r / denom
-        np.fill_diagonal(h, 2.0 * row / denom)
-        return h
+        return signed(_pair_sums, s)
 
     def product_expectation(support, weights):
-        # The zero diagonal of r leaves only products of distinct, hence
-        # independent, coordinates in the quadratic term.
-        mu = support @ weights.T
-        m2 = (support * support) @ weights.T
-        return (m2 @ row - ((mu @ r) * mu).sum(axis=1)) / denom
+        return signed(_expected_pair_sums, support @ weights.T, (support * support) @ weights.T)
 
     constants = (2.0 / n, 2.0 / math.sqrt(n * (n - 1)))
-    return Statistic(
-        "class-separation", n, evaluate, gradient, hessian, constants, product_expectation
-    )
+    return Statistic("class-separation", n, evaluate, constants, product_expectation)

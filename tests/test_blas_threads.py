@@ -16,7 +16,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 EXACT_ORACLE = """
-from unibound.classes import random_lookup_class, separation_labels
+from unibound.classes import random_lookup_class
 from unibound.deviation import expectation_oracle
 from unibound.functionals import class_separation_statistic, sample_variance_statistic
 from unibound.spaces import finite_space, iid_law, uniform_on
@@ -24,7 +24,7 @@ from unibound.spaces import finite_space, iid_law, uniform_on
 bits = finite_space([("0", 0.0), ("1", 1.0)])
 n = 16
 law = iid_law(uniform_on(bits), n)
-for stat in (sample_variance_statistic(n), class_separation_statistic(n, separation_labels([8, 8]))):
+for stat in (sample_variance_statistic(n), class_separation_statistic([8, 8])):
     for seed in range(4):
         oracle = expectation_oracle(law, random_lookup_class(bits, 2, seed), stat, "exact")
         print([repr(float(v)) for v in oracle.values])
@@ -43,6 +43,16 @@ n = 6
 oracle = expectation_oracle(iid_law(uniform_on(points), n), random_lookup_class(points, 3, 5),
                             u_statistic(n, smoothed_min_kernel()), "auto")
 print(oracle.method, [repr(float(v)) for v in oracle.values])
+"""
+
+# Class separation on rows of thousands of points, where a matrix product
+# over the coordinates would split its sums by thread.
+CLASS_SEPARATION = """
+from unibound.functionals import class_separation_statistic
+from unibound.rng import stream
+
+stat = class_separation_statistic([1500, 1500])
+print([repr(float(v)) for v in stat(stream(3, "rows").random((4, stat.n)))])
 """
 
 
@@ -68,6 +78,10 @@ def test_exact_oracle_does_not_depend_on_blas_threads():
 
 def test_u_statistic_oracle_does_not_depend_on_blas_threads():
     _same_output_at_one_and_two_threads(U_STATISTIC_ORACLE)
+
+
+def test_class_separation_does_not_depend_on_blas_threads():
+    _same_output_at_one_and_two_threads(CLASS_SEPARATION)
 
 
 def _record(out):

@@ -13,7 +13,6 @@ from unibound.classes import (
     lookup_member,
     random_lookup_class,
     random_lookup_labels,
-    separation_labels,
 )
 from unibound.errors import DomainError
 from unibound.spaces import (
@@ -94,32 +93,6 @@ def test_lookup_member_validation():
 def test_range_check_rejects_out_of_unit_tables():
     with pytest.raises(DomainError):
         FunctionClass(BITS, (LookupMember("f", (0.0, 1.2)),))
-
-
-def test_separation_labels_single_group():
-    r = separation_labels([4])
-    off = ~np.eye(4, dtype=bool)
-    assert np.all(r[off] == 1.0)
-
-
-def test_separation_labels_two_singletons():
-    r = separation_labels([1, 1])
-    assert r[0, 1] == -1.0 and r[1, 0] == -1.0
-
-
-def test_separation_labels_block_counts():
-    r = separation_labels([2, 3])
-    off = ~np.eye(5, dtype=bool)
-    assert np.array_equal(r, r.T)
-    assert set(np.unique(r[off])) == {-1.0, 1.0}
-    assert int((r[off] == -1.0).sum()) == 2 * 2 * 3  # 12 cross-block entries
-
-
-def test_separation_labels_validation():
-    with pytest.raises(DomainError):
-        separation_labels([])
-    with pytest.raises(DomainError):
-        separation_labels([2, 0])
 
 
 @settings(max_examples=50, deadline=None)

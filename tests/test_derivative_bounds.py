@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from unibound.classes import separation_labels
 from unibound.derivative_bounds import (
     closed_form_constants,
     estimate_constants_numeric,
@@ -35,7 +34,7 @@ def test_closed_form_variance():
 
 
 def test_closed_form_class_separation_matches_variance():
-    sep = closed_form_constants(class_separation_statistic(5, separation_labels([2, 3])))
+    sep = closed_form_constants(class_separation_statistic([2, 3]))
     var = closed_form_constants(sample_variance_statistic(5))
     assert sep.lipschitz == var.lipschitz and sep.mixed == var.mixed
 
@@ -109,7 +108,7 @@ def test_numeric_u_statistic_below_derived_bounds():
     [
         lambda: mean_statistic(5),
         lambda: sample_variance_statistic(5),
-        lambda: class_separation_statistic(5, separation_labels([2, 3])),
+        lambda: class_separation_statistic([2, 3]),
     ],
 )
 def test_numeric_never_exceeds_closed_form_materially(make):

@@ -13,7 +13,6 @@ from unibound.classes import (
     constant_member,
     lookup_member,
     random_lookup_class,
-    separation_labels,
 )
 from unibound.config import validate_config
 from unibound.derivative_bounds import (
@@ -256,7 +255,7 @@ def test_oracle_row_path_images_one_batch_of_draws():
     n = 6
     law = five_point_law(n, 3)
     fc = random_lookup_class(FIVE_POINTS, 3, 5)
-    stat = class_separation_statistic(n, separation_labels([2, 4]))
+    stat = class_separation_statistic([2, 4])
     oracle = expectation_oracle(law, fc, stat, "monte-carlo", replicas=500, seed=3)
     vals, idx = draw_batch(law, 500, as_stream(3, "expectation-oracle"))
     phis = [stat(fc.member_image(k, vals, idx)) for k in range(len(fc))]
@@ -266,7 +265,7 @@ def test_oracle_row_path_images_one_batch_of_draws():
 STATISTICS = {
     "mean": mean_statistic,
     "variance": sample_variance_statistic,
-    "class-separation": lambda n: class_separation_statistic(n, separation_labels([1, n - 1])),
+    "class-separation": lambda n: class_separation_statistic([1, n - 1]),
     "squared-difference": lambda n: u_statistic(n, squared_difference_kernel()),
     "product-2": lambda n: u_statistic(n, product_kernel(2)),
     "product-3": lambda n: u_statistic(n, product_kernel(3)),
@@ -688,6 +687,16 @@ def test_swing_needs_finite_space():
         squared_swing_sum(mean_statistic(3), identity_member(), interval_space())
 
 
+@pytest.mark.parametrize("stat", [sample_variance_statistic(8), class_separation_statistic([3, 5])],
+                         ids=["count-path", "row-path"])
+def test_swing_refuses_a_point_of_the_wrong_length(stat):
+    # The variance counts on a finite space, class separation images rows;
+    # counted, a point of 5 coordinates gave a swing above the sup over 8.
+    member = lookup_member("id", BITS, IDENTITY_TABLE)
+    with pytest.raises(DomainError, match="arity"):
+        squared_swing_sum(stat, member, BITS, sample(bit_law(5), 0))
+
+
 # ---------------------------------------------------------------------------
 # bounded-difference tail
 
@@ -888,7 +897,9 @@ def test_row_path_keeps_its_values():
     # An interval space and class separation have no count form. These
     # values are those of the row-by-row probe, tail and exact oracle before
     # the count path existed; the exact oracle's first member moved in its
-    # last digit when its sum left the BLAS dot for a numpy pairwise sum.
+    # last digit when its sum left the BLAS dot for a numpy pairwise sum, and
+    # class separation's values moved in their last digits when it left its
+    # sign matrix for group sums.
     n = 8
     law = iid_law(beta_family(2.0, 3.0), n)
     stat = sample_variance_statistic(n)
@@ -899,16 +910,16 @@ def test_row_path_keeps_its_values():
     assert repr(probe.process_mean) == "-9.331861132469398e-06"
 
     n = 6
-    stat = class_separation_statistic(n, separation_labels([2, 4]))
+    stat = class_separation_statistic([2, 4])
     member = random_lookup_class(FIVE_POINTS, 2, 8).members[1]
     tail = bounded_difference_tail(five_point_law(n, 3), stat, member, [0.0, 0.02, 0.05, 0.1],
                                    20_000, 9)
-    assert repr(tail.expected_value) == "0.002680297821321805"
+    assert repr(tail.expected_value) == "0.0026802978213217236"
     assert [repr(float(v)) for v in tail.empirical] == ["0.46915", "0.04475", "0.0", "0.0"]
     oracle = expectation_oracle(five_point_law(n, 3), random_lookup_class(FIVE_POINTS, 2, 8),
                                 stat, "exact")
     assert [repr(float(v)) for v in oracle.values] == [
-        "-0.009276185473620914", "0.002680297821321824"]
+        "-0.009276185473620918", "0.002680297821321842"]
 
 
 @pytest.mark.parametrize("name", ["variance", "class-separation"])

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from unibound import functionals
 from unibound.complexity import rademacher_exact
-from unibound.derivative_bounds import fd_gradient, fd_hessian
+from unibound.derivative_bounds import estimate_constants_numeric, fd_hessian
 from unibound.errors import DomainError, ResourceError
 from unibound.functionals import (
     Kernel,
@@ -25,7 +25,6 @@ from unibound.functionals import (
     squared_difference_kernel,
     u_statistic,
 )
-from unibound.classes import separation_labels
 from unibound.rng import stream
 from unibound.runner import run_experiment
 from unibound.spaces import support_counts
@@ -59,9 +58,9 @@ def test_variance_mixed_partial_is_constant():
     stat = sample_variance_statistic(n)
     rng = stream(0, "pts")
     for _ in range(5):
-        h = stat.hessian(rng.random(n))
+        h = fd_hessian(stat, rng.random(n))
         off = h[~np.eye(n, dtype=bool)]
-        assert np.allclose(off, -2.0 / (n * (n - 1)), atol=1e-15)
+        assert np.allclose(off, -2.0 / (n * (n - 1)), rtol=0.0, atol=1e-8)
 
 
 def test_u_statistic_order_one_is_mean():
@@ -98,39 +97,98 @@ def test_u_statistic_permutation_invariance():
 
 def test_class_separation_all_plus_is_variance():
     n = 6
-    sep = class_separation_statistic(n, separation_labels([n]))
+    sep = class_separation_statistic([n])
     var = sample_variance_statistic(n)
     pts = stream(5, "pts").random((100, n))
     assert np.allclose(sep(pts), var(pts), atol=1e-13)
 
 
 def test_class_separation_values():
-    sep = class_separation_statistic(2, separation_labels([1, 1]))
+    sep = class_separation_statistic([1, 1])
     assert sep([0.0, 1.0]) == pytest.approx(-0.5, abs=1e-15)
-    sep5 = class_separation_statistic(5, separation_labels([2, 3]))
+    sep5 = class_separation_statistic([2, 3])
     assert sep5([0.7] * 5) == pytest.approx(0.0, abs=1e-15)
 
 
+def sign_matrix_reference(sizes):
+    """Class separation as its sum over pairs, sum_{i<j} r_ij (s_i - s_j)^2
+    / (n(n-1)) with r_ij = +1 within a group and -1 across, and that sum's
+    product-law expectation."""
+    n = sum(sizes)
+    group = np.repeat(np.arange(len(sizes)), sizes)
+    i, j = np.triu_indices(n, 1)
+    r = np.where(group[i] == group[j], 1.0, -1.0)
+
+    def evaluate(s):
+        return ((s[..., i] - s[..., j]) ** 2 * r).sum(axis=-1) / (n * (n - 1))
+
+    def expectation(support, weights):
+        # E (s_i - s_j)^2 = m2_i + m2_j - 2 mu_i mu_j for independent coordinates.
+        mu = support @ weights.T
+        m2 = (support * support) @ weights.T
+        return ((m2[:, i] + m2[:, j] - 2.0 * mu[:, i] * mu[:, j]) * r).sum(axis=1) / (n * (n - 1))
+
+    return evaluate, expectation
+
+
+@pytest.mark.parametrize("sizes", [[1, 5], [2, 4], [3, 3], [1, 1, 1, 1]],
+                         ids=["1-5", "2-4", "3-3", "1-1-1-1"])
+def test_class_separation_matches_sign_matrix_reference(sizes):
+    stat = class_separation_statistic(sizes)
+    evaluate, expectation = sign_matrix_reference(sizes)
+    rng = stream(9, f"sign-matrix/{sizes}")
+    rows = rng.random((500, stat.n))
+    np.testing.assert_allclose(stat(rows), evaluate(rows), rtol=0.0, atol=1e-14)
+    support = rng.random((4, 5))
+    weights = rng.dirichlet(np.ones(5), size=stat.n)
+    np.testing.assert_allclose(stat.product_expectation(support, weights),
+                               expectation(support, weights), rtol=0.0, atol=1e-14)
+
+
+def test_class_separation_refuses_bad_group_sizes():
+    with pytest.raises(DomainError, match="non-empty"):
+        class_separation_statistic([])
+    with pytest.raises(DomainError, match="positive"):
+        class_separation_statistic([2, 0])
+    with pytest.raises(DomainError, match="n >= 2"):
+        class_separation_statistic([1])
+
+
+def test_class_separation_memory_grows_with_n_not_n_squared():
+    # A 6000 x 6000 sign matrix alone would take 275 MiB.
+    tracemalloc.start()
+    try:
+        stat = class_separation_statistic([3000, 3000])
+        stat(stream(10, "wide").random((10, stat.n)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 # ---------------------------------------------------------------------------
-# derivatives vs finite differences
+# closed-form constants vs the numeric route
 
 @pytest.mark.parametrize(
     "make",
     [
         lambda: mean_statistic(5),
         lambda: sample_variance_statistic(5),
-        lambda: class_separation_statistic(5, separation_labels([2, 3])),
+        lambda: class_separation_statistic([2, 3]),
     ],
 )
 def test_closed_form_derivatives_match_finite_differences(make):
+    # These statistics are quadratic, so the numeric route finds their
+    # suprema up to rounding. Class separation shares the variance's (L, M),
+    # but its largest partial, 2 |sum_l r_kl (s_k - s_l)| / (n(n-1)) with
+    # |sum| <= 3 for a coordinate of the group of two, stays below 2/n.
     stat = make()
-    rng = stream(6, f"fd/{stat.name}")
-    for _ in range(100):
-        p = 0.1 + 0.8 * rng.random(stat.n)
-        assert np.max(np.abs(stat.gradient(p) - fd_gradient(stat, p, 1e-5))) <= 1e-5
-        hess_fd = fd_hessian(stat, p, 1e-4)
-        off = ~np.eye(stat.n, dtype=bool)
-        assert np.max(np.abs(stat.hessian(p)[off] - hess_fd[off])) <= 1e-5
+    lip, mixed = stat.closed_form_constants
+    rep = estimate_constants_numeric(stat, probes=20, seed=6)
+    assert rep.mixed == pytest.approx(mixed, abs=1e-4)
+    attained = 0.3 if stat.name == "class-separation" else lip
+    assert rep.lipschitz == pytest.approx(attained, abs=1e-4)
+    assert attained <= lip
 
 
 # ---------------------------------------------------------------------------
@@ -183,19 +241,6 @@ def test_asymmetric_kernel_rejected():
     bad = Kernel("lopsided", 2, lambda a: a[..., 0] - 0.5 * a[..., 1])
     with pytest.raises(DomainError):
         u_statistic(4, bad)
-
-
-def test_sign_matrix_validation():
-    with pytest.raises(DomainError):
-        class_separation_statistic(3, np.ones((2, 2)))
-    bad = np.ones((3, 3))
-    bad[0, 1] = -1.0  # asymmetric
-    with pytest.raises(DomainError):
-        class_separation_statistic(3, bad)
-    bad2 = np.ones((3, 3))
-    bad2[0, 1] = bad2[1, 0] = 0.5
-    with pytest.raises(DomainError):
-        class_separation_statistic(3, bad2)
 
 
 def test_arity_checked_on_call():
