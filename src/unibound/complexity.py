@@ -198,7 +198,7 @@ def rademacher_average(y, draws: int, seed) -> ComplexityEstimate:
 
 
 def gaussian_mc(y, draws: int, seed) -> ComplexityEstimate:
-    """Monte Carlo G(Y); normals come from the inversion sampler.
+    """Monte Carlo G(Y); normals come from ``rng.standard_normals``.
 
     Y is first reduced to its s distinct columns, column j appearing m_j
     times: the normals on column j's copies add up to sqrt(m_j) times one

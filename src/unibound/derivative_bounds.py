@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError, UnsupportedStatisticError
-from .functionals import Kernel, Statistic
+from .functionals import Kernel, Statistic, batches
 from .rng import as_stream
 
 # The routes a configuration names; a numeric estimate reports NUMERIC_ESTIMATE.
@@ -132,14 +132,19 @@ def fd_hessian(stat: Statistic, point: np.ndarray, step: float = DEFAULT_FD_STEP
     h = np.empty((n, n))
     np.fill_diagonal(h, (fp - 2.0 * f0 + fm) / step**2)
     iu, ju = np.triu_indices(n, 1)
-    if iu.size:
-        ek = eye[iu]
-        el = eye[ju]
-        stencil = np.stack([p + ek + el, p + ek - el, p - ek + el, p - ek - el])
-        vals = stat(stencil)  # (4, npairs)
-        mixed = (vals[0] - vals[1] - vals[2] + vals[3]) / (4.0 * step**2)
-        h[iu, ju] = mixed
-        h[ju, iu] = mixed
+    mixed = np.empty(iu.size)
+    # The steps on (k, l) of the stencil points p +- e_k +- e_l, in that order.
+    signs = step * np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+    for part in batches(iu.size, 4 * 8 * n):    # a pair's four stencil rows
+        k, l = iu[part], ju[part]
+        rows = np.arange(k.size)
+        stencil = np.broadcast_to(p, (4, k.size, n)).copy()
+        stencil[:, rows, k] += signs[:, :1]
+        stencil[:, rows, l] += signs[:, 1:]
+        vals = stat(stencil)  # (4, pairs in the slice)
+        mixed[part] = (vals[0] - vals[1] - vals[2] + vals[3]) / (4.0 * step**2)
+    h[iu, ju] = mixed
+    h[ju, iu] = mixed
     return h
 
 

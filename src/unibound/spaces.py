@@ -15,7 +15,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .errors import DomainError
 from .functionals import batches
@@ -118,7 +117,7 @@ class CoordinateDistribution:
         return np.cumsum(np.asarray(self.weights, dtype=np.float64))
 
     def invert(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        """Map open-(0,1) uniforms, of any shape, to draws elementwise;
+        """Map uniforms in (0, 1], of any shape, to draws elementwise;
         returns (values, indices-or-None)."""
         if self.space.kind == FINITE:
             idx = np.searchsorted(self._cumulative, u, side="left")
@@ -128,6 +127,8 @@ class CoordinateDistribution:
             return u, None
         if self.family == "bernoulli":
             return (u < self.params[0]).astype(np.float64), None
+        from scipy.special import betaincinv  # only the beta family pays its import
+
         return betaincinv(self.params[0], self.params[1], u), None
 
 

@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from unibound import functionals
 from unibound.derivative_bounds import (
     closed_form_constants,
     estimate_constants_numeric,
+    fd_hessian,
     u_statistic_constant_bounds,
 )
 from unibound.errors import DomainError, UnsupportedStatisticError
@@ -19,6 +22,7 @@ from unibound.functionals import (
     squared_difference_kernel,
     u_statistic,
 )
+from unibound.rng import stream
 
 
 def test_closed_form_mean():
@@ -157,3 +161,43 @@ def test_numeric_reports_non_finite_probe():
     bad = Statistic("bad", 3, lambda s: np.log(s.sum(axis=-1) - 5.0))
     with pytest.raises(NumericError, match="probe"), pytest.warns(RuntimeWarning):
         estimate_constants_numeric(bad, probes=3, seed=8)
+
+
+def _whole_stencil_mixed(stat, p, step):
+    # Every mixed partial from one (4, n(n-1)/2, n) stencil.
+    eye = step * np.eye(stat.n)
+    iu, ju = np.triu_indices(stat.n, 1)
+    ek, el = eye[iu], eye[ju]
+    vals = stat(np.stack([p + ek + el, p + ek - el, p - ek + el, p - ek - el]))
+    return iu, ju, (vals[0] - vals[1] - vals[2] + vals[3]) / (4.0 * step**2)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: mean_statistic(7),
+    lambda: sample_variance_statistic(9),
+    lambda: u_statistic(6, smoothed_min_kernel(4.0)),
+    lambda: class_separation_statistic([3, 5]),
+], ids=["mean", "variance", "smoothed-min", "class-separation"])
+def test_fd_hessian_slices_keep_the_whole_stencil_bits(make, monkeypatch):
+    stat = make()
+    p = stream(9, "hessian-probe").random(stat.n)
+    iu, ju, mixed = _whole_stencil_mixed(stat, p, 1e-4)
+    # A 1 KiB budget cuts the pairs into slices of 4 to 5 pairs.
+    monkeypatch.setattr(functionals, "BATCH_BYTES", 1 << 10)
+    h = fd_hessian(stat, p, 1e-4)
+    assert h[iu, ju].tobytes() == mixed.tobytes()
+    assert h[ju, iu].tobytes() == mixed.tobytes()
+
+
+def test_fd_hessian_memory_is_bounded_by_the_batch_budget():
+    # The whole stencil at n = 120 is 4 * 7140 * 120 doubles, about 26 MiB,
+    # and peaked at 65.7 MiB with its temporaries; 4 MiB slices peak near 8.
+    stat = sample_variance_statistic(120)
+    p = stream(10, "hessian-probe").random(120)
+    tracemalloc.start()
+    try:
+        fd_hessian(stat, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

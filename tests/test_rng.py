@@ -28,12 +28,22 @@ def test_as_stream_passthrough_and_derivation():
     assert np.array_equal(a, b)
 
 
-def test_open_uniforms_strictly_inside():
+def test_open_uniforms_in_half_open_unit_interval():
     u = open_uniforms(stream(0, "u"), 100_000)
-    assert u.min() > 0.0 and u.max() < 1.0
+    assert u.min() > 0.0 and u.max() <= 1.0
 
 
-def test_standard_normals_inversion_moments():
+def test_open_uniforms_are_the_half_offset_integers():
+    # random() is k / 2^53 for the k that integers(0, 2^53) draws, and adding
+    # 2^-54 rounds as adding 1/2 to k does.
+    u = open_uniforms(stream(11, "u"), (300, 7))
+    k = stream(11, "u").integers(0, 1 << 53, size=(300, 7), dtype=np.int64)
+    assert u.tobytes() == ((k.astype(np.float64) + 0.5) * 2.0**-53).tobytes()
+    top = float(np.float64(2**53 - 1) + 0.5) * 2.0**-53
+    assert top == 1.0 == (2**53 - 1) * 2.0**-53 + 2.0**-54
+
+
+def test_standard_normals_moments_and_replay():
     z = standard_normals(stream(1, "z"), 200_000)
     assert np.all(np.isfinite(z))
     assert abs(z.mean()) < 0.01
@@ -41,6 +51,13 @@ def test_standard_normals_inversion_moments():
     # identical bits on replay
     again = standard_normals(stream(1, "z"), 200_000)
     assert np.array_equal(z, again)
+
+
+def test_standard_normals_in_slices_are_one_draw():
+    whole = standard_normals(stream(4, "z"), (12345, 3))
+    rng = stream(4, "z")
+    parts = [standard_normals(rng, (rows, 3)) for rows in (1000, 1, 11344)]
+    assert whole.tobytes() == np.concatenate(parts).tobytes()
 
 
 def test_rademacher_signs_values():

@@ -102,6 +102,22 @@ def test_interval_families():
     assert abs(vals.mean() - 0.4) < 0.01  # beta(2,3) mean = 2/5
 
 
+@pytest.mark.parametrize("coord, top", [
+    (finite_weights(BITS, [0.3, 0.7]), 1.0),
+    # Cumulative weights that end short of 1, so only the clamp keeps u = 1.0
+    # on the last support point.
+    (finite_weights(finite_space([("a", 0.2), ("b", 0.5), ("c", 0.9)]),
+                    [0.2, 0.2, 0.6 - 1e-13]), 0.9),
+    (uniform_on(interval_space()), 1.0),
+    (bernoulli(0.3), 0.0),
+    (beta_family(2.0, 3.0), 1.0),
+], ids=["finite", "finite-short-sum", "uniform", "bernoulli", "beta"])
+def test_invert_maps_one_into_the_space(coord, top):
+    # open_uniforms can return exactly 1.0.
+    values, _ = coord.invert(np.array([1.0]))
+    assert values.tolist() == [top]
+
+
 def test_family_parameter_validation():
     with pytest.raises(DomainError):
         bernoulli(1.5)

@@ -1,0 +1,37 @@
+"""Start-up loads only what every run uses.
+
+``scipy.special`` costs about a quarter of a second to import, and only the
+beta family needs it (for ``betaincinv``). Each test runs in a fresh process,
+since this one has long since imported everything.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _run(code: str) -> str:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    return done.stdout
+
+
+def test_importing_the_cli_and_runner_leaves_scipy_special_unloaded():
+    out = _run("import sys\n"
+               "import unibound, unibound.cli, unibound.runner\n"
+               "print('scipy.special' in sys.modules)\n")
+    assert out.split() == ["False"]
+
+
+def test_beta_draws_load_betaincinv_on_first_use():
+    out = _run("import sys\n"
+               "from unibound.spaces import beta_family, draw_batch, iid_law\n"
+               "before = 'scipy.special' in sys.modules\n"
+               "values, indices = draw_batch(iid_law(beta_family(2.0, 3.0), 4), 100, 3)\n"
+               "print(before, 'scipy.special' in sys.modules, indices is None,\n"
+               "      bool(((values >= 0.0) & (values <= 1.0)).all()))\n")
+    assert out.split() == ["False", "True", "True", "True"]
