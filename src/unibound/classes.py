@@ -11,7 +11,6 @@ for one member over a batch of draws.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,24 +150,13 @@ class FunctionClass:
         return self._support
 
     def subclass(self, labels) -> "FunctionClass":
-        """The members named by ``labels``, in that order. On a finite space
-        their support rows are taken from this class's, already checked."""
+        """The members named by ``labels``, in that order."""
         wanted = list(labels)
         position = {lab: k for k, lab in enumerate(self.labels)}
         missing = [lab for lab in wanted if lab not in position]
         if missing:
             raise DomainError(f"unknown member labels {missing}")
-        picks = [position[lab] for lab in wanted]
-        members = tuple(self.members[k] for k in picks)
-        if self._support is None:
-            return FunctionClass(self.space, members)
-        labels = _member_labels(members)
-        support = self._support[picks]
-        support.flags.writeable = False
-        sub = copy.copy(self)
-        for name, value in (("members", members), ("labels", labels), ("_support", support)):
-            object.__setattr__(sub, name, value)
-        return sub
+        return FunctionClass(self.space, tuple(self.members[position[lab]] for lab in wanted))
 
 
 def _member_labels(members) -> tuple[str, ...]:

@@ -21,18 +21,19 @@ Pieces, in dependency order:
 * bounded-difference tail and swapped-coordinate process probes: direct
   Monte Carlo checks of the sub-Gaussian tail bounds the theory rests on.
 
-The exact and Monte Carlo oracles, the tail (the oracle's draw loop for
-one member), the swing (at a point, at sampled points and over the
-lattice) and the probe (at its mixed points) evaluate Phi through one
-function, which picks counts or rows once: a coordinate-symmetric
-statistic on a finite space is evaluated from support counts where a row
-of counts costs it no more than a row of values, and every other one from
-the members' images. Where one set of points feeds several batches of
-members (the Monte Carlo oracle's and the tail's draws, the exact oracle's
-lattice slices), Phi is evaluated from counts once per distinct count row:
-the distinct rows are found once per set, before any batch of members, and
-each point takes its row's value, so every result keeps the bits it has
-when Phi is evaluated at each point. The probe counts only its sigma-mix:
+The exact and Monte Carlo oracles, the tail (the oracle's draws for one
+member), the swing (at a point, at sampled points and over the lattice)
+and the probe (at its mixed points) evaluate Phi through one function,
+which picks counts or rows once: a coordinate-symmetric statistic on a
+finite space is evaluated from support counts where a row of counts costs
+it no more than a row of values, and every other one from the members'
+images. An expectation or a tail frequency is a weighted sum over points.
+On the count path the points of the Monte Carlo oracle's and the tail's
+draws, and of each exact oracle lattice slice, are their distinct count
+rows, found once per set before any batch of members and weighted by how
+many draws have each row or by the row's summed lattice mass. On the row
+path each draw is a point of weight 1, so each mean and standard error
+keeps the bits of a per-draw average. The probe counts only its sigma-mix:
 the complementary mix's counts are the two points' counts less the mix's.
 Only the replications image rows.
 """
@@ -149,8 +150,8 @@ def _count_types(counts: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return counts[first], inverse
 
 
-def _phis_at(stat: Statistic, fc: FunctionClass, values, indices, *,
-             counts=None, inverse=None) -> np.ndarray:
+def _phis_at(stat: Statistic, fc: FunctionClass, values=None, indices=None,
+             counts=None) -> np.ndarray:
     """Phi(f_k(x)) for every member k of the class at a batch of points x,
     as a (rows, K) array whose member columns are contiguous.
 
@@ -159,40 +160,28 @@ def _phis_at(stat: Statistic, fc: FunctionClass, values, indices, *,
     indices, so ``values`` may be None there. Where the statistic counts on
     the class's space (``_counted``), Phi is evaluated from the points'
     support counts, which a caller that holds only those passes as
-    ``counts``. A caller that evaluates one set of points for several member
-    batches passes its ``_count_types`` instead, the distinct rows as
-    ``counts`` and each point's row as ``inverse``, so that Phi is evaluated
-    once per distinct row. Otherwise Phi is evaluated from each member's
-    image of the points.
+    ``counts``. Otherwise Phi is evaluated from each member's image of the
+    points.
     """
     if _counted(fc.space, stat):
         if counts is None:
             counts = support_counts(indices, fc.space.size)
-        phis = stat.count_form(fc.support_matrix(), counts)
-        if inverse is None:
-            return phis
-        # Gathering along each member's contiguous row keeps it contiguous,
-        # so reductions over it add in the same order as on every point's Phi.
-        return np.take(phis.T, inverse, axis=1).T
+        return stat.count_form(fc.support_matrix(), counts)
     return np.stack([stat(fc.member_image(k, values, indices)) for k in range(len(fc))]).T
 
 
-def _phis_of_draws(law: ProductLaw, fc: FunctionClass, stat: Statistic, replicas: int, rng):
-    """Phi(f_k(X)) over ``replicas`` draws from ``rng``, member by member.
+def _draws(law: ProductLaw, stat: Statistic, replicas: int, rng):
+    """(points, weights): ``replicas`` draws from ``rng`` as points for
+    ``_phis_at(stat, fc, *points)``, with one weight per point.
 
-    Where the statistic counts, the draws are reduced to their distinct
-    support-count rows once, before the member batches, and only those rows
-    and each draw's row index are held. Otherwise the draws are held whole
-    and each member images them.
+    Where the statistic counts, the points are the draws' distinct support
+    count rows, each weighted by how many draws have it. Otherwise they are
+    the draws themselves, as (values, indices), each with weight 1.
     """
-    values = indices = counts = inverse = None
     if _counted(law.space, stat):
-        counts, inverse = _count_types(draw_counts(law, replicas, rng), law.n)
-    else:
-        values, indices = draw_batch(law, replicas, rng)
-    for part in batches(len(fc), 8 * replicas):    # a member's column of values
-        members = fc.subclass(fc.labels[part])
-        yield from _phis_at(stat, members, values, indices, counts=counts, inverse=inverse).T
+        types, inverse = _count_types(draw_counts(law, replicas, rng), law.n)
+        return (None, None, types), np.bincount(inverse)
+    return draw_batch(law, replicas, rng), np.ones(replicas)
 
 
 def expectation_oracle(
@@ -247,16 +236,17 @@ def expectation_oracle(
             idx = _lattice_indices(part, n, size)
             w = weights[np.arange(n)[None, :], idx]
             w = np.multiply.reduce(w, axis=1)
-            # The slice's count types are found once for all its member batches.
-            counts = inverse = None
+            # A typed slice is evaluated once per count row, at the row's
+            # summed lattice mass, for all its member batches.
+            at = (None, idx)
             if counted:
-                counts, inverse = _count_types(support_counts(idx, size), n)
+                types, inverse = _count_types(support_counts(idx, size), n)
+                at, w = (None, None, types), np.bincount(inverse, weights=w)
             # A member costs its column of Phi and that column weighted. Each
             # member sums its own contiguous row in numpy, not in a BLAS dot,
             # so its value depends neither on its batch nor on BLAS threads.
-            for members in batches(len(fc), 2 * 8 * len(idx)):
-                phis = _phis_at(stat, fc.subclass(fc.labels[members]), None, idx,
-                                counts=counts, inverse=inverse)
+            for members in batches(len(fc), 2 * 8 * len(w)):
+                phis = _phis_at(stat, fc.subclass(fc.labels[members]), *at)
                 values[members] += np.sum(w * phis.T, axis=1)
         return ExpectationOracle(EXACT_ENUMERATION, fc.labels, _finite_expectations(values))
     if method != MONTE_CARLO:
@@ -265,10 +255,19 @@ def expectation_oracle(
         raise DomainError(f"Monte Carlo oracle needs replicas >= {MIN_DRAWS}")
     values = np.empty(len(fc))
     stderrs = np.empty(len(fc))
-    draws = _phis_of_draws(law, fc, stat, replicas, as_stream(seed, "expectation-oracle"))
-    for k, phis in enumerate(draws):
-        values[k] = float(phis.mean())
-        stderrs[k] = mean_stderr(phis)
+    points, weights = _draws(law, stat, replicas, as_stream(seed, "expectation-oracle"))
+    # A member costs its values at the points and their weighted terms; the
+    # deviations and their squares overwrite the values. Each member sums
+    # its own contiguous row in numpy, so under unit weights its mean and
+    # standard error keep the bits of ``phis.mean()`` and ``mean_stderr``.
+    for part in batches(len(fc), 2 * 8 * len(weights)):
+        phis = _phis_at(stat, fc.subclass(fc.labels[part]), *points).T
+        terms = np.multiply(phis, weights)
+        values[part] = terms.sum(axis=1) / replicas
+        np.subtract(phis, values[part, None], out=phis)
+        np.multiply(phis, phis, out=phis)
+        np.multiply(phis, weights, out=terms)
+        stderrs[part] = np.sqrt(terms.sum(axis=1) / (replicas - 1)) / math.sqrt(replicas)
     return ExpectationOracle(MONTE_CARLO, fc.labels, _finite_expectations(values), stderrs, replicas)
 
 
@@ -614,14 +613,17 @@ def _threshold_grid(grid, name: str) -> np.ndarray:
     return t
 
 
-def _exceedance(excess: np.ndarray, thresholds: np.ndarray, scale: float, draws: int):
+def _exceedance(excess: np.ndarray, weights: np.ndarray, thresholds: np.ndarray, scale: float):
     """(empirical, bound, stderr, violations) per threshold t.
 
-    The empirical frequency of excess > t is checked against the bound
-    exp(-t^2 / scale), 1 at t = 0 and 0 beyond when the scale is 0; it
-    violates the bound by more than four binomial standard errors.
+    The empirical frequency of excess > t, each point counted ``weights``
+    times out of their sum, is checked against the bound exp(-t^2 / scale),
+    1 at t = 0 and 0 beyond when the scale is 0; it violates the bound by
+    more than four binomial standard errors. Integer weights count exactly,
+    so the frequency is the one over every draw.
     """
-    empirical = np.asarray([(excess > t).mean() for t in thresholds])
+    draws = weights.sum()
+    empirical = np.asarray([weights[excess > t].sum() for t in thresholds]) / draws
     if scale > 0.0:
         bound = np.exp(-(thresholds * thresholds) / scale)
     else:
@@ -678,9 +680,10 @@ def bounded_difference_tail(
     expected = float(oracle.values[0])
     if swing is None:
         swing = squared_swing_sum(stat, member, law.space, seed=stream(seed, "tail/swing"))
-    excess = next(_phis_of_draws(law, single, stat, replicas, stream(seed, "tail/x"))) - expected
+    points, weights = _draws(law, stat, replicas, stream(seed, "tail/x"))
+    excess = _phis_at(stat, single, *points)[:, 0] - expected
     # exp(-2 t^2 / swing); halving the swing is exact.
-    empirical, bound, stderr, violations = _exceedance(excess, t, swing.sup_norm / 2.0, replicas)
+    empirical, bound, stderr, violations = _exceedance(excess, weights, t, swing.sup_norm / 2.0)
     return TailReport(
         t, empirical, bound, stderr, violations,
         expected, swing.sup_norm, swing.sup_is_exact, replicas, oracle.method,
@@ -795,7 +798,7 @@ def swap_process_probe(
     y_f, y_g = _swap_process(stat, pair, x, x_alt, draws, as_stream(seed, "process-probe"))
 
     scale = 8.0 * (constants.lipschitz**2 + constants.mixed**2) * distance**2
-    empirical, bound, stderr, violations = _exceedance(y_f - y_g, s, scale, draws)
+    empirical, bound, stderr, violations = _exceedance(y_f - y_g, np.ones(draws), s, scale)
 
     mean_f = float(y_f.mean())
     stderr_f = mean_stderr(y_f)

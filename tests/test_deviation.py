@@ -191,7 +191,7 @@ def test_sliced_draws_match_one_batch():
 def test_oracle_count_path_matches_the_row_path(name, monkeypatch):
     # An opaque wrapper of the same statistic has no count form, so it images
     # the same draws row by row. The budget splits the count path's draws
-    # into 85-row slices and its members into one per call.
+    # into 85-row slices and its members into batches.
     monkeypatch.setattr(functionals, "BATCH_BYTES", 1 << 15)
     n = 12
     law = five_point_law(n, 1)
@@ -207,12 +207,13 @@ def test_oracle_count_path_matches_the_row_path(name, monkeypatch):
         expectation_oracle(law, fc, s, "monte-carlo", replicas=3000, seed=stream(4, "oracle"))
         for s in (stat, opaque)
     )
-    # One call per member, each on the distinct count rows of the same 3000
-    # draws, which the one stream gives as one batch.
+    # Every call is on the distinct count rows of the same 3000 draws, which
+    # the one stream gives as one batch, and the calls cover each member once.
     _, indices = draw_batch(law, 3000, as_stream(stream(4, "oracle"), "expectation-oracle"))
     distinct = len(np.unique(support_counts(indices, FIVE_POINTS.size), axis=0))
     assert 0 < distinct < 3000
-    assert calls == [distinct] * len(fc)
+    assert [rows for _, rows in calls] == [distinct] * len(calls)
+    assert sum(members for members, _ in calls) == len(fc)
     assert typed == [3000]    # the draws are typed once, not once per member batch
     assert counted.method == rows.method == "monte-carlo"
     assert np.allclose(counted.values, rows.values, rtol=0.0, atol=1e-14)
@@ -220,9 +221,10 @@ def test_oracle_count_path_matches_the_row_path(name, monkeypatch):
 
 
 def _spied(stat, calls):
-    """The statistic with a count form that records each call."""
+    """The statistic with a count form that records each call's numbers of
+    members and count rows."""
     def count_form(support, counts):
-        calls.append(counts.shape[0])
+        calls.append((support.shape[0], counts.shape[0]))
         return stat.count_form(support, counts)
 
     return dataclasses.replace(stat, count_form=count_form)
@@ -357,7 +359,9 @@ def test_order_three_product_runs_in_bounded_memory(tmp_path, kind, n, keys):
 def test_monte_carlo_oracle_counts_in_bounded_memory():
     # The oracle-mc benchmark's shape. Its 100 000 draws of 64 coordinates
     # cost about 150 MiB as uniforms, values and indices; as support counts
-    # they cost 4 MB.
+    # they cost 4 MB. The oracle peaks at 11.1 MiB; fresh arrays for the
+    # deviations and their squares took it to 14.8 MiB, and a member batch
+    # budgeted for its values alone to 20.6 MiB.
     law = iid_law(uniform_on(FIVE_POINTS), 64)
     fc = random_lookup_class(FIVE_POINTS, 256, 1)
     stat = sample_variance_statistic(64)
@@ -365,7 +369,7 @@ def test_monte_carlo_oracle_counts_in_bounded_memory():
         lambda: expectation_oracle(law, fc, stat, "monte-carlo", replicas=100_000, seed=1)
     )
     assert oracle.method == "monte-carlo" and oracle.replicas == 100_000
-    assert peak < 32 * 2**20
+    assert peak < 12 * 2**20
 
 
 @pytest.mark.parametrize("name", ["mean", "variance"])
@@ -854,13 +858,19 @@ def test_tail_swing_and_probe_counts_match_rows(name, support):
     oracles = [expectation_oracle(law, fc, s, "exact") for s in (stat, rows)]
     np.testing.assert_allclose(oracles[0].values, oracles[1].values, **TOL)
 
+    # The tail's draws, evaluated at every draw on both paths.
     single = fc.subclass([fc.labels[0]])
-    excess = [next(deviation._phis_of_draws(law, single, s, 2000, stream(3, "tail/x")))
-              for s in (stat, rows)]
-    np.testing.assert_allclose(*excess, **TOL)
-    tails = [bounded_difference_tail(law, s, fc.members[0], [0.0, 0.01, 0.03], 2000, 3)
-             for s in (stat, rows)]
+    draws = draw_batch(law, 2000, stream(3, "tail/x"))
+    phis = [deviation._phis_at(s, single, *draws)[:, 0] for s in (stat, rows)]
+    np.testing.assert_allclose(*phis, **TOL)
+    grid = [0.0, 0.01, 0.03]
+    tails = [bounded_difference_tail(law, s, fc.members[0], grid, 2000, 3) for s in (stat, rows)]
     assert tails[0].expected_value == tails[1].expected_value
+    # A weighted count of integers is exact: each path's frequencies are
+    # those over every draw, bit for bit.
+    for tail, phi in zip(tails, phis):
+        every_draw = [(phi - tail.expected_value > t).mean() for t in grid]
+        assert np.array_equal(tail.empirical, every_draw)
     assert np.array_equal(tails[0].empirical, tails[1].empirical)
     np.testing.assert_allclose(tails[0].swing_norm, tails[1].swing_norm, **TOL)
 
@@ -1031,12 +1041,19 @@ TYPED_SHAPES = {
 def _typed_outputs(law, members, enumerable, stat):
     """Every count-path output the types feed, by name."""
     fc = random_lookup_class(law.space, members, 5)
-    single = fc.subclass([fc.labels[0]])
     mc = expectation_oracle(law, fc, stat, "monte-carlo", replicas=1000, seed=stream(2, "oracle"))
+    # The swing only scales the bound, so a fixed one skips its sampled sup.
+    grid = [0.0, 0.01, 0.03]
+    tail = bounded_difference_tail(law, stat, fc.members[0], grid, 1000, 4,
+                                   oracle_method="monte-carlo", oracle_replicas=1000,
+                                   swing=deviation.SwingReport(None, 1.0, True))
+    counts = draw_counts(law, 1000, stream(4, "tail/x"))
+    phis = deviation._phis_at(stat, fc.subclass([fc.labels[0]]), counts=counts)[:, 0]
     outputs = {
         "oracle values": mc.values,
         "oracle stderrs": mc.stderrs,
-        "tail phis": next(deviation._phis_of_draws(law, single, stat, 1000, stream(4, "tail/x"))),
+        "tail empirical": tail.empirical,
+        "tail every draw": [(phis - tail.expected_value > t).mean() for t in grid],
     }
     if enumerable:
         outputs["exact"] = expectation_oracle(law, fc, stat, "exact").values
@@ -1048,19 +1065,56 @@ def _typed_outputs(law, members, enumerable, stat):
 def test_count_types_keep_the_bits_of_every_row(monkeypatch, name, shape):
     # A budget this small splits the draws and the lattice into many slices
     # and the members into several batches per slice. The reference types
-    # every point as its own row, so count_form runs on every row as it did
-    # before types.
+    # every point as its own row of weight 1, so count_form runs on every
+    # row as it did before types.
     monkeypatch.setattr(functionals, "BATCH_BYTES", 1 << 12)
     law_of, members, enumerable = TYPED_SHAPES[shape]
     law = law_of()
     stat = STATISTICS[name](law.n)
     assert deviation._counted(law.space, stat)
+    # Each distinct count row of the draws weighs as many draws as have it.
+    (_, _, types), weights = deviation._draws(law, stat, 1000, stream(4, "tail/x"))
+    expected = np.unique(draw_counts(law, 1000, stream(4, "tail/x")), axis=0, return_counts=True)
+    assert weights.dtype.kind == "i" and weights.sum() == 1000
+    assert np.array_equal(types, expected[0]) and np.array_equal(weights, expected[1])
     if shape == "one-type":
-        draws = draw_counts(law, 1000, stream(4, "tail/x"))
-        assert len(deviation._count_types(draws, law.n)[0]) == 1
+        assert weights.tolist() == [1000]
     typed = _typed_outputs(law, members, enumerable, stat)
     monkeypatch.setattr(deviation, "_count_types",
                         lambda counts, n: (counts, np.arange(counts.shape[0])))
     every_row = _typed_outputs(law, members, enumerable, stat)
-    for key, value in typed.items():
-        assert np.array_equal(value, every_row[key]), key
+    # Types change only the order of the sums, except in the tail's exact
+    # counts, which match every draw's at the tail's own expected value.
+    # With one type every draw has one value, so both standard errors are
+    # rounding noise on a true 0, below the values' rounding.
+    for out in (typed, every_row):
+        assert np.array_equal(out["tail empirical"], out["tail every draw"])
+    compared = ["oracle values", "oracle stderrs", "exact"]
+    if shape == "one-type":
+        compared.remove("oracle stderrs")
+        for out in (typed, every_row):
+            assert np.all(out["oracle stderrs"] <= 1e-15 * np.abs(out["oracle values"]))
+    for key in compared:
+        if key in typed:
+            np.testing.assert_allclose(typed[key], every_row[key], rtol=1e-14, atol=0.0,
+                                       err_msg=key)
+
+
+@pytest.mark.parametrize("case", ["class-separation-5-point", "variance-interval"])
+def test_row_path_monte_carlo_oracle_keeps_the_bits_of_every_draw(case):
+    # Unit weights leave each member's mean and standard error those of its
+    # values at every draw, bit for bit.
+    if case == "class-separation-5-point":
+        law, stat = five_point_law(6, 3), class_separation_statistic([2, 4])
+        fc = random_lookup_class(FIVE_POINTS, 3, 8)
+    else:
+        law, stat = iid_law(beta_family(2.0, 3.0), 8), sample_variance_statistic(8)
+        fc = FunctionClass(law.space, (ThresholdMember("low", 0.2, 0.5),
+                                       ThresholdMember("high", 0.5, 0.3)))
+    assert not deviation._counted(law.space, stat)
+    oracle = expectation_oracle(law, fc, stat, "monte-carlo", replicas=2000, seed=6)
+    values, indices = draw_batch(law, 2000, as_stream(6, "expectation-oracle"))
+    for k in range(len(fc)):
+        phis = stat(fc.member_image(k, values, indices))
+        assert oracle.values[k] == phis.mean()
+        assert oracle.stderrs[k] == complexity.mean_stderr(phis)
