@@ -136,12 +136,13 @@ class FunctionClass:
             return np.take(self._support, x.indices, axis=1)
         return np.stack([m.apply(x.values) for m in self.members])
 
-    def member_image(self, k: int, values: np.ndarray, indices: np.ndarray | None) -> np.ndarray:
-        """Member k's image of a batch of draws: ``values`` of any shape, with
-        their support ``indices`` on a finite space (as ``draw_batch`` gives)."""
+    def member_image(self, k: int, points: np.ndarray) -> np.ndarray:
+        """Member k's image of a batch of points of any shape, as
+        ``draw_batch`` gives them: support indices on a finite space, values
+        on the interval."""
         if self._support is not None:
-            return np.take(self._support[k], indices)
-        return self.members[k].apply(values)
+            return np.take(self._support[k], points)
+        return self.members[k].apply(points)
 
     def support_matrix(self) -> np.ndarray:
         """(|class|, support size) member values per support point, read-only."""

@@ -150,38 +150,35 @@ def _count_types(counts: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return counts[first], inverse
 
 
-def _phis_at(stat: Statistic, fc: FunctionClass, values=None, indices=None,
-             counts=None) -> np.ndarray:
+def _phis_at(stat: Statistic, fc: FunctionClass, points=None, counts=None) -> np.ndarray:
     """Phi(f_k(x)) for every member k of the class at a batch of points x,
-    as a (rows, K) array whose member columns are contiguous.
+    as a (K, rows) array, one contiguous row per member.
 
-    The points come as their ``values`` and support ``indices``, as
-    ``draw_batch`` gives them; on a finite space members read only the
-    indices, so ``values`` may be None there. Where the statistic counts on
-    the class's space (``_counted``), Phi is evaluated from the points'
-    support counts, which a caller that holds only those passes as
-    ``counts``. Otherwise Phi is evaluated from each member's image of the
-    points.
+    The ``points`` come as ``draw_batch`` gives them: support indices on a
+    finite space, values on the interval. Where the statistic counts on the
+    class's space (``_counted``), Phi is evaluated from the points' support
+    counts, which a caller that holds only those passes as ``counts``.
+    Otherwise Phi is evaluated from each member's image of the points.
     """
     if _counted(fc.space, stat):
         if counts is None:
-            counts = support_counts(indices, fc.space.size)
+            counts = support_counts(points, fc.space.size)
         return stat.count_form(fc.support_matrix(), counts)
-    return np.stack([stat(fc.member_image(k, values, indices)) for k in range(len(fc))]).T
+    return np.stack([stat(fc.member_image(k, points)) for k in range(len(fc))])
 
 
 def _draws(law: ProductLaw, stat: Statistic, replicas: int, rng):
-    """(points, weights): ``replicas`` draws from ``rng`` as points for
-    ``_phis_at(stat, fc, *points)``, with one weight per point.
+    """(at, weights): ``replicas`` draws from ``rng`` as the keyword
+    arguments ``_phis_at(stat, fc, **at)`` takes, with one weight per point.
 
     Where the statistic counts, the points are the draws' distinct support
     count rows, each weighted by how many draws have it. Otherwise they are
-    the draws themselves, as (values, indices), each with weight 1.
+    the draws themselves, each with weight 1.
     """
     if _counted(law.space, stat):
         types, inverse = _count_types(draw_counts(law, replicas, rng), law.n)
-        return (None, None, types), np.bincount(inverse)
-    return draw_batch(law, replicas, rng), np.ones(replicas)
+        return {"counts": types}, np.bincount(inverse)
+    return {"points": draw_batch(law, replicas, rng)}, np.ones(replicas)
 
 
 def expectation_oracle(
@@ -238,16 +235,16 @@ def expectation_oracle(
             w = np.multiply.reduce(w, axis=1)
             # A typed slice is evaluated once per count row, at the row's
             # summed lattice mass, for all its member batches.
-            at = (None, idx)
+            at = {"points": idx}
             if counted:
                 types, inverse = _count_types(support_counts(idx, size), n)
-                at, w = (None, None, types), np.bincount(inverse, weights=w)
-            # A member costs its column of Phi and that column weighted. Each
+                at, w = {"counts": types}, np.bincount(inverse, weights=w)
+            # A member costs its row of Phi and that row weighted. Each
             # member sums its own contiguous row in numpy, not in a BLAS dot,
             # so its value depends neither on its batch nor on BLAS threads.
             for members in batches(len(fc), 2 * 8 * len(w)):
-                phis = _phis_at(stat, fc.subclass(fc.labels[members]), *at)
-                values[members] += np.sum(w * phis.T, axis=1)
+                phis = _phis_at(stat, fc.subclass(fc.labels[members]), **at)
+                values[members] += np.sum(w * phis, axis=1)
         return ExpectationOracle(EXACT_ENUMERATION, fc.labels, _finite_expectations(values))
     if method != MONTE_CARLO:
         raise DomainError(f"unknown oracle method {method!r}")
@@ -255,13 +252,13 @@ def expectation_oracle(
         raise DomainError(f"Monte Carlo oracle needs replicas >= {MIN_DRAWS}")
     values = np.empty(len(fc))
     stderrs = np.empty(len(fc))
-    points, weights = _draws(law, stat, replicas, as_stream(seed, "expectation-oracle"))
+    at, weights = _draws(law, stat, replicas, as_stream(seed, "expectation-oracle"))
     # A member costs its values at the points and their weighted terms; the
     # deviations and their squares overwrite the values. Each member sums
     # its own contiguous row in numpy, so under unit weights its mean and
     # standard error keep the bits of ``phis.mean()`` and ``mean_stderr``.
     for part in batches(len(fc), 2 * 8 * len(weights)):
-        phis = _phis_at(stat, fc.subclass(fc.labels[part]), *points).T
+        phis = _phis_at(stat, fc.subclass(fc.labels[part]), **at)
         terms = np.multiply(phis, weights)
         values[part] = terms.sum(axis=1) / replicas
         np.subtract(phis, values[part, None], out=phis)
@@ -541,7 +538,7 @@ def _swing_at_indices(stat: Statistic, single: FunctionClass, idx: np.ndarray) -
             c = counts[part]
             drop = np.where(c > 0, np.arange(size), c.argmax(axis=1)[:, None])
             variants = (c[:, None, :] - unit[drop])[:, :, None, :] + unit
-            phi = _phis_at(stat, single, None, None, counts=variants.reshape(-1, size))
+            phi = _phis_at(stat, single, counts=variants.reshape(-1, size))[0]
             phi = phi.reshape(-1, size, size)
             spread[part] = phi.max(axis=2) - phi.min(axis=2)
         squared = spread**2
@@ -553,7 +550,7 @@ def _swing_at_indices(stat: Statistic, single: FunctionClass, idx: np.ndarray) -
         for k in range(n):
             variants = np.repeat(idx[part, None, :], size, axis=1)    # (points, s, n)
             variants[:, :, k] = np.arange(size)
-            phi = _phis_at(stat, single, None, variants.reshape(-1, n)).reshape(-1, size)
+            phi = _phis_at(stat, single, variants.reshape(-1, n))[0].reshape(-1, size)
             total[part] += (phi.max(axis=1) - phi.min(axis=1)) ** 2
     return total
 
@@ -590,7 +587,7 @@ def squared_swing_sum(
     if points <= ENUM_CAP:
         phi_flat = np.empty(points)
         for part in batches(points, 2 * 8 * n):    # index and image rows
-            phi_flat[part] = _phis_at(stat, single, None, _lattice_indices(part, n, size))[:, 0]
+            phi_flat[part] = _phis_at(stat, single, _lattice_indices(part, n, size))[0]
         lattice = phi_flat.reshape((size,) * n)
         acc = np.zeros((size,) * n)
         for k in range(n):
@@ -680,8 +677,8 @@ def bounded_difference_tail(
     expected = float(oracle.values[0])
     if swing is None:
         swing = squared_swing_sum(stat, member, law.space, seed=stream(seed, "tail/swing"))
-    points, weights = _draws(law, stat, replicas, stream(seed, "tail/x"))
-    excess = _phis_at(stat, single, *points)[:, 0] - expected
+    at, weights = _draws(law, stat, replicas, stream(seed, "tail/x"))
+    excess = _phis_at(stat, single, **at)[0] - expected
     # exp(-2 t^2 / swing); halving the swing is exact.
     empirical, bound, stderr, violations = _exceedance(excess, weights, t, swing.sup_norm / 2.0)
     return TailReport(
@@ -724,15 +721,6 @@ class ProcessProbe:
         return self.zero_mean_ok and not bool(self.violations.any())
 
 
-def _mix(swap: np.ndarray, x: SampleVector, x_alt: SampleVector):
-    """The points that take x's coordinates where ``swap`` is set and
-    x_alt's elsewhere, as (values, indices): the indices alone on a finite
-    space, where members read only those."""
-    if x.indices is None:
-        return np.where(swap, x.values, x_alt.values), None
-    return None, np.where(swap, x.indices, x_alt.indices)
-
-
 def _swap_process(stat: Statistic, pair: FunctionClass, x: SampleVector, x_alt: SampleVector,
                   draws: int, rng) -> tuple[np.ndarray, np.ndarray]:
     """The process values (y_f, y_g) of the pair's two members over ``draws``
@@ -745,10 +733,12 @@ def _swap_process(stat: Statistic, pair: FunctionClass, x: SampleVector, x_alt: 
     complementary mix's counts are the two points' counts less the mix's.
     """
     n = stat.n
+    # The points as members read them: support indices on a finite space.
+    a, b = (x.indices, x_alt.indices) if pair.space.kind == FINITE else (x.values, x_alt.values)
     counted = _counted(pair.space, stat)
     if counted:
         size = pair.space.size
-        both = support_counts(np.stack([x.indices, x_alt.indices]), size).sum(axis=0)
+        both = support_counts(np.stack([a, b]), size).sum(axis=0)
     y_f = np.empty(draws)
     y_g = np.empty(draws)
     # The slices fix how the sign draws split; a draw costs its signs, its
@@ -756,14 +746,14 @@ def _swap_process(stat: Statistic, pair: FunctionClass, x: SampleVector, x_alt: 
     for part in batches(draws, 5 * 8 * n):
         swap = rng.integers(0, 2, size=(part.stop - part.start, n)) == 1
         if counted:
-            counts = support_counts(_mix(swap, x, x_alt)[1], size)
-            mixed = _phis_at(stat, pair, None, None, counts=counts)
-            swapped = _phis_at(stat, pair, None, None, counts=both - counts)
+            counts = support_counts(np.where(swap, a, b), size)
+            mixed = _phis_at(stat, pair, counts=counts)
+            swapped = _phis_at(stat, pair, counts=both - counts)
         else:
-            mixed = _phis_at(stat, pair, *_mix(swap, x, x_alt))
-            swapped = _phis_at(stat, pair, *_mix(swap, x_alt, x))
-        y_f[part] = mixed[:, 0] - swapped[:, 0]
-        y_g[part] = mixed[:, 1] - swapped[:, 1]
+            mixed = _phis_at(stat, pair, np.where(swap, a, b))
+            swapped = _phis_at(stat, pair, np.where(swap, b, a))
+        y_f[part] = mixed[0] - swapped[0]
+        y_g[part] = mixed[1] - swapped[1]
     return y_f, y_g
 
 

@@ -7,7 +7,7 @@ class UniboundError(Exception):
 
 class DomainError(UniboundError, ValueError):
     """Arguments violate a contract: bad shapes, values outside the sample
-    space, malformed sign matrices, and the like."""
+    space, negative seeds, and the like."""
 
 
 class ResourceError(UniboundError):

@@ -83,9 +83,10 @@ class Statistic:
         is E Phi(f_k(X)) for X with independent coordinates.
     row_bytes : bytes one row costs ``evaluate``; n doubles when not given.
         Calling the statistic evaluates batches of rows that fit BATCH_BYTES.
-    count_form : map (support (K, s), counts (rows, s)) -> (rows, K), or
+    count_form : map (support (K, s), counts (rows, s)) -> (K, rows), or
         None. Row r of ``counts`` holds how many coordinates of a point take
-        each support value; entry (r, k) is Phi(f_k(x)) for that point. Only
+        each support value; entry (k, r) is Phi(f_k(x)) for that point, so
+        each member's values form one contiguous row. Only
         coordinate-symmetric statistics carry one.
     count_row_bytes : map s -> bytes one row of counts costs ``count_form``
         per member on s support points, in the units of ``row_bytes``; set
@@ -269,7 +270,7 @@ def mean_statistic(n: int) -> Statistic:
         return (support @ weights.T).mean(axis=1)
 
     def count_form(support, counts):
-        return (_count_sums(support, counts) / n).T
+        return _count_sums(support, counts) / n
 
     return Statistic(
         "mean", n, evaluate, (1.0 / n, 0.0), product_expectation,
@@ -302,7 +303,7 @@ def sample_variance_statistic(n: int) -> Statistic:
         out *= n
         out -= np.square(total, out=total)
         out /= denom
-        return out.T
+        return out
 
     constants = (2.0 / n, 2.0 / math.sqrt(n * (n - 1)))
     return Statistic(
@@ -424,7 +425,7 @@ def u_statistic(n: int, kernel: Kernel) -> Statistic:
             terms = kernel_values[:, :, None] * weights    # (members, multisets, rows)
             terms[:, 0] += out
             out = np.cumsum(terms, axis=1)[:, -1]
-        return (out / count).T
+        return out / count
 
     return Statistic(
         f"u-statistic[{kernel.name},m={m}]", n, evaluate,

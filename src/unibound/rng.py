@@ -24,6 +24,8 @@ import numpy as np
 # this module rather than inside the first stream() call.
 from numpy.random import PCG64, Generator, SeedSequence
 
+from .errors import DomainError
+
 __all__ = ["stream", "as_stream", "open_uniforms", "standard_normals", "rademacher_signs"]
 
 
@@ -35,7 +37,7 @@ def _tag_entropy(tag: str) -> int:
 def stream(root_seed: int, tag: str, index: int = 0) -> Generator:
     """Generator for the work unit (root_seed, tag, index)."""
     if root_seed < 0:
-        raise ValueError("root seed must be a nonnegative integer")
+        raise DomainError("root seed must be a nonnegative integer")
     seq = SeedSequence(entropy=(int(root_seed), _tag_entropy(tag), int(index)))
     return Generator(PCG64(seq))
 

@@ -4,9 +4,9 @@ A sample space is either a finite set of labelled points with values in
 [0, 1] or the unit interval itself. Coordinates of a product law are
 independent but need not be identically distributed; they do share one
 sample space. All draws are inversion-based on the derived uniform stream.
-On a finite space the support counts of a batch of draws come straight
-from the uniforms (``draw_counts``), bit for bit those of ``draw_batch``'s
-draws, without forming their values or indices.
+A finite space's draws are their support indices, and its support counts
+come straight from the uniforms (``draw_counts``), bit for bit those of
+``draw_batch``'s draws, without forming the indices.
 """
 
 from __future__ import annotations
@@ -116,20 +116,19 @@ class CoordinateDistribution:
     def _cumulative(self) -> np.ndarray:
         return np.cumsum(np.asarray(self.weights, dtype=np.float64))
 
-    def invert(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        """Map uniforms in (0, 1], of any shape, to draws elementwise;
-        returns (values, indices-or-None)."""
+    def invert(self, u: np.ndarray) -> np.ndarray:
+        """Map uniforms in (0, 1], of any shape, to draws elementwise: their
+        support indices on a finite space, their values on the interval."""
         if self.space.kind == FINITE:
             idx = np.searchsorted(self._cumulative, u, side="left")
-            idx = np.minimum(idx, self.space.size - 1)
-            return self.space.support_values[idx], idx
+            return np.minimum(idx, self.space.size - 1)
         if self.family == "uniform":
-            return u, None
+            return u
         if self.family == "bernoulli":
-            return (u < self.params[0]).astype(np.float64), None
+            return (u < self.params[0]).astype(np.float64)
         from scipy.special import betaincinv  # only the beta family pays its import
 
-        return betaincinv(self.params[0], self.params[1], u), None
+        return betaincinv(self.params[0], self.params[1], u)
 
 
 def finite_weights(space: SampleSpace, weights) -> CoordinateDistribution:
@@ -228,31 +227,33 @@ def sample(law: ProductLaw, seed) -> SampleVector:
 
     The one-row case of ``draw_batch``, on the stream tagged ``sample``.
     """
-    values, indices = draw_batch(law, 1, as_stream(seed, "sample"))
-    return SampleVector(law.space, values[0], None if indices is None else indices[0])
+    drawn = draw_batch(law, 1, as_stream(seed, "sample"))[0]
+    if law.space.kind == FINITE:
+        return SampleVector(law.space, law.space.support_values[drawn], drawn)
+    return SampleVector(law.space, drawn)
 
 
-def draw_batch(law: ProductLaw, count: int, seed) -> tuple[np.ndarray, np.ndarray | None]:
-    """Draw ``count`` vectors at once; returns (values (count, n), indices).
+def draw_batch(law: ProductLaw, count: int, seed) -> np.ndarray:
+    """Draw ``count`` vectors at once as one (count, n) array: support
+    indices on a finite space, values on the interval.
 
-    Each distinct coordinate law inverts its coordinates' uniforms in one
-    call per slice of rows; inversion is elementwise, so the draws are those
-    of inverting coordinate by coordinate.
+    The uniforms come in slices of rows, each from one call on the one
+    stream, so they are those of one call. Each distinct coordinate law
+    inverts its coordinates' uniforms in one call per slice; inversion is
+    elementwise, so the draws are those of inverting coordinate by
+    coordinate.
     """
     if count < 1:
         raise DomainError("count must be positive")
     rng = as_stream(seed, "draw-batch")
-    u = open_uniforms(rng, (count, law.n))
-    values = np.empty((count, law.n), dtype=np.float64)
-    indices = np.empty((count, law.n), dtype=np.int64) if law.space.kind == FINITE else None
-    # A row's inversion holds its uniforms, positions, indices and values.
+    drawn = np.empty((count, law.n), dtype=np.int64 if law.space.kind == FINITE else np.float64)
+    # A row's inversion holds its uniforms, one law's gather of them, their
+    # search positions and the draws.
     for part in batches(count, 4 * 8 * law.n):
+        u = open_uniforms(rng, (part.stop - part.start, law.n))
         for coord, cols in law._groups:
-            v, idx = coord.invert(u[part, cols])
-            values[part, cols] = v
-            if indices is not None:
-                indices[part, cols] = idx
-    return values, indices
+            drawn[part, cols] = coord.invert(u[:, cols])
+    return drawn
 
 
 def support_counts(indices: np.ndarray, size: int) -> np.ndarray:
@@ -273,7 +274,7 @@ COMPARE_MAX_SIZE = 32
 
 def draw_counts(law: ProductLaw, count: int, seed) -> np.ndarray:
     """The (count, s) support counts of ``count`` draws from a finite law,
-    equal to ``support_counts(draw_batch(law, count, seed)[1], s)``.
+    equal to ``support_counts(draw_batch(law, count, seed), s)``.
 
     The draws come in slices of rows, each from one call for its uniforms
     on the one stream, so they are those of one ``draw_batch``. Up to
@@ -291,11 +292,11 @@ def draw_counts(law: ProductLaw, count: int, seed) -> np.ndarray:
     size = law.space.size
     counts = np.empty((count, size), dtype=np.int64)
     # A draw holds its integers, uniforms, their transposed copy and their
-    # mask, n of each, or draw_batch's uniforms, positions, indices and values.
+    # mask, n of each, or draw_batch's uniforms, positions and indices.
     for part in batches(count, 4 * 8 * law.n):
         rows = part.stop - part.start
         if size > COMPARE_MAX_SIZE:
-            counts[part] = support_counts(draw_batch(law, rows, rng)[1], size)
+            counts[part] = support_counts(draw_batch(law, rows, rng), size)
             continue
         # One row per coordinate, so each sum runs along contiguous rows.
         ut = np.ascontiguousarray(open_uniforms(rng, (rows, law.n)).T)

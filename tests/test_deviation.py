@@ -179,11 +179,12 @@ def five_point_law(n, seed):
 
 def test_sliced_draws_match_one_batch():
     law = five_point_law(7, 0)
-    values, indices = draw_batch(law, 1001, stream(6, "draws"))
+    indices = draw_batch(law, 1001, stream(6, "draws"))
     rng = stream(6, "draws")
     parts = [draw_batch(law, count, rng) for count in (337, 1, 663)]
-    assert np.array_equal(np.concatenate([v for v, _ in parts]), values)
-    sliced = np.concatenate([support_counts(idx, 5) for _, idx in parts])
+    values = FIVE_POINTS.support_values
+    assert np.array_equal(values[np.concatenate(parts)], values[indices])
+    sliced = np.concatenate([support_counts(idx, 5) for idx in parts])
     assert np.array_equal(sliced, support_counts(indices, 5))
 
 
@@ -209,7 +210,7 @@ def test_oracle_count_path_matches_the_row_path(name, monkeypatch):
     )
     # Every call is on the distinct count rows of the same 3000 draws, which
     # the one stream gives as one batch, and the calls cover each member once.
-    _, indices = draw_batch(law, 3000, as_stream(stream(4, "oracle"), "expectation-oracle"))
+    indices = draw_batch(law, 3000, as_stream(stream(4, "oracle"), "expectation-oracle"))
     distinct = len(np.unique(support_counts(indices, FIVE_POINTS.size), axis=0))
     assert 0 < distinct < 3000
     assert [rows for _, rows in calls] == [distinct] * len(calls)
@@ -259,8 +260,8 @@ def test_oracle_row_path_images_one_batch_of_draws():
     fc = random_lookup_class(FIVE_POINTS, 3, 5)
     stat = class_separation_statistic([2, 4])
     oracle = expectation_oracle(law, fc, stat, "monte-carlo", replicas=500, seed=3)
-    vals, idx = draw_batch(law, 500, as_stream(3, "expectation-oracle"))
-    phis = [stat(fc.member_image(k, vals, idx)) for k in range(len(fc))]
+    idx = draw_batch(law, 500, as_stream(3, "expectation-oracle"))
+    phis = [stat(fc.member_image(k, idx)) for k in range(len(fc))]
     assert np.array_equal(oracle.values, [p.mean() for p in phis])
 
 
@@ -370,6 +371,24 @@ def test_monte_carlo_oracle_counts_in_bounded_memory():
     )
     assert oracle.method == "monte-carlo" and oracle.replicas == 100_000
     assert peak < 12 * 2**20
+
+
+def test_row_path_monte_carlo_oracle_holds_its_draws_once():
+    # Class separation has no count form, so the oracle images its 20 000
+    # draws of 64 coordinates member by member. The draws are one array of
+    # support indices, and a member's image of them is one more of the same
+    # size; the rest is budgeted batches. The oracle peaks at 24.6 MiB; the
+    # draws' values kept beside their indices took it to 34.3 MiB.
+    law = iid_law(uniform_on(FIVE_POINTS), 64)
+    fc = random_lookup_class(FIVE_POINTS, 4, 1)
+    stat = class_separation_statistic([32, 32])
+    assert not deviation._counted(law.space, stat)
+    oracle, peak = _traced_peak(
+        lambda: expectation_oracle(law, fc, stat, "monte-carlo", replicas=20_000, seed=1)
+    )
+    assert oracle.method == "monte-carlo" and oracle.replicas == 20_000
+    draws = 20_000 * 64 * 8
+    assert peak < 2 * draws + 2 * functionals.BATCH_BYTES
 
 
 @pytest.mark.parametrize("name", ["mean", "variance"])
@@ -861,7 +880,7 @@ def test_tail_swing_and_probe_counts_match_rows(name, support):
     # The tail's draws, evaluated at every draw on both paths.
     single = fc.subclass([fc.labels[0]])
     draws = draw_batch(law, 2000, stream(3, "tail/x"))
-    phis = [deviation._phis_at(s, single, *draws)[:, 0] for s in (stat, rows)]
+    phis = [deviation._phis_at(s, single, draws)[0] for s in (stat, rows)]
     np.testing.assert_allclose(*phis, **TOL)
     grid = [0.0, 0.01, 0.03]
     tails = [bounded_difference_tail(law, s, fc.members[0], grid, 2000, 3) for s in (stat, rows)]
@@ -977,12 +996,12 @@ def test_tail_swing_and_probe_evaluate_rows_only_without_counts(name, evaluated)
 
 def _swap_process_of_both_mixes(stat, pair, x, x_alt, draws, rng):
     """``_swap_process`` with each mix formed and evaluated on its own."""
-    y = np.empty((draws, 2))
+    y = np.empty((2, draws))
     for part in functionals.batches(draws, 5 * 8 * stat.n):
         swap = rng.integers(0, 2, size=(part.stop - part.start, stat.n)) == 1
-        y[part] = (deviation._phis_at(stat, pair, *deviation._mix(swap, x, x_alt))
-                   - deviation._phis_at(stat, pair, *deviation._mix(swap, x_alt, x)))
-    return y[:, 0], y[:, 1]
+        y[:, part] = (deviation._phis_at(stat, pair, np.where(swap, x.indices, x_alt.indices))
+                      - deviation._phis_at(stat, pair, np.where(swap, x_alt.indices, x.indices)))
+    return y[0], y[1]
 
 
 @pytest.mark.parametrize("name", ["mean", "variance", "smoothed-min"])
@@ -1048,7 +1067,7 @@ def _typed_outputs(law, members, enumerable, stat):
                                    oracle_method="monte-carlo", oracle_replicas=1000,
                                    swing=deviation.SwingReport(None, 1.0, True))
     counts = draw_counts(law, 1000, stream(4, "tail/x"))
-    phis = deviation._phis_at(stat, fc.subclass([fc.labels[0]]), counts=counts)[:, 0]
+    phis = deviation._phis_at(stat, fc.subclass([fc.labels[0]]), counts=counts)[0]
     outputs = {
         "oracle values": mc.values,
         "oracle stderrs": mc.stderrs,
@@ -1073,7 +1092,9 @@ def test_count_types_keep_the_bits_of_every_row(monkeypatch, name, shape):
     stat = STATISTICS[name](law.n)
     assert deviation._counted(law.space, stat)
     # Each distinct count row of the draws weighs as many draws as have it.
-    (_, _, types), weights = deviation._draws(law, stat, 1000, stream(4, "tail/x"))
+    at, weights = deviation._draws(law, stat, 1000, stream(4, "tail/x"))
+    assert list(at) == ["counts"]
+    types = at["counts"]
     expected = np.unique(draw_counts(law, 1000, stream(4, "tail/x")), axis=0, return_counts=True)
     assert weights.dtype.kind == "i" and weights.sum() == 1000
     assert np.array_equal(types, expected[0]) and np.array_equal(weights, expected[1])
@@ -1113,8 +1134,8 @@ def test_row_path_monte_carlo_oracle_keeps_the_bits_of_every_draw(case):
                                        ThresholdMember("high", 0.5, 0.3)))
     assert not deviation._counted(law.space, stat)
     oracle = expectation_oracle(law, fc, stat, "monte-carlo", replicas=2000, seed=6)
-    values, indices = draw_batch(law, 2000, as_stream(6, "expectation-oracle"))
+    points = draw_batch(law, 2000, as_stream(6, "expectation-oracle"))
     for k in range(len(fc)):
-        phis = stat(fc.member_image(k, values, indices))
+        phis = stat(fc.member_image(k, points))
         assert oracle.values[k] == phis.mean()
         assert oracle.stderrs[k] == complexity.mean_stderr(phis)

@@ -339,7 +339,7 @@ def test_count_form_matches_row_evaluation(name, size, n, seed):
     support = rng.random((int(rng.integers(1, 5)), size))
     indices = rng.integers(0, size, size=(int(rng.integers(1, 20)), n))
     counted = stat.count_form(support, support_counts(indices, size))
-    rows = np.stack([stat(np.take(member, indices)) for member in support], axis=1)
+    rows = np.stack([stat(np.take(member, indices)) for member in support])
     assert counted.shape == rows.shape
     assert np.allclose(counted, rows, rtol=0.0, atol=1e-12)
 

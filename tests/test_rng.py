@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
+import unibound
+from unibound.errors import DomainError
 from unibound.rng import as_stream, open_uniforms, rademacher_signs, standard_normals, stream
+
+BITS = unibound.finite_space([("0", 0.0), ("1", 1.0)])
 
 
 def test_same_unit_same_stream():
@@ -64,3 +68,14 @@ def test_rademacher_signs_values():
     s = rademacher_signs(stream(2, "s"), 10_000)
     assert set(np.unique(s)) == {-1.0, 1.0}
     assert abs(s.mean()) < 0.05
+
+
+@pytest.mark.parametrize("call", [
+    lambda: unibound.stream(-1, "x"),
+    lambda: unibound.sample(unibound.iid_law(unibound.uniform_on(BITS), 2), -1),
+    lambda: unibound.random_lookup_class(BITS, 2, -1),
+], ids=["stream", "sample", "random_lookup_class"])
+def test_negative_root_seed_is_a_domain_error(call):
+    # DomainError subclasses ValueError, so handlers of either catch it.
+    with pytest.raises(DomainError, match="root seed must be a nonnegative integer"):
+        call()

@@ -50,7 +50,7 @@ def test_empirical_frequencies_match_weights():
     # n=4, uniform on {0, 0.5, 1}: coordinate frequencies within 0.01 of 1/3.
     space = finite_space([("lo", 0.0), ("mid", 0.5), ("hi", 1.0)])
     law = iid_law(uniform_on(space), 4)
-    _, idx = draw_batch(law, 100_000, 7)
+    idx = draw_batch(law, 100_000, 7)
     for i in range(4):
         counts = np.bincount(idx[:, i], minlength=3)
         freqs = counts / counts.sum()
@@ -92,13 +92,13 @@ def test_interval_families():
         (beta_family(2.0, 3.0), 0.0, 1.0),
     ]:
         law = iid_law(coord, 4)
-        vals, idx = draw_batch(law, 20_000, 11)
-        assert idx is None
+        vals = draw_batch(law, 20_000, 11)
+        assert vals.dtype == np.float64    # values, not support indices
         assert vals.min() >= lo and vals.max() <= hi
-    vals, _ = draw_batch(iid_law(bernoulli(0.25), 2), 50_000, 3)
+    vals = draw_batch(iid_law(bernoulli(0.25), 2), 50_000, 3)
     assert set(np.unique(vals)) <= {0.0, 1.0}
     assert abs(vals.mean() - 0.25) < 0.01
-    vals, _ = draw_batch(iid_law(beta_family(2.0, 3.0), 2), 50_000, 4)
+    vals = draw_batch(iid_law(beta_family(2.0, 3.0), 2), 50_000, 4)
     assert abs(vals.mean() - 0.4) < 0.01  # beta(2,3) mean = 2/5
 
 
@@ -114,7 +114,8 @@ def test_interval_families():
 ], ids=["finite", "finite-short-sum", "uniform", "bernoulli", "beta"])
 def test_invert_maps_one_into_the_space(coord, top):
     # open_uniforms can return exactly 1.0.
-    values, _ = coord.invert(np.array([1.0]))
+    drawn = coord.invert(np.array([1.0]))
+    values = coord.space.support_values[drawn] if coord.space.kind == "finite" else drawn
     assert values.tolist() == [top]
 
 
@@ -152,14 +153,17 @@ def _mixed_law():
 def test_draw_batch_matches_per_coordinate_inversion(law, monkeypatch):
     # A 4 KiB budget cuts the 1000 rows into slices of at most 32 rows.
     monkeypatch.setattr(functionals, "BATCH_BYTES", 1 << 12)
-    values, indices = draw_batch(law, 1000, 17)
+    drawn = draw_batch(law, 1000, 17)
+    # One array: support indices on a finite space, values on the interval.
+    finite = law.space.kind == "finite"
+    assert drawn.shape == (1000, law.n)
+    assert drawn.dtype == (np.int64 if finite else np.float64)
     u = open_uniforms(as_stream(17, "draw-batch"), (1000, law.n))
     for i, coord in enumerate(law.coordinates):
-        v, idx = coord.invert(u[:, i])
-        assert values[:, i].tobytes() == v.tobytes()
-        if idx is not None:
-            assert indices[:, i].tobytes() == idx.tobytes()
-    assert (indices is None) == (law.space.kind != "finite")
+        assert drawn[:, i].tobytes() == coord.invert(u[:, i]).tobytes()
+    if finite:
+        x = sample(law, 17)
+        assert np.array_equal(x.values, law.space.support_values[x.indices])
 
 
 def _two_group_law(size, n):
@@ -200,7 +204,7 @@ def test_draw_counts_are_the_counts_of_draw_batch(name, budget, monkeypatch):
             return u
 
         monkeypatch.setattr(spaces, "open_uniforms", near_one)
-    reference = support_counts(draw_batch(law, 1001, 17)[1], law.space.size)
+    reference = support_counts(draw_batch(law, 1001, 17), law.space.size)
     assert np.array_equal(draw_counts(law, 1001, 17), reference)
     if name == "short-sum":
         assert any(np.any(u > law.coordinates[0]._cumulative[-1]) for u in drawn)
