@@ -33,7 +33,6 @@ from .derivative_bounds import (
     ConstantsReport,
     closed_form_constants,
     estimate_constants_numeric,
-    fd_gradient,
     fd_hessian,
     u_statistic_constant_bounds,
 )

@@ -276,6 +276,9 @@ def _cross_check(v: dict, raw: dict, out: list) -> None:
                    "use derived-bound or numeric")
     elif route == db.DERIVED_BOUND and stat.get("name") not in (None, "u-statistic"):
         out.append("constants.route: derived-bound applies to u-statistics only")
+    elif route == db.NUMERIC and n is not None and math.comb(n, 2) > fx.ENUM_CAP:
+        out.append(f"constants.route: the numeric route's C({n},2) coordinate pairs exceed the "
+                   f"enumeration cap {fx.ENUM_CAP}")
     if dig(v, "oracle.method") == EXACT:
         if space_kind != sp.FINITE:
             out.append("oracle.method: exact enumeration needs a finite sample space")

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError, UnsupportedStatisticError
-from .functionals import Kernel, Statistic, batches
+from .errors import DomainError, NumericError, ResourceError, UnsupportedStatisticError
+from .functionals import ENUM_CAP, Kernel, Statistic, batches
 from .rng import as_stream
 
 # The routes a configuration names; a numeric estimate reports NUMERIC_ESTIMATE.
@@ -111,20 +111,19 @@ def u_statistic_constant_bounds(n: int, kernel: Kernel) -> ConstantsReport:
 # ---------------------------------------------------------------------------
 # Finite differences
 
-def fd_gradient(stat: Statistic, point: np.ndarray, step: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """Central-difference gradient at one point."""
-    p = np.asarray(point, dtype=np.float64)
-    n = stat.n
-    eye = step * np.eye(n)
-    vals_plus = stat(p + eye)
-    vals_minus = stat(p - eye)
-    return (vals_plus - vals_minus) / (2.0 * step)
+def _fd_derivatives(stat: Statistic, point: np.ndarray, step: float):
+    """(gradient, Hessian) by central differences at one point, both from
+    one stencil: the gradient reuses the Hessian's 2n rows p +- step e_k.
 
-
-def fd_hessian(stat: Statistic, point: np.ndarray, step: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """Central-difference Hessian (diagonal included) at one point."""
-    p = np.asarray(point, dtype=np.float64)
+    The C(n, 2) coordinate pairs are an enumeration like any other, refused
+    past ENUM_CAP before anything is evaluated.
+    """
     n = stat.n
+    pairs = math.comb(n, 2)
+    if pairs > ENUM_CAP:
+        raise ResourceError(f"C({n},2) = {pairs} coordinate pairs exceed the enumeration cap "
+                            f"{ENUM_CAP}")
+    p = np.asarray(point, dtype=np.float64)
     f0 = float(stat(p))
     eye = step * np.eye(n)
     fp = stat(p + eye)
@@ -145,7 +144,12 @@ def fd_hessian(stat: Statistic, point: np.ndarray, step: float = DEFAULT_FD_STEP
         mixed[part] = (vals[0] - vals[1] - vals[2] + vals[3]) / (4.0 * step**2)
     h[iu, ju] = mixed
     h[ju, iu] = mixed
-    return h
+    return (fp - fm) / (2.0 * step), h
+
+
+def fd_hessian(stat: Statistic, point: np.ndarray, step: float = DEFAULT_FD_STEP) -> np.ndarray:
+    """Central-difference Hessian (diagonal included) at one point."""
+    return _fd_derivatives(stat, point, step)[1]
 
 
 def _surrogate_extremizers(point: np.ndarray, hess_row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -185,8 +189,7 @@ def estimate_constants_numeric(
     entry_sup = np.zeros((n, n))
 
     for p in points:
-        grad = fd_gradient(stat, p, fd_step)
-        hess = fd_hessian(stat, p, fd_step)
+        grad, hess = _fd_derivatives(stat, p, fd_step)
         if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
             raise NumericError(f"non-finite finite difference at probe {p.tolist()}")
         off = hess.copy()

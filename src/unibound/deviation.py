@@ -29,11 +29,11 @@ finite space is evaluated from support counts where a row of counts costs
 it no more than a row of values, and every other one from the members'
 images. An expectation or a tail frequency is a weighted sum over points.
 On the count path the points of the Monte Carlo oracle's and the tail's
-draws, and of each exact oracle lattice slice, are their distinct count
-rows, found once per set before any batch of members and weighted by how
-many draws have each row or by the row's summed lattice mass. On the row
-path each draw is a point of weight 1, so each mean and standard error
-keeps the bits of a per-draw average. The probe counts only its sigma-mix:
+draws are their distinct count rows, found once per set before any batch
+of members and weighted by how many draws have each row. On the row path
+each draw is a point of weight 1, so each mean and standard error keeps
+the bits of a per-draw average. The exact oracle weights each lattice
+point by its product mass. The probe counts only its sigma-mix:
 the complementary mix's counts are the two points' counts less the mix's.
 Only the replications image rows.
 """
@@ -64,9 +64,8 @@ from .spaces import (
 )
 
 ANALYTIC = "analytic"
-EXACT_ENUMERATION = "exact-enumeration"
 # The methods a caller may ask the expectation oracle for; ``auto`` picks
-# analytic, exact enumeration or Monte Carlo.
+# analytic, exact or Monte Carlo.
 AUTO = "auto"
 ORACLE_METHODS = (AUTO, EXACT, MONTE_CARLO)
 DEFAULT_ORACLE_METHOD = AUTO
@@ -208,8 +207,6 @@ def expectation_oracle(
     n = law.n
     finite = law.space.kind == FINITE
     points = law.space.size**n if finite else None
-    if method == EXACT:
-        method = EXACT_ENUMERATION
     if method == AUTO:
         if finite and stat.product_expectation is not None:
             try:
@@ -218,34 +215,25 @@ def expectation_oracle(
                 pass  # the closed form's own tuples pass the cap; sample below
             else:
                 return ExpectationOracle(ANALYTIC, fc.labels, _finite_expectations(values))
-        method = EXACT_ENUMERATION if finite and points <= ENUM_CAP else MONTE_CARLO
-    if method == EXACT_ENUMERATION:
+        method = EXACT if finite and points <= ENUM_CAP else MONTE_CARLO
+    if method == EXACT:
         if not finite:
             raise DomainError("exact enumeration needs a finite sample space")
         if points > ENUM_CAP:
             raise ResourceError(f"support^n = {points} exceeds the enumeration cap {ENUM_CAP}")
         weights = law.weight_matrix            # (n, s)
         values = np.zeros(len(fc))
-        size = law.space.size
-        counted = _counted(law.space, stat)
         # A point costs its index, weight and image rows of n values.
         for part in batches(points, 3 * 8 * n):
-            idx = _lattice_indices(part, n, size)
-            w = weights[np.arange(n)[None, :], idx]
-            w = np.multiply.reduce(w, axis=1)
-            # A typed slice is evaluated once per count row, at the row's
-            # summed lattice mass, for all its member batches.
-            at = {"points": idx}
-            if counted:
-                types, inverse = _count_types(support_counts(idx, size), n)
-                at, w = {"counts": types}, np.bincount(inverse, weights=w)
+            idx = _lattice_indices(part, n, law.space.size)
+            w = np.multiply.reduce(weights[np.arange(n)[None, :], idx], axis=1)
             # A member costs its row of Phi and that row weighted. Each
             # member sums its own contiguous row in numpy, not in a BLAS dot,
             # so its value depends neither on its batch nor on BLAS threads.
             for members in batches(len(fc), 2 * 8 * len(w)):
-                phis = _phis_at(stat, fc.subclass(fc.labels[members]), **at)
+                phis = _phis_at(stat, fc.subclass(fc.labels[members]), idx)
                 values[members] += np.sum(w * phis, axis=1)
-        return ExpectationOracle(EXACT_ENUMERATION, fc.labels, _finite_expectations(values))
+        return ExpectationOracle(EXACT, fc.labels, _finite_expectations(values))
     if method != MONTE_CARLO:
         raise DomainError(f"unknown oracle method {method!r}")
     if replicas < MIN_DRAWS:
@@ -521,27 +509,28 @@ class SwingReport:
 
 def _swing_at_indices(stat: Statistic, single: FunctionClass, idx: np.ndarray) -> np.ndarray:
     """The swing sum of the one member of ``single`` at each row of ``idx``,
-    a (batch, n) array of support indices."""
+    a (batch, n) array of support indices.
+
+    Where Phi reads only the counts, coordinate k's range depends only on
+    its support value a, so each (point, present value a) pair evaluates
+    its s variants once: the point's counts with one coordinate moved from a
+    to each support value. Otherwise each (point, coordinate) pair evaluates
+    the point with that coordinate at each support value.
+    """
     batch, n = idx.shape
     size = single.space.size
     total = np.zeros(batch)
     if _counted(single.space, stat):
-        # Phi reads only the counts, so coordinate k's range depends only on
-        # its support value a: the s x s variants of each point's counts, a
-        # replaced by j, give every range at once. Where a is absent from
-        # the point a present value is replaced instead, so every variant
-        # keeps n coordinates; that range is never read.
         counts = support_counts(idx, size)
         unit = np.eye(size, dtype=counts.dtype)
-        spread = np.empty((batch, size))
-        for part in batches(batch, 8 * size**3):    # a point's s^2 variant counts
-            c = counts[part]
-            drop = np.where(c > 0, np.arange(size), c.argmax(axis=1)[:, None])
-            variants = (c[:, None, :] - unit[drop])[:, :, None, :] + unit
-            phi = _phis_at(stat, single, counts=variants.reshape(-1, size))[0]
-            phi = phi.reshape(-1, size, size)
-            spread[part] = phi.max(axis=2) - phi.min(axis=2)
-        squared = spread**2
+        present = np.flatnonzero(counts)    # (point, value) pairs, flat
+        spread = np.zeros(counts.size)
+        for part in batches(len(present), 8 * size * size):    # a pair's s variant counts
+            point, value = np.divmod(present[part], size)
+            variants = (counts[point] - unit[value])[:, None, :] + unit
+            phi = _phis_at(stat, single, counts=variants.reshape(-1, size))[0].reshape(-1, size)
+            spread[present[part]] = phi.max(axis=1) - phi.min(axis=1)
+        squared = (spread**2).reshape(batch, size)
         points = np.arange(batch)
         for k in range(n):
             total += squared[points, idx[:, k]]

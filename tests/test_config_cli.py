@@ -120,6 +120,17 @@ def test_u_statistic_past_the_enumeration_cap_is_refused(tmp_path, capsys, n):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n, refused", [(1414, False), (1415, True)])
+def test_numeric_route_pairs_at_the_enumeration_cap(tmp_path, n, refused):
+    # The finite-difference Hessian enumerates C(n, 2) coordinate pairs per
+    # probe: C(1414, 2) = 998 991 fit the cap of 1e6; C(1415, 2) do not.
+    cfg = small_deviate_config(tmp_path)
+    cfg.update(kind="constants", n=n, constants={"route": "numeric"})
+    message = (f"constants.route: the numeric route's C({n},2) coordinate pairs exceed the "
+               "enumeration cap 1000000")
+    assert validate_config(cfg) == ([message] if refused else [])
+
+
 def test_numeric_route_needs_override_for_bounds(tmp_path):
     cfg = small_deviate_config(tmp_path)
     cfg["constants"] = {"route": "numeric"}

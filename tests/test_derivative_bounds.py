@@ -11,8 +11,9 @@ from unibound.derivative_bounds import (
     fd_hessian,
     u_statistic_constant_bounds,
 )
-from unibound.errors import DomainError, UnsupportedStatisticError
+from unibound.errors import DomainError, ResourceError, UnsupportedStatisticError
 from unibound.functionals import (
+    Statistic,
     class_separation_statistic,
     identity_kernel,
     mean_statistic,
@@ -201,3 +202,13 @@ def test_fd_hessian_memory_is_bounded_by_the_batch_budget():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_fd_hessian_refuses_pairs_past_the_enumeration_cap():
+    # C(1415, 2) = 1 000 405 coordinate pairs pass the cap of 1e6; the
+    # refusal comes before the statistic sees a single row.
+    rows = []
+    stat = Statistic("counting", 1415, lambda s: rows.append(s) or np.zeros(s.shape[:-1]))
+    with pytest.raises(ResourceError, match=r"C\(1415,2\) = 1000405 coordinate pairs"):
+        fd_hessian(stat, np.full(1415, 0.5))
+    assert rows == []

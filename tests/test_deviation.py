@@ -85,7 +85,7 @@ def test_oracle_point_mass_is_exact_evaluation():
     img = fc.image_matrix(x)
     assert np.allclose(oracle.values, stat(img), atol=1e-15)
     exact = expectation_oracle(law, fc, stat, "exact")
-    assert exact.method == "exact-enumeration"
+    assert exact.method == "exact"
     assert np.allclose(exact.values, oracle.values, atol=1e-15)
 
 
@@ -153,7 +153,7 @@ def test_oracle_opaque_statistic_still_enumerates():
     builtin = sample_variance_statistic(n)
     opaque = Statistic("opaque-variance", n, builtin.evaluate)
     oracle = expectation_oracle(law, fc, opaque)
-    assert oracle.method == "exact-enumeration"
+    assert oracle.method == "exact"
     assert np.allclose(oracle.values, expectation_oracle(law, fc, builtin).values, atol=1e-15)
 
 
@@ -299,7 +299,7 @@ def test_oracle_analytic_matches_enumeration(name, case, seed):
     fc = random_lookup_class(law.space, count, seed)
     analytic = expectation_oracle(law, fc, stat)
     exact = expectation_oracle(law, fc, stat, "exact")
-    assert analytic.method == "analytic" and exact.method == "exact-enumeration"
+    assert analytic.method == "analytic" and exact.method == "exact"
     assert np.allclose(analytic.values, exact.values, rtol=0.0, atol=1e-12)
 
 
@@ -389,6 +389,20 @@ def test_row_path_monte_carlo_oracle_holds_its_draws_once():
     assert oracle.method == "monte-carlo" and oracle.replicas == 20_000
     draws = 20_000 * 64 * 8
     assert peak < 2 * draws + 2 * functionals.BATCH_BYTES
+
+
+def test_counted_swing_holds_one_batch_of_variants(monkeypatch):
+    # At s = 128 one point's s^3 variant counts take 16 MiB, past
+    # BATCH_BYTES; evaluated all at once they peaked at 24.3 MiB. A batch
+    # of (point, present value) pairs, s^2 counts each, peaks near 8.3 MiB.
+    space = finite_space([(str(j), j / 127.0) for j in range(128)])
+    member = random_lookup_class(space, 1, 3).members[0]
+    stat = sample_variance_statistic(200)
+    assert deviation._counted(space, stat)
+    monkeypatch.setattr(deviation, "SWING_SAMPLES", 1)
+    rep, peak = _traced_peak(lambda: squared_swing_sum(stat, member, space, seed=4))
+    assert not rep.sup_is_exact and rep.sup_norm > 0.0
+    assert peak < 4 * functionals.BATCH_BYTES
 
 
 @pytest.mark.parametrize("name", ["mean", "variance"])
@@ -898,6 +912,10 @@ def test_tail_swing_and_probe_counts_match_rows(name, support):
     np.testing.assert_allclose(swings[0].at_point, swings[1].at_point, **TOL)
     np.testing.assert_allclose(swings[0].sup_norm, swings[1].sup_norm, **TOL)
     assert swings[0].sup_is_exact and swings[1].sup_is_exact
+    # At a point on one support value every other value is absent.
+    lone, second = np.zeros((1, n), dtype=np.int64), fc.subclass(fc.labels[1:2])
+    at_lone = [deviation._swing_at_indices(s, second, lone) for s in (stat, rows)]
+    np.testing.assert_allclose(*at_lone, **TOL)
 
     x_alt = sample(law, stream(5, "x-alt"))
     pair = fc.subclass(fc.labels[1:])
