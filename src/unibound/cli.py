@@ -1,14 +1,11 @@
 """Batch experiment runner.
 
-    unibound run CONFIG [--seed S] [--out DIR] [--workers K]
-                        [--override-numeric-constants]
+    unibound run CONFIG [--seed S] [--out DIR] [--override-numeric-constants]
     unibound validate CONFIG
 
 ``run`` executes the configured pipeline deterministically from the root
-seed and writes ``result.<kind>.json`` plus ``table.csv``; ``--workers``
-is accepted and echoed but has no effect, since replications run in one
-thread. ``validate`` reports every schema violation without executing
-anything.
+seed and writes ``result.<kind>.json`` plus ``table.csv``. ``validate``
+reports every schema violation without executing anything.
 """
 
 from __future__ import annotations
@@ -29,8 +26,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("config", help="path to the configuration document")
     run.add_argument("--seed", type=int, default=None, help="override the configured root seed")
     run.add_argument("--out", default=None, help="override the output directory")
-    run.add_argument("--workers", type=int, default=None,
-                     help="accepted and echoed; no effect (replications run in one thread)")
+    # Parsed and ignored: replications run in one thread, and existing command
+    # lines still pass it.
+    run.add_argument("--workers", type=int, help=argparse.SUPPRESS)
     run.add_argument("--override-numeric-constants", action="store_true",
                      help="permit numeric-estimate L, M in bound assembly")
 
@@ -54,7 +52,6 @@ def main(argv=None) -> int:
         code, _, summary = run_experiment(
             raw,
             out_dir=args.out,
-            workers=args.workers,
             seed=args.seed,
             override=args.override_numeric_constants,
         )

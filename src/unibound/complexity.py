@@ -77,8 +77,8 @@ def _as_matrix(y) -> np.ndarray:
 
 def _merged_columns(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(Y', m): the distinct columns of ``mat`` in order of first appearance
-    and how many times each appears; ``mat`` itself when no two columns are
-    equal. Columns merge when they are equal as floats (0.0 and -0.0 alike).
+    and how many times each appears. Columns merge when they are equal as
+    floats (0.0 and -0.0 alike).
     """
     slot: dict[bytes, int] = {}
     owner = np.empty(mat.shape[1], dtype=np.intp)
@@ -88,10 +88,7 @@ def _merged_columns(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if j == len(keep):
             keep.append(i)
         owner[i] = j
-    counts = np.bincount(owner, minlength=len(keep))
-    if len(keep) == mat.shape[1]:
-        return mat, counts
-    return mat[:, keep], counts
+    return mat[:, keep], np.bincount(owner, minlength=len(keep))
 
 
 def _binomial_shares(c: int) -> np.ndarray:

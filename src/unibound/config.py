@@ -196,8 +196,6 @@ FIELDS = (
     Field("gaussian_draws", at_least(MIN_DRAWS), DEFAULT_GAUSSIAN_DRAWS),
     Field("tail_replicas", at_least(MIN_DRAWS), 100_000),
     Field("probe_pairs", at_least(1), 3),
-    # Accepted and echoed, with no effect on speed or results.
-    Field("workers", at_least(1), 1),
     Field("out", of_type(str, "must be a path string"), "results"),
     Field("override_numeric_constants", of_type(bool, "must be a boolean"), False),
     Field("oracle", _MAPPING, {}),
@@ -390,7 +388,6 @@ def resolve(raw: dict) -> Experiment:
         raise ConfigError("; ".join(violations))
     settings["stages"] = _stages(settings)
     n, seed, spec = settings.pop("n"), settings.pop("seed"), settings.pop("statistic")
-    settings.pop("workers")    # echoed only; replications run in one thread
     law = _build_law(settings.pop("law"), n)
     fc = _build_class(settings.pop("class"), law.space, seed)
     kernel = KERNELS[spec["kernel"]["name"]](spec["kernel"]) if spec["kernel"] else None

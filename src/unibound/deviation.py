@@ -48,7 +48,7 @@ import numpy as np
 from .classes import FunctionClass
 from .complexity import (EXACT, GAUSSIAN, MIN_DRAWS, MONTE_CARLO, ComplexityEstimate, gaussian_mc,
                          mean_stderr, rademacher_average)
-from .derivative_bounds import NUMERIC_ESTIMATE, ConstantsReport
+from .derivative_bounds import ConstantsReport
 from .errors import DomainError, OverrideRequiredError, ResourceError
 from .functionals import ENUM_CAP, Statistic, batches, mean_statistic
 from .rng import as_stream, stream
@@ -300,7 +300,7 @@ def assemble_bound(
         raise DomainError("delta must lie strictly between 0 and 1")
     if c <= 0.0:
         raise DomainError("c must be positive")
-    if constants.method == NUMERIC_ESTIMATE and not allow_numeric:
+    if constants.is_lower_bound and not allow_numeric:
         raise OverrideRequiredError(
             "numeric-estimate constants are lower bounds; pass allow_numeric=True "
             "(CLI: --override-numeric-constants) to use them anyway"

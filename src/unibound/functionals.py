@@ -367,10 +367,15 @@ def u_statistic(n: int, kernel: Kernel) -> Statistic:
         return out / count
 
     # binomials[a][c] = C(c, a): the m-subsets of a point that take a given
-    # support value a times among its c coordinates there.
-    binomials = np.asarray(
-        [[math.comb(c, a) for c in range(n + 1)] for a in range(m + 1)], dtype=np.float64
-    )
+    # support value a times among its c coordinates there. Row a sums row
+    # a - 1, C(c, a) = sum_{k<c} C(k, a-1), capped at C(n, m): a nonzero
+    # weight prod_j C(c_j, a_j) never exceeds C(n, m) (Vandermonde), so a
+    # capped factor only ever multiplies a zero one, and every entry is an
+    # exact integer.
+    binomials = np.zeros((m + 1, n + 1))
+    binomials[0] = 1.0
+    for a in range(1, m + 1):
+        np.minimum(np.cumsum(binomials[a - 1, :-1]), count, out=binomials[a, 1:])
 
     def multisets(size):
         return math.comb(size + m - 1, m)

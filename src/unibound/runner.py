@@ -264,21 +264,18 @@ _STAGES = {
 }
 
 
-def run_experiment(raw: dict, *, out_dir=None, workers=None, seed=None, override=None):
+def run_experiment(raw: dict, *, out_dir=None, seed=None, override=None):
     """Execute a configuration; returns (exit code, record, summary lines).
 
-    ``out_dir``, ``workers``, ``seed`` and ``override`` mirror the CLI flags
-    and override their configuration counterparts before resolution, so the
-    echoed configuration reproduces the run by itself; ``workers`` is only
-    echoed and has no effect.
+    ``out_dir``, ``seed`` and ``override`` mirror the CLI flags and override
+    their configuration counterparts before resolution, so the echoed
+    configuration reproduces the run by itself.
     """
     raw = dict(raw)
     if seed is not None:
         raw["seed"] = int(seed)
     if out_dir is not None:
         raw["out"] = str(out_dir)
-    if workers is not None:
-        raw["workers"] = int(workers)
     if override:
         raw["override_numeric_constants"] = True
     exp = resolve(raw)

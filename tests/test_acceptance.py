@@ -225,10 +225,10 @@ def test_criterion_10_process_probe():
 
 def _record_without_run_details(out_dir):
     """The run record, serialised, without its timings and the echoed run
-    location and worker count, which differ between reruns."""
+    location, which differ between reruns."""
     (path,) = out_dir.glob("result.*.json")
     record = json.loads(path.read_text(encoding="utf-8"))
-    del record["wall_clock"], record["config"]["out"], record["config"]["workers"]
+    del record["wall_clock"], record["config"]["out"]
     return json.dumps(record, sort_keys=True)
 
 

@@ -38,6 +38,16 @@ def _gap_config(key, value):
     return cfg
 
 
+def _high_order_config():
+    """The tail config on an order-1099 product kernel at n = 1100: only
+    C(1100, 1099) = 1100 subsets, but C(1100, 550) passes the largest double."""
+    cfg = copy.deepcopy(BASES["tail_mean"])
+    cfg["n"] = 1100
+    cfg["statistic"] = {"name": "u-statistic", "kernel": {"name": "product", "order": 1099}}
+    cfg["constants"] = {"route": "derived-bound"}
+    return cfg
+
+
 # ---------------------------------------------------------------------------
 # constants.probes and constants.fd_step are checked whatever the route
 
@@ -124,6 +134,7 @@ def mutated_configs(draw):
 @example(_gap_config("probes", "abc"))
 @example(_gap_config("probes", [1]))
 @example(_gap_config("fd_step", "x"))
+@example(_high_order_config())
 def test_validate_accepts_exactly_what_resolve_accepts(cfg):
     if validate_config(cfg) == []:
         resolve(cfg)

@@ -1,10 +1,13 @@
-"""The README's configuration schema block against the field table."""
+"""The README's configuration schema block against the field table, and
+the README's and the cli docstring's command lines against the parser."""
 
 import re
 from pathlib import Path
 
+import pytest
 import yaml
 
+from unibound import cli
 from unibound.complexity import MIN_DRAWS
 from unibound.config import FIELDS, KINDS
 from unibound.schema import OPTIONAL, REQUIRED, dig
@@ -39,7 +42,12 @@ def test_readme_schema_values_are_the_table_defaults():
     readme = yaml.safe_load(_readme_block())
     plain = [f for f in FIELDS if not callable(f.default) and not isinstance(f.default, dict)
              and f.default not in (None, REQUIRED, OPTIONAL)]
-    assert len(plain) >= 15
+    assert {f.path for f in plain} == {
+        "statistic.kernel.sharpness", "statistic.kernel.value", "constants.route",
+        "constants.probes", "constants.fd_step", "c", "draws", "gaussian_draws",
+        "tail_replicas", "probe_pairs", "out", "override_numeric_constants",
+        "oracle.method", "oracle.replicas",
+    }
     for f in plain:
         assert dig(readme, f.path) == f.default, f.path
 
@@ -61,3 +69,34 @@ def test_readme_lists_the_kinds_table():
     assert re.findall(r"`([^`]+)`", kinds) == list(KINDS)
     comment = re.search(r"^kind: \S+ +# (.*)$", _readme_block(), re.M).group(1)
     assert comment.split(" | ") == list(KINDS)
+
+
+def _synopsis_flags(text):
+    """The flags of each ``unibound <command>`` line of a synopsis, its
+    continuation lines included."""
+    flags, command = {}, None
+    for line in text.splitlines():
+        head = re.match(r"\s*unibound (\w+)", line)
+        if head:
+            command = head.group(1)
+            flags[command] = set()
+        elif not line.strip():
+            command = None
+        if command:
+            flags[command] |= set(re.findall(r"--[\w-]+", line))
+    return flags
+
+
+def _help_usage(capsys, *argv):
+    with pytest.raises(SystemExit):
+        cli._build_parser().parse_args([*argv, "--help"])
+    return capsys.readouterr().out.split("\n\n")[0]
+
+
+def test_readme_and_docstring_command_lines_match_the_parser(capsys):
+    commands = re.search(r"\{(.*?)\}", _help_usage(capsys)).group(1).split(",")
+    # The long options --help shows; -h and suppressed options are left out.
+    shown = {c: set(re.findall(r"--[\w-]+", _help_usage(capsys, c))) for c in commands}
+    readme = re.search(r"## Batch runner\s+```\n(.*?)```", README.read_text(), re.S).group(1)
+    assert _synopsis_flags(readme) == shown
+    assert _synopsis_flags(cli.__doc__) == shown

@@ -365,6 +365,21 @@ def test_u_statistic_count_form_is_vectorised_over_multisets():
     assert elapsed < 1.0
 
 
+def test_u_statistic_builds_at_high_order():
+    # C(1030, 515) passes the largest double; the binomial table stops at
+    # C(n, m) = 1030, so it stays finite and builds at once.
+    start = time.perf_counter()
+    stat = u_statistic(1030, product_kernel(1029))
+    elapsed = time.perf_counter() - start
+    rng = np.random.default_rng(4)
+    support = np.array([[0.999, 0.9995]])    # products of 1029 stay far from underflow
+    indices = rng.integers(0, 2, size=(5, 1030))
+    counted = stat.count_form(support, support_counts(indices, 2))
+    rows = stat(np.take(support[0], indices))
+    assert np.allclose(counted[0], rows, rtol=0.0, atol=1e-12)
+    assert elapsed < 1.0
+
+
 def test_u_statistic_count_form_refuses_past_the_multiset_cap():
     stat = u_statistic(3, product_kernel(3))
     support = np.full((1, 200), 0.5)    # C(202, 3) multisets > 1e6
