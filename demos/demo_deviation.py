@@ -41,7 +41,7 @@ print("c_hat probes how loose the complexity term is on its own.")
 # mean deviation <= (2/n) * mean Rademacher average of the image
 rep = symmetrization_check_mean(
     iid_law(uniform_on(space), 12), random_lookup_class(space, 16, seed=13),
-    n=12, replications=1000, seed=17,
+    replications=1000, seed=17,
 )
 print("\nsymmetrization check for the arithmetic mean, n = 12, 16 tables")
 print(f"  mean deviation {rep.dev_mean:.5f}")

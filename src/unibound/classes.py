@@ -5,8 +5,9 @@ finite support or as parametric forms on values (threshold ramps and clipped
 affine maps). The image of a class at a sample vector x is the finite set
 { (f(x_1), ..., f(x_n)) : f in class }, one row per member with duplicates
 retained; complexity averages act on that set. Members are imaged only
-through their class: ``image_matrix`` at one sample vector, ``member_image``
-for one member over a batch of draws.
+through their class: ``image_matrix`` at one sample vector's point,
+``member_image`` for one member over a batch of draws. A batch of members
+is a slice of the class's rows, never a class of its own.
 """
 
 from __future__ import annotations
@@ -133,8 +134,8 @@ class FunctionClass:
         if self._support is not None:
             # np.take keeps rows C-contiguous, so row sums add in the same order
             # as on per-member images; a [:, idx] gather is F-ordered and does not.
-            return np.take(self._support, x.indices, axis=1)
-        return np.stack([m.apply(x.values) for m in self.members])
+            return np.take(self._support, x.point, axis=1)
+        return np.stack([m.apply(x.point) for m in self.members])
 
     def member_image(self, k: int, points: np.ndarray) -> np.ndarray:
         """Member k's image of a batch of points of any shape, as
@@ -149,15 +150,6 @@ class FunctionClass:
         if self._support is None:
             raise DomainError("support matrix exists only for finite spaces")
         return self._support
-
-    def subclass(self, labels) -> "FunctionClass":
-        """The members named by ``labels``, in that order."""
-        wanted = list(labels)
-        position = {lab: k for k, lab in enumerate(self.labels)}
-        missing = [lab for lab in wanted if lab not in position]
-        if missing:
-            raise DomainError(f"unknown member labels {missing}")
-        return FunctionClass(self.space, tuple(self.members[position[lab]] for lab in wanted))
 
 
 def _member_labels(members) -> tuple[str, ...]:

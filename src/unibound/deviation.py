@@ -24,18 +24,19 @@ Pieces, in dependency order:
 The exact and Monte Carlo oracles, the tail (the oracle's draws for one
 member), the swing (at a point, at sampled points and over the lattice)
 and the probe (at its mixed points) evaluate Phi through one function,
-which picks counts or rows once: a coordinate-symmetric statistic on a
-finite space is evaluated from support counts where a row of counts costs
-it no more than a row of values, and every other one from the members'
-images. An expectation or a tail frequency is a weighted sum over points.
-On the count path the points of the Monte Carlo oracle's and the tail's
-draws are their distinct count rows, found once per set before any batch
-of members and weighted by how many draws have each row. On the row path
-each draw is a point of weight 1, so each mean and standard error keeps
-the bits of a per-draw average. The exact oracle weights each lattice
-point by its product mass. The probe counts only its sigma-mix:
-the complementary mix's counts are the two points' counts less the mix's.
-Only the replications image rows.
+which takes a batch of members as a slice of the class's rows and picks
+counts or rows once: a coordinate-symmetric statistic on a finite space
+is evaluated from support counts where a row of counts costs it no more
+than a row of values, and every other one from the members' images. An
+expectation or a tail frequency is a weighted sum over points. On the
+count path the points of the Monte Carlo oracle's and the tail's draws are
+their distinct count rows, found once per set before any batch of members
+and weighted by how many draws have each row. On the row path each draw is
+a point of weight 1, so each mean and standard error keeps the bits of a
+per-draw average. The exact oracle weights each lattice point by its
+product mass. The probe counts only its sigma-mix: the complementary mix's
+counts are the two points' counts less the mix's. Only the replications
+image rows.
 """
 
 from __future__ import annotations
@@ -149,9 +150,11 @@ def _count_types(counts: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return counts[first], inverse
 
 
-def _phis_at(stat: Statistic, fc: FunctionClass, points=None, counts=None) -> np.ndarray:
-    """Phi(f_k(x)) for every member k of the class at a batch of points x,
-    as a (K, rows) array, one contiguous row per member.
+def _phis_at(stat: Statistic, fc: FunctionClass, points=None, counts=None,
+             members: slice = slice(None)) -> np.ndarray:
+    """Phi(f_k(x)) for the class members k in the slice ``members`` (all of
+    them by default) at a batch of points x, as a (members, rows) array, one
+    contiguous row per member.
 
     The ``points`` come as ``draw_batch`` gives them: support indices on a
     finite space, values on the interval. Where the statistic counts on the
@@ -162,8 +165,8 @@ def _phis_at(stat: Statistic, fc: FunctionClass, points=None, counts=None) -> np
     if _counted(fc.space, stat):
         if counts is None:
             counts = support_counts(points, fc.space.size)
-        return stat.count_form(fc.support_matrix(), counts)
-    return np.stack([stat(fc.member_image(k, points)) for k in range(len(fc))])
+        return stat.count_form(fc.support_matrix()[members], counts)
+    return np.stack([stat(fc.member_image(k, points)) for k in range(len(fc))[members]])
 
 
 def _draws(law: ProductLaw, stat: Statistic, replicas: int, rng):
@@ -231,7 +234,7 @@ def expectation_oracle(
             # member sums its own contiguous row in numpy, not in a BLAS dot,
             # so its value depends neither on its batch nor on BLAS threads.
             for members in batches(len(fc), 2 * 8 * len(w)):
-                phis = _phis_at(stat, fc.subclass(fc.labels[members]), idx)
+                phis = _phis_at(stat, fc, idx, members=members)
                 values[members] += np.sum(w * phis, axis=1)
         return ExpectationOracle(EXACT, fc.labels, _finite_expectations(values))
     if method != MONTE_CARLO:
@@ -246,7 +249,7 @@ def expectation_oracle(
     # its own contiguous row in numpy, so under unit weights its mean and
     # standard error keep the bits of ``phis.mean()`` and ``mean_stderr``.
     for part in batches(len(fc), 2 * 8 * len(weights)):
-        phis = _phis_at(stat, fc.subclass(fc.labels[part]), **at)
+        phis = _phis_at(stat, fc, **at, members=part)
         terms = np.multiply(phis, weights)
         values[part] = terms.sum(axis=1) / replicas
         np.subtract(phis, values[part, None], out=phis)
@@ -337,7 +340,8 @@ class DeviationReport:
 
 
 def _replicate(law: ProductLaw, fc: FunctionClass, stat: Statistic, replications: int,
-               seed: int, tag: str, average, *, oracle_method: str, oracle_replicas: int):
+               seed: int, tag: str, average, *, oracle_method: str = DEFAULT_ORACLE_METHOD,
+               oracle_replicas: int = DEFAULT_ORACLE_REPLICAS):
     """(oracle, deviations, argmax labels, averages) over the replications.
 
     Replication r samples x on the stream (seed, tag + "/x", r), images the
@@ -451,34 +455,23 @@ class SymmetrizationReport:
     holds: bool
 
 
-def symmetrization_check_mean(
-    law: ProductLaw,
-    fc: FunctionClass,
-    n: int,
-    replications: int,
-    seed: int,
-    *,
-    oracle_method: str = DEFAULT_ORACLE_METHOD,
-    oracle_replicas: int = DEFAULT_ORACLE_REPLICAS,
-) -> SymmetrizationReport:
+def symmetrization_check_mean(law: ProductLaw, fc: FunctionClass, replications: int,
+                              seed: int) -> SymmetrizationReport:
     """Check mean deviation <= (2/n) * mean Rademacher average + slack.
 
-    The statistic is the arithmetic mean, the only one the check is valid
-    for. Each replication's Rademacher average is exact when it fits the
-    enumeration cap and takes SYMMETRIZATION_DRAWS Monte Carlo draws beyond.
+    The statistic is the arithmetic mean of the law's n coordinates, the only
+    one the check is valid for, and its oracle takes the default method. Each
+    replication's Rademacher average is exact when it fits the enumeration
+    cap and takes SYMMETRIZATION_DRAWS Monte Carlo draws beyond.
     """
-    if n != law.n:
-        raise DomainError("n does not match the law")
+    n = law.n
     stat = mean_statistic(n)
 
     def rademacher(image: np.ndarray, r: int) -> float:
         rng = stream(seed, "symmetrization/r", r)
         return rademacher_average(image, SYMMETRIZATION_DRAWS, rng).value
 
-    _, devs, _, rads = _replicate(
-        law, fc, stat, replications, seed, "symmetrization", rademacher,
-        oracle_method=oracle_method, oracle_replicas=oracle_replicas,
-    )
+    _, devs, _, rads = _replicate(law, fc, stat, replications, seed, "symmetrization", rademacher)
     dev_mean = float(devs.mean())
     dev_stderr = mean_stderr(devs)
     rad_mean = float(rads.mean())
@@ -570,7 +563,7 @@ def squared_swing_sum(
             raise DomainError("sample vector lives in a different sample space")
         if x.n != n:
             raise DomainError("sample vector does not match the statistic arity")
-        at_point = float(_swing_at_indices(stat, single, x.indices[None, :])[0])
+        at_point = float(_swing_at_indices(stat, single, x.point[None, :])[0])
 
     points = size**n
     if points <= ENUM_CAP:
@@ -722,8 +715,7 @@ def _swap_process(stat: Statistic, pair: FunctionClass, x: SampleVector, x_alt: 
     complementary mix's counts are the two points' counts less the mix's.
     """
     n = stat.n
-    # The points as members read them: support indices on a finite space.
-    a, b = (x.indices, x_alt.indices) if pair.space.kind == FINITE else (x.values, x_alt.values)
+    a, b = x.point, x_alt.point
     counted = _counted(pair.space, stat)
     if counted:
         size = pair.space.size

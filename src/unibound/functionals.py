@@ -357,7 +357,7 @@ def u_statistic(n: int, kernel: Kernel) -> Statistic:
             for r in range(m, 0, -1):
                 chains[r] += np.multiply.outer(chains[r - 1], w)
         tuple_weights = chains[m].ravel()
-        grid = np.indices((size,) * m).reshape(m, -1).T    # (tuples, m) support indices
+        grid = np.stack(np.unravel_index(np.arange(tuples), (size,) * m), axis=1)    # (tuples, m)
         out = np.empty(support.shape[0])
         # A numpy sum, not a BLAS gemv, so the value does not depend on the
         # BLAS thread count; a row holds the gather, the kernel values and
@@ -382,14 +382,17 @@ def u_statistic(n: int, kernel: Kernel) -> Statistic:
 
     @functools.lru_cache(maxsize=1)
     def multiset_tables(size):
-        """(gather, runs): each multiset as its m nondecreasing support points,
-        and at each position the length of the run of equal points starting
-        there, 0 inside a run."""
+        """(gather, points, runs): each multiset as its m nondecreasing
+        support points, and its distinct points with the lengths of their
+        runs, in point order, packed into min(m, s) columns. A multiset with
+        fewer distinct points pads with run length 0."""
         kinds = multisets(size)
         gather = np.fromiter(
             itertools.chain.from_iterable(itertools.combinations_with_replacement(range(size), m)),
             dtype=np.intp, count=kinds * m,
         ).reshape(kinds, m)
+        # At each position, the length of the run of equal points starting
+        # there, 0 inside a run.
         runs = np.zeros((kinds, m), dtype=np.intp)
         length = np.zeros(kinds, dtype=np.intp)
         for p in range(m - 1, -1, -1):
@@ -400,7 +403,9 @@ def u_statistic(n: int, kernel: Kernel) -> Statistic:
                 length[starts] = 0
             else:
                 runs[:, 0] = length
-        return gather, runs
+        # Run starts first, in position order.
+        order = np.argsort(runs == 0, axis=1, kind="stable")[:, :min(m, size)]
+        return gather, np.take_along_axis(gather, order, 1), np.take_along_axis(runs, order, 1)
 
     def count_form(support, counts):
         size = support.shape[1]
@@ -409,7 +414,7 @@ def u_statistic(n: int, kernel: Kernel) -> Statistic:
             raise ResourceError(
                 f"C({size}+{m}-1, {m}) = {kinds} support multisets exceed the enumeration cap {ENUM_CAP}"
             )
-        gather, runs = multiset_tables(size)
+        gather, points, runs = multiset_tables(size)
         cols = counts.T
         members, rows = support.shape[0], counts.shape[0]
         out = np.zeros((members, rows))
@@ -418,11 +423,11 @@ def u_statistic(n: int, kernel: Kernel) -> Statistic:
         # its term and running sum for every member and row.
         for part in batches(kinds, 8 * (max(members, 1) * (m + 1 + 2 * rows) + 3 * rows)):
             kernel_values = kernel.fn(support[:, gather[part]])    # (members, multisets)
-            # prod_j C(c_j, a_j), one factor per run of the multiset in
-            # position order; a position inside a run gathers C(c, 0) = 1.
-            weights = binomials[runs[part, :1], cols[gather[part, 0]]]    # (multisets, rows)
-            for p in range(1, m):
-                weights *= binomials[runs[part, p:p + 1], cols[gather[part, p]]]
+            # prod_j C(c_j, a_j), one factor per distinct point of the
+            # multiset in point order; a padding column gathers C(c, 0) = 1.
+            weights = binomials[runs[part, :1], cols[points[part, 0]]]    # (multisets, rows)
+            for p in range(1, runs.shape[1]):
+                weights *= binomials[runs[part, p:p + 1], cols[points[part, p]]]
             # A running sum adds each entry's terms one multiset at a time in
             # multiset order, so an entry does not depend on the batches or on
             # how many members and rows share the call (a matrix product's

@@ -6,7 +6,8 @@ independent but need not be identically distributed; they do share one
 sample space. All draws are inversion-based on the derived uniform stream.
 A finite space's draws are their support indices, and its support counts
 come straight from the uniforms (``draw_counts``), bit for bit those of
-``draw_batch``'s draws, without forming the indices.
+``draw_batch``'s draws, without forming the indices. A ``SampleVector``
+holds one draw as that same array.
 """
 
 from __future__ import annotations
@@ -210,16 +211,23 @@ def point_mass_law(values) -> ProductLaw:
 
 @dataclass(frozen=True, eq=False)
 class SampleVector:
-    """A realised point of X^n. ``indices`` is present for finite spaces and
-    indexes the support; treat the arrays as immutable."""
+    """A realised point of X^n as the one array ``draw_batch`` gives for it:
+    support indices on a finite space, values on the interval. Treat the
+    array as immutable."""
 
     space: SampleSpace
-    values: np.ndarray
-    indices: np.ndarray | None = None
+    point: np.ndarray
 
     @property
     def n(self) -> int:
-        return int(self.values.shape[0])
+        return int(self.point.shape[0])
+
+    @property
+    def values(self) -> np.ndarray:
+        """The coordinate values; on a finite space, the support values at the indices."""
+        if self.space.kind == FINITE:
+            return self.space.support_values[self.point]
+        return self.point
 
 
 def sample(law: ProductLaw, seed) -> SampleVector:
@@ -227,10 +235,7 @@ def sample(law: ProductLaw, seed) -> SampleVector:
 
     The one-row case of ``draw_batch``, on the stream tagged ``sample``.
     """
-    drawn = draw_batch(law, 1, as_stream(seed, "sample"))[0]
-    if law.space.kind == FINITE:
-        return SampleVector(law.space, law.space.support_values[drawn], drawn)
-    return SampleVector(law.space, drawn)
+    return SampleVector(law.space, draw_batch(law, 1, as_stream(seed, "sample"))[0])
 
 
 def draw_batch(law: ProductLaw, count: int, seed) -> np.ndarray:
@@ -313,7 +318,7 @@ def draw_counts(law: ProductLaw, count: int, seed) -> np.ndarray:
 
 
 def vector_from_values(space: SampleSpace, values) -> SampleVector:
-    """Wrap raw coordinate values, resolving support indices on finite spaces.
+    """Wrap raw coordinate values, resolved to support indices on finite spaces.
 
     A value that matches no support point (tolerance 1e-12) is outside the
     sample space and raises DomainError.
@@ -324,7 +329,7 @@ def vector_from_values(space: SampleSpace, values) -> SampleVector:
     if space.kind == INTERVAL:
         if np.any(vals < 0.0) or np.any(vals > 1.0):
             raise DomainError("coordinates must lie in [0, 1]")
-        return SampleVector(space, vals, None)
+        return SampleVector(space, vals)
     support = space.support_values
     idx = np.empty(vals.shape[0], dtype=np.int64)
     for i, v in enumerate(vals):
@@ -332,4 +337,4 @@ def vector_from_values(space: SampleSpace, values) -> SampleVector:
         if hits.size == 0:
             raise DomainError(f"coordinate {i} value {v!r} is not a support point")
         idx[i] = hits[0]
-    return SampleVector(space, support[idx], idx)
+    return SampleVector(space, idx)

@@ -125,7 +125,7 @@ def test_criterion_05_u_statistic_reduction():
 
 def test_criterion_06_symmetrization_bound_for_mean():
     fc = random_lookup_class(BITS, 16, stream(ROOT_SEED, "acceptance/c6-class"))
-    rep = symmetrization_check_mean(bit_law(12), fc, 12, 1000, ROOT_SEED + 6)
+    rep = symmetrization_check_mean(bit_law(12), fc, 1000, ROOT_SEED + 6)
     verdict(6, rep.holds,
             f"dev {rep.dev_mean:.5f} <= (2/n) R {rep.bound_side:.5f} + slack {rep.allowance:.5f}")
 

@@ -39,6 +39,7 @@ def test_constant_class_image():
 def test_identity_image_on_interval():
     fc = FunctionClass(interval_space(), (identity_member(),))
     x = vector_from_values(interval_space(), [0.2, 0.9])
+    assert x.values is x.point    # the interval's one array is its values
     img = fc.image_matrix(x)
     assert np.array_equal(img, [[0.2, 0.9]])
 
@@ -49,7 +50,7 @@ def test_random_lookup_image_matches_per_entry_evaluation():
     x = vector_from_values(FIVE, [0.0, 0.25, 1.0, 0.5, 0.5, 0.75])
     img = fc.image_matrix(x)
     for k, member in enumerate(fc.members):
-        for i, xi in enumerate(x.indices):
+        for i, xi in enumerate(x.point):
             assert img[k, i] == member.table[int(xi)]
 
 
@@ -86,8 +87,10 @@ def test_lookup_member_validation():
         lookup_member("f", BITS, {"0": 0.5})  # missing "1"
     with pytest.raises(DomainError):
         lookup_member("f", BITS, {"0": 0.5, "1": 0.5, "2": 0.5})
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="unique"):
         FunctionClass(BITS, (lookup_member("f", BITS, {"0": 0.5, "1": 1.0}),) * 2)
+    with pytest.raises(DomainError, match="at least one member"):
+        FunctionClass(BITS, ())
 
 
 def test_range_check_rejects_out_of_unit_tables():
@@ -122,7 +125,7 @@ def test_finite_image_gathers_the_support_matrix(idx):
     x = vector_from_values(FIVE, [j / 4.0 for j in idx])
     image = fc.image_matrix(x)
     expected = np.stack([
-        np.asarray(m.table)[x.indices] if isinstance(m, LookupMember) else m.apply(x.values)
+        np.asarray(m.table)[x.point] if isinstance(m, LookupMember) else m.apply(x.values)
         for m in members
     ])
     assert np.array_equal(image, expected)
@@ -167,24 +170,3 @@ def test_random_lookup_labels_pad_to_the_largest_index():
     assert random_lookup_labels(101)[-1] == "f100"
     fc = random_lookup_class(FIVE, 12, 1)
     assert list(fc.labels) == random_lookup_labels(12)
-
-
-def test_subclass_picks_its_members_in_order_and_refuses_bad_labels():
-    fc = random_lookup_class(FIVE, 6, 3)
-    sub = fc.subclass([fc.labels[4], fc.labels[1], fc.labels[2]])
-    assert sub.labels == (fc.labels[4], fc.labels[1], fc.labels[2])
-    assert np.array_equal(sub.support_matrix(), fc.support_matrix()[[4, 1, 2]])
-    with pytest.raises(DomainError, match="unknown member labels"):
-        fc.subclass([fc.labels[0], "nope"])
-    with pytest.raises(DomainError, match="unique"):
-        fc.subclass([fc.labels[0], fc.labels[0]])
-    with pytest.raises(DomainError, match="at least one member"):
-        fc.subclass([])
-
-
-def test_subclass_on_the_interval_keeps_its_members():
-    fc = FunctionClass(interval_space(), (identity_member("a"), constant_member("b", 0.5)))
-    sub = fc.subclass(["b"])
-    assert sub.labels == ("b",) and sub.members == (fc.members[1],)
-    x = vector_from_values(interval_space(), [0.25, 0.75])
-    assert np.array_equal(sub.image_matrix(x), fc.image_matrix(x)[1:])

@@ -5,6 +5,7 @@ refused by ``resolve`` with a ConfigError (exit code 2 from the CLI).
 """
 
 import copy
+import time
 from pathlib import Path
 
 import pytest
@@ -68,6 +69,24 @@ def test_constants_keys_checked_off_the_numeric_route(tmp_path, capsys, key, val
     assert main(["run", str(path)]) == EXIT_CONFIG
     assert f"constants.{key}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# ---------------------------------------------------------------------------
+# the exact oracle's cap is checked without forming support^n
+
+@pytest.mark.parametrize("size", [1, 2])
+def test_exact_oracle_cap_is_checked_at_once_at_huge_n(size):
+    # support^n at n = 10^18 is an integer of about 10^17 bytes; past n = 64
+    # any support of two or more points passes the cap, and one point gives 1.
+    cfg = copy.deepcopy(BASES["deviate_variance"])
+    cfg["n"] = 10**18
+    cfg["law"]["space"]["support"] = cfg["law"]["space"]["support"][:size]
+    cfg["oracle"] = {"method": "exact"}
+    start = time.perf_counter()
+    refused = [v for v in validate_config(cfg) if v.startswith("oracle.method:")]
+    assert time.perf_counter() - start < 1.0
+    assert refused == ([] if size == 1 else
+                       ["oracle.method: support^n exceeds the enumeration cap 1000000"])
 
 
 # ---------------------------------------------------------------------------

@@ -265,6 +265,29 @@ def test_oracle_row_path_images_one_batch_of_draws():
     assert np.array_equal(oracle.values, [p.mean() for p in phis])
 
 
+@pytest.mark.parametrize("name", ["variance", "smoothed-min", "rows", "interval"])
+def test_phis_at_a_member_slice_is_those_rows_of_the_whole_class(name):
+    # Each path, counts or images, evaluates a member the same whatever
+    # batch of members it shares the call with.
+    n = 6
+    if name == "interval":
+        law = iid_law(beta_family(2.0, 3.0), n)
+        ramps = tuple(ThresholdMember(f"t{j}", j / 8.0, 0.25) for j in range(7))
+        fc = FunctionClass(law.space, ramps)
+    else:
+        law = five_point_law(n, 4)
+        fc = random_lookup_class(FIVE_POINTS, 7, 3)
+    stat = STATISTICS["smoothed-min" if name == "smoothed-min" else "variance"](n)
+    if name == "rows":
+        stat = _rows_only(stat)
+    draws = draw_batch(law, 50, 4)
+    whole = deviation._phis_at(stat, fc, draws)
+    assert whole.shape == (7, 50)
+    for members in (slice(2, 5), slice(6, 7), slice(None)):
+        part = deviation._phis_at(stat, fc, draws, members=members)
+        assert part.tobytes() == whole[members].tobytes()
+
+
 STATISTICS = {
     "mean": mean_statistic,
     "variance": sample_variance_statistic,
@@ -454,7 +477,7 @@ def test_deviation_matches_brute_force():
     value, label = uniform_deviation(fc.image_matrix(x), fc, stat, oracle)
     gaps = []
     for k, member in enumerate(fc.members):
-        image = [member.table[int(i)] for i in x.indices]
+        image = [member.table[int(i)] for i in x.point]
         gaps.append(oracle.values[k] - sum(image) / n)
     assert value == pytest.approx(max(gaps), abs=1e-14)
     assert label == fc.labels[int(np.argmax(gaps))]
@@ -479,7 +502,7 @@ def test_deviation_monotone_in_class_extension():
     fc = random_lookup_class(BITS, 5, 19)
     stat = mean_statistic(n)
     oracle = expectation_oracle(law, fc, stat)
-    sub = fc.subclass(fc.labels[:3])
+    sub = FunctionClass(fc.space, fc.members[:3])
     sub_oracle = ExpectationOracle(oracle.method, sub.labels, oracle.values[:3])
     for seed in range(10):
         x = sample(law, seed)
@@ -604,7 +627,7 @@ def test_experiment_replication_floor():
 
 def test_symmetrization_degenerate_class():
     fc = FunctionClass(BITS, (constant_member("half", 0.5),))
-    rep = symmetrization_check_mean(bit_law(8), fc, 8, 100, 3)
+    rep = symmetrization_check_mean(bit_law(8), fc, 100, 3)
     assert rep.dev_mean == pytest.approx(0.0, abs=1e-15)
     assert rep.rad_mean == pytest.approx(0.0, abs=1e-15)
     assert rep.holds
@@ -612,22 +635,16 @@ def test_symmetrization_degenerate_class():
 
 def test_symmetrization_random_class_holds():
     fc = random_lookup_class(BITS, 16, 47)
-    rep = symmetrization_check_mean(bit_law(12), fc, 12, 300, 9)
+    rep = symmetrization_check_mean(bit_law(12), fc, 300, 9)
     assert rep.holds
     assert rep.dev_mean <= rep.bound_side + rep.allowance
 
 
 def test_symmetrization_singleton():
     fc = FunctionClass(BITS, (lookup_member("f", BITS, {"0": 0.2, "1": 0.9}),))
-    rep = symmetrization_check_mean(bit_law(10), fc, 10, 200, 11)
+    rep = symmetrization_check_mean(bit_law(10), fc, 200, 11)
     assert abs(rep.dev_mean) <= 4.0 * rep.dev_stderr
     assert rep.holds
-
-
-def test_symmetrization_rejects_mismatched_n():
-    fc = random_lookup_class(BITS, 4, 53)
-    with pytest.raises(DomainError):
-        symmetrization_check_mean(bit_law(6), fc, 7, 100, 1)
 
 
 def test_symmetrization_monte_carlo_past_the_cap():
@@ -636,7 +653,7 @@ def test_symmetrization_monte_carlo_past_the_cap():
     # at the law's one point its value varies only with the draws.
     law = point_mass_law(np.linspace(0.0, 1.0, 22))
     fc = random_lookup_class(law.space, 4, 59)
-    rep = symmetrization_check_mean(law, fc, 22, 100, 13)
+    rep = symmetrization_check_mean(law, fc, 100, 13)
     assert rep.rad_stderr > 0.0
     assert rep.holds
 
@@ -649,7 +666,7 @@ def test_symmetrization_exact_past_n_20_on_two_support_points(monkeypatch):
 
     monkeypatch.setattr(complexity, "rademacher_mc", refuse)
     fc = random_lookup_class(BITS, 4, 59)
-    rep = symmetrization_check_mean(bit_law(22), fc, 22, 100, 13)
+    rep = symmetrization_check_mean(bit_law(22), fc, 100, 13)
     assert rep.rad_mean > 0.0
     assert rep.holds
 
@@ -892,9 +909,8 @@ def test_tail_swing_and_probe_counts_match_rows(name, support):
     np.testing.assert_allclose(oracles[0].values, oracles[1].values, **TOL)
 
     # The tail's draws, evaluated at every draw on both paths.
-    single = fc.subclass([fc.labels[0]])
     draws = draw_batch(law, 2000, stream(3, "tail/x"))
-    phis = [deviation._phis_at(s, single, draws)[0] for s in (stat, rows)]
+    phis = [deviation._phis_at(s, fc, draws, members=slice(0, 1))[0] for s in (stat, rows)]
     np.testing.assert_allclose(*phis, **TOL)
     grid = [0.0, 0.01, 0.03]
     tails = [bounded_difference_tail(law, s, fc.members[0], grid, 2000, 3) for s in (stat, rows)]
@@ -913,12 +929,12 @@ def test_tail_swing_and_probe_counts_match_rows(name, support):
     np.testing.assert_allclose(swings[0].sup_norm, swings[1].sup_norm, **TOL)
     assert swings[0].sup_is_exact and swings[1].sup_is_exact
     # At a point on one support value every other value is absent.
-    lone, second = np.zeros((1, n), dtype=np.int64), fc.subclass(fc.labels[1:2])
+    lone, second = np.zeros((1, n), dtype=np.int64), FunctionClass(space, fc.members[1:2])
     at_lone = [deviation._swing_at_indices(s, second, lone) for s in (stat, rows)]
     np.testing.assert_allclose(*at_lone, **TOL)
 
     x_alt = sample(law, stream(5, "x-alt"))
-    pair = fc.subclass(fc.labels[1:])
+    pair = FunctionClass(space, fc.members[1:])
     processes = [deviation._swap_process(s, pair, x, x_alt, 2000, stream(7, "sigma"))
                  for s in (stat, rows)]
     for counted, imaged in zip(*processes):
@@ -979,8 +995,8 @@ def test_exact_oracle_member_batches_match_single_members(monkeypatch, name):
     fc = random_lookup_class(BITS, 40, 12)
     stat = STATISTICS[name](n)
     whole = expectation_oracle(law, fc, stat, "exact").values
-    alone = [expectation_oracle(law, fc.subclass([lab]), stat, "exact").values[0]
-             for lab in fc.labels]
+    alone = [expectation_oracle(law, FunctionClass(BITS, (member,)), stat, "exact").values[0]
+             for member in fc.members]
     np.testing.assert_allclose(whole, alone, **TOL)
 
 
@@ -1017,8 +1033,8 @@ def _swap_process_of_both_mixes(stat, pair, x, x_alt, draws, rng):
     y = np.empty((2, draws))
     for part in functionals.batches(draws, 5 * 8 * stat.n):
         swap = rng.integers(0, 2, size=(part.stop - part.start, stat.n)) == 1
-        y[:, part] = (deviation._phis_at(stat, pair, np.where(swap, x.indices, x_alt.indices))
-                      - deviation._phis_at(stat, pair, np.where(swap, x_alt.indices, x.indices)))
+        y[:, part] = (deviation._phis_at(stat, pair, np.where(swap, x.point, x_alt.point))
+                      - deviation._phis_at(stat, pair, np.where(swap, x_alt.point, x.point)))
     return y[0], y[1]
 
 
@@ -1085,7 +1101,7 @@ def _typed_outputs(law, members, enumerable, stat):
                                    oracle_method="monte-carlo", oracle_replicas=1000,
                                    swing=deviation.SwingReport(None, 1.0, True))
     counts = draw_counts(law, 1000, stream(4, "tail/x"))
-    phis = deviation._phis_at(stat, fc.subclass([fc.labels[0]]), counts=counts)[0]
+    phis = deviation._phis_at(stat, fc, counts=counts, members=slice(0, 1))[0]
     outputs = {
         "oracle values": mc.values,
         "oracle stderrs": mc.stderrs,

@@ -380,6 +380,23 @@ def test_u_statistic_builds_at_high_order():
     assert elapsed < 1.0
 
 
+def test_u_statistic_count_form_is_fast_at_high_order():
+    # Two support points at order 1099: a multiset has at most two distinct
+    # points, so its weight takes two binomial factors, not 1099.
+    stat = u_statistic(1100, product_kernel(1099))
+    rng = np.random.default_rng(5)
+    support = np.array([[0.999, 0.9995]])    # products of 1099 stay far from underflow
+    indices = rng.integers(0, 2, size=(2000, 1100))
+    counts = support_counts(indices, 2)
+    start = time.perf_counter()
+    counted = stat.count_form(support, counts)
+    elapsed = time.perf_counter() - start
+    assert counted.shape == (1, 2000)
+    rows = stat(np.take(support[0], indices[:5]))
+    assert np.allclose(counted[0, :5], rows, rtol=0.0, atol=1e-12)
+    assert elapsed < 1.0
+
+
 def test_u_statistic_count_form_refuses_past_the_multiset_cap():
     stat = u_statistic(3, product_kernel(3))
     support = np.full((1, 200), 0.5)    # C(202, 3) multisets > 1e6

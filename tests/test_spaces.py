@@ -128,7 +128,8 @@ def test_family_parameter_validation():
 
 def test_vector_from_values_matches_support():
     x = vector_from_values(BITS, [0.0, 1.0, 0.0])
-    assert np.array_equal(x.indices, [0, 1, 0])
+    assert np.array_equal(x.point, [0, 1, 0])
+    assert np.array_equal(x.values, [0.0, 1.0, 0.0])
     with pytest.raises(DomainError):
         vector_from_values(BITS, [0.5])
     with pytest.raises(DomainError):
@@ -161,9 +162,12 @@ def test_draw_batch_matches_per_coordinate_inversion(law, monkeypatch):
     u = open_uniforms(as_stream(17, "draw-batch"), (1000, law.n))
     for i, coord in enumerate(law.coordinates):
         assert drawn[:, i].tobytes() == coord.invert(u[:, i]).tobytes()
+    # A sample is the one row of its own draw; on a finite space its values
+    # are the support values at that row's indices.
+    x = sample(law, 17)
+    assert x.point.tobytes() == draw_batch(law, 1, as_stream(17, "sample"))[0].tobytes()
     if finite:
-        x = sample(law, 17)
-        assert np.array_equal(x.values, law.space.support_values[x.indices])
+        assert np.array_equal(x.values, law.space.support_values[x.point])
 
 
 def _two_group_law(size, n):
