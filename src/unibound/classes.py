@@ -5,9 +5,10 @@ finite support or as parametric forms on values (threshold ramps and clipped
 affine maps). The image of a class at a sample vector x is the finite set
 { (f(x_1), ..., f(x_n)) : f in class }, one row per member with duplicates
 retained; complexity averages act on that set. Members are imaged only
-through their class: ``image_matrix`` at one sample vector's point,
-``member_image`` for one member over a batch of draws. A batch of members
-is a slice of the class's rows, never a class of its own.
+through their class: ``images`` at a batch of points (``image_matrix`` at
+one sample vector's point), ``member_image`` for one member over a batch of
+draws. A batch of members is a slice of the class's rows, never a class of
+its own.
 """
 
 from __future__ import annotations
@@ -128,14 +129,24 @@ class FunctionClass:
 
     def image_matrix(self, x: SampleVector) -> np.ndarray:
         """The image F(x): a (|class|, n) matrix, row k member k's image of x,
-        in the order of ``labels``."""
+        in the order of ``labels``; the one-point case of ``images``."""
         if x.space != self.space:
             raise DomainError("sample vector lives in a different sample space")
+        return self.images(x.point[None])[0]
+
+    def images(self, points: np.ndarray) -> np.ndarray:
+        """The images F(x) at a (count, n) batch of points, as ``draw_batch``
+        gives them: a C-contiguous (count, |class|, n) array, one
+        ``image_matrix`` per point."""
+        count, n = points.shape
         if self._support is not None:
-            # np.take keeps rows C-contiguous, so row sums add in the same order
-            # as on per-member images; a [:, idx] gather is F-ordered and does not.
-            return np.take(self._support, x.point, axis=1)
-        return np.stack([m.apply(x.point) for m in self.members])
+            # Rows stay C-contiguous, so row sums add in the same order as on
+            # per-member images; a [:, idx] gather is F-ordered and does not.
+            return np.ascontiguousarray(np.take(self._support, points, axis=1).transpose(1, 0, 2))
+        out = np.empty((count, len(self), n))
+        for k, m in enumerate(self.members):
+            out[:, k] = m.apply(points)
+        return out
 
     def member_image(self, k: int, points: np.ndarray) -> np.ndarray:
         """Member k's image of a batch of points of any shape, as

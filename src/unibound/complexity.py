@@ -17,6 +17,12 @@ of the iid pair means over sqrt(pairs). Pairing keeps the estimator
 unbiased, makes every pair mean nonnegative (take the same maximizer on
 both sides), and makes translation invariance hold exactly under a shared
 stream.
+
+G of a stack of images, such as one slice of the deviation experiment's
+replications, takes one call: ``gaussian_averages`` merges the columns of
+every image with one sort of the stack's columns, then runs each image's
+products in turn on its own stream. ``gaussian_mc`` is its one-image
+case, so an image's value does not depend on the stack it comes in.
 """
 
 from __future__ import annotations
@@ -75,20 +81,36 @@ def _as_matrix(y) -> np.ndarray:
     return arr
 
 
-def _merged_columns(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(Y', m): the distinct columns of ``mat`` in order of first appearance
-    and how many times each appears. Columns merge when they are equal as
-    floats (0.0 and -0.0 alike).
+def _merged_columns(images: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For each image of a (count, K, n) stack: where each of its distinct
+    columns first appears, in increasing order, and how many times it
+    appears. Columns merge when they are equal as floats (0.0 and -0.0
+    alike).
+
+    One sort of the bytes of all the stack's columns puts equal columns
+    next to each other and keys them; each key is then offset by its
+    image's position, so columns of different images never merge, and
+    ordering the distinct codes by their first appearance in the stack
+    orders them by image, then by position.
     """
-    slot: dict[bytes, int] = {}
-    owner = np.empty(mat.shape[1], dtype=np.intp)
-    keep: list[int] = []
-    for i, col in enumerate(np.ascontiguousarray(mat.T) + 0.0):    # -0.0 + 0.0 is 0.0
-        j = slot.setdefault(col.tobytes(), len(keep))
-        if j == len(keep):
-            keep.append(i)
-        owner[i] = j
-    return mat[:, keep], np.bincount(owner, minlength=len(keep))
+    count, members, n = images.shape
+    cols = np.empty((count * n, members))
+    np.add(images.transpose(0, 2, 1), 0.0, out=cols.reshape(count, n, members))    # -0.0 + 0.0 is 0.0
+    order = cols.view(f"V{8 * members}").ravel().argsort()
+    # Neighbours compare as words: np.unique compares them as void scalars,
+    # ten times slower at 256 members.
+    words = cols.view(np.int64)[order]
+    starts = np.concatenate(([True], (words[1:] != words[:-1]).any(axis=1)))
+    rank = np.cumsum(starts) - 1
+    keys = np.empty(count * n, dtype=np.intp)
+    keys[order] = rank
+    codes = keys.reshape(count, n) + (int(rank[-1]) + 1) * np.arange(count)[:, None]
+    _, first, mult = np.unique(codes, return_index=True, return_counts=True)
+    by_first = np.argsort(first)
+    owner, keep = np.divmod(first[by_first], n)
+    mult = mult[by_first]
+    bounds = np.searchsorted(owner, np.arange(count + 1)).tolist()
+    return [(keep[a:b], mult[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def _binomial_shares(c: int) -> np.ndarray:
@@ -142,7 +164,8 @@ def rademacher_exact(y) -> ComplexityEstimate:
     one pairwise sum, so the value does not depend on the batch size.
     """
     mat = _as_matrix(y)
-    merged, mult = _merged_columns(mat)
+    ((keep, mult),) = _merged_columns(mat[None])
+    merged = mat[:, keep]
     size = merged.shape[1]
     patterns = math.prod(int(c) + 1 for c in mult)
     # An odd number of patterns leaves out the middle one, b = m / 2, which is
@@ -161,7 +184,8 @@ def rademacher_exact(y) -> ComplexityEstimate:
     return ComplexityEstimate(float(np.sum(pair_sums)), RADEMACHER, EXACT)
 
 
-def _antithetic_mc(mat: np.ndarray, draws: int, rng, gaussian: bool) -> tuple[float, float, int]:
+def _antithetic_means(mat: np.ndarray, draws: int, rng, gaussian: bool) -> np.ndarray:
+    """The draws // 2 antithetic pair means of one matrix."""
     n = mat.shape[1]
     pairs = draws // 2
     if pairs < 1:
@@ -172,7 +196,11 @@ def _antithetic_mc(mat: np.ndarray, draws: int, rng, gaussian: bool) -> tuple[fl
         coeff = standard_normals(rng, shape) if gaussian else rademacher_signs(rng, shape)
         prod = mat @ coeff.T    # (K, rows): the reductions run along contiguous rows
         means[part] = 0.5 * (prod.max(axis=0) - prod.min(axis=0))
-    return float(means.mean()), mean_stderr(means), 2 * pairs
+    return means
+
+
+def _monte_carlo(means: np.ndarray, kind: str) -> ComplexityEstimate:
+    return ComplexityEstimate(float(means.mean()), kind, MONTE_CARLO, 2 * means.size, mean_stderr(means))
 
 
 def rademacher_mc(y, draws: int, seed) -> ComplexityEstimate:
@@ -181,8 +209,7 @@ def rademacher_mc(y, draws: int, seed) -> ComplexityEstimate:
     if draws < MIN_DRAWS:
         raise DomainError(f"draws must be >= {MIN_DRAWS}")
     rng = as_stream(seed, "rademacher-mc")
-    value, stderr, used = _antithetic_mc(mat, draws, rng, gaussian=False)
-    return ComplexityEstimate(value, RADEMACHER, MONTE_CARLO, used, stderr)
+    return _monte_carlo(_antithetic_means(mat, draws, rng, gaussian=False), RADEMACHER)
 
 
 def rademacher_average(y, draws: int, seed) -> ComplexityEstimate:
@@ -194,21 +221,47 @@ def rademacher_average(y, draws: int, seed) -> ComplexityEstimate:
         return rademacher_mc(y, draws, seed)
 
 
-def gaussian_mc(y, draws: int, seed) -> ComplexityEstimate:
-    """Monte Carlo G(Y); normals come from ``rng.standard_normals``.
+def _gaussian_means(images: np.ndarray, draws: int, rngs) -> list[np.ndarray]:
+    """The antithetic pair means of G for each image of a (count, K, n)
+    stack, image i drawing its normals from ``rngs[i]``.
 
-    Y is first reduced to its s distinct columns, column j appearing m_j
-    times: the normals on column j's copies add up to sqrt(m_j) times one
-    normal, so each draw takes s normals against the columns scaled by
-    sqrt(m_j); without repeated columns each scale is 1.
+    Each image is first reduced to its s distinct columns, column j
+    appearing m_j times: the normals on column j's copies add up to
+    sqrt(m_j) times one normal, so each draw takes s normals against the
+    columns scaled by sqrt(m_j). One sort merges the columns of the whole
+    stack; the products then run one image at a time.
     """
-    mat = _as_matrix(y)
     if draws < MIN_DRAWS:
         raise DomainError(f"draws must be >= {MIN_DRAWS}")
-    rng = as_stream(seed, "gaussian-mc")
-    merged, mult = _merged_columns(mat)
-    value, stderr, used = _antithetic_mc(merged * np.sqrt(mult), draws, rng, gaussian=True)
-    return ComplexityEstimate(value, GAUSSIAN, MONTE_CARLO, used, stderr)
+    return [
+        _antithetic_means(image[:, keep] * np.sqrt(mult), draws, rng, gaussian=True)
+        for image, (keep, mult), rng in zip(images, _merged_columns(images), rngs)
+    ]
+
+
+def gaussian_bytes(members: int, n: int) -> int:
+    """Bytes one (members, n) image of a stack holds at once in
+    ``gaussian_averages``: its columns, their sorted copy and its
+    neighbour comparison, and five integers per column for their keys,
+    codes and sort orders. One image at a time holds its distinct columns,
+    their scaled copy and its pair means, and its products with their
+    normals run in slices of pairs within BATCH_BYTES."""
+    return (17 * members + 40) * n
+
+
+def gaussian_averages(images: np.ndarray, draws: int, rngs) -> np.ndarray:
+    """Monte Carlo G of each image of a (count, K, n) stack, image i drawing
+    its normals from the generator ``rngs[i]``; each value is that of
+    ``gaussian_mc(images[i], draws, rngs[i])``."""
+    return np.array([means.mean() for means in _gaussian_means(images, draws, rngs)])
+
+
+def gaussian_mc(y, draws: int, seed) -> ComplexityEstimate:
+    """Monte Carlo G(Y), the one-image case of ``gaussian_averages``;
+    normals come from ``rng.standard_normals``."""
+    mat = _as_matrix(y)
+    (means,) = _gaussian_means(mat[None], draws, [as_stream(seed, "gaussian-mc")])
+    return _monte_carlo(means, GAUSSIAN)
 
 
 @dataclass(frozen=True, eq=False)

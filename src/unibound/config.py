@@ -265,6 +265,9 @@ def _cross_check(v: dict, raw: dict, out: list) -> None:
         elif n is not None and math.comb(n, order) > fx.ENUM_CAP:
             out.append(f"statistic.kernel.order: C({n},{order}) subsets exceed the enumeration cap "
                        f"{fx.ENUM_CAP}")
+        elif n is not None and math.comb(n, order) * order > fx.SUBSET_TABLE_CAP:
+            out.append(f"statistic.kernel.order: C({n},{order}) x {order} subset indices exceed the "
+                       f"subset table cap {fx.SUBSET_TABLE_CAP}")
     if stat.get("group_sizes") and n is not None and sum(stat["group_sizes"]) != n:
         out.append(f"statistic.group_sizes: must sum to n = {n}")
 

@@ -37,6 +37,11 @@ per-draw average. The exact oracle weights each lattice point by its
 product mass. The probe counts only its sigma-mix: the complementary mix's
 counts are the two points' counts less the mix's. Only the replications
 image rows.
+
+The replications run in slices of replications. Each draws its point on
+its own stream; one gather images a slice, one call of the statistic on its
+(replications, |class|, n) stack gives every deviation, and one call
+averages its images, so a value does not depend on the slice it falls in.
 """
 
 from __future__ import annotations
@@ -47,8 +52,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classes import FunctionClass
-from .complexity import (EXACT, GAUSSIAN, MIN_DRAWS, MONTE_CARLO, ComplexityEstimate, gaussian_mc,
-                         mean_stderr, rademacher_average)
+# gaussian_mc stays importable here: perfbench traces each layer through the
+# names this module imports, though the replications call gaussian_averages.
+from .complexity import (EXACT, GAUSSIAN, MIN_DRAWS, MONTE_CARLO, ComplexityEstimate,
+                         gaussian_averages, gaussian_bytes, gaussian_mc, mean_stderr,
+                         rademacher_average)
 from .derivative_bounds import ConstantsReport
 from .errors import DomainError, OverrideRequiredError, ResourceError
 from .functionals import ENUM_CAP, Statistic, batches, mean_statistic
@@ -260,17 +268,19 @@ def expectation_oracle(
 
 
 def uniform_deviation(
-    image: np.ndarray, fc: FunctionClass, stat: Statistic, oracle: ExpectationOracle
-) -> tuple[float, str]:
-    """sup over the class of E Phi(f(X')) - Phi(f(x)), with the first
-    maximizing label; ``image`` is the class image ``fc.image_matrix(x)``."""
+    images: np.ndarray, fc: FunctionClass, stat: Statistic, oracle: ExpectationOracle
+) -> tuple[np.ndarray, tuple[str, ...]]:
+    """sup over the class of E Phi(f(X')) - Phi(f(x)) at each point x of a
+    batch, with the first maximizing label; ``images`` is the class's
+    (points, |class|, n) stack ``fc.images(points)``, and the statistic is
+    called once on all its rows."""
     if oracle.labels != fc.labels:
         raise DomainError("oracle was built for a different class")
-    if len(image) != len(fc):
-        raise DomainError("the image needs one row per class member")
-    gaps = oracle.values - stat(image)
-    best = int(np.argmax(gaps))
-    return float(gaps[best]), fc.labels[best]
+    if images.ndim != 3 or images.shape[1] != len(fc):
+        raise DomainError("each image needs one row per class member")
+    gaps = oracle.values - stat(images)
+    best = np.argmax(gaps, axis=1)
+    return gaps[np.arange(len(best)), best], tuple(fc.labels[k] for k in best.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -340,13 +350,22 @@ class DeviationReport:
 
 
 def _replicate(law: ProductLaw, fc: FunctionClass, stat: Statistic, replications: int,
-               seed: int, tag: str, average, *, oracle_method: str = DEFAULT_ORACLE_METHOD,
+               seed: int, tag: str, average, average_bytes: int, *,
+               oracle_method: str = DEFAULT_ORACLE_METHOD,
                oracle_replicas: int = DEFAULT_ORACLE_REPLICAS):
     """(oracle, deviations, argmax labels, averages) over the replications.
 
-    Replication r samples x on the stream (seed, tag + "/x", r), images the
-    class at x once, and hands that image to the uniform deviation and to
-    ``average(image, r)``.
+    The replications run in slices. Replication r samples x on the stream
+    (seed, tag + "/x", r); a slice stacks its points, images the class at
+    them in one gather, forms its uniform deviations with one call of the
+    statistic, and hands the images to ``average(images, part)``, which
+    returns one value per replication in the slice ``part``.
+
+    A slice holds at most BATCH_BYTES. A replication counts its point and
+    its copy in the stack, its images and their gather, its rows' values
+    and gaps, what evaluating the statistic on its rows holds
+    (``stat.eval_bytes`` per row), and the ``average_bytes`` its average
+    holds.
     """
     if replications < MIN_DRAWS:
         raise DomainError(f"replications must be >= {MIN_DRAWS}")
@@ -355,12 +374,19 @@ def _replicate(law: ProductLaw, fc: FunctionClass, stat: Statistic, replications
         replicas=oracle_replicas, seed=stream(seed, f"{tag}/oracle"),
     )
 
-    rows = []
-    for r in range(replications):
-        image = fc.image_matrix(sample(law, stream(seed, f"{tag}/x", r)))
-        rows.append((*uniform_deviation(image, fc, stat, oracle), average(image, r)))
-    devs, labels, averages = zip(*rows)
-    return oracle, np.asarray(devs), labels, np.asarray(averages)
+    devs = np.empty(replications)
+    labels = []
+    averages = np.empty(replications)
+    members = len(fc)
+    row_bytes = 8 * 2 * law.n + members * (8 * (2 * law.n + 2) + stat.eval_bytes) + average_bytes
+    for part in batches(replications, row_bytes):
+        points = np.stack([sample(law, stream(seed, f"{tag}/x", r)).point
+                           for r in range(part.start, part.stop)])
+        images = fc.images(points)
+        devs[part], best = uniform_deviation(images, fc, stat, oracle)
+        labels.extend(best)
+        averages[part] = average(images, part)
+    return oracle, devs, tuple(labels), averages
 
 
 def deviation_experiment(
@@ -387,11 +413,12 @@ def deviation_experiment(
     (seed, tag, r).
     """
 
-    def gaussian(image: np.ndarray, r: int) -> float:
-        return gaussian_mc(image, gaussian_draws, stream(seed, "deviation/g", r)).value
+    def gaussian(images: np.ndarray, part: slice) -> np.ndarray:
+        rngs = [stream(seed, "deviation/g", r) for r in range(part.start, part.stop)]
+        return gaussian_averages(images, gaussian_draws, rngs)
 
     oracle, devs, labels, g_vals = _replicate(
-        law, fc, stat, replications, seed, "deviation", gaussian,
+        law, fc, stat, replications, seed, "deviation", gaussian, gaussian_bytes(len(fc), law.n),
         oracle_method=oracle_method, oracle_replicas=oracle_replicas,
     )
     dev_mean = float(devs.mean())
@@ -467,11 +494,14 @@ def symmetrization_check_mean(law: ProductLaw, fc: FunctionClass, replications: 
     n = law.n
     stat = mean_statistic(n)
 
-    def rademacher(image: np.ndarray, r: int) -> float:
-        rng = stream(seed, "symmetrization/r", r)
-        return rademacher_average(image, SYMMETRIZATION_DRAWS, rng).value
+    def rademacher(images: np.ndarray, part: slice) -> list[float]:
+        return [
+            rademacher_average(image, SYMMETRIZATION_DRAWS, stream(seed, "symmetrization/r", r)).value
+            for image, r in zip(images, range(part.start, part.stop))
+        ]
 
-    _, devs, _, rads = _replicate(law, fc, stat, replications, seed, "symmetrization", rademacher)
+    # Each image's Rademacher average runs alone, in its own batches.
+    _, devs, _, rads = _replicate(law, fc, stat, replications, seed, "symmetrization", rademacher, 0)
     dev_mean = float(devs.mean())
     dev_stderr = mean_stderr(devs)
     rad_mean = float(rads.mean())

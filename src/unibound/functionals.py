@@ -53,6 +53,11 @@ from .rng import stream
 # count-pattern pairs of the exact Rademacher average (2^(n-1) sign-pattern
 # pairs when no column of the image repeats).
 ENUM_CAP = 1_000_000
+# Largest (C(n, m), m) index table of a U-statistic's subsets, in entries
+# (64 MB). Every order m <= n / 2 whose subsets pass ENUM_CAP fits, the
+# largest being C(22, 11) x 11 = 7 759 752; past n / 2 the subsets stay few
+# while each grows to m indices.
+SUBSET_TABLE_CAP = 8 * ENUM_CAP
 # A kernel's symmetry is spot-checked at this many random points.
 _SYMMETRY_TRIALS = 16
 _SYMMETRY_TOL = 1e-12
@@ -81,8 +86,11 @@ class Statistic:
         None. Row k of ``support`` holds member k's values on the s support
         points and row i of ``weights`` the law of coordinate i; the result
         is E Phi(f_k(X)) for X with independent coordinates.
-    row_bytes : bytes one row costs ``evaluate``; n doubles when not given.
-        Calling the statistic evaluates batches of rows that fit BATCH_BYTES.
+    row_bytes : bytes one row of values costs ``evaluate``, the cost a row
+        of counts is weighed against; n doubles when not given.
+    eval_bytes : bytes ``evaluate`` holds at once per row, its temporaries
+        included; ``row_bytes`` when not given. Calling the statistic
+        evaluates batches of rows that fit BATCH_BYTES at this cost.
     count_form : map (support (K, s), counts (rows, s)) -> (K, rows), or
         None. Row r of ``counts`` holds how many coordinates of a point take
         each support value; entry (k, r) is Phi(f_k(x)) for that point, so
@@ -99,12 +107,15 @@ class Statistic:
     closed_form_constants: tuple[float, float] | None = None
     product_expectation: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     row_bytes: int | None = None
+    eval_bytes: int | None = None
     count_form: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     count_row_bytes: Callable[[int], int] | None = None
 
     def __post_init__(self):
         if self.row_bytes is None:
             object.__setattr__(self, "row_bytes", 8 * self.n)
+        if self.eval_bytes is None:
+            object.__setattr__(self, "eval_bytes", self.row_bytes)
 
     def __call__(self, s) -> np.ndarray:
         arr = np.asarray(s, dtype=np.float64)
@@ -112,7 +123,7 @@ class Statistic:
             raise DomainError(f"{self.name} expects vectors of length {self.n}")
         rows = arr.reshape(-1, self.n)
         out = np.empty(rows.shape[0])
-        for part in batches(rows.shape[0], self.row_bytes):
+        for part in batches(rows.shape[0], self.eval_bytes):
             out[part] = self.evaluate(rows[part])
         return out.reshape(arr.shape[:-1])[()]
 
@@ -315,7 +326,8 @@ def sample_variance_statistic(n: int) -> Statistic:
 def u_statistic(n: int, kernel: Kernel) -> Statistic:
     """Average of the kernel over all m-subsets in increasing-index order.
 
-    Refuses when the subset count exceeds ENUM_CAP. No analytic
+    Refuses when the subset count exceeds ENUM_CAP or its (C(n, m), m)
+    index table exceeds SUBSET_TABLE_CAP, before either is built. No analytic
     derivatives are attached; the constants module estimates or bounds them.
     The product-law expectation is attached; it refuses supports whose
     support^m kernel tuples exceed ENUM_CAP. So is the count form, which
@@ -330,6 +342,9 @@ def u_statistic(n: int, kernel: Kernel) -> Statistic:
     count = math.comb(n, m)
     if count > ENUM_CAP:
         raise ResourceError(f"C({n},{m}) = {count} subsets exceed the enumeration cap {ENUM_CAP}")
+    if count * m > SUBSET_TABLE_CAP:
+        raise ResourceError(f"C({n},{m}) x {m} = {count * m} subset indices exceed the subset "
+                            f"table cap {SUBSET_TABLE_CAP}")
     check_kernel_symmetry(kernel)
     combos = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n), m)),
                          dtype=np.intp, count=count * m).reshape(count, m)
@@ -437,9 +452,13 @@ def u_statistic(n: int, kernel: Kernel) -> Statistic:
             out = np.cumsum(terms, axis=1)[:, -1]
         return out / count
 
+    # A row of values costs its subset gather; evaluating it also holds the
+    # kernel's values and temporaries, at most three C(n, m) arrays at once
+    # for the built-in kernels (smoothed-min: -b s, -b t and their logaddexp).
     return Statistic(
         f"u-statistic[{kernel.name},m={m}]", n, evaluate,
         product_expectation=product_expectation, row_bytes=count * m * 8,
+        eval_bytes=count * (m + 3) * 8,
         count_form=count_form, count_row_bytes=lambda size: multisets(size) * m * 8,
     )
 

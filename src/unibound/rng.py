@@ -3,7 +3,7 @@
 All randomness flows from a single root seed. A work unit identified by
 (root seed, purpose tag, index) derives its own generator through
 ``numpy.random.SeedSequence``, so any unit can be recomputed in isolation and
-merged results never depend on execution order or worker count.
+merged results never depend on execution order.
 
 Standard normals come from the derived generator's own
 ``Generator.standard_normal`` (numpy's ziggurat sampler). It reads only that
@@ -17,6 +17,7 @@ byte-for-byte contract.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -29,6 +30,7 @@ from .errors import DomainError
 __all__ = ["stream", "as_stream", "open_uniforms", "standard_normals", "rademacher_signs"]
 
 
+@functools.lru_cache(maxsize=None)
 def _tag_entropy(tag: str) -> int:
     digest = hashlib.sha256(tag.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")

@@ -55,6 +55,26 @@ stat = class_separation_statistic([1500, 1500])
 print([repr(float(v)) for v in stat(stream(3, "rows").random((4, stat.n)))])
 """
 
+# The replication loop's Gaussian products, one per replication and slice
+# of pairs, at the shape of the replicate benchmark: 64 members on five
+# support points at n = 16, 200 replications.
+REPLICATIONS = """
+import hashlib
+from unibound.classes import random_lookup_class
+from unibound.derivative_bounds import closed_form_constants
+from unibound.deviation import deviation_experiment
+from unibound.functionals import sample_variance_statistic
+from unibound.spaces import finite_space, iid_law, uniform_on
+
+points = finite_space([(str(j), j / 4) for j in range(5)])
+stat = sample_variance_statistic(16)
+rep = deviation_experiment(iid_law(uniform_on(points), 16), random_lookup_class(points, 64, 1), stat,
+                           closed_form_constants(stat), 1.0, 0.1, 200, 1, gaussian_draws=2000,
+                           oracle_method="monte-carlo")
+print(hashlib.sha256(rep.dev_samples.tobytes() + rep.image_g_samples.tobytes()).hexdigest(),
+      rep.argmax_labels)
+"""
+
 
 def _run(args, threads):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -82,6 +102,10 @@ def test_u_statistic_oracle_does_not_depend_on_blas_threads():
 
 def test_class_separation_does_not_depend_on_blas_threads():
     _same_output_at_one_and_two_threads(CLASS_SEPARATION)
+
+
+def test_replications_do_not_depend_on_blas_threads():
+    _same_output_at_one_and_two_threads(REPLICATIONS)
 
 
 def _record(out):

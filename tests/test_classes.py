@@ -148,6 +148,18 @@ def test_member_image_of_a_batch_matches_the_image_matrix(space):
             assert np.array_equal(batch[row], fc.image_matrix(x)[k])
 
 
+@pytest.mark.parametrize("space", [FIVE, interval_space()], ids=["finite", "interval"])
+def test_images_of_a_batch_stack_the_image_matrices(space):
+    members = (ThresholdMember("ramp", 0.2, 0.45), AffineClippedMember("affine", -1.5, 1.1))
+    fc = FunctionClass(space, members)
+    points = draw_batch(iid_law(uniform_on(space), 6), 7, seed=5)
+    values = space.support_values[points] if space.kind == "finite" else points
+    images = fc.images(points)
+    assert images.shape == (7, 2, 6) and images.flags["C_CONTIGUOUS"]
+    for row in range(7):
+        assert np.array_equal(images[row], fc.image_matrix(vector_from_values(space, values[row])))
+
+
 def test_support_matrix_is_read_only():
     fc = random_lookup_class(FIVE, 3, 11)
     support = fc.support_matrix()

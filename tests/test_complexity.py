@@ -6,10 +6,13 @@ from scipy import integrate
 from scipy.stats import norm
 
 from unibound.complexity import (
-    _antithetic_mc,
+    _antithetic_means,
     _binomial_shares,
+    _merged_columns,
     comparison_report,
+    gaussian_averages,
     gaussian_mc,
+    mean_stderr,
     rademacher_exact,
     rademacher_mc,
 )
@@ -194,8 +197,36 @@ def test_gaussian_without_repeated_columns_is_unchanged():
     est = gaussian_mc(y, 2000, 31)
     assert est.value == 0.8750127963311088
     assert est.stderr == 0.012891630633511956
-    direct = _antithetic_mc(y, 2000, as_stream(31, "gaussian-mc"), gaussian=True)
-    assert (est.value, est.stderr) == direct[:2]
+    direct = _antithetic_means(y, 2000, as_stream(31, "gaussian-mc"), gaussian=True)
+    assert (est.value, est.stderr) == (float(direct.mean()), mean_stderr(direct))
+
+
+def test_columns_merge_in_order_of_first_appearance():
+    # Columns a b a c b d, with -0.0 in the second copy of a, which merges,
+    # and d equal to a in its first entry only; sorted by value, b would
+    # come first.
+    a, b, c, d = [0.5, 0.0], [0.25, 1.0], [0.75, 0.5], [0.5, 0.25]
+    y = np.array([a, b, [0.5, -0.0], c, b, d]).T
+    ((keep, mult),) = _merged_columns(y[None])
+    assert keep.tolist() == [0, 1, 3, 5]
+    assert mult.tolist() == [2, 2, 1, 1]
+
+
+def test_merged_columns_of_a_stack_are_each_image_merged_alone():
+    images = np.stack([finite_image(seed, 4, size, 9) for seed, size in enumerate([1, 3, 3, 5, 2, 3])])
+    merged = _merged_columns(images)
+    assert len(merged) == len(images)
+    for image, (keep, mult) in zip(images, merged):
+        ((alone_keep, alone_mult),) = _merged_columns(image[None])
+        assert np.array_equal(keep, alone_keep) and np.array_equal(mult, alone_mult)
+        assert mult.sum() == image.shape[1]
+
+
+def test_gaussian_averages_of_a_stack_are_each_image_alone():
+    images = np.stack([finite_image(seed, 5, size, 12) for seed, size in enumerate([2, 4, 4, 1, 12])])
+    values = gaussian_averages(images, 600, [stream(3, "stack", i) for i in range(len(images))])
+    alone = [gaussian_mc(image, 600, stream(3, "stack", i)).value for i, image in enumerate(images)]
+    assert values.tolist() == alone
 
 
 def test_merged_gaussian_agrees_with_the_n_wide_estimator():
@@ -204,7 +235,7 @@ def test_merged_gaussian_agrees_with_the_n_wide_estimator():
     y = finite_image(3, 6, 3, 12)
     merged = np.asarray([gaussian_mc(y, 200, seed).value for seed in range(200)])
     wide = np.asarray([
-        _antithetic_mc(y, 200, stream(seed, "n-wide"), gaussian=True)[0] for seed in range(200)
+        _antithetic_means(y, 200, stream(seed, "n-wide"), gaussian=True).mean() for seed in range(200)
     ])
     spread = math.sqrt(merged.var(ddof=1) / 200 + wide.var(ddof=1) / 200)
     assert abs(merged.mean() - wide.mean()) <= 4.0 * spread

@@ -5,6 +5,7 @@ refused by ``resolve`` with a ConfigError (exit code 2 from the CLI).
 """
 
 import copy
+import math
 import time
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from unibound.cli import main
 from unibound.config import resolve, validate_config
 from unibound.errors import ConfigError
+from unibound.functionals import SUBSET_TABLE_CAP
 from unibound.runner import EXIT_CONFIG
 from unibound.spaces import FAMILIES
 
@@ -87,6 +89,28 @@ def test_exact_oracle_cap_is_checked_at_once_at_huge_n(size):
     assert time.perf_counter() - start < 1.0
     assert refused == ([] if size == 1 else
                        ["oracle.method: support^n exceeds the enumeration cap 1000000"])
+
+
+# ---------------------------------------------------------------------------
+# a U-statistic's subset table is capped in validate as in u_statistic
+
+@pytest.mark.parametrize("n, order", [(1414, 1412), (1100, 1098)])
+def test_oversized_subset_table_is_refused_up_front(n, order):
+    cfg = _high_order_config()
+    cfg["n"] = n
+    cfg["statistic"]["kernel"]["order"] = order
+    entries = math.comb(n, order) * order
+    assert validate_config(cfg) == [
+        f"statistic.kernel.order: C({n},{order}) x {order} subset indices exceed the "
+        f"subset table cap {SUBSET_TABLE_CAP}"
+    ]
+    assert entries > SUBSET_TABLE_CAP
+    with pytest.raises(ConfigError, match="subset table cap"):
+        resolve(cfg)
+
+
+def test_high_order_subset_table_under_the_cap_is_accepted():
+    assert validate_config(_high_order_config()) == []
 
 
 # ---------------------------------------------------------------------------

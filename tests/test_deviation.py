@@ -51,12 +51,14 @@ from unibound.rng import as_stream, stream
 from unibound.runner import EXIT_OK, run_experiment
 from unibound.spaces import (
     ProductLaw,
+    bernoulli,
     beta_family,
     draw_batch,
     draw_counts,
     finite_space,
     finite_weights,
     iid_law,
+    interval_space,
     point_mass_law,
     sample,
     support_counts,
@@ -445,12 +447,18 @@ def test_tail_counts_in_bounded_memory(name):
 # ---------------------------------------------------------------------------
 # uniform deviation
 
+def deviation_at(x, fc, stat, oracle):
+    """The uniform deviation and its label at the one point x."""
+    (value,), (label,) = uniform_deviation(fc.image_matrix(x)[None], fc, stat, oracle)
+    return value, label
+
+
 def test_deviation_zero_under_point_mass():
     law = point_mass_law([0.5, 0.25, 0.75])
     fc = random_lookup_class(law.space, 4, 11)
     stat = mean_statistic(3)
     oracle = expectation_oracle(law, fc, stat)
-    value, label = uniform_deviation(fc.image_matrix(sample(law, 1)), fc, stat, oracle)
+    value, label = deviation_at(sample(law, 1), fc, stat, oracle)
     assert value == pytest.approx(0.0, abs=1e-15)
     assert label == fc.labels[0]  # ties resolve to the first member
 
@@ -461,7 +469,7 @@ def test_deviation_single_member_needs_no_sup():
     stat = mean_statistic(6)
     oracle = expectation_oracle(law, fc, stat)
     x = sample(law, 3)
-    value, label = uniform_deviation(fc.image_matrix(x), fc, stat, oracle)
+    value, label = deviation_at(x, fc, stat, oracle)
     assert label == "f"
     assert value == pytest.approx(oracle.values[0] - float(stat(fc.image_matrix(x)[0])), abs=1e-15)
 
@@ -474,7 +482,7 @@ def test_deviation_matches_brute_force():
     stat = mean_statistic(n)
     oracle = expectation_oracle(law, fc, stat)
     x = sample(law, 29)
-    value, label = uniform_deviation(fc.image_matrix(x), fc, stat, oracle)
+    value, label = deviation_at(x, fc, stat, oracle)
     gaps = []
     for k, member in enumerate(fc.members):
         image = [member.table[int(i)] for i in x.point]
@@ -490,8 +498,9 @@ def test_deviation_dominates_every_member_gap():
     stat = sample_variance_statistic(n)
     oracle = expectation_oracle(law, fc, stat)
     for seed in range(10):
-        img = fc.image_matrix(sample(law, seed))
-        value, _ = uniform_deviation(img, fc, stat, oracle)
+        x = sample(law, seed)
+        img = fc.image_matrix(x)
+        value, _ = deviation_at(x, fc, stat, oracle)
         for k in range(len(fc)):
             assert value >= oracle.values[k] - float(stat(img[k])) - 1e-15
 
@@ -506,8 +515,8 @@ def test_deviation_monotone_in_class_extension():
     sub_oracle = ExpectationOracle(oracle.method, sub.labels, oracle.values[:3])
     for seed in range(10):
         x = sample(law, seed)
-        small, _ = uniform_deviation(sub.image_matrix(x), sub, stat, sub_oracle)
-        large, _ = uniform_deviation(fc.image_matrix(x), fc, stat, oracle)
+        small, _ = deviation_at(x, sub, stat, sub_oracle)
+        large, _ = deviation_at(x, fc, stat, oracle)
         assert large >= small
 
 
@@ -519,9 +528,11 @@ def test_deviation_oracle_class_mismatch():
     other = random_lookup_class(BITS, 4, 29)
     x = sample(law, 0)
     with pytest.raises(DomainError):
-        uniform_deviation(other.image_matrix(x), other, stat, oracle)
+        deviation_at(x, other, stat, oracle)
     with pytest.raises(DomainError):
-        uniform_deviation(fc.image_matrix(x)[:1], fc, stat, oracle)  # one row short
+        uniform_deviation(fc.image_matrix(x)[None, :1], fc, stat, oracle)  # one row short
+    with pytest.raises(DomainError):
+        uniform_deviation(fc.image_matrix(x), fc, stat, oracle)  # not a stack
 
 
 # ---------------------------------------------------------------------------
@@ -620,6 +631,85 @@ def test_experiment_replication_floor():
     fc = random_lookup_class(BITS, 2, 5)
     with pytest.raises(DomainError):
         deviation_experiment(bit_law(4), fc, stat, closed_form_constants(stat), 1.0, 0.1, 50, 1)
+
+
+# ---------------------------------------------------------------------------
+# the replications run in slices, each value as one replication alone gives it
+
+def _one_at_a_time(law, fc, stat, oracle, replications, seed, tag, average):
+    """(deviations, argmax labels, averages) of the replications run one at
+    a time: sample, image, uniform deviation, then ``average(image, r)``."""
+    devs, labels, averages = [], [], []
+    for r in range(replications):
+        image = fc.image_matrix(sample(law, stream(seed, f"{tag}/x", r)))
+        (dev,), (label,) = uniform_deviation(image[None], fc, stat, oracle)
+        devs.append(dev)
+        labels.append(label)
+        averages.append(average(image, r))
+    return np.asarray(devs), tuple(labels), np.asarray(averages)
+
+
+THRESHOLDS = FunctionClass(interval_space(), tuple(
+    ThresholdMember(f"t{j}", theta, width)
+    for j, (theta, width) in enumerate([(0.0, 0.5), (0.2, 0.3), (0.5, 0.5), (0.9, 0.05)])
+))
+# name -> (law, class, statistic, Gaussian draws)
+REPLICATION_CASES = {
+    "variance-64": lambda: (
+        iid_law(uniform_on(FIVE_POINTS), 16), random_lookup_class(FIVE_POINTS, 64, 3),
+        sample_variance_statistic(16), 400),
+    "smoothed-min": lambda: (
+        bit_law(8), random_lookup_class(BITS, 8, 5), u_statistic(8, smoothed_min_kernel()), 400),
+    # Bernoulli draws are 0 or 1, so an image's columns repeat on the row path.
+    "interval-mean": lambda: (iid_law(bernoulli(0.3), 6), THRESHOLDS, mean_statistic(6), 400),
+    # A one-row product may go to gemv.
+    "one-member": lambda: (
+        bit_law(6), FunctionClass(BITS, (lookup_member("f", BITS, {"0": 0.1, "1": 0.8}),)),
+        mean_statistic(6), 400),
+    # A pair costs 8 (s + 600) bytes, so the 1000 pairs take two slices.
+    "split-pairs": lambda: (
+        iid_law(uniform_on(FIVE_POINTS), 3), random_lookup_class(FIVE_POINTS, 600, 7),
+        mean_statistic(3), 2000),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPLICATION_CASES))
+def test_sliced_replications_match_one_replication_at_a_time(name, monkeypatch):
+    law, fc, stat, draws = REPLICATION_CASES[name]()
+    seed, replications = 5, 150
+    slices = []
+
+    def counted(images, *args):
+        slices.append(len(images))
+        return uniform_deviation(images, *args)
+
+    monkeypatch.setattr(deviation, "uniform_deviation", counted)
+    rep = deviation_experiment(law, fc, stat, ConstantsReport(1.0, 1.0, "closed-form"), 1.0, 0.1,
+                               replications, seed, gaussian_draws=draws, oracle_replicas=5000)
+    assert sum(slices) == replications and max(slices) > 1
+    if len(fc) >= 64:    # a replication costs over 50 kB: several slices
+        assert len(slices) >= 2
+    devs, labels, g = _one_at_a_time(
+        law, fc, stat, rep.oracle, replications, seed, "deviation",
+        lambda image, r: complexity.gaussian_mc(image, draws, stream(seed, "deviation/g", r)).value,
+    )
+    assert rep.dev_samples.tobytes() == devs.tobytes()
+    assert rep.argmax_labels == labels
+    assert rep.image_g_samples.tobytes() == g.tobytes()
+
+
+def test_sliced_symmetrization_matches_one_replication_at_a_time():
+    n, seed, replications = 12, 9, 150
+    law, fc, stat = bit_law(n), random_lookup_class(BITS, 16, 47), mean_statistic(n)
+    rep = symmetrization_check_mean(law, fc, replications, seed)
+    oracle = expectation_oracle(law, fc, stat, seed=stream(seed, "symmetrization/oracle"))
+    devs, _, rads = _one_at_a_time(
+        law, fc, stat, oracle, replications, seed, "symmetrization",
+        lambda image, r: complexity.rademacher_average(
+            image, deviation.SYMMETRIZATION_DRAWS, stream(seed, "symmetrization/r", r)).value,
+    )
+    assert (rep.dev_mean, rep.dev_stderr) == (float(devs.mean()), complexity.mean_stderr(devs))
+    assert (rep.rad_mean, rep.rad_stderr) == (float(rads.mean()), complexity.mean_stderr(rads))
 
 
 # ---------------------------------------------------------------------------

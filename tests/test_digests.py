@@ -4,7 +4,10 @@ Each configuration runs in-process at seed 1 into a temporary directory,
 and the sha256 of its record (without the run's timings and output
 directory) and ``table.csv`` must equal the pinned value. The Monte Carlo
 oracle's count path, which no shipped configuration takes, runs on the
-variance configuration with 20 000 oracle draws.
+variance configuration with 20 000 oracle draws. So do three benchmark-shaped
+runs, written here in full: a Monte Carlo oracle of 100 000 draws on 256
+members, 2000 replications of the deviation loop, and a U-statistic full
+report.
 
 The record names the Python, numpy and scipy versions, which are part of
 its bytes, and the contract holds for fixed versions; the test skips on
@@ -40,6 +43,38 @@ DIGESTS = {
 }
 VARIANTS = {"monte-carlo": {"oracle": {"method": "monte-carlo", "replicas": 20000}}}
 
+FIVE_POINTS = {"kind": "finite", "support": [
+    {"label": label, "value": value}
+    for label, value in zip("abcde", (0.0, 0.25, 0.5, 0.75, 1.0))
+]}
+# Configuration -> (configuration, sha256 at seed 1).
+WORKLOADS = {
+    "oracle-mc": ({
+        "kind": "deviate", "seed": 1, "n": 64, "law": {"space": FIVE_POINTS},
+        "class": {"random_lookup": {"count": 256}}, "statistic": {"name": "variance"},
+        "constants": {"route": "closed-form"}, "c": 1.0, "delta": 0.1,
+        "replications": 200, "gaussian_draws": 2000,
+        "oracle": {"method": "monte-carlo", "replicas": 100000},
+    }, "bfd0505dd0e4e4b96ac316b0eed1f3d4f34f0d8d03cd615c5668aee8061bfd49"),
+    "replicate": ({
+        "kind": "deviate", "seed": 1, "n": 16, "law": {"space": FIVE_POINTS},
+        "class": {"random_lookup": {"count": 64}}, "statistic": {"name": "variance"},
+        "constants": {"route": "closed-form"}, "c": 1.0, "delta": 0.1,
+        "replications": 2000, "gaussian_draws": 2000, "oracle": {"method": "monte-carlo"},
+    }, "bb3592fca576f0828be307fc9d429b932a0f166b1ff70fb1d789482fb1d6288b"),
+    "ustat-report": ({
+        "kind": "full-report", "seed": 1, "n": 16,
+        "law": {"space": {"kind": "finite", "support": [
+            {"label": "0", "value": 0.0}, {"label": "1", "value": 1.0}]}},
+        "class": {"random_lookup": {"count": 16}},
+        "statistic": {"name": "u-statistic", "kernel": {"name": "smoothed-min", "sharpness": 4}},
+        "constants": {"route": "derived-bound"}, "c": 1.0, "delta": 0.1,
+        "replications": 300, "draws": 20000, "gaussian_draws": 1000, "tail_replicas": 100000,
+        "t_grid": {"min": 0.0, "max": 0.4, "count": 8},
+        "s_grid": {"min": 0.02, "max": 0.3, "count": 6}, "probe_pairs": 3,
+    }, "84e0670776cb28d37450cf57b04b310b7317a14c4e55224533fb94a2071f344b"),
+}
+
 pytestmark = pytest.mark.skipif(
     (platform.python_version(), np.__version__, scipy.__version__) != PINNED_VERSIONS,
     reason=f"digests are pinned for Python, numpy, scipy = {PINNED_VERSIONS}",
@@ -68,3 +103,11 @@ def test_shipped_outputs_keep_their_digest(name, tmp_path, capsys):
         config = tmp_path / f"{stem}.yaml"
         config.write_text(yaml.safe_dump(raw), encoding="utf-8")
     assert run_digest(config, tmp_path / "out", capsys) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_benchmark_shaped_runs_keep_their_digest(name, tmp_path, capsys):
+    raw, pinned = WORKLOADS[name]
+    config = tmp_path / f"{name}.yaml"
+    config.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    assert run_digest(config, tmp_path / "out", capsys) == pinned

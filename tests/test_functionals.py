@@ -237,6 +237,54 @@ def test_u_statistic_subsets_stop_at_the_enumeration_cap():
     assert peak < 32 * 2**20
 
 
+def test_u_statistic_batches_hold_what_evaluating_them_allocates():
+    # A smoothed-min row holds its (120, 2) subset gather and the kernel's
+    # temporaries, 5 x 120 doubles; batched by the gather alone, a batch
+    # held about 2.5 times BATCH_BYTES.
+    stat = u_statistic(16, smoothed_min_kernel())
+    assert stat.eval_bytes == 5 * stat.row_bytes // 2
+    rows = stream(4, "u-batches").random((20_000, 16))
+    tracemalloc.start()
+    try:
+        stat(rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * functionals.BATCH_BYTES
+
+
+@pytest.mark.parametrize("n, order", [(1414, 1412), (1100, 1098)])
+def test_u_statistic_subset_table_stops_at_its_cap(n, order):
+    # Few subsets, but each holds order indices: C(1414, 1412) x 1412 needs
+    # 10.5 GiB and C(1100, 1098) x 1098 needs 5.3 GB. Both are refused before
+    # the table or the symmetry check allocates anything large.
+    assert math.comb(n, order) <= functionals.ENUM_CAP
+    assert math.comb(n, order) * order > functionals.SUBSET_TABLE_CAP
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match="subset table cap"):
+            u_statistic(n, product_kernel(order))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_u_statistic_subset_table_cap_keeps_every_order_up_to_half_n():
+    # The largest table of an order m <= n / 2 that passes ENUM_CAP, and the
+    # order-1099 table at n = 1100 (9.7 MB), both fit. Past n = 1414 only
+    # m = 1 passes ENUM_CAP, with at most ENUM_CAP entries.
+    largest = 0
+    for n in range(2, 1415):
+        for m in range(1, n // 2 + 1):    # C(n, m) grows with m up to n / 2
+            subsets = math.comb(n, m)
+            if subsets > functionals.ENUM_CAP:
+                break
+            largest = max(largest, subsets * m)
+    assert largest == math.comb(22, 11) * 11 <= functionals.SUBSET_TABLE_CAP
+    assert 1100 * 1099 <= functionals.SUBSET_TABLE_CAP
+
+
 def test_asymmetric_kernel_rejected():
     bad = Kernel("lopsided", 2, lambda a: a[..., 0] - 0.5 * a[..., 1])
     with pytest.raises(DomainError):

@@ -1,9 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 import unibound
 from unibound.errors import DomainError
-from unibound.rng import as_stream, open_uniforms, rademacher_signs, standard_normals, stream
+from unibound.rng import _tag_entropy, as_stream, open_uniforms, rademacher_signs, standard_normals, stream
 
 BITS = unibound.finite_space([("0", 0.0), ("1", 1.0)])
 
@@ -22,6 +24,14 @@ def test_distinct_units_differ(other):
     a = stream(42, "draws", 3).random(16)
     b = stream(*other).random(16)
     assert not np.array_equal(a, b)
+
+
+def test_tag_entropy_is_the_sha256_prefix_hashed_once():
+    digest = hashlib.sha256("entropy-tag".encode("utf-8")).digest()
+    assert _tag_entropy("entropy-tag") == int.from_bytes(digest[:8], "big")
+    hits = _tag_entropy.cache_info().hits
+    stream(1, "entropy-tag", 5)
+    assert _tag_entropy.cache_info().hits == hits + 1
 
 
 def test_as_stream_passthrough_and_derivation():
