@@ -173,23 +173,17 @@ def _member_labels(members) -> tuple[str, ...]:
     return labels
 
 
-def random_lookup_labels(count: int) -> list[str]:
-    """Member labels of a random lookup class: f00, f01, ... zero-padded to
-    the width of the largest index, at least two digits."""
-    width = max(2, len(str(count - 1)))
-    return [f"f{j:0{width}d}" for j in range(count)]
-
-
 def random_lookup_class(space: SampleSpace, count: int, seed) -> FunctionClass:
-    """``count`` lookup tables with independent uniform [0, 1] entries."""
+    """``count`` lookup tables with independent uniform [0, 1] entries,
+    labelled f00, f01, ... zero-padded to the width of the largest index, at
+    least two digits."""
     if space.kind != FINITE:
         raise DomainError("random lookup classes need a finite space")
     if count < 1:
         raise DomainError("count must be positive")
     rng = as_stream(seed, "random-lookup-class")
     tables = rng.random((count, space.size))
-    members = tuple(
-        LookupMember(label, tuple(float(v) for v in row))
-        for label, row in zip(random_lookup_labels(count), tables)
-    )
+    width = max(2, len(str(count - 1)))
+    members = tuple(LookupMember(f"f{j:0{width}d}", tuple(float(v) for v in row))
+                    for j, row in enumerate(tables))
     return FunctionClass(space, members)

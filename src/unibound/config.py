@@ -8,15 +8,18 @@ normalised values, every default filled in; ``resolve`` builds the
 experiment from those values. ``KINDS`` states the stages each kind runs
 and ``STAGES`` the keys each stage needs; the runner executes the stages
 that ``resolve`` derives from them. Validation is strict: unknown keys
-anywhere in the tree are rejected, every violation is reported with its
-path, and statically decidable runtime refusals (enumeration caps, numeric
-constants without the override flag) are flagged here too, so that
-``validate`` accepts exactly the configurations ``run`` accepts.
+anywhere in the tree are rejected and every violation is reported with its
+path. Checking then builds the law's coordinates, the class, the kernel
+and the statistic with the library's constructors, and puts the constants
+route, the exact oracle and the tail to the library's checks. A rule that
+a library function states, a range, a cap or a tie between sections, is
+thus that function's refusal at the key's path, and ``resolve`` reuses
+what was built; ``validate`` accepts exactly the configurations ``run``
+accepts.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,8 +29,9 @@ from . import classes as cls, derivative_bounds as db, functionals as fx, spaces
 from .complexity import MIN_DRAWS
 from .deviation import (
     DEFAULT_GAUSSIAN_DRAWS, DEFAULT_ORACLE_METHOD, DEFAULT_ORACLE_REPLICAS, EXACT, ORACLE_METHODS,
+    check_swing_space, lattice_points,
 )
-from .errors import ConfigError
+from .errors import ConfigError, UniboundError
 from .rng import stream
 from .schema import (
     IGNORED, OPTIONAL, REQUIRED, Field, Schema, at_least, choice, dig, is_int, is_num, list_of,
@@ -95,9 +99,10 @@ def _grid_fields(name: str) -> tuple[Field, ...]:
     return (Field(name, _grid, OPTIONAL, _grid_array), *parts)
 
 
+# Where the library states a value's range, the schema checks only its type.
 _MAPPING = of_type(dict, "must be a mapping")
-_POSITIVE_INT = at_least(1, "must be a positive integer")
-_UNIT = number("must lie in [0, 1]", lambda v: 0.0 <= v <= 1.0)
+_NUMBER = number("must be a number")
+_INT = rule(is_int, "must be an integer")
 
 # The stages of each kind: those it always runs, then those it runs only
 # when the configuration gives their keys, in the order they run.
@@ -129,42 +134,38 @@ FIELDS = (
         lambda p: isinstance(p, dict), "must be a mapping with label and value",
         lambda p: "label" in p and "value" in p, "needs both label and value")),
     Field("law.space.support[].label", convert=str),
-    Field("law.space.support[].value", _UNIT),
-    Field("law.weights", rule(lambda v: v is None or isinstance(v, list) and len(v) > 0,
-                              "must be a weight vector or a list of them"),
+    Field("law.space.support[].value", _NUMBER),
+    # Weights and table values are numbers in the document: the library's
+    # float() would take "0.5" or true.
+    Field("law.weights", rule(lambda v: v is None or isinstance(v, list) and len(v) > 0 and all(
+        isinstance(row, list) and all(map(is_num, row)) for row in (v if isinstance(v[0], list) else [v])),
+        "must be a vector of numbers or a list of them"),
           OPTIONAL, when=ON_FINITE, elsewhere="interval laws are specified by a family"),
-    Field("law.family", rule(
-        lambda f: isinstance(f, dict), "must be a mapping",
-        lambda f: f.get("name") != "beta" or all(is_num(f.get(k)) and f[k] > 0.0 for k in "ab"),
-        "beta needs positive a and b",
-    ), {"name": "uniform"}, when=ON_INTERVAL, elsewhere="finite laws are specified by weights"),
+    Field("law.family", _MAPPING, {"name": "uniform"},
+          when=ON_INTERVAL, elsewhere="finite laws are specified by weights"),
     Field("law.family.name", choice(sp.FAMILIES)),
-    Field("law.family.p", number("bernoulli needs p in [0, 1]", lambda v: 0.0 <= v <= 1.0),
-          when=("bernoulli",), elsewhere=IGNORED),
-    Field("law.family.a", default=OPTIONAL, when=("beta",), elsewhere=IGNORED),
-    Field("law.family.b", default=OPTIONAL, when=("beta",), elsewhere=IGNORED),
+    *(Field(f"law.family.{key}", _NUMBER, when=(name,), elsewhere=IGNORED)
+      for name, keys in sp.FAMILIES.items() for key in keys),
     Field("class", rule(
         lambda c: isinstance(c, dict), "must be a mapping",
         lambda c: ("members" in c) != ("random_lookup" in c),
         "give exactly one of members or random_lookup"), REQUIRED),
     Field("class.members", list_of("must be a non-empty list"), OPTIONAL),
-    Field("class.members[]", rule(
-        lambda m: isinstance(m, dict), "must be a mapping",
-        lambda m: m.get("type") != "affine"
-        or all(is_num(m.get(k)) for k in ("slope", "intercept")),
-        "affine members need slope and intercept")),
+    Field("class.members[]", _MAPPING),
     Field("class.members[].type", choice(MEMBER_TYPES)),
     Field("class.members[].label", default=REQUIRED, convert=str),
-    Field("class.members[].table", of_type(dict, "must map support labels to values"),
+    Field("class.members[].table", rule(
+        lambda t: isinstance(t, dict), "must map support labels to values",
+        lambda t: all(map(is_num, t.values())), "values must be numbers"),
           when=("lookup",), convert=lambda t: {str(k): v for k, v in t.items()}),
     Field("class.members[].theta", number("required number"), when=("threshold",), convert=float),
-    Field("class.members[].width", number("must be a positive number", lambda v: v > 0.0),
-          when=("threshold",), convert=float),
-    Field("class.members[].slope", default=OPTIONAL, when=("affine",), convert=float),
-    Field("class.members[].intercept", default=OPTIONAL, when=("affine",), convert=float),
-    Field("class.members[].value", _UNIT, when=("constant",), convert=float),
+    Field("class.members[].width", _NUMBER, when=("threshold",), convert=float),
+    Field("class.members[].slope", _NUMBER, when=("affine",), convert=float),
+    Field("class.members[].intercept", _NUMBER, when=("affine",), convert=float),
+    Field("class.members[].value", number("must lie in [0, 1]", lambda v: 0.0 <= v <= 1.0),
+          when=("constant",), convert=float),
     Field("class.random_lookup", _MAPPING, OPTIONAL),
-    Field("class.random_lookup.count", _POSITIVE_INT),
+    Field("class.random_lookup.count", _INT),
     Field("statistic", _MAPPING, REQUIRED),
     Field("statistic.name", choice(
         STATISTICS, lambda v: f"unknown statistic {v!r}; supported: {list(STATISTICS)}")),
@@ -172,19 +173,17 @@ FIELDS = (
           when=("u-statistic",), elsewhere="only u-statistic takes a kernel"),
     Field("statistic.kernel.name", choice(
         KERNELS, lambda v: f"unknown kernel {v!r}; supported: {list(KERNELS)}")),
-    Field("statistic.kernel.order", _POSITIVE_INT,
-          lambda name: _FIXED_ORDER.get(name, fx.DEFAULT_KERNEL_ORDER)),
-    Field("statistic.kernel.sharpness", number("must be positive", lambda v: v > 0.0),
-          fx.DEFAULT_SHARPNESS, when=("smoothed-min",), elsewhere=IGNORED),
-    Field("statistic.kernel.value", number("must be a number"), 1.0,
-          when=("constant",), elsewhere=IGNORED),
+    Field("statistic.kernel.order", _INT, lambda name: _FIXED_ORDER.get(name, fx.DEFAULT_KERNEL_ORDER)),
+    Field("statistic.kernel.sharpness", _NUMBER, fx.DEFAULT_SHARPNESS,
+          when=("smoothed-min",), elsewhere=IGNORED),
+    Field("statistic.kernel.value", _NUMBER, 1.0, when=("constant",), elsewhere=IGNORED),
     Field("statistic.group_sizes",
-          list_of("must be a non-empty list of positive integers", lambda g: is_int(g) and g >= 1),
+          list_of("must be a non-empty list of integers", is_int),
           when=("class-separation",), elsewhere="only class-separation takes group sizes"),
     Field("constants", _MAPPING, {}),
     Field("constants.route", choice((db.CLOSED_FORM, db.DERIVED_BOUND, db.NUMERIC)),
           db.CLOSED_FORM),
-    Field("constants.probes", _POSITIVE_INT, db.DEFAULT_PROBES),
+    Field("constants.probes", at_least(1, "must be a positive integer"), db.DEFAULT_PROBES),
     Field("constants.fd_step", number(f"must lie in {db.FD_STEP_RANGE_TEXT}",
                                       lambda v: db.FD_STEP_RANGE[0] <= v <= db.FD_STEP_RANGE[1]),
           db.DEFAULT_FD_STEP, float),
@@ -212,82 +211,89 @@ SCHEMA = Schema(FIELDS, {
 })
 
 
-def _cross_check(v: dict, raw: dict, out: list) -> None:
-    """Violations that tie keys of different sections together."""
-    n, law, fc, stat = v["n"], v["law"] or {}, v["class"] or {}, v["statistic"] or {}
-    space_kind = dig(law, "space.kind")
-    labels = [p["label"] for p in dig(law, "space.support") or () if p]
-    if len(set(labels)) != len(labels):
-        out.append("law.space.support: labels must be unique")
-    weights = law.get("weights")
-    per_coordinate = bool(weights) and isinstance(weights[0], list)
-    rows = weights if per_coordinate else [weights] if weights else []
-    if per_coordinate and n is not None and len(rows) != n:
+def _intact(out: list, *paths: str) -> bool:
+    """Whether no violation so far lies at or under any of the key paths."""
+    return not any(v.startswith(p) and v[len(p)] in ".[:" for p in paths for v in out)
+
+
+def _build(out: list, path: str, build):
+    """``build()``, or None once the library's refusal of it is recorded at ``path``."""
+    try:
+        return build()
+    except UniboundError as exc:
+        out.append(f"{path}: {exc}")
+
+
+def _coordinates(law: dict, space: sp.SampleSpace, n: int | None, out: list) -> list | None:
+    """The coordinate laws of a law section: one, or one per coordinate."""
+    if space.kind == sp.INTERVAL:
+        name = law["family"]["name"]
+        params = tuple(float(law["family"][key]) for key in sp.FAMILIES[name])
+        return [_build(out, "law.family",
+                       lambda: sp.CoordinateDistribution(space, family=name, params=params))]
+    weights = law["weights"]
+    if weights is None:
+        return [sp.uniform_on(space)]
+    if not isinstance(weights[0], list):
+        return [_build(out, "law.weights", lambda: sp.finite_weights(space, weights))]
+    if n is not None and len(weights) != n:
         out.append(f"law.weights: need one row per coordinate ({n})")
-    for j, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != len(labels):
-            out.append(f"law.weights[{j}]: must match the support size {len(labels)}")
-        elif any(not is_num(w) or w < 0.0 for w in row):
-            out.append(f"law.weights[{j}]: weights must be nonnegative numbers")
-        elif abs(sum(float(w) for w in row) - 1.0) > sp.WEIGHT_TOL:
-            out.append(f"law.weights[{j}]: weights must sum to 1 within {sp.WEIGHT_TOL}")
+    return [_build(out, f"law.weights[{j}]", lambda row=row: sp.finite_weights(space, row))
+            for j, row in enumerate(weights)]
 
-    count = dig(fc, "random_lookup.count")
-    member_labels = cls.random_lookup_labels(count) if count is not None else []
-    if fc.get("random_lookup") and space_kind == sp.INTERVAL:
-        out.append("class.random_lookup: needs a finite sample space")
-    for i, m in enumerate(fc.get("members") or ()):
-        if m is None or m["type"] is None:
-            continue
-        member_labels += [m["label"]] if m["label"] is not None else []
-        if m["type"] == "lookup" and space_kind == sp.INTERVAL:
-            out.append(f"class.members[{i}]: lookup members need a finite sample space")
-        elif m["type"] == "lookup" and m["table"] is not None:
-            missing = [lab for lab in labels if lab not in m["table"]]
-            extra = sorted(set(m["table"]) - set(labels))
-            if missing:
-                out.append(f"class.members[{i}].table: missing support labels {missing}")
-            if extra:
-                out.append(f"class.members[{i}].table: unknown support labels {extra}")
-            if not all(is_num(x) and 0.0 <= x <= 1.0 for x in m["table"].values()):
-                out.append(f"class.members[{i}].table: values must lie in [0, 1]")
-    if fc.get("members") and len(set(member_labels)) != len(member_labels):
-        out.append("class.members: labels must be unique")
 
-    name, order = dig(stat, "kernel.name"), dig(stat, "kernel.order")
-    if name is not None and order is not None:
-        fixed = _FIXED_ORDER.get(name, order)
-        if order != fixed:
-            arguments = {1: "one", 2: "two"}[fixed]
-            out.append(f"statistic.kernel.order: {name} is a {arguments}-argument kernel")
-        if n is not None and order > n:
-            out.append(f"statistic.kernel.order: exceeds n = {n}")
-        elif n is not None and math.comb(n, order) > fx.ENUM_CAP:
-            out.append(f"statistic.kernel.order: C({n},{order}) subsets exceed the enumeration cap "
-                       f"{fx.ENUM_CAP}")
-        elif n is not None and math.comb(n, order) * order > fx.SUBSET_TABLE_CAP:
-            out.append(f"statistic.kernel.order: C({n},{order}) x {order} subset indices exceed the "
-                       f"subset table cap {fx.SUBSET_TABLE_CAP}")
-    if stat.get("group_sizes") and n is not None and sum(stat["group_sizes"]) != n:
+def _function_class(spec: dict, space: sp.SampleSpace, seed: int, out: list) -> cls.FunctionClass | None:
+    if spec["random_lookup"]:
+        count = spec["random_lookup"]["count"]
+        return _build(out, "class.random_lookup",
+                      lambda: cls.random_lookup_class(space, count, stream(seed, "class")))
+    members = [_build(out, f"class.members[{i}]", lambda m=m: MEMBER_TYPES[m["type"]](m, space))
+               for i, m in enumerate(spec["members"])]
+    if _intact(out, "class"):
+        return _build(out, "class.members", lambda: cls.FunctionClass(space, tuple(members)))
+
+
+def _check(v: dict, raw: dict, out: list) -> dict:
+    """The rules beyond each key's own test; returns the objects built on
+    the way, for ``resolve``. A rule that a library function states is that
+    function's refusal, at its key path. A rule whose inputs were refused
+    is not checked, and nothing that grows with n beyond the document's own
+    weight rows is built.
+    """
+    n, law, stat_spec = v["n"], v["law"], v["statistic"]
+    space = coordinates = fc = kernel = stat = None
+    if _intact(out, "law"):
+        support = law["space"]["support"]
+        space = sp.interval_space() if support is None else _build(
+            out, "law.space.support", lambda: sp.finite_space([(p["label"], p["value"]) for p in support]))
+    if space is not None:
+        coordinates = _coordinates(law, space, n, out)
+        fc = _function_class(v["class"], space, v["seed"], out) if _intact(out, "class", "seed") else None
+
+    if _intact(out, "statistic") and stat_spec["kernel"]:
+        k = stat_spec["kernel"]
+        kernel = _build(out, "statistic.kernel", lambda: KERNELS[k["name"]](k))
+        if kernel is not None and kernel.order != k["order"]:    # a kernel of fixed arity
+            arguments = {1: "one", 2: "two"}[kernel.order]
+            out.append(f"statistic.kernel.order: {k['name']} is a {arguments}-argument kernel")
+    groups = _intact(out, "statistic", "n") and stat_spec["group_sizes"]
+    if groups and sum(groups) != n:
         out.append(f"statistic.group_sizes: must sum to n = {n}")
+    if _intact(out, "statistic", "n"):
+        path = "statistic.kernel.order" if kernel else "statistic.group_sizes" if groups else "statistic"
+        stat = _build(out, path, lambda: STATISTICS[stat_spec["name"]](stat_spec, n, kernel))
 
     route = dig(v, "constants.route")
-    if route == db.CLOSED_FORM and stat.get("name") == "u-statistic":
-        out.append("constants.route: u-statistics carry no closed form; "
-                   "use derived-bound or numeric")
-    elif route == db.DERIVED_BOUND and stat.get("name") not in (None, "u-statistic"):
+    if route == db.CLOSED_FORM and stat is not None:
+        _build(out, "constants.route", lambda: db.closed_form_constants(stat))
+    elif route == db.DERIVED_BOUND and dig(stat_spec, "name") not in (None, "u-statistic"):
         out.append("constants.route: derived-bound applies to u-statistics only")
-    elif route == db.NUMERIC and n is not None and math.comb(n, 2) > fx.ENUM_CAP:
-        out.append(f"constants.route: the numeric route's C({n},2) coordinate pairs exceed the "
-                   f"enumeration cap {fx.ENUM_CAP}")
-    if dig(v, "oracle.method") == EXACT:
-        if space_kind != sp.FINITE:
-            out.append("oracle.method: exact enumeration needs a finite sample space")
-        # Any s >= 2 passes the cap by n = 64, so support^n is never built.
-        elif n is not None and labels and len(labels) ** min(n, 64) > fx.ENUM_CAP:
-            out.append(f"oracle.method: support^n exceeds the enumeration cap {fx.ENUM_CAP}")
-    if v["member"] is not None and member_labels and v["member"] not in member_labels:
-        out.append(f"member: unknown label {v['member']!r}; class members: {member_labels}")
+    elif route == db.NUMERIC and n is not None:
+        _build(out, "constants.route", lambda: db.check_coordinate_pairs(n))
+    if dig(v, "oracle.method") == EXACT and space is not None and n is not None:
+        _build(out, "oracle.method", lambda: lattice_points(space, n))
+    if v["member"] is not None and fc is not None and v["member"] not in fc.labels:
+        out.append(f"member: unknown label {v['member']!r}; class members: {list(fc.labels)}")
 
     kind, stages = v["kind"], _stages(v)
     out.extend(f"{key}: required for kind {kind}"
@@ -296,10 +302,11 @@ def _cross_check(v: dict, raw: dict, out: list) -> None:
     if "deviation" in stages and route == db.NUMERIC and not raw.get("override_numeric_constants"):
         out.append("constants.route: numeric constants are lower bounds; bound assembly "
                    "refuses them unless override_numeric_constants is true")
-    if "probe" in stages and member_labels and len(member_labels) < 2:
+    if "probe" in stages and fc is not None and len(fc) < 2:
         out.append("class: the probe needs at least two members")
-    if "tail" in stages and space_kind == sp.INTERVAL:
-        out.append("law.space.kind: the tail experiment needs a finite sample space (swing sums)")
+    if "tail" in stages and space is not None:
+        _build(out, "law.space.kind", lambda: check_swing_space(space))
+    return {"coordinates": coordinates, "fc": fc, "kernel": kernel, "stat": stat}
 
 
 def _stages(v: dict) -> tuple[str, ...]:
@@ -308,17 +315,16 @@ def _stages(v: dict) -> tuple[str, ...]:
     return always + tuple(s for s in if_given if all(v[key] is not None for key in STAGES[s]))
 
 
-def _parse(raw) -> tuple[list[str], dict | None]:
-    """(violations, normalised values) of a configuration document."""
+def _parse(raw) -> tuple[list[str], dict | None, dict | None]:
+    """(violations, normalised values, built objects) of a configuration document."""
     if not isinstance(raw, dict):
-        return ["configuration must be a key-value document"], None
+        return ["configuration must be a key-value document"], None, None
     out, values = SCHEMA.check(raw)
-    _cross_check(values, raw, out)
-    return out, values
+    return out, values, _check(values, raw, out)
 
 
 def validate_config(raw: dict) -> list[str]:
-    """All schema violations, without executing anything."""
+    """All violations of a configuration, without running anything."""
     return _parse(raw)[0]
 
 
@@ -361,44 +367,18 @@ class Experiment:
     echo: dict = field(repr=False, default_factory=dict)
 
 
-def _build_law(law: dict, n: int) -> sp.ProductLaw:
-    if law["space"]["kind"] == sp.INTERVAL:
-        name = law["family"]["name"]
-        params = tuple(float(law["family"][key]) for key in sp.FAMILIES[name])
-        coordinate = sp.CoordinateDistribution(sp.interval_space(), family=name, params=params)
-        return sp.iid_law(coordinate, n)
-    space = sp.finite_space([(p["label"], p["value"]) for p in law["space"]["support"]])
-    weights = law["weights"]
-    if weights is None:
-        coords = [sp.uniform_on(space)] * n
-    elif isinstance(weights[0], list):
-        coords = [sp.finite_weights(space, row) for row in weights]
-    else:
-        coords = [sp.finite_weights(space, weights)] * n
-    return sp.ProductLaw(tuple(coords))
-
-
-def _build_class(spec: dict, space: sp.SampleSpace, seed: int) -> cls.FunctionClass:
-    if spec["random_lookup"] is not None:
-        return cls.random_lookup_class(space, spec["random_lookup"]["count"], stream(seed, "class"))
-    members = tuple(MEMBER_TYPES[m["type"]](m, space) for m in spec["members"])
-    return cls.FunctionClass(space, members)
-
-
 def resolve(raw: dict) -> Experiment:
     """Build the experiment; the configuration must already be valid."""
-    violations, settings = _parse(raw)
+    violations, settings, built = _parse(raw)
     if violations:
         raise ConfigError("; ".join(violations))
     settings["stages"] = _stages(settings)
-    n, seed, spec = settings.pop("n"), settings.pop("seed"), settings.pop("statistic")
-    law = _build_law(settings.pop("law"), n)
-    fc = _build_class(settings.pop("class"), law.space, seed)
-    kernel = KERNELS[spec["kernel"]["name"]](spec["kernel"]) if spec["kernel"] else None
+    n = settings.pop("n")
+    for key in ("law", "class", "statistic"):
+        del settings[key]
+    coordinates = built.pop("coordinates")
+    law = sp.ProductLaw(tuple(coordinates)) if len(coordinates) > 1 else sp.iid_law(coordinates[0], n)
     for section in ("constants", "oracle"):
         settings.update({f"{section}_{k}": x for k, x in settings.pop(section).items()})
     merged = {**SCHEMA.defaults(), **raw}
-    return Experiment(
-        n=n, seed=seed, law=law, fc=fc, stat=STATISTICS[spec["name"]](spec, n, kernel),
-        kernel=kernel, echo={k: merged[k] for k in sorted(merged)}, **settings,
-    )
+    return Experiment(n=n, law=law, echo={k: merged[k] for k in sorted(merged)}, **built, **settings)

@@ -111,18 +111,21 @@ def u_statistic_constant_bounds(n: int, kernel: Kernel) -> ConstantsReport:
 # ---------------------------------------------------------------------------
 # Finite differences
 
-def _fd_derivatives(stat: Statistic, point: np.ndarray, step: float):
-    """(gradient, Hessian) by central differences at one point, both from
-    one stencil: the gradient reuses the Hessian's 2n rows p +- step e_k.
-
-    The C(n, 2) coordinate pairs are an enumeration like any other, refused
-    past ENUM_CAP before anything is evaluated.
-    """
-    n = stat.n
+def check_coordinate_pairs(n: int) -> None:
+    """Refuse a finite-difference Hessian in n coordinates whose C(n, 2)
+    coordinate pairs, an enumeration like any other, exceed ENUM_CAP."""
     pairs = math.comb(n, 2)
     if pairs > ENUM_CAP:
         raise ResourceError(f"C({n},2) = {pairs} coordinate pairs exceed the enumeration cap "
                             f"{ENUM_CAP}")
+
+
+def _fd_derivatives(stat: Statistic, point: np.ndarray, step: float):
+    """(gradient, Hessian) by central differences at one point, both from
+    one stencil: the gradient reuses the Hessian's 2n rows p +- step e_k.
+    """
+    n = stat.n
+    check_coordinate_pairs(n)
     p = np.asarray(point, dtype=np.float64)
     f0 = float(stat(p))
     eye = step * np.eye(n)

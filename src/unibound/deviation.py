@@ -113,6 +113,17 @@ def _lattice_indices(part: slice, n: int, size: int) -> np.ndarray:
     return idx
 
 
+def lattice_points(space: SampleSpace, n: int) -> int:
+    """The support^n points of the lattice of ``space``, refused on the
+    interval and past ENUM_CAP. Any support of two or more points passes the
+    cap by n = 64, so support^n is never formed past it."""
+    if space.kind != FINITE:
+        raise DomainError("exact enumeration needs a finite sample space")
+    if space.size ** min(n, 64) > ENUM_CAP:
+        raise ResourceError(f"{space.size}^{n} lattice points exceed the enumeration cap {ENUM_CAP}")
+    return space.size**n
+
+
 def _finite_expectations(values: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(values)):
         raise DomainError("the statistic produced non-finite expectations")
@@ -216,22 +227,21 @@ def expectation_oracle(
     if stat.n != law.n:
         raise DomainError("statistic arity does not match the law")
     n = law.n
-    finite = law.space.kind == FINITE
-    points = law.space.size**n if finite else None
     if method == AUTO:
-        if finite and stat.product_expectation is not None:
+        if law.space.kind == FINITE and stat.product_expectation is not None:
             try:
                 values = stat.product_expectation(fc.support_matrix(), law.weight_matrix)
             except ResourceError:
                 pass  # the closed form's own tuples pass the cap; sample below
             else:
                 return ExpectationOracle(ANALYTIC, fc.labels, _finite_expectations(values))
-        method = EXACT if finite and points <= ENUM_CAP else MONTE_CARLO
+        try:
+            lattice_points(law.space, n)
+            method = EXACT
+        except (DomainError, ResourceError):
+            method = MONTE_CARLO
     if method == EXACT:
-        if not finite:
-            raise DomainError("exact enumeration needs a finite sample space")
-        if points > ENUM_CAP:
-            raise ResourceError(f"support^n = {points} exceeds the enumeration cap {ENUM_CAP}")
+        points = lattice_points(law.space, n)
         weights = law.weight_matrix            # (n, s)
         values = np.zeros(len(fc))
         # A point costs its index, weight and image rows of n values.
@@ -567,6 +577,12 @@ def _swing_at_indices(stat: Statistic, single: FunctionClass, idx: np.ndarray) -
     return total
 
 
+def check_swing_space(space: SampleSpace) -> None:
+    """Refuse swing sums off a finite space, whose support they run through."""
+    if space.kind != FINITE:
+        raise DomainError("swing sums need a finite sample space")
+
+
 def squared_swing_sum(
     stat: Statistic,
     member,
@@ -579,11 +595,10 @@ def squared_swing_sum(
 
     The swing at x sums, over coordinates k, the squared range of
     Phi(f(x with coordinate k replaced)) as the replacement runs over the
-    support. The sup over all lattice points is enumerated exactly when
-    support^n <= ENUM_CAP and otherwise maximized over SWING_SAMPLES points.
+    support. The sup over all lattice points is enumerated exactly within
+    ``lattice_points``' cap and otherwise maximized over SWING_SAMPLES points.
     """
-    if space.kind != FINITE:
-        raise DomainError("swing sums need a finite sample space")
+    check_swing_space(space)
     n = stat.n
     size = space.size
     single = FunctionClass(space, (member,))
@@ -595,21 +610,21 @@ def squared_swing_sum(
             raise DomainError("sample vector does not match the statistic arity")
         at_point = float(_swing_at_indices(stat, single, x.point[None, :])[0])
 
-    points = size**n
-    if points <= ENUM_CAP:
-        phi_flat = np.empty(points)
-        for part in batches(points, 2 * 8 * n):    # index and image rows
-            phi_flat[part] = _phis_at(stat, single, _lattice_indices(part, n, size))[0]
-        lattice = phi_flat.reshape((size,) * n)
-        acc = np.zeros((size,) * n)
-        for k in range(n):
-            swing = lattice.max(axis=k) - lattice.min(axis=k)
-            acc += np.expand_dims(swing * swing, axis=k)
-        return SwingReport(at_point, float(acc.max()), True)
-
-    rng = as_stream(seed, "swing-sup")
-    idx = rng.integers(0, size, size=(SWING_SAMPLES, n))
-    return SwingReport(at_point, float(_swing_at_indices(stat, single, idx).max()), False)
+    try:
+        points = lattice_points(space, n)
+    except ResourceError:
+        rng = as_stream(seed, "swing-sup")
+        idx = rng.integers(0, size, size=(SWING_SAMPLES, n))
+        return SwingReport(at_point, float(_swing_at_indices(stat, single, idx).max()), False)
+    phi_flat = np.empty(points)
+    for part in batches(points, 2 * 8 * n):    # index and image rows
+        phi_flat[part] = _phis_at(stat, single, _lattice_indices(part, n, size))[0]
+    lattice = phi_flat.reshape((size,) * n)
+    acc = np.zeros((size,) * n)
+    for k in range(n):
+        swing = lattice.max(axis=k) - lattice.min(axis=k)
+        acc += np.expand_dims(swing * swing, axis=k)
+    return SwingReport(at_point, float(acc.max()), True)
 
 
 def _threshold_grid(grid, name: str) -> np.ndarray:

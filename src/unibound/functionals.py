@@ -327,8 +327,9 @@ def u_statistic(n: int, kernel: Kernel) -> Statistic:
     """Average of the kernel over all m-subsets in increasing-index order.
 
     Refuses when the subset count exceeds ENUM_CAP or its (C(n, m), m)
-    index table exceeds SUBSET_TABLE_CAP, before either is built. No analytic
-    derivatives are attached; the constants module estimates or bounds them.
+    index table exceeds SUBSET_TABLE_CAP; the tables that grow with n are
+    built on first use. No analytic derivatives are attached; the constants
+    module estimates or bounds them.
     The product-law expectation is attached; it refuses supports whose
     support^m kernel tuples exceed ENUM_CAP. So is the count form, which
     sums the kernel over the C(s+m-1, m) support multisets a, each weighted
@@ -346,14 +347,17 @@ def u_statistic(n: int, kernel: Kernel) -> Statistic:
         raise ResourceError(f"C({n},{m}) x {m} = {count * m} subset indices exceed the subset "
                             f"table cap {SUBSET_TABLE_CAP}")
     check_kernel_symmetry(kernel)
-    combos = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n), m)),
-                         dtype=np.intp, count=count * m).reshape(count, m)
+
+    @functools.cache
+    def subsets():
+        return np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n), m)),
+                           dtype=np.intp, count=count * m).reshape(count, m)
 
     def evaluate(s):
-        # np.take keeps each row's subset terms contiguous (s[..., combos] does
+        # np.take keeps each row's subset terms contiguous (s[..., subsets] does
         # not), so np.sum adds them pairwise, whatever the batch height, which
         # keeps cancellation error in check across the same-magnitude terms.
-        sub = np.take(s, combos, axis=-1)   # (..., count, m)
+        sub = np.take(s, subsets(), axis=-1)   # (..., count, m)
         vals = kernel.fn(sub)               # (..., count)
         return np.sum(vals, axis=-1) / count
 
@@ -381,16 +385,19 @@ def u_statistic(n: int, kernel: Kernel) -> Statistic:
             out[part] = np.sum(kernel.fn(support[part][:, grid]) * tuple_weights, axis=1)
         return out / count
 
-    # binomials[a][c] = C(c, a): the m-subsets of a point that take a given
+    # binomials()[a, c] = C(c, a): the m-subsets of a point that take a given
     # support value a times among its c coordinates there. Row a sums row
     # a - 1, C(c, a) = sum_{k<c} C(k, a-1), capped at C(n, m): a nonzero
     # weight prod_j C(c_j, a_j) never exceeds C(n, m) (Vandermonde), so a
     # capped factor only ever multiplies a zero one, and every entry is an
     # exact integer.
-    binomials = np.zeros((m + 1, n + 1))
-    binomials[0] = 1.0
-    for a in range(1, m + 1):
-        np.minimum(np.cumsum(binomials[a - 1, :-1]), count, out=binomials[a, 1:])
+    @functools.cache
+    def binomials():
+        table = np.zeros((m + 1, n + 1))
+        table[0] = 1.0
+        for a in range(1, m + 1):
+            np.minimum(np.cumsum(table[a - 1, :-1]), count, out=table[a, 1:])
+        return table
 
     def multisets(size):
         return math.comb(size + m - 1, m)
@@ -440,9 +447,9 @@ def u_statistic(n: int, kernel: Kernel) -> Statistic:
             kernel_values = kernel.fn(support[:, gather[part]])    # (members, multisets)
             # prod_j C(c_j, a_j), one factor per distinct point of the
             # multiset in point order; a padding column gathers C(c, 0) = 1.
-            weights = binomials[runs[part, :1], cols[points[part, 0]]]    # (multisets, rows)
+            weights = binomials()[runs[part, :1], cols[points[part, 0]]]    # (multisets, rows)
             for p in range(1, runs.shape[1]):
-                weights *= binomials[runs[part, p:p + 1], cols[points[part, p]]]
+                weights *= binomials()[runs[part, p:p + 1], cols[points[part, p]]]
             # A running sum adds each entry's terms one multiset at a time in
             # multiset order, so an entry does not depend on the batches or on
             # how many members and rows share the call (a matrix product's

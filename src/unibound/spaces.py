@@ -92,7 +92,7 @@ class CoordinateDistribution:
                 raise DomainError("finite coordinates are specified by weights, not a family")
             w = np.asarray(self.weights, dtype=np.float64)
             if w.shape != (self.space.size,):
-                raise DomainError("weight vector must match the support size")
+                raise DomainError(f"weight vector must match the support size {self.space.size}")
             if np.any(w < 0.0):
                 raise DomainError("weights must be nonnegative")
             if abs(float(w.sum()) - 1.0) > WEIGHT_TOL:

@@ -9,9 +9,16 @@ digits.
 
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy
+
+from test_digests import PINNED_VERSIONS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -83,7 +90,7 @@ def _run(args, threads):
     done = subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, text=True, timeout=300
     )
-    assert done.returncode == 0, done.stderr
+    assert done.returncode == 0, done.stdout + done.stderr
     return done.stdout
 
 
@@ -123,3 +130,17 @@ def test_full_report_does_not_depend_on_blas_threads(tmp_path):
               "--out", str(out)], threads)
     assert _record(outs[0]) == _record(outs[1])
     assert (outs[0] / "table.csv").read_bytes() == (outs[1] / "table.csv").read_bytes()
+
+
+@pytest.mark.skipif(
+    (platform.python_version(), np.__version__, scipy.__version__) != PINNED_VERSIONS,
+    reason=f"digests are pinned for Python, numpy, scipy = {PINNED_VERSIONS}",
+)
+def test_digests_hold_at_one_and_two_blas_threads(tmp_path):
+    # The pinned digests of every shipped configuration and benchmark shape,
+    # each run in a fresh process at each thread count.
+    for threads in (1, 2):
+        out = _run(["-m", "pytest", "-q", "-rs", "-p", "no:cacheprovider",
+                    f"--basetemp={tmp_path / f'threads-{threads}'}",
+                    str(ROOT / "tests" / "test_digests.py")], threads)
+        assert " passed" in out and "skipped" not in out, out

@@ -12,7 +12,6 @@ from unibound.classes import (
     identity_member,
     lookup_member,
     random_lookup_class,
-    random_lookup_labels,
 )
 from unibound.errors import DomainError
 from unibound.spaces import (
@@ -178,7 +177,6 @@ def test_support_matrix_needs_a_finite_space():
 
 
 def test_random_lookup_labels_pad_to_the_largest_index():
-    assert random_lookup_labels(3) == ["f00", "f01", "f02"]
-    assert random_lookup_labels(101)[-1] == "f100"
-    fc = random_lookup_class(FIVE, 12, 1)
-    assert list(fc.labels) == random_lookup_labels(12)
+    assert random_lookup_class(FIVE, 3, 1).labels == ("f00", "f01", "f02")
+    assert random_lookup_class(FIVE, 12, 1).labels[-3:] == ("f09", "f10", "f11")
+    assert random_lookup_class(FIVE, 101, 1).labels[-2:] == ("f099", "f100")

@@ -110,7 +110,9 @@ def test_u_statistic_past_the_enumeration_cap_is_refused(tmp_path, capsys, n):
     # Refused as a config error before any subset table is built: building
     # one would raise a resource error (exit 3) instead.
     cfg = squared_difference_config(tmp_path / "out", n)
-    message = f"statistic.kernel.order: C({n},2) subsets exceed the enumeration cap 1000000"
+    subsets = {1415: 1000405, 4472: 9997156}[n]
+    message = (f"statistic.kernel.order: C({n},2) = {subsets} subsets exceed the enumeration "
+               "cap 1000000")
     assert validate_config(cfg) == [message]
     path = tmp_path / "cfg.yaml"
     write_config(path, cfg)
@@ -126,8 +128,7 @@ def test_numeric_route_pairs_at_the_enumeration_cap(tmp_path, n, refused):
     # probe: C(1414, 2) = 998 991 fit the cap of 1e6; C(1415, 2) do not.
     cfg = small_deviate_config(tmp_path)
     cfg.update(kind="constants", n=n, constants={"route": "numeric"})
-    message = (f"constants.route: the numeric route's C({n},2) coordinate pairs exceed the "
-               "enumeration cap 1000000")
+    message = f"constants.route: C({n},2) = 1000405 coordinate pairs exceed the enumeration cap 1000000"
     assert validate_config(cfg) == ([message] if refused else [])
 
 
@@ -293,9 +294,7 @@ def test_full_report_refuses_tail_on_interval_space(tmp_path):
     cfg = full_report_config(tmp_path, law={"space": {"kind": "interval"}})
     cfg["class"] = AFFINE_PAIR
     violations = validate_config(cfg)
-    assert violations == [
-        "law.space.kind: the tail experiment needs a finite sample space (swing sums)"
-    ]
+    assert violations == ["law.space.kind: swing sums need a finite sample space"]
     with pytest.raises(ConfigError):
         run_experiment(cfg)
     del cfg["t_grid"]

@@ -87,8 +87,8 @@ def test_exact_oracle_cap_is_checked_at_once_at_huge_n(size):
     start = time.perf_counter()
     refused = [v for v in validate_config(cfg) if v.startswith("oracle.method:")]
     assert time.perf_counter() - start < 1.0
-    assert refused == ([] if size == 1 else
-                       ["oracle.method: support^n exceeds the enumeration cap 1000000"])
+    assert refused == ([] if size == 1 else [
+        "oracle.method: 2^1000000000000000000 lattice points exceed the enumeration cap 1000000"])
 
 
 # ---------------------------------------------------------------------------
@@ -96,21 +96,53 @@ def test_exact_oracle_cap_is_checked_at_once_at_huge_n(size):
 
 @pytest.mark.parametrize("n, order", [(1414, 1412), (1100, 1098)])
 def test_oversized_subset_table_is_refused_up_front(n, order):
+    entries = {1414: 1410575292, 1100: 663686100}[n]
     cfg = _high_order_config()
     cfg["n"] = n
     cfg["statistic"]["kernel"]["order"] = order
-    entries = math.comb(n, order) * order
     assert validate_config(cfg) == [
-        f"statistic.kernel.order: C({n},{order}) x {order} subset indices exceed the "
+        f"statistic.kernel.order: C({n},{order}) x {order} = {entries} subset indices exceed the "
         f"subset table cap {SUBSET_TABLE_CAP}"
     ]
-    assert entries > SUBSET_TABLE_CAP
+    assert math.comb(n, order) * order == entries > SUBSET_TABLE_CAP
     with pytest.raises(ConfigError, match="subset table cap"):
         resolve(cfg)
 
 
 def test_high_order_subset_table_under_the_cap_is_accepted():
     assert validate_config(_high_order_config()) == []
+
+
+# ---------------------------------------------------------------------------
+# the weights' sum is the one the library takes
+
+# Their Python sum is 1 + 9.9987e-13, inside the tolerance of 1e-12; their
+# numpy sum, the one the coordinate law takes, is 1 + 1.00009e-12.
+DRIFT_WEIGHTS = [0.11214995265391213, 0.04543286366934898, 0.16499533463428265,
+                 0.17824202894901092, 0.14694434091123953, 0.1636205391469412,
+                 0.056249642853863135, 0.1323652971824014]
+
+
+def _drift_config():
+    cfg = copy.deepcopy(BASES["small_deviate"])
+    cfg["n"] = 6
+    cfg["law"] = {"space": {"kind": "finite", "support": [
+        {"label": str(j), "value": j / 7} for j in range(8)]}, "weights": DRIFT_WEIGHTS}
+    return cfg
+
+
+def test_weight_sum_refused_by_validate_as_by_run(tmp_path, capsys):
+    cfg = _drift_config()
+    cfg["out"] = str(tmp_path / "out")
+    message = "law.weights: weights must sum to 1 within 1e-12"
+    assert validate_config(cfg) == [message]
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+    assert main(["validate", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().out == f"violation: {message}\n"
+    assert main(["run", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +210,7 @@ def mutated_configs(draw):
 @example(_gap_config("probes", [1]))
 @example(_gap_config("fd_step", "x"))
 @example(_high_order_config())
+@example(_drift_config())
 def test_validate_accepts_exactly_what_resolve_accepts(cfg):
     if validate_config(cfg) == []:
         resolve(cfg)

@@ -3,14 +3,20 @@
 Each case mutates the small deviate configuration so that it breaks one
 cross-section rule and nothing else: ``validate`` reports exactly that
 rule's message, and ``run`` refuses the file with exit code 2 and the
-same message before it writes anything.
+same message before it writes anything. Where a library function states
+the rule, the message is that function's refusal of the same input, at
+the key path.
 """
 
 import pytest
 import yaml
 
+from unibound import classes as cls, functionals as fx, spaces as sp
 from unibound.cli import main
 from unibound.config import validate_config
+from unibound.derivative_bounds import closed_form_constants, estimate_constants_numeric
+from unibound.deviation import expectation_oracle, squared_swing_sum
+from unibound.errors import UniboundError
 from unibound.runner import EXIT_CONFIG, EXIT_OK, run_experiment
 
 from test_config_cli import small_deviate_config
@@ -21,46 +27,84 @@ AFFINE = {"members": [{"type": "affine", "label": "a", "slope": 1.0, "intercept"
 DERIVED = {"route": "derived-bound"}
 
 
-def _u_statistic(kernel):
-    return {"statistic": {"name": "u-statistic", "kernel": kernel}, "constants": DERIVED}
+def _u_statistic(kernel, constants=DERIVED):
+    return {"statistic": {"name": "u-statistic", "kernel": kernel}, "constants": constants}
+
+
+def _lookup(table):
+    return {"class": {"members": [{"type": "lookup", "label": "a", "table": table}]}}
 
 
 # (changes to the small deviate configuration, the one violation they cause)
 CASES = {
     "support-labels": (
         {"law": {"space": {"kind": "finite", "support": [BITS[0], {**BITS[1], "label": "0"}]}}},
-        "law.space.support: labels must be unique"),
+        "law.space.support: support labels must be unique"),
     "weight-rows": (
         {"law": {"space": {"kind": "finite", "support": BITS}, "weights": [[0.5, 0.5]] * 3}},
         "law.weights: need one row per coordinate (8)"),
     "weight-size": (
         {"law": {"space": {"kind": "finite", "support": BITS}, "weights": [0.2, 0.3, 0.5]}},
-        "law.weights[0]: must match the support size 2"),
+        "law.weights: weight vector must match the support size 2"),
     "weight-sign": (
         {"law": {"space": {"kind": "finite", "support": BITS}, "weights": [-0.5, 1.5]}},
-        "law.weights[0]: weights must be nonnegative numbers"),
+        "law.weights: weights must be nonnegative"),
+    "weight-sum": (
+        {"law": {"space": {"kind": "finite", "support": BITS}, "weights": [[0.5, 0.5]] * 7
+                 + [[0.7, 0.7]]}},
+        "law.weights[7]: weights must sum to 1 within 1e-12"),
+    "weight-type": (
+        {"law": {"space": {"kind": "finite", "support": BITS}, "weights": ["0.5", 0.5]}},
+        "law.weights: must be a vector of numbers or a list of them"),
     "random-lookup-interval": (
         {"law": INTERVAL},
-        "class.random_lookup: needs a finite sample space"),
+        "class.random_lookup: random lookup classes need a finite space"),
     "lookup-member-interval": (
-        {"law": INTERVAL, "class": {"members": [
-            {"type": "lookup", "label": "a", "table": {"0": 0.1, "1": 0.8}}]}},
-        "class.members[0]: lookup members need a finite sample space"),
+        {"law": INTERVAL, **_lookup({"0": 0.1, "1": 0.8})},
+        "class.members[0]: lookup members exist only on finite spaces"),
+    "lookup-missing-labels": (
+        _lookup({"0": 0.1}),
+        "class.members[0]: lookup table for 'a' misses support labels ['1']"),
+    "lookup-extra-labels": (
+        _lookup({"0": 0.1, "1": 0.8, "2": 0.5}),
+        "class.members[0]: lookup table for 'a' names unknown labels ['2']"),
+    "lookup-range": (
+        _lookup({"0": 0.1, "1": 1.5}),
+        "class.members: member 'a' leaves [0, 1] on the support"),
+    "lookup-type": (
+        _lookup({"0": 0.1, "1": True}),
+        "class.members[0].table: values must be numbers"),
     "member-labels": (
         {"class": {"members": [{"type": "constant", "label": "a", "value": 0.5}] * 2}},
-        "class.members: labels must be unique"),
+        "class.members: member labels must be unique"),
     "kernel-arguments": (
         _u_statistic({"name": "smoothed-min", "order": 3}),
         "statistic.kernel.order: smoothed-min is a two-argument kernel"),
     "kernel-order": (
         _u_statistic({"name": "product", "order": 9}),
-        "statistic.kernel.order: exceeds n = 8"),
+        "statistic.kernel.order: kernel order 9 exceeds n = 8"),
+    "subsets-cap": (
+        {"n": 1415, **_u_statistic({"name": "squared-difference"})},
+        "statistic.kernel.order: C(1415,2) = 1000405 subsets exceed the enumeration cap 1000000"),
+    "subset-table-cap": (
+        {"n": 1100, **_u_statistic({"name": "product", "order": 1098})},
+        "statistic.kernel.order: C(1100,1098) x 1098 = 663686100 subset indices exceed the "
+        "subset table cap 8000000"),
+    "closed-form-u-statistic": (
+        _u_statistic({"name": "smoothed-min"}, {"route": "closed-form"}),
+        "constants.route: u-statistic[smoothed-min,m=2] carries no closed-form constants"),
+    "numeric-pairs": (
+        {"n": 1415, "constants": {"route": "numeric"}, "override_numeric_constants": True},
+        "constants.route: C(1415,2) = 1000405 coordinate pairs exceed the enumeration cap 1000000"),
     "exact-interval": (
         {"law": INTERVAL, "class": AFFINE, "oracle": {"method": "exact"}},
         "oracle.method: exact enumeration needs a finite sample space"),
     "exact-cap": (
         {"n": 20, "oracle": {"method": "exact"}},
-        "oracle.method: support^n exceeds the enumeration cap 1000000"),
+        "oracle.method: 2^20 lattice points exceed the enumeration cap 1000000"),
+    "tail-interval": (
+        {"kind": "tail", "t_grid": [0.1], "law": INTERVAL, "class": AFFINE},
+        "law.space.kind: swing sums need a finite sample space"),
     "member-label": (
         {"member": "zz"},
         "member: unknown label 'zz'; class members: ['f00', 'f01', 'f02', 'f03']"),
@@ -79,8 +123,58 @@ def test_cross_section_rule_refused_by_validate_and_run(tmp_path, capsys, case):
     path = tmp_path / "cfg.yaml"
     path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
     assert main(["run", str(path)]) == EXIT_CONFIG
-    assert message in capsys.readouterr().err
+    assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
+
+
+BITS_SPACE = sp.finite_space([("0", 0.0), ("1", 1.0)])
+# Each case whose rule a library function states: the key path, and the
+# library call on the case's input that the rule refuses.
+LIBRARY = {
+    "support-labels": ("law.space.support", lambda: sp.finite_space([("0", 0.0), ("0", 1.0)])),
+    "weight-size": ("law.weights", lambda: sp.finite_weights(BITS_SPACE, [0.2, 0.3, 0.5])),
+    "weight-sign": ("law.weights", lambda: sp.finite_weights(BITS_SPACE, [-0.5, 1.5])),
+    "weight-sum": ("law.weights[7]", lambda: sp.finite_weights(BITS_SPACE, [0.7, 0.7])),
+    "random-lookup-interval": (
+        "class.random_lookup", lambda: cls.random_lookup_class(sp.interval_space(), 4, 0)),
+    "lookup-member-interval": (
+        "class.members[0]", lambda: cls.lookup_member("a", sp.interval_space(), {"0": 0.1, "1": 0.8})),
+    "lookup-missing-labels": ("class.members[0]", lambda: cls.lookup_member("a", BITS_SPACE, {"0": 0.1})),
+    "lookup-extra-labels": (
+        "class.members[0]", lambda: cls.lookup_member("a", BITS_SPACE, {"0": 0.1, "1": 0.8, "2": 0.5})),
+    "lookup-range": ("class.members", lambda: cls.FunctionClass(
+        BITS_SPACE, (cls.lookup_member("a", BITS_SPACE, {"0": 0.1, "1": 1.5}),))),
+    "member-labels": (
+        "class.members", lambda: cls.FunctionClass(BITS_SPACE, (cls.constant_member("a", 0.5),) * 2)),
+    "kernel-order": ("statistic.kernel.order", lambda: fx.u_statistic(8, fx.product_kernel(9))),
+    "subsets-cap": ("statistic.kernel.order",
+                    lambda: fx.u_statistic(1415, fx.squared_difference_kernel())),
+    "subset-table-cap": ("statistic.kernel.order",
+                         lambda: fx.u_statistic(1100, fx.product_kernel(1098))),
+    "closed-form-u-statistic": (
+        "constants.route", lambda: closed_form_constants(fx.u_statistic(8, fx.smoothed_min_kernel()))),
+    "numeric-pairs": (
+        "constants.route",
+        lambda: estimate_constants_numeric(fx.sample_variance_statistic(1415), probes=1)),
+    "exact-interval": ("oracle.method", lambda: expectation_oracle(
+        sp.iid_law(sp.uniform_on(sp.interval_space()), 8),
+        cls.FunctionClass(sp.interval_space(), (cls.identity_member("a"),)),
+        fx.sample_variance_statistic(8), "exact")),
+    "exact-cap": ("oracle.method", lambda: expectation_oracle(
+        sp.iid_law(sp.uniform_on(BITS_SPACE), 20), cls.random_lookup_class(BITS_SPACE, 4, 0),
+        fx.sample_variance_statistic(20), "exact")),
+    "tail-interval": ("law.space.kind", lambda: squared_swing_sum(
+        fx.sample_variance_statistic(8), cls.identity_member("a"), sp.interval_space())),
+}
+
+
+@pytest.mark.parametrize("case", LIBRARY)
+def test_library_rule_reports_the_library_message(tmp_path, case):
+    path, refuse = LIBRARY[case]
+    with pytest.raises(UniboundError) as refusal:
+        refuse()
+    changes, _ = CASES[case]
+    assert validate_config({**small_deviate_config(tmp_path), **changes}) == [f"{path}: {refusal.value}"]
 
 
 @pytest.mark.parametrize("changes", [
