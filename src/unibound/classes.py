@@ -84,7 +84,16 @@ def lookup_member(label: str, space: SampleSpace, mapping: dict) -> LookupMember
     return LookupMember(label, tuple(float(mapping[lab]) for lab in space.labels))
 
 
+def _check_unit(label: str, values, where: str) -> None:
+    """Refuse member values outside [0, 1], NaN included."""
+    if not np.all((values >= 0.0) & (values <= 1.0)):
+        raise DomainError(f"member {label!r} leaves [0, 1]{where}")
+
+
 def constant_member(label: str, value: float) -> AffineClippedMember:
+    """The member equal to ``value`` everywhere; a value outside [0, 1] is
+    refused, not clipped."""
+    _check_unit(label, float(value), "")
     return AffineClippedMember(label, 0.0, float(value))
 
 
@@ -110,8 +119,7 @@ class FunctionClass:
             rows = []
             for m in self.members:
                 rows.append(m.on_support(self.space))
-                if np.any(rows[-1] < 0.0) or np.any(rows[-1] > 1.0):
-                    raise DomainError(f"member {m.label!r} leaves [0, 1] on the support")
+                _check_unit(m.label, rows[-1], " on the support")
             support = np.stack(rows)
             support.flags.writeable = False
             object.__setattr__(self, "_support", support)
@@ -120,9 +128,7 @@ class FunctionClass:
             for m in self.members:
                 if isinstance(m, LookupMember):
                     raise DomainError("lookup members exist only on finite spaces")
-                out = m.apply(grid)
-                if np.any(out < 0.0) or np.any(out > 1.0):
-                    raise DomainError(f"member {m.label!r} leaves [0, 1] on the grid")
+                _check_unit(m.label, m.apply(grid), " on the grid")
 
     def __len__(self) -> int:
         return len(self.members)

@@ -44,6 +44,12 @@ GAUSSIAN = "gaussian"
 MIN_DRAWS = 100
 
 
+def check_draws(count: int, name: str) -> None:
+    """Refuse a Monte Carlo estimate from fewer than MIN_DRAWS draws."""
+    if count < MIN_DRAWS:
+        raise DomainError(f"{name} must be >= {MIN_DRAWS}")
+
+
 @dataclass(frozen=True, eq=False)
 class ComplexityEstimate:
     """A scalar estimate of R(Y) or G(Y).
@@ -206,8 +212,7 @@ def _monte_carlo(means: np.ndarray, kind: str) -> ComplexityEstimate:
 def rademacher_mc(y, draws: int, seed) -> ComplexityEstimate:
     """Monte Carlo R(Y); deterministic given the seed."""
     mat = _as_matrix(y)
-    if draws < MIN_DRAWS:
-        raise DomainError(f"draws must be >= {MIN_DRAWS}")
+    check_draws(draws, "draws")
     rng = as_stream(seed, "rademacher-mc")
     return _monte_carlo(_antithetic_means(mat, draws, rng, gaussian=False), RADEMACHER)
 
@@ -231,8 +236,7 @@ def _gaussian_means(images: np.ndarray, draws: int, rngs) -> list[np.ndarray]:
     columns scaled by sqrt(m_j). One sort merges the columns of the whole
     stack; the products then run one image at a time.
     """
-    if draws < MIN_DRAWS:
-        raise DomainError(f"draws must be >= {MIN_DRAWS}")
+    check_draws(draws, "draws")
     return [
         _antithetic_means(image[:, keep] * np.sqrt(mult), draws, rng, gaussian=True)
         for image, (keep, mult), rng in zip(images, _merged_columns(images), rngs)

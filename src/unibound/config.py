@@ -9,13 +9,15 @@ experiment from those values. ``KINDS`` states the stages each kind runs
 and ``STAGES`` the keys each stage needs; the runner executes the stages
 that ``resolve`` derives from them. Validation is strict: unknown keys
 anywhere in the tree are rejected and every violation is reported with its
-path. Checking then builds the law's coordinates, the class, the kernel
-and the statistic with the library's constructors, and puts the constants
-route, the exact oracle and the tail to the library's checks. A rule that
-a library function states, a range, a cap or a tie between sections, is
-thus that function's refusal at the key's path, and ``resolve`` reuses
-what was built; ``validate`` accepts exactly the configurations ``run``
-accepts.
+path. The table tests each value on its own, its type and the rules no
+library function states; checking then puts each value whose range a
+library function states to that function's check, builds the law's
+coordinates, the class, the kernel and the statistic with the library's
+constructors, and puts the constants route, the exact oracle and the tail
+to the library's checks. A rule that a library function states, a range,
+a cap or a tie between sections, is thus that function's refusal at the
+key's path, and ``resolve`` reuses what was built; ``validate`` accepts
+exactly the configurations ``run`` accepts.
 """
 
 from __future__ import annotations
@@ -26,16 +28,16 @@ import numpy as np
 import yaml
 
 from . import classes as cls, derivative_bounds as db, functionals as fx, spaces as sp
-from .complexity import MIN_DRAWS
+from .complexity import check_draws
 from .deviation import (
     DEFAULT_GAUSSIAN_DRAWS, DEFAULT_ORACLE_METHOD, DEFAULT_ORACLE_REPLICAS, EXACT, ORACLE_METHODS,
-    check_swing_space, lattice_points,
+    check_c, check_delta, check_swing_space, lattice_points, threshold_grid,
 )
 from .errors import ConfigError, UniboundError
-from .rng import stream
+from .rng import check_seed, stream
 from .schema import (
     IGNORED, OPTIONAL, REQUIRED, Field, Schema, at_least, choice, dig, is_int, is_num, list_of,
-    number, of_type, rule,
+    of_type, rule,
 )
 
 # The choices of a key, each with the builder of its object.
@@ -75,22 +77,23 @@ def load_config(path) -> dict:
 
 
 def _grid(g):
+    """The shape of a threshold grid; ``threshold_grid`` states its range."""
     if isinstance(g, list):
-        ok = g and all(is_num(v) and v >= 0.0 for v in g)
-        return None if ok else "must be a non-empty list of numbers >= 0.0"
+        return None if all(map(is_num, g)) else "must be a list of numbers"
     if not isinstance(g, dict):
         return "must be a list or a min/max/count range"
     lo, hi, count = g.get("min"), g.get("max"), g.get("count")
     if not (is_num(lo) and is_num(hi) and is_int(count)):
         return "range needs numeric min, max and integer count"
-    if lo < 0.0 or hi < lo or count < 1:
-        return "need 0.0 <= min <= max and count >= 1"
+    if hi < lo:
+        return "need min <= max"
 
 
 def _grid_array(g) -> np.ndarray:
     if isinstance(g, list):
         return np.asarray([float(v) for v in g])
-    return np.linspace(float(g["min"]), float(g["max"]), g["count"])
+    # A count below 1 gives the empty grid, which ``threshold_grid`` refuses.
+    return np.linspace(float(g["min"]), float(g["max"]), max(g["count"], 0))
 
 
 def _grid_fields(name: str) -> tuple[Field, ...]:
@@ -99,9 +102,9 @@ def _grid_fields(name: str) -> tuple[Field, ...]:
     return (Field(name, _grid, OPTIONAL, _grid_array), *parts)
 
 
-# Where the library states a value's range, the schema checks only its type.
+# Where the library states a value's range, the table tests only its type.
 _MAPPING = of_type(dict, "must be a mapping")
-_NUMBER = number("must be a number")
+_NUMBER = rule(is_num, "must be a number")
 _INT = rule(is_int, "must be an integer")
 
 # The stages of each kind: those it always runs, then those it runs only
@@ -123,8 +126,8 @@ STAGES = {
 ON_FINITE, ON_INTERVAL = (sp.FINITE,), (sp.INTERVAL,)
 FIELDS = (
     Field("kind", choice(KINDS)),
-    Field("seed", at_least(0, "must be a nonnegative integer"), REQUIRED),
-    Field("n", at_least(2)),
+    Field("seed", _INT, REQUIRED),
+    Field("n", _INT),
     Field("law", _MAPPING, REQUIRED),
     Field("law.space", _MAPPING, REQUIRED),
     Field("law.space.kind", choice(ON_FINITE + ON_INTERVAL, "must be 'finite' or 'interval'")),
@@ -158,12 +161,11 @@ FIELDS = (
         lambda t: isinstance(t, dict), "must map support labels to values",
         lambda t: all(map(is_num, t.values())), "values must be numbers"),
           when=("lookup",), convert=lambda t: {str(k): v for k, v in t.items()}),
-    Field("class.members[].theta", number("required number"), when=("threshold",), convert=float),
+    Field("class.members[].theta", rule(is_num, "required number"), when=("threshold",), convert=float),
     Field("class.members[].width", _NUMBER, when=("threshold",), convert=float),
     Field("class.members[].slope", _NUMBER, when=("affine",), convert=float),
     Field("class.members[].intercept", _NUMBER, when=("affine",), convert=float),
-    Field("class.members[].value", number("must lie in [0, 1]", lambda v: 0.0 <= v <= 1.0),
-          when=("constant",), convert=float),
+    Field("class.members[].value", _NUMBER, when=("constant",), convert=float),
     Field("class.random_lookup", _MAPPING, OPTIONAL),
     Field("class.random_lookup.count", _INT),
     Field("statistic", _MAPPING, REQUIRED),
@@ -183,23 +185,20 @@ FIELDS = (
     Field("constants", _MAPPING, {}),
     Field("constants.route", choice((db.CLOSED_FORM, db.DERIVED_BOUND, db.NUMERIC)),
           db.CLOSED_FORM),
-    Field("constants.probes", at_least(1, "must be a positive integer"), db.DEFAULT_PROBES),
-    Field("constants.fd_step", number(f"must lie in {db.FD_STEP_RANGE_TEXT}",
-                                      lambda v: db.FD_STEP_RANGE[0] <= v <= db.FD_STEP_RANGE[1]),
-          db.DEFAULT_FD_STEP, float),
-    Field("c", number("must be a positive number", lambda v: v > 0.0), 1.0, float),
-    Field("delta", number("must lie strictly inside (0, 1)", lambda v: 0.0 < v < 1.0),
-          OPTIONAL, float),
-    Field("replications", at_least(MIN_DRAWS), OPTIONAL),
-    Field("draws", at_least(MIN_DRAWS), 100_000),
-    Field("gaussian_draws", at_least(MIN_DRAWS), DEFAULT_GAUSSIAN_DRAWS),
-    Field("tail_replicas", at_least(MIN_DRAWS), 100_000),
+    Field("constants.probes", _INT, db.DEFAULT_PROBES),
+    Field("constants.fd_step", _NUMBER, db.DEFAULT_FD_STEP, float),
+    Field("c", _NUMBER, 1.0, float),
+    Field("delta", _NUMBER, OPTIONAL, float),
+    Field("replications", _INT, OPTIONAL),
+    Field("draws", _INT, 100_000),
+    Field("gaussian_draws", _INT, DEFAULT_GAUSSIAN_DRAWS),
+    Field("tail_replicas", _INT, 100_000),
     Field("probe_pairs", at_least(1), 3),
     Field("out", of_type(str, "must be a path string"), "results"),
     Field("override_numeric_constants", of_type(bool, "must be a boolean"), False),
     Field("oracle", _MAPPING, {}),
     Field("oracle.method", choice(ORACLE_METHODS), DEFAULT_ORACLE_METHOD),
-    Field("oracle.replicas", at_least(MIN_DRAWS), DEFAULT_ORACLE_REPLICAS),
+    Field("oracle.replicas", _INT, DEFAULT_ORACLE_REPLICAS),
     *_grid_fields("t_grid"),
     *_grid_fields("s_grid"),
     Field("member", of_type(str, "must be a member label string"), OPTIONAL),
@@ -209,6 +208,17 @@ SCHEMA = Schema(FIELDS, {
     "law": "space.kind", "law.space": "kind", "law.family": "name",
     "class.members[]": "type", "statistic": "name", "statistic.kernel": "name",
 })
+
+
+# The keys whose range a library function states, each with that function's
+# check; a draw count's check names the count by its key.
+RANGES = (
+    ("seed", check_seed), ("n", sp.check_coordinates), ("c", check_c), ("delta", check_delta),
+    ("constants.probes", db.check_probes), ("constants.fd_step", db.check_fd_step),
+    *((key, lambda count, name=key.rpartition(".")[2]: check_draws(count, name)) for key in
+      ("replications", "draws", "gaussian_draws", "tail_replicas", "oracle.replicas")),
+    *((key, lambda grid, name=key: threshold_grid(grid, name)) for key in ("t_grid", "s_grid")),
+)
 
 
 def _intact(out: list, *paths: str) -> bool:
@@ -253,6 +263,20 @@ def _function_class(spec: dict, space: sp.SampleSpace, seed: int, out: list) -> 
         return _build(out, "class.members", lambda: cls.FunctionClass(space, tuple(members)))
 
 
+def _in_range(v: dict, out: list) -> None:
+    """Put each given value of RANGES to its check; a refused value is
+    cleared, as the schema clears a value of the wrong type."""
+    for path, check in RANGES:
+        section, _, key = path.rpartition(".")
+        values = dig(v, section) if section else v
+        if isinstance(values, dict) and values[key] is not None:
+            try:
+                check(values[key])
+            except UniboundError as exc:
+                out.append(f"{path}: {exc}")
+                values[key] = None
+
+
 def _check(v: dict, raw: dict, out: list) -> dict:
     """The rules beyond each key's own test; returns the objects built on
     the way, for ``resolve``. A rule that a library function states is that
@@ -260,6 +284,7 @@ def _check(v: dict, raw: dict, out: list) -> dict:
     is not checked, and nothing that grows with n beyond the document's own
     weight rows is built.
     """
+    _in_range(v, out)
     n, law, stat_spec = v["n"], v["law"], v["statistic"]
     space = coordinates = fc = kernel = stat = None
     if _intact(out, "law"):

@@ -39,11 +39,6 @@ NUMERIC_ESTIMATE = "numeric-estimate"
 
 DEFAULT_PROBES = 200
 DEFAULT_FD_STEP = 1e-4
-FD_STEP_RANGE = (1e-7, 1e-2)
-# The range as messages state it: "[1e-7, 1e-2]".
-FD_STEP_RANGE_TEXT = "[{}, {}]".format(
-    *(np.format_float_scientific(v, trim="-", exp_digits=1) for v in FD_STEP_RANGE)
-)
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,6 +158,18 @@ def _surrogate_extremizers(point: np.ndarray, hess_row: np.ndarray) -> tuple[np.
     return hi, lo
 
 
+def check_probes(probes: int) -> None:
+    """Refuse a numeric estimate from no probe points."""
+    if probes < 1:
+        raise DomainError("probes must be >= 1")
+
+
+def check_fd_step(fd_step: float) -> None:
+    """Refuse a finite-difference step outside [1e-7, 1e-2]."""
+    if not (1e-7 <= fd_step <= 1e-2):
+        raise DomainError("fd_step must lie in [1e-7, 1e-2]")
+
+
 def estimate_constants_numeric(
     stat: Statistic,
     probes: int = DEFAULT_PROBES,
@@ -179,10 +186,8 @@ def estimate_constants_numeric(
     the sampled maximum. The statistic must be evaluable within ``fd_step``
     of the box; every built-in is.
     """
-    if probes < 1:
-        raise DomainError("probes must be >= 1")
-    if not (FD_STEP_RANGE[0] <= fd_step <= FD_STEP_RANGE[1]):
-        raise DomainError(f"fd_step must lie in {FD_STEP_RANGE_TEXT}")
+    check_probes(probes)
+    check_fd_step(fd_step)
     n = stat.n
     rng = as_stream(seed, "constants-numeric")
     points = rng.random((probes, n))

@@ -54,7 +54,7 @@ import numpy as np
 from .classes import FunctionClass
 # gaussian_mc stays importable here: perfbench traces each layer through the
 # names this module imports, though the replications call gaussian_averages.
-from .complexity import (EXACT, GAUSSIAN, MIN_DRAWS, MONTE_CARLO, ComplexityEstimate,
+from .complexity import (EXACT, GAUSSIAN, MONTE_CARLO, ComplexityEstimate, check_draws,
                          gaussian_averages, gaussian_bytes, gaussian_mc, mean_stderr,
                          rademacher_average)
 from .derivative_bounds import ConstantsReport
@@ -257,8 +257,7 @@ def expectation_oracle(
         return ExpectationOracle(EXACT, fc.labels, _finite_expectations(values))
     if method != MONTE_CARLO:
         raise DomainError(f"unknown oracle method {method!r}")
-    if replicas < MIN_DRAWS:
-        raise DomainError(f"Monte Carlo oracle needs replicas >= {MIN_DRAWS}")
+    check_draws(replicas, "replicas")
     values = np.empty(len(fc))
     stderrs = np.empty(len(fc))
     at, weights = _draws(law, stat, replicas, as_stream(seed, "expectation-oracle"))
@@ -305,6 +304,18 @@ def tail_term_variant(constants: ConstantsReport, delta: float, n: int) -> float
     return constants.lipschitz * math.sqrt(n * math.log(1.0 / delta) / 2.0 / 2.0)
 
 
+def check_c(c: float) -> None:
+    """Refuse a multiplier c of the bound that is not finite and positive."""
+    if not (0.0 < c < math.inf):
+        raise DomainError("c must be a finite positive number")
+
+
+def check_delta(delta: float) -> None:
+    """Refuse a confidence level delta outside (0, 1)."""
+    if not (0.0 < delta < 1.0):
+        raise DomainError("delta must lie strictly inside (0, 1)")
+
+
 def assemble_bound(
     constants: ConstantsReport,
     image_g: float,
@@ -319,10 +330,8 @@ def assemble_bound(
     Numeric-estimate constants are refused without ``allow_numeric``: they
     are lower bounds on the true (L, M) and would silently weaken the bound.
     """
-    if not (0.0 < delta < 1.0):
-        raise DomainError("delta must lie strictly between 0 and 1")
-    if c <= 0.0:
-        raise DomainError("c must be positive")
+    check_c(c)
+    check_delta(delta)
     if constants.is_lower_bound and not allow_numeric:
         raise OverrideRequiredError(
             "numeric-estimate constants are lower bounds; pass allow_numeric=True "
@@ -377,8 +386,7 @@ def _replicate(law: ProductLaw, fc: FunctionClass, stat: Statistic, replications
     (``stat.eval_bytes`` per row), and the ``average_bytes`` its average
     holds.
     """
-    if replications < MIN_DRAWS:
-        raise DomainError(f"replications must be >= {MIN_DRAWS}")
+    check_draws(replications, "replications")
     oracle = expectation_oracle(
         law, fc, stat, oracle_method,
         replicas=oracle_replicas, seed=stream(seed, f"{tag}/oracle"),
@@ -627,13 +635,14 @@ def squared_swing_sum(
     return SwingReport(at_point, float(acc.max()), True)
 
 
-def _threshold_grid(grid, name: str) -> np.ndarray:
-    """``grid`` as a float vector, refused unless non-empty and nonnegative."""
+def threshold_grid(grid, name: str) -> np.ndarray:
+    """``grid`` as a float vector, refused unless non-empty, finite and
+    nonnegative."""
     t = np.asarray(grid, dtype=np.float64)
     if t.ndim != 1 or t.size == 0:
         raise DomainError(f"{name} must be a non-empty vector")
-    if np.any(t < 0.0):
-        raise DomainError("thresholds must be nonnegative")
+    if not np.all((t >= 0.0) & (t < np.inf)):
+        raise DomainError("thresholds must be finite and nonnegative")
     return t
 
 
@@ -693,9 +702,8 @@ def bounded_difference_tail(
     The empirical exceedance frequency at each t must stay below
     exp(-2 t^2 / swing_norm) plus four binomial standard errors.
     """
-    t = _threshold_grid(t_grid, "t_grid")
-    if replicas < MIN_DRAWS:
-        raise DomainError(f"replicas must be >= {MIN_DRAWS}")
+    t = threshold_grid(t_grid, "t_grid")
+    check_draws(replicas, "replicas")
     single = FunctionClass(law.space, (member,))
     oracle = expectation_oracle(
         law, single, stat, oracle_method,
@@ -797,9 +805,8 @@ def swap_process_probe(
     """Probe the two-member swapped process tail at fixed (x, x_alt)."""
     if f.label == g.label:
         raise DomainError("the probe needs two distinct members")
-    s = _threshold_grid(s_grid, "s_grid")
-    if draws < MIN_DRAWS:
-        raise DomainError(f"draws must be >= {MIN_DRAWS}")
+    s = threshold_grid(s_grid, "s_grid")
+    check_draws(draws, "draws")
     if x.space != x_alt.space:
         raise DomainError("the two sample vectors live in different spaces")
     n = stat.n

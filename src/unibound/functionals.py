@@ -58,6 +58,9 @@ ENUM_CAP = 1_000_000
 # largest being C(22, 11) x 11 = 7 759 752; past n / 2 the subsets stay few
 # while each grows to m indices.
 SUBSET_TABLE_CAP = 8 * ENUM_CAP
+# C(n, m) >= C(2k, k) for k = min(m, n - m), and C(2k, k) passes ENUM_CAP
+# from this k on (C(24, 12)): such subsets are refused without their count.
+_CENTRAL_PAST_CAP = next(k for k in itertools.count() if math.comb(2 * k, k) > ENUM_CAP)
 # A kernel's symmetry is spot-checked at this many random points.
 _SYMMETRY_TRIALS = 16
 _SYMMETRY_TOL = 1e-12
@@ -340,9 +343,9 @@ def u_statistic(n: int, kernel: Kernel) -> Statistic:
     m = kernel.order
     if m > n:
         raise DomainError(f"kernel order {m} exceeds n = {n}")
+    if min(m, n - m) >= _CENTRAL_PAST_CAP or math.comb(n, m) > ENUM_CAP:
+        raise ResourceError(f"C({n},{m}) subsets exceed the enumeration cap {ENUM_CAP}")
     count = math.comb(n, m)
-    if count > ENUM_CAP:
-        raise ResourceError(f"C({n},{m}) = {count} subsets exceed the enumeration cap {ENUM_CAP}")
     if count * m > SUBSET_TABLE_CAP:
         raise ResourceError(f"C({n},{m}) x {m} = {count * m} subset indices exceed the subset "
                             f"table cap {SUBSET_TABLE_CAP}")

@@ -36,10 +36,15 @@ def _tag_entropy(tag: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def stream(root_seed: int, tag: str, index: int = 0) -> Generator:
-    """Generator for the work unit (root_seed, tag, index)."""
+def check_seed(root_seed: int) -> None:
+    """Refuse a negative root seed."""
     if root_seed < 0:
         raise DomainError("root seed must be a nonnegative integer")
+
+
+def stream(root_seed: int, tag: str, index: int = 0) -> Generator:
+    """Generator for the work unit (root_seed, tag, index)."""
+    check_seed(root_seed)
     seq = SeedSequence(entropy=(int(root_seed), _tag_entropy(tag), int(index)))
     return Generator(PCG64(seq))
 

@@ -25,7 +25,13 @@ def is_int(v) -> bool:
 
 
 def is_num(v) -> bool:
-    return (isinstance(v, (int, float)) and not isinstance(v, bool)) and math.isfinite(v)
+    """A finite float, or an int that a float holds."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:    # an int past the largest float
+        return False
 
 
 def rule(*pairs):
@@ -36,10 +42,6 @@ def rule(*pairs):
             if not ok(v):
                 return message(v) if callable(message) else message
     return test
-
-
-def number(message, ok=lambda v: True):
-    return rule(lambda v: is_num(v) and ok(v), message)
 
 
 def at_least(low, message=None):

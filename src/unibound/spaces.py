@@ -150,6 +150,12 @@ def beta_family(a: float, b: float) -> CoordinateDistribution:
     return CoordinateDistribution(interval_space(), family="beta", params=(float(a), float(b)))
 
 
+def check_coordinates(n: int) -> None:
+    """Refuse a product law of fewer than two coordinates."""
+    if n < 2:
+        raise DomainError("a product law needs n >= 2 coordinates")
+
+
 @dataclass(frozen=True)
 class ProductLaw:
     """n independent coordinates on a shared sample space, n >= 2."""
@@ -157,8 +163,7 @@ class ProductLaw:
     coordinates: tuple[CoordinateDistribution, ...]
 
     def __post_init__(self):
-        if len(self.coordinates) < 2:
-            raise DomainError("a product law needs n >= 2 coordinates")
+        check_coordinates(len(self.coordinates))
         space = self.coordinates[0].space
         if any(c.space != space for c in self.coordinates):
             raise DomainError("all coordinates must share one sample space")

@@ -97,6 +97,21 @@ def test_range_check_rejects_out_of_unit_tables():
         FunctionClass(BITS, (LookupMember("f", (0.0, 1.2)),))
 
 
+def test_range_check_rejects_nan_members():
+    with pytest.raises(DomainError, match="member 'f' leaves \\[0, 1\\] on the support"):
+        FunctionClass(BITS, (LookupMember("f", (0.0, float("nan"))),))
+    with pytest.raises(DomainError, match="member 'a' leaves \\[0, 1\\] on the grid"):
+        FunctionClass(interval_space(), (AffineClippedMember("a", 1.0, float("nan")),))
+    with pytest.raises(DomainError, match="member 'b' leaves \\[0, 1\\]$"):
+        constant_member("b", float("nan"))
+
+
+@pytest.mark.parametrize("value", [-0.5, 1.5])
+def test_constant_member_outside_the_unit_interval_is_refused_not_clipped(value):
+    with pytest.raises(DomainError, match="member 'a' leaves \\[0, 1\\]$"):
+        constant_member("a", value)
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     st.integers(min_value=1, max_value=6),

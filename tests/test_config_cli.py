@@ -1,5 +1,6 @@
 import json
 import platform
+import time
 from pathlib import Path
 
 import numpy as np
@@ -110,9 +111,7 @@ def test_u_statistic_past_the_enumeration_cap_is_refused(tmp_path, capsys, n):
     # Refused as a config error before any subset table is built: building
     # one would raise a resource error (exit 3) instead.
     cfg = squared_difference_config(tmp_path / "out", n)
-    subsets = {1415: 1000405, 4472: 9997156}[n]
-    message = (f"statistic.kernel.order: C({n},2) = {subsets} subsets exceed the enumeration "
-               "cap 1000000")
+    message = f"statistic.kernel.order: C({n},2) subsets exceed the enumeration cap 1000000"
     assert validate_config(cfg) == [message]
     path = tmp_path / "cfg.yaml"
     write_config(path, cfg)
@@ -120,6 +119,23 @@ def test_u_statistic_past_the_enumeration_cap_is_refused(tmp_path, capsys, n):
     assert message in capsys.readouterr().out
     assert main(["run", str(path)]) == EXIT_CONFIG
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n, order", [(10**6, 2000), (10**18, 10**7)])
+def test_u_statistic_far_past_the_enumeration_cap_is_refused_at_once(tmp_path, capsys, n, order):
+    # min(order, n - order) >= 12 puts C(n, order) past the cap, so the count
+    # is never formed: at the first shape it has more digits than Python
+    # converts to a string, and forming the second took more than 30 s.
+    cfg = small_deviate_config(tmp_path / "out")
+    cfg.update(n=n, constants={"route": "derived-bound"},
+               statistic={"name": "u-statistic", "kernel": {"name": "product", "order": order}})
+    path = tmp_path / "cfg.yaml"
+    write_config(path, cfg)
+    start = time.perf_counter()
+    assert main(["validate", str(path)]) == EXIT_CONFIG
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out == (f"violation: statistic.kernel.order: C({n},{order}) subsets "
+                                       "exceed the enumeration cap 1000000\n")
 
 
 @pytest.mark.parametrize("n, refused", [(1414, False), (1415, True)])
@@ -396,6 +412,16 @@ def test_cli_validate_reports_violations(tmp_path, capsys):
     write_config(path, cfg)
     assert main(["validate", str(path)]) == EXIT_CONFIG
     assert "delta" in capsys.readouterr().out
+
+
+def test_cli_validate_refuses_an_integer_past_the_largest_float(tmp_path, capsys):
+    # A float cannot hold a 330-digit integer, so it is not a number here.
+    cfg = small_deviate_config(tmp_path / "out")
+    cfg["delta"] = 10**330
+    path = tmp_path / "cfg.yaml"
+    write_config(path, cfg)
+    assert main(["validate", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().out == "violation: delta: must be a number\n"
 
 
 # A file's bytes, None for no file, with the exit code and stderr text that

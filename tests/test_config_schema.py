@@ -7,10 +7,13 @@ from pathlib import Path
 import pytest
 import yaml
 
-from unibound import cli
+from unibound import cli, config
 from unibound.complexity import MIN_DRAWS
-from unibound.config import FIELDS, KINDS
+from unibound.config import FIELDS, KINDS, validate_config
+from unibound.errors import DomainError
 from unibound.schema import OPTIONAL, REQUIRED, dig
+
+from test_config_cli import small_deviate_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -52,9 +55,14 @@ def test_readme_schema_values_are_the_table_defaults():
         assert dig(readme, f.path) == f.default, f.path
 
 
-def test_readme_states_the_draw_floor():
-    floors = [f.path for f in FIELDS
-              if f.test(MIN_DRAWS) is None and f.test(MIN_DRAWS - 1) is not None]
+def test_readme_states_the_draw_floor(monkeypatch):
+    # The keys validate sends to the draw check, read off a check that refuses all.
+    def refuse(count, name):
+        raise DomainError("floor")
+
+    monkeypatch.setattr(config, "check_draws", refuse)
+    violations = validate_config(small_deviate_config("results"))
+    floors = [v.removesuffix(": floor") for v in violations if v.endswith(": floor")]
     assert set(floors) == {"replications", "draws", "gaussian_draws", "tail_replicas",
                            "oracle.replicas"}
     lines = _readme_block().splitlines()

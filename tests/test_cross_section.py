@@ -1,22 +1,29 @@
-"""Rules that tie keys of different sections together.
+"""Rules that tie keys of different sections together, and the ranges the
+library states.
 
 Each case mutates the small deviate configuration so that it breaks one
-cross-section rule and nothing else: ``validate`` reports exactly that
-rule's message, and ``run`` refuses the file with exit code 2 and the
-same message before it writes anything. Where a library function states
-the rule, the message is that function's refusal of the same input, at
-the key path.
+cross-section rule or one range and nothing else: ``validate`` reports
+exactly that rule's message, and ``run`` refuses the file with exit code 2
+and the same message before it writes anything. Where a library function
+states the rule, the message is that function's refusal of the same input,
+at the key path.
 """
 
+import numpy as np
 import pytest
 import yaml
 
 from unibound import classes as cls, functionals as fx, spaces as sp
 from unibound.cli import main
-from unibound.config import validate_config
+from unibound.complexity import check_draws, rademacher_mc
+from unibound.config import RANGES, SCHEMA, validate_config
 from unibound.derivative_bounds import closed_form_constants, estimate_constants_numeric
-from unibound.deviation import expectation_oracle, squared_swing_sum
+from unibound.deviation import (
+    assemble_bound, bounded_difference_tail, deviation_experiment, expectation_oracle,
+    squared_swing_sum, threshold_grid,
+)
 from unibound.errors import UniboundError
+from unibound.rng import stream
 from unibound.runner import EXIT_CONFIG, EXIT_OK, run_experiment
 
 from test_config_cli import small_deviate_config
@@ -85,7 +92,7 @@ CASES = {
         "statistic.kernel.order: kernel order 9 exceeds n = 8"),
     "subsets-cap": (
         {"n": 1415, **_u_statistic({"name": "squared-difference"})},
-        "statistic.kernel.order: C(1415,2) = 1000405 subsets exceed the enumeration cap 1000000"),
+        "statistic.kernel.order: C(1415,2) subsets exceed the enumeration cap 1000000"),
     "subset-table-cap": (
         {"n": 1100, **_u_statistic({"name": "product", "order": 1098})},
         "statistic.kernel.order: C(1100,1098) x 1098 = 663686100 subset indices exceed the "
@@ -111,6 +118,25 @@ CASES = {
     "group-sizes": (
         {"statistic": {"name": "class-separation", "group_sizes": [3, 4]}},
         "statistic.group_sizes: must sum to n = 8"),
+    "seed-range": ({"seed": -1}, "seed: root seed must be a nonnegative integer"),
+    "n-range": ({"n": 1}, "n: a product law needs n >= 2 coordinates"),
+    "c-range": ({"c": 0.0}, "c: c must be a finite positive number"),
+    "delta-range": ({"delta": 1.5}, "delta: delta must lie strictly inside (0, 1)"),
+    "probes-range": ({"constants": {"probes": 0}}, "constants.probes: probes must be >= 1"),
+    "fd-step-range": (
+        {"constants": {"fd_step": 0.5}}, "constants.fd_step: fd_step must lie in [1e-7, 1e-2]"),
+    "replications-floor": ({"replications": 99}, "replications: replications must be >= 100"),
+    "draws-floor": ({"draws": 99}, "draws: draws must be >= 100"),
+    "gaussian-draws-floor": ({"gaussian_draws": 99}, "gaussian_draws: gaussian_draws must be >= 100"),
+    "tail-replicas-floor": ({"tail_replicas": 99}, "tail_replicas: tail_replicas must be >= 100"),
+    "oracle-replicas-floor": ({"oracle": {"replicas": 99}}, "oracle.replicas: replicas must be >= 100"),
+    "t-grid-range": ({"t_grid": [0.1, -0.1]}, "t_grid: thresholds must be finite and nonnegative"),
+    "s-grid-range": (
+        {"s_grid": {"min": -0.5, "max": 0.5, "count": 3}},
+        "s_grid: thresholds must be finite and nonnegative"),
+    "member-value": (
+        {"class": {"members": [{"type": "constant", "label": "a", "value": 1.5}]}},
+        "class.members[0]: member 'a' leaves [0, 1]"),
 }
 
 
@@ -128,6 +154,10 @@ def test_cross_section_rule_refused_by_validate_and_run(tmp_path, capsys, case):
 
 
 BITS_SPACE = sp.finite_space([("0", 0.0), ("1", 1.0)])
+BITS_LAW = sp.iid_law(sp.uniform_on(BITS_SPACE), 8)
+LOOKUPS = cls.random_lookup_class(BITS_SPACE, 4, 0)
+VARIANCE = fx.sample_variance_statistic(8)
+VARIANCE_CONSTANTS = closed_form_constants(VARIANCE)
 # Each case whose rule a library function states: the key path, and the
 # library call on the case's input that the rule refuses.
 LIBRARY = {
@@ -165,6 +195,23 @@ LIBRARY = {
         fx.sample_variance_statistic(20), "exact")),
     "tail-interval": ("law.space.kind", lambda: squared_swing_sum(
         fx.sample_variance_statistic(8), cls.identity_member("a"), sp.interval_space())),
+    "seed-range": ("seed", lambda: stream(-1, "config")),
+    "n-range": ("n", lambda: sp.iid_law(sp.uniform_on(BITS_SPACE), 1)),
+    "c-range": ("c", lambda: assemble_bound(VARIANCE_CONSTANTS, 0.1, 0.0, 0.1, 8)),
+    "delta-range": ("delta", lambda: assemble_bound(VARIANCE_CONSTANTS, 0.1, 1.0, 1.5, 8)),
+    "probes-range": ("constants.probes", lambda: estimate_constants_numeric(VARIANCE, probes=0)),
+    "fd-step-range": ("constants.fd_step", lambda: estimate_constants_numeric(VARIANCE, fd_step=0.5)),
+    "replications-floor": ("replications", lambda: deviation_experiment(
+        BITS_LAW, LOOKUPS, VARIANCE, VARIANCE_CONSTANTS, 1.0, 0.1, 99, 7)),
+    "draws-floor": ("draws", lambda: rademacher_mc(LOOKUPS.support_matrix(), 99, 7)),
+    "gaussian-draws-floor": ("gaussian_draws", lambda: check_draws(99, "gaussian_draws")),
+    "tail-replicas-floor": ("tail_replicas", lambda: check_draws(99, "tail_replicas")),
+    "oracle-replicas-floor": ("oracle.replicas", lambda: expectation_oracle(
+        BITS_LAW, LOOKUPS, VARIANCE, "monte-carlo", replicas=99)),
+    "t-grid-range": ("t_grid", lambda: bounded_difference_tail(
+        BITS_LAW, VARIANCE, LOOKUPS.members[0], [0.1, -0.1], 100, 7)),
+    "s-grid-range": ("s_grid", lambda: threshold_grid(np.linspace(-0.5, 0.5, 3), "s_grid")),
+    "member-value": ("class.members[0]", lambda: cls.constant_member("a", 1.5)),
 }
 
 
@@ -175,6 +222,23 @@ def test_library_rule_reports_the_library_message(tmp_path, case):
         refuse()
     changes, _ = CASES[case]
     assert validate_config({**small_deviate_config(tmp_path), **changes}) == [f"{path}: {refusal.value}"]
+
+
+# Each key whose range a library function states, with a value of the key's
+# type outside that range.
+OUT_OF_RANGE = {
+    "seed": -1, "n": 1, "c": 0.0, "delta": 1.5, "constants.probes": 0, "constants.fd_step": 0.5,
+    "replications": 99, "draws": 99, "gaussian_draws": 99, "tail_replicas": 99,
+    "oracle.replicas": 99, "t_grid": [-0.1], "s_grid": {"min": -0.5, "max": 0.5, "count": 3},
+    "class.members[].value": 1.5,
+}
+
+
+def test_the_field_table_tests_no_library_range():
+    # The member value's range is the class's, which checks the members it is given.
+    assert set(OUT_OF_RANGE) == {path for path, _ in RANGES} | {"class.members[].value"}
+    for path, value in OUT_OF_RANGE.items():
+        assert SCHEMA.fields[path].test(value) is None, path
 
 
 @pytest.mark.parametrize("changes", [

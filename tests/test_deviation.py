@@ -579,6 +579,18 @@ def test_bound_parameter_validation():
         assemble_bound(constants, 1.0, 0.0, 0.1, 4)
 
 
+@pytest.mark.parametrize("c", [math.nan, math.inf])
+def test_bound_refuses_a_non_finite_c(c):
+    # A NaN bound is never exceeded, so coverage would read as kept.
+    with pytest.raises(DomainError, match="c must be a finite positive number"):
+        assemble_bound(ConstantsReport(0.1, 0.0, "closed-form"), 1.0, c, 0.1, 4)
+    stat = mean_statistic(4)
+    fc = random_lookup_class(BITS, 2, 5)
+    with pytest.raises(DomainError, match="c must be a finite positive number"):
+        deviation_experiment(bit_law(4), fc, stat, closed_form_constants(stat), c, 0.1, 100, 1,
+                             gaussian_draws=100)
+
+
 def test_bound_monotonicity():
     base = ConstantsReport(0.1, 0.05, "closed-form")
     b = assemble_bound(base, 1.0, 1.0, 0.1, 16)
@@ -887,6 +899,43 @@ def test_tail_rejects_negative_thresholds():
     member = lookup_member("id", BITS, IDENTITY_TABLE)
     with pytest.raises(DomainError):
         bounded_difference_tail(law, mean_statistic(4), member, [-0.1], 200, 1)
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf])
+def test_tail_and_probe_refuse_a_non_finite_threshold(threshold):
+    # No frequency exceeds a NaN threshold, so the check would read as kept.
+    law = bit_law(4)
+    stat = mean_statistic(4)
+    f = lookup_member("f", BITS, IDENTITY_TABLE)
+    g = lookup_member("g", BITS, {"0": 0.5, "1": 0.2})
+    message = "thresholds must be finite and nonnegative"
+    with pytest.raises(DomainError, match=message):
+        bounded_difference_tail(law, stat, f, [threshold, 0.1], 200, 1)
+    x = sample(law, stream(1, "x"))
+    x_alt = sample(law, stream(1, "x-alt"))
+    with pytest.raises(DomainError, match=message):
+        swap_process_probe(x, x_alt, f, g, stat, closed_form_constants(stat), [threshold], 200, 1)
+
+
+def test_every_draw_count_is_held_to_one_floor():
+    law = bit_law(4)
+    stat = mean_statistic(4)
+    constants = closed_form_constants(stat)
+    fc = random_lookup_class(BITS, 2, 5)
+    f, g = fc.members
+    x = sample(law, stream(1, "x"))
+    image = fc.image_matrix(x)
+    refusals = [
+        ("replicas", lambda: expectation_oracle(law, fc, stat, "monte-carlo", replicas=99)),
+        ("replications", lambda: deviation_experiment(law, fc, stat, constants, 1.0, 0.1, 99, 1)),
+        ("replicas", lambda: bounded_difference_tail(law, stat, f, [0.1], 99, 1)),
+        ("draws", lambda: swap_process_probe(x, x, f, g, stat, constants, [0.1], 99, 1)),
+        ("draws", lambda: complexity.rademacher_mc(image, 99, 1)),
+        ("draws", lambda: complexity.gaussian_mc(image, 99, 1)),
+    ]
+    for name, refuse in refusals:
+        with pytest.raises(DomainError, match=f"^{name} must be >= 100$"):
+            refuse()
 
 
 # ---------------------------------------------------------------------------
