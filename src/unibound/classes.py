@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ResourceError
+from .functionals import ENUM_CAP
 from .rng import as_stream
 from .spaces import FINITE, SampleSpace, SampleVector
 
@@ -182,11 +183,14 @@ def _member_labels(members) -> tuple[str, ...]:
 def random_lookup_class(space: SampleSpace, count: int, seed) -> FunctionClass:
     """``count`` lookup tables with independent uniform [0, 1] entries,
     labelled f00, f01, ... zero-padded to the width of the largest index, at
-    least two digits."""
+    least two digits. More than ENUM_CAP table entries are refused before
+    any is drawn."""
     if space.kind != FINITE:
         raise DomainError("random lookup classes need a finite space")
     if count < 1:
         raise DomainError("count must be positive")
+    if count * space.size > ENUM_CAP:
+        raise ResourceError(f"count x {space.size} table entries exceed the enumeration cap {ENUM_CAP}")
     rng = as_stream(seed, "random-lookup-class")
     tables = rng.random((count, space.size))
     width = max(2, len(str(count - 1)))

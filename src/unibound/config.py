@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
 import yaml
 
 from . import classes as cls, derivative_bounds as db, functionals as fx, spaces as sp
@@ -89,17 +88,11 @@ def _grid(g):
         return "need min <= max"
 
 
-def _grid_array(g) -> np.ndarray:
-    if isinstance(g, list):
-        return np.asarray([float(v) for v in g])
-    # A count below 1 gives the empty grid, which ``threshold_grid`` refuses.
-    return np.linspace(float(g["min"]), float(g["max"]), max(g["count"], 0))
-
-
 def _grid_fields(name: str) -> tuple[Field, ...]:
-    """A threshold grid: a list, or a range whose keys the grid test vets."""
+    """A threshold grid: a list, or a range whose keys the grid test vets;
+    ``threshold_grid`` builds either."""
     parts = (Field(f"{name}.{key}", default=OPTIONAL) for key in ("min", "max", "count"))
-    return (Field(name, _grid, OPTIONAL, _grid_array), *parts)
+    return (Field(name, _grid, OPTIONAL), *parts)
 
 
 # Where the library states a value's range, the table tests only its type.
@@ -358,37 +351,18 @@ def validate_config(raw: dict) -> list[str]:
 
 @dataclass(frozen=True, eq=False)
 class Experiment:
-    """A fully resolved experiment: built objects plus echoed configuration.
-
-    Each setting is named after its key; keys of the ``constants`` and
-    ``oracle`` sections carry the section as a prefix (``oracle_method``).
+    """A fully resolved experiment: the built objects, the stages to run,
+    and ``settings``, the normalised values of ``SCHEMA.check`` with every
+    default filled in and each section nested as in the document.
     """
 
-    kind: str
-    stages: tuple[str, ...]   # from KINDS; derived, neither a key nor echoed
-    seed: int
     n: int
     law: sp.ProductLaw
     fc: cls.FunctionClass
     stat: fx.Statistic
     kernel: fx.Kernel | None
-    constants_route: str
-    constants_probes: int
-    constants_fd_step: float
-    c: float
-    delta: float | None
-    replications: int | None
-    draws: int
-    gaussian_draws: int
-    tail_replicas: int
-    probe_pairs: int
-    out: str
-    override_numeric_constants: bool
-    oracle_method: str
-    oracle_replicas: int
-    t_grid: np.ndarray | None
-    s_grid: np.ndarray | None
-    member: str | None
+    stages: tuple[str, ...]   # from KINDS; derived, neither a key nor echoed
+    settings: dict
     echo: dict = field(repr=False, default_factory=dict)
 
 
@@ -397,13 +371,8 @@ def resolve(raw: dict) -> Experiment:
     violations, settings, built = _parse(raw)
     if violations:
         raise ConfigError("; ".join(violations))
-    settings["stages"] = _stages(settings)
-    n = settings.pop("n")
-    for key in ("law", "class", "statistic"):
-        del settings[key]
-    coordinates = built.pop("coordinates")
+    n, coordinates = settings["n"], built.pop("coordinates")
     law = sp.ProductLaw(tuple(coordinates)) if len(coordinates) > 1 else sp.iid_law(coordinates[0], n)
-    for section in ("constants", "oracle"):
-        settings.update({f"{section}_{k}": x for k, x in settings.pop(section).items()})
     merged = {**SCHEMA.defaults(), **raw}
-    return Experiment(n=n, law=law, echo={k: merged[k] for k in sorted(merged)}, **built, **settings)
+    return Experiment(n=n, law=law, stages=_stages(settings), settings=settings,
+                      echo={k: merged[k] for k in sorted(merged)}, **built)

@@ -150,14 +150,6 @@ def fd_hessian(stat: Statistic, point: np.ndarray, step: float = DEFAULT_FD_STEP
     return _fd_derivatives(stat, point, step)[1]
 
 
-def _surrogate_extremizers(point: np.ndarray, hess_row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Box extremizers of the affine surrogate of one partial derivative.
-    # A zero slope leaves that coordinate at the probe.
-    hi = np.where(hess_row > 0.0, 1.0, np.where(hess_row < 0.0, 0.0, point))
-    lo = np.where(hess_row > 0.0, 0.0, np.where(hess_row < 0.0, 1.0, point))
-    return hi, lo
-
-
 def check_probes(probes: int) -> None:
     """Refuse a numeric estimate from no probe points."""
     if probes < 1:
@@ -210,11 +202,11 @@ def estimate_constants_numeric(
 
         # Candidate refinement: evaluate each partial at the box points that
         # extremize its affine surrogate. Exact for degree <= 2 statistics.
-        candidates = np.empty((2 * n, n))
-        for k in range(n):
-            hi, lo = _surrogate_extremizers(p, hess[k])
-            candidates[2 * k] = hi
-            candidates[2 * k + 1] = lo
+        # Rows 2k and 2k + 1 maximise and minimise the surrogate of
+        # d Phi / d s_k, whose slopes are Hessian row k; a zero slope leaves
+        # that coordinate at the probe.
+        slopes = np.repeat(hess, 2, axis=0) * np.tile([1.0, -1.0], n)[:, None]
+        candidates = np.where(slopes == 0.0, p, slopes > 0.0)
         steps = fd_step * np.eye(n)
         which = np.repeat(np.arange(n), 2)
         plus = candidates + steps[which]

@@ -316,6 +316,20 @@ def check_delta(delta: float) -> None:
         raise DomainError("delta must lie strictly inside (0, 1)")
 
 
+def check_bound_inputs(constants: ConstantsReport, c: float, delta: float,
+                       allow_numeric: bool = False) -> None:
+    """Refuse what ``assemble_bound`` refuses: c and delta out of range, and
+    numeric-estimate constants without ``allow_numeric``. Those are lower
+    bounds on the true (L, M) and would silently weaken the bound."""
+    check_c(c)
+    check_delta(delta)
+    if constants.is_lower_bound and not allow_numeric:
+        raise OverrideRequiredError(
+            "numeric-estimate constants are lower bounds; pass allow_numeric=True "
+            "(CLI: --override-numeric-constants) to use them anyway"
+        )
+
+
 def assemble_bound(
     constants: ConstantsReport,
     image_g: float,
@@ -325,18 +339,9 @@ def assemble_bound(
     *,
     allow_numeric: bool = False,
 ) -> float:
-    """B = c (L + M) image_g + L sqrt(n ln(1/delta) / 2).
-
-    Numeric-estimate constants are refused without ``allow_numeric``: they
-    are lower bounds on the true (L, M) and would silently weaken the bound.
-    """
-    check_c(c)
-    check_delta(delta)
-    if constants.is_lower_bound and not allow_numeric:
-        raise OverrideRequiredError(
-            "numeric-estimate constants are lower bounds; pass allow_numeric=True "
-            "(CLI: --override-numeric-constants) to use them anyway"
-        )
+    """B = c (L + M) image_g + L sqrt(n ln(1/delta) / 2), once
+    ``check_bound_inputs`` accepts its inputs."""
+    check_bound_inputs(constants, c, delta, allow_numeric)
     return c * (constants.lipschitz + constants.mixed) * image_g + tail_term(constants, delta, n)
 
 
@@ -428,8 +433,9 @@ def deviation_experiment(
     estimates the Gaussian average of the class image at that sample; the
     image average across replications estimates E_X G(F(X)) on the same
     draws the deviations use. Replication r derives its streams from
-    (seed, tag, r).
+    (seed, tag, r). The bound's inputs are checked before any replication.
     """
+    check_bound_inputs(constants, c, delta, allow_numeric_constants)
 
     def gaussian(images: np.ndarray, part: slice) -> np.ndarray:
         rngs = [stream(seed, "deviation/g", r) for r in range(part.start, part.stop)]
@@ -636,8 +642,16 @@ def squared_swing_sum(
 
 
 def threshold_grid(grid, name: str) -> np.ndarray:
-    """``grid`` as a float vector, refused unless non-empty, finite and
-    nonnegative."""
+    """``grid``, a vector or a ``{min, max, count}`` range of evenly spaced
+    thresholds, as a float vector, refused unless non-empty, finite and
+    nonnegative. A range of more than ENUM_CAP thresholds is refused before
+    it is built."""
+    if isinstance(grid, dict):
+        count = grid["count"]
+        if count > ENUM_CAP:
+            raise ResourceError(f"{name} count exceeds the enumeration cap {ENUM_CAP}")
+        # A count below 1 gives the empty grid, refused below.
+        grid = np.linspace(float(grid["min"]), float(grid["max"]), max(count, 0))
     t = np.asarray(grid, dtype=np.float64)
     if t.ndim != 1 or t.size == 0:
         raise DomainError(f"{name} must be a non-empty vector")

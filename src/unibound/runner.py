@@ -93,7 +93,8 @@ class _Run:
     def __init__(self, exp: Experiment):
         self.exp = exp
         self.seconds: dict[str, float] = {}
-        self.summary = [f"unibound {__version__}  kind={exp.kind}  seed={exp.seed}  n={exp.n}"]
+        kind, seed = exp.settings["kind"], exp.settings["seed"]
+        self.summary = [f"unibound {__version__}  kind={kind}  seed={seed}  n={exp.n}"]
 
     def timed(self, name, fn, *args, **kwargs):
         start = time.perf_counter()
@@ -105,12 +106,13 @@ class _Run:
     def constants(self):
         """(L, M) along the configured route, timed as ``constants``."""
         exp = self.exp
-        if exp.constants_route == CLOSED_FORM:
+        settings = exp.settings["constants"]
+        if settings["route"] == CLOSED_FORM:
             return self.timed("constants", closed_form_constants, exp.stat)
-        if exp.constants_route == DERIVED_BOUND:
+        if settings["route"] == DERIVED_BOUND:
             return self.timed("constants", u_statistic_constant_bounds, exp.n, exp.kernel)
-        return self.timed("constants", estimate_constants_numeric, exp.stat, exp.constants_probes,
-                          exp.constants_fd_step, stream(exp.seed, "constants"))
+        return self.timed("constants", estimate_constants_numeric, exp.stat, settings["probes"],
+                          settings["fd_step"], stream(exp.settings["seed"], "constants"))
 
 
 # Each stage takes the run and returns (results, (header, rows), ok).
@@ -118,10 +120,10 @@ class _Run:
 def _run_complexity(run: _Run):
     """R and G of one sample's class image; the comparison estimates each
     once, and a Monte Carlo R is drawn on its own only when its R is exact."""
-    exp, summary = run.exp, run.summary
-    x = sample(exp.law, stream(exp.seed, "complexity/x"))
+    exp, s, summary = run.exp, run.exp.settings, run.summary
+    x = sample(exp.law, stream(s["seed"], "complexity/x"))
     image = exp.fc.image_matrix(x)
-    comparison = run.timed("comparison", comparison_report, image, exp.draws, exp.seed)
+    comparison = run.timed("comparison", comparison_report, image, s["draws"], s["seed"])
     gauss = comparison.gaussian
     results: dict = {"gaussian_mc": gauss, "comparison": comparison}
     rows: list[tuple] = []
@@ -131,8 +133,8 @@ def _run_complexity(run: _Run):
         results["rademacher_exact"] = mc
         rows.append(("rademacher", "exact", mc.value, "", ""))
         summary.append(f"rademacher exact           {mc.value!r}")
-        mc = run.timed("rademacher-mc", rademacher_mc, image, exp.draws,
-                       stream(exp.seed, "complexity/r"))
+        mc = run.timed("rademacher-mc", rademacher_mc, image, s["draws"],
+                       stream(s["seed"], "complexity/r"))
     results["rademacher_mc"] = mc
     rows.append(("rademacher", "monte-carlo", mc.value, mc.draws, mc.stderr))
     rows.append(("gaussian", "monte-carlo", gauss.value, gauss.draws, gauss.stderr))
@@ -159,20 +161,20 @@ def _run_constants(run: _Run):
 
 
 def _run_deviation(run: _Run):
-    exp, summary, constants = run.exp, run.summary, run.constants
+    exp, s, summary, constants = run.exp, run.exp.settings, run.summary, run.constants
     report = run.timed(
         "deviation-experiment", deviation_experiment,
-        exp.law, exp.fc, exp.stat, constants, exp.c, exp.delta, exp.replications, exp.seed,
-        gaussian_draws=exp.gaussian_draws,
-        oracle_method=exp.oracle_method,
-        oracle_replicas=exp.oracle_replicas,
-        allow_numeric_constants=exp.override_numeric_constants,
+        exp.law, exp.fc, exp.stat, constants, s["c"], s["delta"], s["replications"], s["seed"],
+        gaussian_draws=s["gaussian_draws"],
+        oracle_method=s["oracle"]["method"],
+        oracle_replicas=s["oracle"]["replicas"],
+        allow_numeric_constants=s["override_numeric_constants"],
     )
     header = ["replication", "deviation", "argmax", "image_gaussian", "exceeds_bound"]
     rows = [
         (r, report.dev_samples[r], report.argmax_labels[r], report.image_g_samples[r],
          bool(report.dev_samples[r] > report.bound))
-        for r in range(exp.replications)
+        for r in range(s["replications"])
     ]
     oracle = report.oracle
     largest = "" if oracle.stderrs is None else f" (largest stderr {float(oracle.stderrs.max())!r})"
@@ -182,21 +184,21 @@ def _run_deviation(run: _Run):
     summary.append(f"assembled bound            {report.bound!r} (tail {report.tail!r})")
     summary.append(f"empirical constant c_hat   {report.c_hat!r}")
     summary.append(
-        f"coverage at delta={exp.delta}    rate {report.violation_rate!r} "
+        f"coverage at delta={s['delta']}    rate {report.violation_rate!r} "
         f"(allowance {report.violation_allowance!r}) -> {'ok' if report.coverage_ok else 'VIOLATED'}"
     )
     return {"deviation": report}, (header, rows), report.coverage_ok
 
 
 def _run_tail(run: _Run):
-    exp, summary = run.exp, run.summary
-    member = exp.fc.members[0 if exp.member is None else exp.fc.labels.index(exp.member)]
+    exp, s, summary = run.exp, run.exp.settings, run.summary
+    member = exp.fc.members[0 if s["member"] is None else exp.fc.labels.index(s["member"])]
     swing = run.timed("swing", squared_swing_sum, exp.stat, member, exp.law.space,
-                      seed=stream(exp.seed, "tail/swing"))
+                      seed=stream(s["seed"], "tail/swing"))
     report = run.timed(
         "tail-simulation", bounded_difference_tail,
-        exp.law, exp.stat, member, exp.t_grid, exp.tail_replicas, exp.seed,
-        oracle_method=exp.oracle_method, oracle_replicas=exp.oracle_replicas, swing=swing,
+        exp.law, exp.stat, member, s["t_grid"], s["tail_replicas"], s["seed"],
+        oracle_method=s["oracle"]["method"], oracle_replicas=s["oracle"]["replicas"], swing=swing,
     )
     header = ["t", "empirical", "bound", "stderr", "violation"]
     rows = [
@@ -215,21 +217,21 @@ def _run_tail(run: _Run):
 
 
 def _run_probe(run: _Run):
-    exp, summary, constants = run.exp, run.summary, run.constants
-    x = sample(exp.law, stream(exp.seed, "probe/x", 0))
-    x_alt = sample(exp.law, stream(exp.seed, "probe/x", 1))
-    rng = stream(exp.seed, "probe/pairs")
+    exp, s, summary, constants = run.exp, run.exp.settings, run.summary, run.constants
+    x = sample(exp.law, stream(s["seed"], "probe/x", 0))
+    x_alt = sample(exp.law, stream(s["seed"], "probe/x", 1))
+    rng = stream(s["seed"], "probe/pairs")
     count = len(exp.fc)
 
     def run_probes():
         out = []
-        for j in range(exp.probe_pairs):
+        for j in range(s["probe_pairs"]):
             i1, i2 = rng.choice(count, size=2, replace=False)
             f, g = exp.fc.members[int(i1)], exp.fc.members[int(i2)]
             out.append(
                 swap_process_probe(
-                    x, x_alt, f, g, exp.stat, constants, exp.s_grid, exp.draws,
-                    stream(exp.seed, "probe/sigma", j),
+                    x, x_alt, f, g, exp.stat, constants, s["s_grid"], s["draws"],
+                    stream(s["seed"], "probe/sigma", j),
                 )
             )
         return out
@@ -279,6 +281,7 @@ def run_experiment(raw: dict, *, out_dir=None, seed=None, override=None):
     if override:
         raw["override_numeric_constants"] = True
     exp = resolve(raw)
+    kind = exp.settings["kind"]
 
     run = _Run(exp)
     results: dict = {}
@@ -292,7 +295,7 @@ def run_experiment(raw: dict, *, out_dir=None, seed=None, override=None):
         results.update(stage_results)
         ok = ok and stage_ok
     # A run writes the table of the last stage its kind always runs.
-    header, rows = tables[KINDS[exp.kind][0][-1]]
+    header, rows = tables[KINDS[kind][0][-1]]
 
     record = {
         "artifact_version": __version__,
@@ -302,14 +305,14 @@ def run_experiment(raw: dict, *, out_dir=None, seed=None, override=None):
             "numpy": np.__version__,
             "scipy": scipy.__version__,
         },
-        "kind": exp.kind,
+        "kind": kind,
         "config": exp.echo,
         "results": _jsonable(results),
         "wall_clock": run.seconds,
     }
-    out_path = Path(exp.out)
+    out_path = Path(exp.settings["out"])
     out_path.mkdir(parents=True, exist_ok=True)
-    with open(out_path / f"result.{exp.kind}.json", "w", encoding="utf-8") as handle:
+    with open(out_path / f"result.{kind}.json", "w", encoding="utf-8") as handle:
         json.dump(record, handle, indent=2, sort_keys=True)
         handle.write("\n")
     _write_table(out_path / "table.csv", header, rows)

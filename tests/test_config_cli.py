@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import platform
 import time
@@ -10,7 +11,7 @@ import yaml
 
 from unibound import complexity, runner
 from unibound.cli import main
-from unibound.config import KINDS, STAGES, resolve, validate_config
+from unibound.config import KINDS, SCHEMA, STAGES, Experiment, resolve, validate_config
 from unibound.errors import ConfigError
 from unibound.runner import EXIT_CONFIG, EXIT_IO, EXIT_OK, run_experiment
 
@@ -108,8 +109,8 @@ def test_u_statistic_subsets_at_the_enumeration_cap(tmp_path):
 
 @pytest.mark.parametrize("n", [1415, 4472])
 def test_u_statistic_past_the_enumeration_cap_is_refused(tmp_path, capsys, n):
-    # Refused as a config error before any subset table is built: building
-    # one would raise a resource error (exit 3) instead.
+    # Refused as a config error before any subset table is built, by the
+    # check that building one runs.
     cfg = squared_difference_config(tmp_path / "out", n)
     message = f"statistic.kernel.order: C({n},2) subsets exceed the enumeration cap 1000000"
     assert validate_config(cfg) == [message]
@@ -138,6 +139,28 @@ def test_u_statistic_far_past_the_enumeration_cap_is_refused_at_once(tmp_path, c
                                        "exceed the enumeration cap 1000000\n")
 
 
+@pytest.mark.parametrize("count", [10**9, 10**20])
+@pytest.mark.parametrize("changes, message", [
+    (lambda count: {"t_grid": {"min": 0.0, "max": 1.0, "count": count}},
+     "t_grid: t_grid count exceeds the enumeration cap 1000000"),
+    (lambda count: {"class": {"random_lookup": {"count": count}}},
+     "class.random_lookup: count x 2 table entries exceed the enumeration cap 1000000"),
+], ids=["t_grid", "random_lookup"])
+def test_a_count_past_the_enumeration_cap_is_refused_before_it_allocates(
+        tmp_path, capsys, count, changes, message):
+    # Refused before the grid or the class table is allocated: at 10**20 numpy
+    # refuses the allocation itself, and at 10**9 it would take gigabytes.
+    cfg = full_report_config(tmp_path / "out", **changes(count))
+    path = tmp_path / "cfg.yaml"
+    write_config(path, cfg)
+    start = time.perf_counter()
+    assert main(["validate", str(path)]) == EXIT_CONFIG
+    assert main(["run", str(path)]) == EXIT_CONFIG
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr() == (f"violation: {message}\n", f"config error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("n, refused", [(1414, False), (1415, True)])
 def test_numeric_route_pairs_at_the_enumeration_cap(tmp_path, n, refused):
     # The finite-difference Hessian enumerates C(n, 2) coordinate pairs per
@@ -163,6 +186,19 @@ def test_group_sizes_must_sum_to_n(tmp_path):
     assert any("group_sizes" in v for v in validate_config(cfg))
     cfg["statistic"]["group_sizes"] = [3, 5]
     assert validate_config(cfg) == []
+
+
+def test_the_experiment_carries_the_normalised_settings_once(tmp_path):
+    # Only what is not a key is a field of its own; every key reaches the
+    # runner through ``settings``, nested as in the document, defaults filled in.
+    assert [f.name for f in dataclasses.fields(Experiment)] == [
+        "n", "law", "fc", "stat", "kernel", "stages", "settings", "echo"]
+    exp = resolve(full_report_config(tmp_path))
+    assert set(exp.settings) == {f.key for f in SCHEMA.sections[""]}
+    assert exp.settings["oracle"] == {"method": "auto", "replicas": 100_000}
+    assert exp.settings["constants"] == {"route": "closed-form", "probes": 200, "fd_step": 1e-4}
+    assert exp.settings["t_grid"] == {"min": 0.0, "max": 0.4, "count": 8}
+    assert exp.settings["n"] == exp.n == 12
 
 
 def test_resolve_rejects_invalid():

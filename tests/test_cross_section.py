@@ -137,6 +137,12 @@ CASES = {
     "member-value": (
         {"class": {"members": [{"type": "constant", "label": "a", "value": 1.5}]}},
         "class.members[0]: member 'a' leaves [0, 1]"),
+    "t-grid-cap": (
+        {"t_grid": {"min": 0.0, "max": 1.0, "count": 10**20}},
+        "t_grid: t_grid count exceeds the enumeration cap 1000000"),
+    "lookup-cap": (
+        {"class": {"random_lookup": {"count": 10**20}}},
+        "class.random_lookup: count x 2 table entries exceed the enumeration cap 1000000"),
 }
 
 
@@ -212,6 +218,8 @@ LIBRARY = {
         BITS_LAW, VARIANCE, LOOKUPS.members[0], [0.1, -0.1], 100, 7)),
     "s-grid-range": ("s_grid", lambda: threshold_grid(np.linspace(-0.5, 0.5, 3), "s_grid")),
     "member-value": ("class.members[0]", lambda: cls.constant_member("a", 1.5)),
+    "t-grid-cap": ("t_grid", lambda: threshold_grid({"min": 0.0, "max": 1.0, "count": 10**20}, "t_grid")),
+    "lookup-cap": ("class.random_lookup", lambda: cls.random_lookup_class(BITS_SPACE, 10**20, 0)),
 }
 
 

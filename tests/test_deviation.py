@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -589,6 +590,26 @@ def test_bound_refuses_a_non_finite_c(c):
     with pytest.raises(DomainError, match="c must be a finite positive number"):
         deviation_experiment(bit_law(4), fc, stat, closed_form_constants(stat), c, 0.1, 100, 1,
                              gaussian_draws=100)
+
+
+@pytest.mark.parametrize("c, delta, method, refusal", [
+    (math.nan, 0.1, "closed-form", DomainError),
+    (1.0, 1.5, "closed-form", DomainError),
+    (1.0, 0.1, "numeric-estimate", OverrideRequiredError),
+])
+def test_deviation_experiment_refuses_before_any_work(monkeypatch, c, delta, method, refusal):
+    # Each refusal of the bound's inputs comes before the oracle and the
+    # replications, and is the refusal ``assemble_bound`` makes.
+    def oracle(*args, **kwargs):
+        raise AssertionError("the oracle ran before the bound's inputs were checked")
+
+    monkeypatch.setattr(deviation, "expectation_oracle", oracle)
+    constants = ConstantsReport(0.1, 0.0, method)
+    with pytest.raises(refusal) as assembled:
+        assemble_bound(constants, 1.0, c, delta, 4)
+    with pytest.raises(refusal, match=re.escape(str(assembled.value))):
+        deviation_experiment(bit_law(4), random_lookup_class(BITS, 2, 5), mean_statistic(4),
+                             constants, c, delta, 100, 1, gaussian_draws=100)
 
 
 def test_bound_monotonicity():
