@@ -27,10 +27,11 @@ _INTERVAL_GRID = 1000
 
 @dataclass(frozen=True, eq=False)
 class LookupMember:
-    """Table of one value in [0, 1] per support point of a finite space."""
+    """Table of one value in [0, 1] per support point of a finite space: a
+    tuple, or a read-only row of a drawn table."""
 
     label: str
-    table: tuple[float, ...]
+    table: tuple[float, ...] | np.ndarray
 
     def on_support(self, space: SampleSpace) -> np.ndarray:
         if len(self.table) != space.size:
@@ -85,16 +86,19 @@ def lookup_member(label: str, space: SampleSpace, mapping: dict) -> LookupMember
     return LookupMember(label, tuple(float(mapping[lab]) for lab in space.labels))
 
 
-def _check_unit(label: str, values, where: str) -> None:
-    """Refuse member values outside [0, 1], NaN included."""
-    if not np.all((values >= 0.0) & (values <= 1.0)):
-        raise DomainError(f"member {label!r} leaves [0, 1]{where}")
+def _check_unit(labels, values: np.ndarray, where: str) -> None:
+    """Refuse member values outside [0, 1], NaN included: row k of
+    ``values`` holds member labels[k]'s, and the first row that leaves
+    names its member."""
+    inside = np.all((values >= 0.0) & (values <= 1.0), axis=-1)
+    if not np.all(inside):
+        raise DomainError(f"member {labels[int(np.argmin(inside))]!r} leaves [0, 1]{where}")
 
 
 def constant_member(label: str, value: float) -> AffineClippedMember:
     """The member equal to ``value`` everywhere; a value outside [0, 1] is
     refused, not clipped."""
-    _check_unit(label, float(value), "")
+    _check_unit((label,), np.array([float(value)]), "")
     return AffineClippedMember(label, 0.0, float(value))
 
 
@@ -117,11 +121,8 @@ class FunctionClass:
         object.__setattr__(self, "labels", _member_labels(self.members))
         # Range check: exhaustive on finite supports, on a grid for the interval.
         if self.space.kind == FINITE:
-            rows = []
-            for m in self.members:
-                rows.append(m.on_support(self.space))
-                _check_unit(m.label, rows[-1], " on the support")
-            support = np.stack(rows)
+            support = np.stack([m.on_support(self.space) for m in self.members])
+            _check_unit(self.labels, support, " on the support")
             support.flags.writeable = False
             object.__setattr__(self, "_support", support)
         else:
@@ -129,7 +130,7 @@ class FunctionClass:
             for m in self.members:
                 if isinstance(m, LookupMember):
                     raise DomainError("lookup members exist only on finite spaces")
-                _check_unit(m.label, m.apply(grid), " on the grid")
+                _check_unit((m.label,), m.apply(grid), " on the grid")
 
     def __len__(self) -> int:
         return len(self.members)
@@ -193,7 +194,7 @@ def random_lookup_class(space: SampleSpace, count: int, seed) -> FunctionClass:
         raise ResourceError(f"count x {space.size} table entries exceed the enumeration cap {ENUM_CAP}")
     rng = as_stream(seed, "random-lookup-class")
     tables = rng.random((count, space.size))
+    tables.flags.writeable = False
     width = max(2, len(str(count - 1)))
-    members = tuple(LookupMember(f"f{j:0{width}d}", tuple(float(v) for v in row))
-                    for j, row in enumerate(tables))
+    members = tuple(LookupMember(f"f{j:0{width}d}", row) for j, row in enumerate(tables))
     return FunctionClass(space, members)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ResourceError
-from .functionals import ENUM_CAP, batches
+from .functionals import ENUM_CAP, batches, check_count
 from .rng import as_stream, rademacher_signs, standard_normals
 
 EXACT = "exact"
@@ -45,9 +45,11 @@ MIN_DRAWS = 100
 
 
 def check_draws(count: int, name: str) -> None:
-    """Refuse a Monte Carlo estimate from fewer than MIN_DRAWS draws."""
+    """Refuse a Monte Carlo estimate from fewer than MIN_DRAWS draws, or from
+    more than an array can hold."""
     if count < MIN_DRAWS:
         raise DomainError(f"{name} must be >= {MIN_DRAWS}")
+    check_count(count, name)
 
 
 @dataclass(frozen=True, eq=False)

@@ -68,7 +68,9 @@ def load_config(path) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             raw = yaml.safe_load(handle)
-        except (yaml.YAMLError, UnicodeDecodeError) as exc:
+        # ValueError covers undecodable bytes and an integer past Python's
+        # digit limit; RecursionError, a value nested too deep to parse.
+        except (yaml.YAMLError, ValueError, RecursionError) as exc:
             raise ConfigError(f"unparseable configuration: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("configuration must be a key-value document")

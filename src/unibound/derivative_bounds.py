@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError, ResourceError, UnsupportedStatisticError
-from .functionals import ENUM_CAP, Kernel, Statistic, batches
+from .functionals import ENUM_CAP, Kernel, Statistic, batches, check_count
 from .rng import as_stream
 
 # The routes a configuration names; a numeric estimate reports NUMERIC_ESTIMATE.
@@ -151,9 +151,11 @@ def fd_hessian(stat: Statistic, point: np.ndarray, step: float = DEFAULT_FD_STEP
 
 
 def check_probes(probes: int) -> None:
-    """Refuse a numeric estimate from no probe points."""
+    """Refuse a numeric estimate from no probe points, or from more than an
+    array can hold."""
     if probes < 1:
         raise DomainError("probes must be >= 1")
+    check_count(probes, "probes")
 
 
 def check_fd_step(fd_step: float) -> None:

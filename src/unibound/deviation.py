@@ -59,7 +59,7 @@ from .complexity import (EXACT, GAUSSIAN, MONTE_CARLO, ComplexityEstimate, check
                          rademacher_average)
 from .derivative_bounds import ConstantsReport
 from .errors import DomainError, OverrideRequiredError, ResourceError
-from .functionals import ENUM_CAP, Statistic, batches, mean_statistic
+from .functionals import ENUM_CAP, Statistic, batches, lattice_indices, mean_statistic
 from .rng import as_stream, stream
 from .spaces import (
     FINITE,
@@ -102,17 +102,6 @@ class ExpectationOracle:
     replicas: int | None = None
 
 
-def _lattice_indices(part: slice, n: int, size: int) -> np.ndarray:
-    # Mixed-radix decomposition of the flat lattice codes in ``part`` into
-    # per-coordinate support indices, most significant coordinate first.
-    rem = np.arange(part.start, part.stop, dtype=np.int64)
-    idx = np.empty((rem.shape[0], n), dtype=np.int64)
-    for pos in range(n - 1, -1, -1):
-        idx[:, pos] = rem % size
-        rem //= size
-    return idx
-
-
 def lattice_points(space: SampleSpace, n: int) -> int:
     """The support^n points of the lattice of ``space``, refused on the
     interval and past ENUM_CAP. Any support of two or more points passes the
@@ -138,7 +127,7 @@ def _counted(space: SampleSpace, stat: Statistic) -> bool:
     ``u_statistic`` keeps under ENUM_CAP, so its count form never refuses."""
     return (
         space.kind == FINITE and stat.count_form is not None
-        and stat.count_row_bytes(space.size) <= stat.row_bytes
+        and stat.count_row_bytes(space.size) <= stat.eval_bytes
     )
 
 
@@ -246,7 +235,7 @@ def expectation_oracle(
         values = np.zeros(len(fc))
         # A point costs its index, weight and image rows of n values.
         for part in batches(points, 3 * 8 * n):
-            idx = _lattice_indices(part, n, law.space.size)
+            idx = lattice_indices(part, n, law.space.size)
             w = np.multiply.reduce(weights[np.arange(n)[None, :], idx], axis=1)
             # A member costs its row of Phi and that row weighted. Each
             # member sums its own contiguous row in numpy, not in a BLAS dot,
@@ -630,14 +619,16 @@ def squared_swing_sum(
         rng = as_stream(seed, "swing-sup")
         idx = rng.integers(0, size, size=(SWING_SAMPLES, n))
         return SwingReport(at_point, float(_swing_at_indices(stat, single, idx).max()), False)
-    phi_flat = np.empty(points)
+    phi = np.empty(points)
     for part in batches(points, 2 * 8 * n):    # index and image rows
-        phi_flat[part] = _phis_at(stat, single, _lattice_indices(part, n, size))[0]
-    lattice = phi_flat.reshape((size,) * n)
-    acc = np.zeros((size,) * n)
+        phi[part] = _phis_at(stat, single, lattice_indices(part, n, size))[0]
+    # Coordinate k is the middle axis of the (size^k, size, -1) view of the
+    # flat lattice; the swings add in coordinate order.
+    acc = np.zeros(points)
     for k in range(n):
-        swing = lattice.max(axis=k) - lattice.min(axis=k)
-        acc += np.expand_dims(swing * swing, axis=k)
+        lattice, total = phi.reshape(size**k, size, -1), acc.reshape(size**k, size, -1)
+        swing = lattice.max(axis=1) - lattice.min(axis=1)
+        total += (swing * swing)[:, None]
     return SwingReport(at_point, float(acc.max()), True)
 
 

@@ -58,6 +58,9 @@ ENUM_CAP = 1_000_000
 # largest being C(22, 11) x 11 = 7 759 752; past n / 2 the subsets stay few
 # while each grows to m indices.
 SUBSET_TABLE_CAP = 8 * ENUM_CAP
+# The largest count numpy can size an array by: a count of points, draws or
+# coordinates past it is refused, whatever the byte budget.
+MAX_COUNT = int(np.iinfo(np.intp).max)
 # C(n, m) >= C(2k, k) for k = min(m, n - m), and C(2k, k) passes ENUM_CAP
 # from this k on (C(24, 12)): such subsets are refused without their count.
 _CENTRAL_PAST_CAP = next(k for k in itertools.count() if math.comb(2 * k, k) > ENUM_CAP)
@@ -79,6 +82,24 @@ def batches(count: int, row_bytes: int):
     return (slice(start, min(start + step, count)) for start in range(0, count, step))
 
 
+def check_count(count: int, name: str) -> None:
+    """Refuse a count past MAX_COUNT, which no array can hold."""
+    if count > MAX_COUNT:
+        raise ResourceError(f"{name} exceeds the largest array count {MAX_COUNT}")
+
+
+def lattice_indices(part: slice, k: int, size: int) -> np.ndarray:
+    """The (rows, k) support indices of the flat support^k lattice codes in
+    ``part``: code c lists its k digits in base ``size``, most significant
+    coordinate first. Every support^k lattice is a flat array in this order."""
+    rem = np.arange(part.start, part.stop, dtype=np.int64)
+    idx = np.empty((rem.shape[0], k), dtype=np.int64)
+    for pos in range(k - 1, -1, -1):
+        idx[:, pos] = rem % size
+        rem //= size
+    return idx
+
+
 @dataclass(frozen=True, eq=False)
 class Statistic:
     """An evaluable statistic with optional closed-form (L, M) and expectation.
@@ -89,18 +110,17 @@ class Statistic:
         None. Row k of ``support`` holds member k's values on the s support
         points and row i of ``weights`` the law of coordinate i; the result
         is E Phi(f_k(X)) for X with independent coordinates.
-    row_bytes : bytes one row of values costs ``evaluate``, the cost a row
-        of counts is weighed against; n doubles when not given.
     eval_bytes : bytes ``evaluate`` holds at once per row, its temporaries
-        included; ``row_bytes`` when not given. Calling the statistic
-        evaluates batches of rows that fit BATCH_BYTES at this cost.
+        included; n doubles when not given. Calling the statistic evaluates
+        batches of rows that fit BATCH_BYTES at this cost, and a row of
+        counts is weighed against it.
     count_form : map (support (K, s), counts (rows, s)) -> (K, rows), or
         None. Row r of ``counts`` holds how many coordinates of a point take
         each support value; entry (k, r) is Phi(f_k(x)) for that point, so
         each member's values form one contiguous row. Only
         coordinate-symmetric statistics carry one.
     count_row_bytes : map s -> bytes one row of counts costs ``count_form``
-        per member on s support points, in the units of ``row_bytes``; set
+        per member on s support points, in the units of ``eval_bytes``; set
         with ``count_form``. Counting pays only where it is no larger.
     """
 
@@ -109,16 +129,13 @@ class Statistic:
     evaluate: Callable[[np.ndarray], np.ndarray]
     closed_form_constants: tuple[float, float] | None = None
     product_expectation: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    row_bytes: int | None = None
     eval_bytes: int | None = None
     count_form: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     count_row_bytes: Callable[[int], int] | None = None
 
     def __post_init__(self):
-        if self.row_bytes is None:
-            object.__setattr__(self, "row_bytes", 8 * self.n)
         if self.eval_bytes is None:
-            object.__setattr__(self, "eval_bytes", self.row_bytes)
+            object.__setattr__(self, "eval_bytes", 8 * self.n)
 
     def __call__(self, s) -> np.ndarray:
         arr = np.asarray(s, dtype=np.float64)
@@ -371,21 +388,20 @@ def u_statistic(n: int, kernel: Kernel) -> Statistic:
             raise ResourceError(
                 f"support^{m} = {tuples} kernel tuples exceed the enumeration cap {ENUM_CAP}"
             )
-        # chains[r][t] sums prod_j weights[i_j, t_j] over index chains
-        # i_1 < ... < i_r among the coordinates seen so far; descending r
-        # uses each coordinate at most once per chain.
-        chains = [np.ones(())] + [np.zeros((size,) * r) for r in range(1, m + 1)]
+        # chains[r][t], t a flat support^r code, sums prod_j weights[i_j, t_j]
+        # over index chains i_1 < ... < i_r among the coordinates seen so far;
+        # descending r uses each coordinate at most once per chain.
+        chains = [np.ones(1)] + [np.zeros(size**r) for r in range(1, m + 1)]
         for w in weights:
             for r in range(m, 0, -1):
-                chains[r] += np.multiply.outer(chains[r - 1], w)
-        tuple_weights = chains[m].ravel()
-        grid = np.stack(np.unravel_index(np.arange(tuples), (size,) * m), axis=1)    # (tuples, m)
+                chains[r] += np.multiply.outer(chains[r - 1], w).ravel()
+        grid = lattice_indices(slice(0, tuples), m, size)    # (tuples, m)
         out = np.empty(support.shape[0])
         # A numpy sum, not a BLAS gemv, so the value does not depend on the
         # BLAS thread count; a row holds the gather, the kernel values and
         # their weighted terms.
         for part in batches(support.shape[0], tuples * (m + 2) * 8):
-            out[part] = np.sum(kernel.fn(support[part][:, grid]) * tuple_weights, axis=1)
+            out[part] = np.sum(kernel.fn(support[part][:, grid]) * chains[m], axis=1)
         return out / count
 
     # binomials()[a, c] = C(c, a): the m-subsets of a point that take a given
@@ -462,14 +478,14 @@ def u_statistic(n: int, kernel: Kernel) -> Statistic:
             out = np.cumsum(terms, axis=1)[:, -1]
         return out / count
 
-    # A row of values costs its subset gather; evaluating it also holds the
-    # kernel's values and temporaries, at most three C(n, m) arrays at once
-    # for the built-in kernels (smoothed-min: -b s, -b t and their logaddexp).
+    # A row of values holds its subset gather, the kernel's values and their
+    # temporaries, at most three C(n, m) arrays at once for the built-in
+    # kernels (smoothed-min: -b s, -b t and their logaddexp); a row of counts
+    # holds as much per support multiset.
     return Statistic(
         f"u-statistic[{kernel.name},m={m}]", n, evaluate,
-        product_expectation=product_expectation, row_bytes=count * m * 8,
-        eval_bytes=count * (m + 3) * 8,
-        count_form=count_form, count_row_bytes=lambda size: multisets(size) * m * 8,
+        product_expectation=product_expectation, eval_bytes=count * (m + 3) * 8,
+        count_form=count_form, count_row_bytes=lambda size: multisets(size) * (m + 3) * 8,
     )
 
 

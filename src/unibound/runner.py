@@ -10,8 +10,10 @@ Each run writes two files into the output directory:
 * ``table.csv``: a flat table, one row per replication or grid point, with
   full round-trip decimal formatting.
 
-Exit codes: 0 success, 2 configuration error, 3 resource cap, 4 an
-invariant check in the results was violated, 5 I/O error, 1 unexpected.
+Exit codes: 0 success, 2 configuration error (every resource cap a
+configuration can reach included), 3 a library ResourceError, which no
+configuration reaches, 4 an invariant check in the results was violated,
+5 I/O error, 1 unexpected.
 """
 
 from __future__ import annotations

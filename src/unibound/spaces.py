@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .functionals import batches
+from .functionals import batches, check_count
 from .rng import as_stream, open_uniforms
 
 FINITE = "finite"
@@ -151,9 +151,11 @@ def beta_family(a: float, b: float) -> CoordinateDistribution:
 
 
 def check_coordinates(n: int) -> None:
-    """Refuse a product law of fewer than two coordinates."""
+    """Refuse a product law of fewer than two coordinates, or of more than
+    an array can hold."""
     if n < 2:
         raise DomainError("a product law needs n >= 2 coordinates")
+    check_count(n, "n")
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from unibound.classes import (
     random_lookup_class,
 )
 from unibound.errors import DomainError
+from unibound.rng import as_stream
 from unibound.spaces import (
     draw_batch,
     finite_space,
@@ -195,3 +196,20 @@ def test_random_lookup_labels_pad_to_the_largest_index():
     assert random_lookup_class(FIVE, 3, 1).labels == ("f00", "f01", "f02")
     assert random_lookup_class(FIVE, 12, 1).labels[-3:] == ("f09", "f10", "f11")
     assert random_lookup_class(FIVE, 101, 1).labels[-2:] == ("f099", "f100")
+
+
+def test_random_lookup_members_hold_read_only_rows_of_the_drawn_table():
+    fc = random_lookup_class(FIVE, 4, 3)
+    table = as_stream(3, "random-lookup-class").random((4, 5))
+    assert np.array_equal(fc.support_matrix(), table)
+    for k, member in enumerate(fc.members):
+        assert np.array_equal(member.table, table[k])
+        with pytest.raises(ValueError):
+            member.table[0] = 0.5
+
+
+def test_the_range_check_names_the_first_member_that_leaves():
+    members = (LookupMember("a", (0.0, 1.0)), LookupMember("b", (0.5, float("nan"))),
+               LookupMember("c", (-1.0, 0.0)))
+    with pytest.raises(DomainError, match=r"^member 'b' leaves \[0, 1\] on the support$"):
+        FunctionClass(BITS, members)

@@ -467,6 +467,12 @@ BAD_FILES = {
     "unparseable": (b"kind: [deviate\n", EXIT_CONFIG, "config error: unparseable configuration: "),
     "not-utf-8": (b"\xffkind: deviate\n", EXIT_CONFIG, "config error: unparseable configuration: "),
     "list": (b"- kind\n- seed\n", EXIT_CONFIG, "config error: configuration must be a key-value"),
+    # Past Python's 4300-digit limit on converting a string to an integer.
+    "long-integer": (b"seed: " + b"7" * 5000 + b"\n", EXIT_CONFIG,
+                     "config error: unparseable configuration: "),
+    # Past the parser's recursion limit.
+    "deep-nesting": (b"seed: " + b"[" * 20_000 + b"]" * 20_000 + b"\n", EXIT_CONFIG,
+                     "config error: unparseable configuration: "),
 }
 
 
@@ -480,6 +486,42 @@ def test_cli_refuses_bad_files(tmp_path, capsys, command, bad):
     assert main([command, str(path)]) == code
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(message)
+
+
+ONE_POINT = {"space": {"kind": "finite", "support": [{"label": "a", "value": 0.5}]}}
+
+
+def _past_64_coordinates(case, out):
+    """Configurations on a one-point support past numpy's 64 array
+    dimensions: a tail at n = 65, a full report at n = 70, and an order-65
+    U-statistic at n = 66."""
+    if case == "tail":
+        cfg = yaml.safe_load((CONFIG_DIR / "tail_mean.yaml").read_text())
+        cfg.update(n=65, tail_replicas=200,
+                   **{"class": {"members": [{"type": "lookup", "label": "f", "table": {"a": 0.25}}]}})
+    elif case == "full-report":
+        cfg = full_report_config(out, n=70)
+    else:
+        cfg = small_deviate_config(out)
+        cfg.update(n=66, constants={"route": "derived-bound"},
+                   statistic={"name": "u-statistic", "kernel": {"name": "product", "order": 65}})
+    cfg.update(law=ONE_POINT, out=str(out))
+    return cfg
+
+
+@pytest.mark.parametrize("case", ["tail", "full-report", "u-statistic"])
+def test_one_point_lattices_past_64_coordinates_run(tmp_path, capsys, case):
+    # The support^n lattice of the exact swing sup and the support^65 kernel
+    # tuples of the analytic oracle are flat arrays of one point each.
+    path = tmp_path / "cfg.yaml"
+    write_config(path, _past_64_coordinates(case, tmp_path / "out"))
+    assert main(["run", str(path)]) == EXIT_OK
+    capsys.readouterr()
+    results = json.loads(next((tmp_path / "out").glob("result.*.json")).read_text())["results"]
+    if case == "u-statistic":
+        assert results["deviation"]["oracle"]["method"] == "analytic"
+    else:
+        assert (results["tail"]["swing_norm"], results["tail"]["swing_is_exact"]) == (0.0, True)
 
 
 def test_cli_run_and_rerun_byte_identical(tmp_path, capsys):

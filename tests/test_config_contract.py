@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from unibound.cli import main
 from unibound.config import resolve, validate_config
 from unibound.errors import ConfigError
-from unibound.functionals import SUBSET_TABLE_CAP
+from unibound.functionals import MAX_COUNT, SUBSET_TABLE_CAP
 from unibound.runner import EXIT_CONFIG
 from unibound.spaces import FAMILIES
 
@@ -25,6 +25,8 @@ from test_config_cli import small_deviate_config
 
 ROOT = Path(__file__).resolve().parent.parent
 BASES = {p.stem: yaml.safe_load(p.read_text()) for p in sorted(ROOT.glob("configs/*.yaml"))}
+WORKLOADS = {p.stem: yaml.safe_load(p.read_text()) for p in sorted(ROOT.glob("perfbench/workloads/*.yaml"))}
+SHIPPED = {**BASES, **WORKLOADS}
 BASES["small_deviate"] = small_deviate_config("results")
 
 # Replacements for a scalar: values of the wrong type, and values below or
@@ -89,6 +91,32 @@ def test_exact_oracle_cap_is_checked_at_once_at_huge_n(size):
     assert time.perf_counter() - start < 1.0
     assert refused == ([] if size == 1 else [
         "oracle.method: 2^1000000000000000000 lattice points exceed the enumeration cap 1000000"])
+
+
+# ---------------------------------------------------------------------------
+# a count past what an array can hold is refused up front
+
+@pytest.mark.parametrize("base, path, value", [
+    ("tail_mean", ("n",), 10**400),                # the mean's 1 / n overflows a float
+    ("deviate_variance", ("n",), 10**186),         # the variance's n (n - 1) does
+    ("deviate_mean", ("replications",), 10**20),
+    ("deviate_mean", ("gaussian_draws",), 10**20),
+    ("deviate_mean", ("oracle", "replicas"), 10**20),
+    ("constants_numeric_variance", ("constants", "probes"), 10**20),
+])
+def test_a_count_past_what_an_array_holds_is_refused_up_front(tmp_path, capsys, base, path, value):
+    cfg = copy.deepcopy(BASES[base])
+    cfg["out"] = str(tmp_path / "out")
+    cfg.setdefault(path[0], {})
+    section = cfg if len(path) == 1 else cfg[path[0]]
+    section[path[-1]] = value
+    message = f"{'.'.join(path)}: {path[-1]} exceeds the largest array count {MAX_COUNT}"
+    config_path = tmp_path / "cfg.yaml"
+    config_path.write_text(yaml.safe_dump(cfg))
+    assert main(["validate", str(config_path)]) == EXIT_CONFIG
+    assert main(["run", str(config_path)]) == EXIT_CONFIG
+    assert capsys.readouterr() == (f"violation: {message}\n", f"config error: {message}\n")
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -174,13 +202,11 @@ def test_every_family_resolves(name):
 # validate and resolve agree on mutated shipped configurations
 
 def _paths(node, prefix=()):
-    if isinstance(node, dict):
-        for key, value in node.items():
-            yield prefix + (key,)
-            yield from _paths(value, prefix + (key,))
-    elif isinstance(node, list):
-        for i, value in enumerate(node):
-            yield from _paths(value, prefix + (i,))
+    """Every key path and list position in a document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
 
 
 @st.composite
@@ -217,3 +243,25 @@ def test_validate_accepts_exactly_what_resolve_accepts(cfg):
     else:
         with pytest.raises(ConfigError):
             resolve(cfg)
+
+
+# Values put at each key path: integers past a float, past a float's square
+# and past int64, the edges of every range, non-finite and huge floats, and
+# each other type, nesting included.
+SUBSTITUTES = [10**400, 10**186, 10**20, 2**63, -1, 0, 1, 0.5, math.nan, math.inf, 1e308,
+               True, None, "x", "", [], {}, [1], {"a": 1}, [[[[[[1]]]]]]]
+
+
+def test_validate_never_raises_on_one_substituted_value():
+    # The 7 shipped configs and the 3 benchmark workloads, each with one
+    # value replaced, 6200 documents in all.
+    assert len(SHIPPED) == 10
+    for name, base in SHIPPED.items():
+        for path in _paths(base):
+            for value in SUBSTITUTES:
+                cfg = copy.deepcopy(base)
+                parent = cfg
+                for key in path[:-1]:
+                    parent = parent[key]
+                parent[path[-1]] = copy.deepcopy(value)
+                assert isinstance(validate_config(cfg), list), (name, path, value)

@@ -202,7 +202,7 @@ def test_oracle_count_path_matches_the_row_path(name, monkeypatch):
     fc = random_lookup_class(FIVE_POINTS, 6, 2)
     calls = []
     stat = _spied(STATISTICS[name](n), calls)
-    opaque = Statistic(f"opaque-{name}", n, stat.evaluate, row_bytes=stat.row_bytes)
+    opaque = Statistic(f"opaque-{name}", n, stat.evaluate, eval_bytes=stat.eval_bytes)
     typed = []
     count_types = deviation._count_types
     monkeypatch.setattr(deviation, "_count_types",
@@ -247,13 +247,29 @@ def test_oracle_takes_the_row_path_where_counting_costs_more(name, size, n):
     fc = random_lookup_class(space, 2, 4)
     calls = []
     stat = _spied(STATISTICS[name](n), calls)
-    opaque = Statistic("opaque", n, stat.evaluate, row_bytes=stat.row_bytes)
+    opaque = Statistic("opaque", n, stat.evaluate, eval_bytes=stat.eval_bytes)
     oracle, rows = (
         expectation_oracle(law, fc, s, "monte-carlo", replicas=500, seed=2) for s in (stat, opaque)
     )
     assert calls == []
     assert np.array_equal(oracle.values, rows.values)
     assert np.array_equal(oracle.stderrs, rows.stderrs)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_counting_is_chosen_where_a_row_of_counts_costs_no_more(order):
+    # A row of counts costs the mean and the variance s doubles against n,
+    # and a U-statistic (m + 3) doubles per support multiset against as many
+    # per subset.
+    for s in (1, 2, 3, 5, 8, 13, 40):
+        space = finite_space([(str(j), j / max(s - 1, 1)) for j in range(s)])
+        for n in (3, 4, 5, 8, 12, 13, 40):
+            for stat in (mean_statistic(n), sample_variance_statistic(n)):
+                assert deviation._counted(space, stat) == (s <= n)
+            stat = u_statistic(n, product_kernel(order))
+            multisets, subsets = math.comb(s + order - 1, order), math.comb(n, order)
+            assert deviation._counted(space, stat) == (multisets <= subsets), (s, n)
+    assert not deviation._counted(interval_space(), mean_statistic(4))
 
 
 def test_oracle_row_path_images_one_batch_of_draws():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 import tracemalloc
@@ -233,8 +234,21 @@ def test_u_statistic_subsets_stop_at_the_enumeration_cap():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert stat.row_bytes == math.comb(1414, 2) * 2 * 8
+    assert stat.eval_bytes == math.comb(1414, 2) * 5 * 8
     assert peak < 32 * 2**20
+
+
+def test_a_statistic_states_one_row_cost():
+    # eval_bytes batches the statistic's rows and is what a row of counts is
+    # weighed against; it is n doubles unless given.
+    names = [f.name for f in dataclasses.fields(functionals.Statistic) if f.name.endswith("bytes")]
+    assert names == ["eval_bytes", "count_row_bytes"]
+    assert functionals.mean_statistic(7).eval_bytes == 7 * 8
+
+
+def test_lattice_indices_list_each_code_in_base_size_most_significant_first():
+    idx = functionals.lattice_indices(slice(5, 27), 3, 3)
+    assert np.array_equal(idx, np.stack(np.unravel_index(np.arange(5, 27), (3, 3, 3)), axis=1))
 
 
 def test_u_statistic_batches_hold_what_evaluating_them_allocates():
@@ -242,7 +256,7 @@ def test_u_statistic_batches_hold_what_evaluating_them_allocates():
     # temporaries, 5 x 120 doubles; batched by the gather alone, a batch
     # held about 2.5 times BATCH_BYTES.
     stat = u_statistic(16, smoothed_min_kernel())
-    assert stat.eval_bytes == 5 * stat.row_bytes // 2
+    assert stat.eval_bytes == 5 * 120 * 8
     rows = stream(4, "u-batches").random((20_000, 16))
     tracemalloc.start()
     try:
