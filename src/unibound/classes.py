@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ResourceError
-from .functionals import ENUM_CAP
+from .errors import DomainError
+from .functionals import check_count, check_enumeration
 from .rng import as_stream
 from .spaces import FINITE, SampleSpace, SampleVector
 
@@ -188,10 +188,8 @@ def random_lookup_class(space: SampleSpace, count: int, seed) -> FunctionClass:
     any is drawn."""
     if space.kind != FINITE:
         raise DomainError("random lookup classes need a finite space")
-    if count < 1:
-        raise DomainError("count must be positive")
-    if count * space.size > ENUM_CAP:
-        raise ResourceError(f"count x {space.size} table entries exceed the enumeration cap {ENUM_CAP}")
+    check_enumeration(count * space.size, f"count x {space.size} table entries")
+    check_count(count, "count")
     rng = as_stream(seed, "random-lookup-class")
     tables = rng.random((count, space.size))
     tables.flags.writeable = False

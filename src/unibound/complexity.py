@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ResourceError
-from .functionals import ENUM_CAP, batches, check_count
+from .functionals import batches, check_count, check_enumeration
 from .rng import as_stream, rademacher_signs, standard_normals
 
 EXACT = "exact"
@@ -179,10 +179,7 @@ def rademacher_exact(y) -> ComplexityEstimate:
     # An odd number of patterns leaves out the middle one, b = m / 2, which is
     # its own complement and sums to 0.
     half = patterns // 2
-    if half > ENUM_CAP:
-        raise ResourceError(
-            f"{half} count-pattern pairs of {size} distinct columns exceed the enumeration cap {ENUM_CAP}"
-        )
+    check_enumeration(half, f"{half} count-pattern pairs of {size} distinct columns")
     shares = [_binomial_shares(c) for c in mult.tolist()]
     pair_sums = np.empty(half)
     for part in batches(half, 8 * (size + mat.shape[0])):    # coefficient and product rows

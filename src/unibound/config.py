@@ -213,6 +213,7 @@ RANGES = (
     *((key, lambda count, name=key.rpartition(".")[2]: check_draws(count, name)) for key in
       ("replications", "draws", "gaussian_draws", "tail_replicas", "oracle.replicas")),
     *((key, lambda grid, name=key: threshold_grid(grid, name)) for key in ("t_grid", "s_grid")),
+    ("probe_pairs", lambda count: fx.check_enumeration(count, "probe pairs")),
 )
 
 

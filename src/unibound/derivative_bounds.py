@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError, ResourceError, UnsupportedStatisticError
-from .functionals import ENUM_CAP, Kernel, Statistic, batches, check_count
+from .errors import DomainError, NumericError, UnsupportedStatisticError
+from .functionals import Kernel, Statistic, batches, check_count, check_enumeration
 from .rng import as_stream
 
 # The routes a configuration names; a numeric estimate reports NUMERIC_ESTIMATE.
@@ -110,9 +110,7 @@ def check_coordinate_pairs(n: int) -> None:
     """Refuse a finite-difference Hessian in n coordinates whose C(n, 2)
     coordinate pairs, an enumeration like any other, exceed ENUM_CAP."""
     pairs = math.comb(n, 2)
-    if pairs > ENUM_CAP:
-        raise ResourceError(f"C({n},2) = {pairs} coordinate pairs exceed the enumeration cap "
-                            f"{ENUM_CAP}")
+    check_enumeration(pairs, f"C({n},2) = {pairs} coordinate pairs")
 
 
 def _fd_derivatives(stat: Statistic, point: np.ndarray, step: float):

@@ -59,7 +59,7 @@ from .complexity import (EXACT, GAUSSIAN, MONTE_CARLO, ComplexityEstimate, check
                          rademacher_average)
 from .derivative_bounds import ConstantsReport
 from .errors import DomainError, OverrideRequiredError, ResourceError
-from .functionals import ENUM_CAP, Statistic, batches, lattice_indices, mean_statistic
+from .functionals import Statistic, batches, check_enumeration, lattice_indices, mean_statistic
 from .rng import as_stream, stream
 from .spaces import (
     FINITE,
@@ -108,8 +108,7 @@ def lattice_points(space: SampleSpace, n: int) -> int:
     cap by n = 64, so support^n is never formed past it."""
     if space.kind != FINITE:
         raise DomainError("exact enumeration needs a finite sample space")
-    if space.size ** min(n, 64) > ENUM_CAP:
-        raise ResourceError(f"{space.size}^{n} lattice points exceed the enumeration cap {ENUM_CAP}")
+    check_enumeration(space.size ** min(n, 64), f"{space.size}^{n} lattice points")
     return space.size**n
 
 
@@ -639,8 +638,7 @@ def threshold_grid(grid, name: str) -> np.ndarray:
     it is built."""
     if isinstance(grid, dict):
         count = grid["count"]
-        if count > ENUM_CAP:
-            raise ResourceError(f"{name} count exceeds the enumeration cap {ENUM_CAP}")
+        check_enumeration(count, f"{name} thresholds")
         # A count below 1 gives the empty grid, refused below.
         grid = np.linspace(float(grid["min"]), float(grid["max"]), max(count, 0))
     t = np.asarray(grid, dtype=np.float64)
@@ -658,10 +656,17 @@ def _exceedance(excess: np.ndarray, weights: np.ndarray, thresholds: np.ndarray,
     times out of their sum, is checked against the bound exp(-t^2 / scale),
     1 at t = 0 and 0 beyond when the scale is 0; it violates the bound by
     more than four binomial standard errors. Integer weights count exactly,
-    so the frequency is the one over every draw.
+    so the frequency is the one over every draw. Each point is binned once
+    by the sorted thresholds it exceeds; a NaN excess exceeds none.
     """
     draws = weights.sum()
-    empirical = np.asarray([weights[excess > t].sum() for t in thresholds]) / draws
+    order = np.argsort(thresholds, kind="stable")
+    above = np.searchsorted(thresholds[order], excess, side="left")
+    above[np.isnan(excess)] = 0
+    # binned[j] weighs the points exceeding exactly the j smallest thresholds.
+    binned = np.bincount(above, weights, minlength=thresholds.size + 1)
+    empirical = np.empty(thresholds.size)
+    empirical[order] = np.cumsum(binned[::-1])[::-1][1:] / draws
     if scale > 0.0:
         bound = np.exp(-(thresholds * thresholds) / scale)
     else:

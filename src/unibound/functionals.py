@@ -61,8 +61,9 @@ SUBSET_TABLE_CAP = 8 * ENUM_CAP
 # The largest count numpy can size an array by: a count of points, draws or
 # coordinates past it is refused, whatever the byte budget.
 MAX_COUNT = int(np.iinfo(np.intp).max)
-# C(n, m) >= C(2k, k) for k = min(m, n - m), and C(2k, k) passes ENUM_CAP
-# from this k on (C(24, 12)): such subsets are refused without their count.
+# C(n, m) >= C(n, k) >= C(2k, k) for k <= min(m, n - m), and C(2k, k) passes
+# ENUM_CAP from this k on (C(24, 12)): subsets are refused by C(n, k) at the
+# least of m, n - m and this k, so a huge C(n, m) is never formed.
 _CENTRAL_PAST_CAP = next(k for k in itertools.count() if math.comb(2 * k, k) > ENUM_CAP)
 # A kernel's symmetry is spot-checked at this many random points.
 _SYMMETRY_TRIALS = 16
@@ -83,9 +84,17 @@ def batches(count: int, row_bytes: int):
 
 
 def check_count(count: int, name: str) -> None:
-    """Refuse a count past MAX_COUNT, which no array can hold."""
+    """Refuse a count below 1, or past MAX_COUNT, which no array can hold."""
+    if count < 1:
+        raise DomainError(f"{name} must be positive")
     if count > MAX_COUNT:
         raise ResourceError(f"{name} exceeds the largest array count {MAX_COUNT}")
+
+
+def check_enumeration(count: int, what: str) -> None:
+    """Refuse an enumeration of ``count`` things, named ``what``, past ENUM_CAP."""
+    if count > ENUM_CAP:
+        raise ResourceError(f"{what} exceed the enumeration cap {ENUM_CAP}")
 
 
 def lattice_indices(part: slice, k: int, size: int) -> np.ndarray:
@@ -360,8 +369,7 @@ def u_statistic(n: int, kernel: Kernel) -> Statistic:
     m = kernel.order
     if m > n:
         raise DomainError(f"kernel order {m} exceeds n = {n}")
-    if min(m, n - m) >= _CENTRAL_PAST_CAP or math.comb(n, m) > ENUM_CAP:
-        raise ResourceError(f"C({n},{m}) subsets exceed the enumeration cap {ENUM_CAP}")
+    check_enumeration(math.comb(n, min(m, n - m, _CENTRAL_PAST_CAP)), f"C({n},{m}) subsets")
     count = math.comb(n, m)
     if count * m > SUBSET_TABLE_CAP:
         raise ResourceError(f"C({n},{m}) x {m} = {count * m} subset indices exceed the subset "
@@ -384,10 +392,7 @@ def u_statistic(n: int, kernel: Kernel) -> Statistic:
     def product_expectation(support, weights):
         size = support.shape[1]
         tuples = size**m
-        if tuples > ENUM_CAP:
-            raise ResourceError(
-                f"support^{m} = {tuples} kernel tuples exceed the enumeration cap {ENUM_CAP}"
-            )
+        check_enumeration(tuples, f"support^{m} = {tuples} kernel tuples")
         # chains[r][t], t a flat support^r code, sums prod_j weights[i_j, t_j]
         # over index chains i_1 < ... < i_r among the coordinates seen so far;
         # descending r uses each coordinate at most once per chain.
@@ -451,10 +456,7 @@ def u_statistic(n: int, kernel: Kernel) -> Statistic:
     def count_form(support, counts):
         size = support.shape[1]
         kinds = multisets(size)
-        if kinds > ENUM_CAP:
-            raise ResourceError(
-                f"C({size}+{m}-1, {m}) = {kinds} support multisets exceed the enumeration cap {ENUM_CAP}"
-            )
+        check_enumeration(kinds, f"C({size}+{m}-1, {m}) = {kinds} support multisets")
         gather, points, runs = multiset_tables(size)
         cols = counts.T
         members, rows = support.shape[0], counts.shape[0]

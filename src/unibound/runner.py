@@ -62,7 +62,7 @@ def _jsonable(obj):
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
+        return obj.tolist()
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     if isinstance(obj, dict):
@@ -152,10 +152,7 @@ def _run_constants(run: _Run):
     run.summary.append(f"M ({report.method})         {report.mixed!r}")
     if report.detail is not None:
         header = ["coordinate", "grad_sup", "mixed_rowsq"]
-        rows = [
-            (k, report.detail.grad_sup[k], report.detail.mixed_rowsq[k])
-            for k in range(exp.n)
-        ]
+        rows = list(zip(range(exp.n), report.detail.grad_sup, report.detail.mixed_rowsq))
     else:
         header = ["lipschitz", "mixed", "method"]
         rows = [(report.lipschitz, report.mixed, report.method)]
@@ -173,11 +170,8 @@ def _run_deviation(run: _Run):
         allow_numeric_constants=s["override_numeric_constants"],
     )
     header = ["replication", "deviation", "argmax", "image_gaussian", "exceeds_bound"]
-    rows = [
-        (r, report.dev_samples[r], report.argmax_labels[r], report.image_g_samples[r],
-         bool(report.dev_samples[r] > report.bound))
-        for r in range(s["replications"])
-    ]
+    rows = list(zip(range(s["replications"]), report.dev_samples, report.argmax_labels,
+                    report.image_g_samples, report.dev_samples > report.bound))
     oracle = report.oracle
     largest = "" if oracle.stderrs is None else f" (largest stderr {float(oracle.stderrs.max())!r})"
     summary.append(f"expectation oracle         {oracle.method}{largest}")
@@ -203,11 +197,7 @@ def _run_tail(run: _Run):
         oracle_method=s["oracle"]["method"], oracle_replicas=s["oracle"]["replicas"], swing=swing,
     )
     header = ["t", "empirical", "bound", "stderr", "violation"]
-    rows = [
-        (report.t_grid[i], report.empirical[i], report.bound[i], report.stderr[i],
-         bool(report.violations[i]))
-        for i in range(report.t_grid.shape[0])
-    ]
+    rows = list(zip(report.t_grid, report.empirical, report.bound, report.stderr, report.violations))
     summary.append(f"member                     {member.label}")
     summary.append(f"expected value             {report.expected_value!r}")
     summary.append(
@@ -244,11 +234,8 @@ def _run_probe(run: _Run):
     ok = True
     for j, probe in enumerate(probes):
         ok = ok and probe.ok
-        for i in range(probe.s_grid.shape[0]):
-            rows.append(
-                (j, probe.f_label, probe.g_label, probe.distance, probe.s_grid[i],
-                 probe.empirical[i], probe.bound[i], probe.stderr[i], bool(probe.violations[i]))
-            )
+        rows.extend((j, probe.f_label, probe.g_label, probe.distance, *row) for row in zip(
+            probe.s_grid, probe.empirical, probe.bound, probe.stderr, probe.violations))
         summary.append(
             f"pair ({probe.f_label}, {probe.g_label})  d={probe.distance!r}  "
             f"violations {int(probe.violations.sum())}  zero-mean {'ok' if probe.zero_mean_ok else 'VIOLATED'}"

@@ -255,8 +255,7 @@ def draw_batch(law: ProductLaw, count: int, seed) -> np.ndarray:
     elementwise, so the draws are those of inverting coordinate by
     coordinate.
     """
-    if count < 1:
-        raise DomainError("count must be positive")
+    check_count(count, "count")
     rng = as_stream(seed, "draw-batch")
     drawn = np.empty((count, law.n), dtype=np.int64 if law.space.kind == FINITE else np.float64)
     # A row's inversion holds its uniforms, one law's gather of them, their
@@ -298,8 +297,7 @@ def draw_counts(law: ProductLaw, count: int, seed) -> np.ndarray:
     """
     if law.space.kind != FINITE:
         raise DomainError("support counts need a finite sample space")
-    if count < 1:
-        raise DomainError("count must be positive")
+    check_count(count, "count")
     rng = as_stream(seed, "draw-batch")
     size = law.space.size
     counts = np.empty((count, size), dtype=np.int64)

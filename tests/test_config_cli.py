@@ -142,14 +142,17 @@ def test_u_statistic_far_past_the_enumeration_cap_is_refused_at_once(tmp_path, c
 @pytest.mark.parametrize("count", [10**9, 10**20])
 @pytest.mark.parametrize("changes, message", [
     (lambda count: {"t_grid": {"min": 0.0, "max": 1.0, "count": count}},
-     "t_grid: t_grid count exceeds the enumeration cap 1000000"),
+     "t_grid: t_grid thresholds exceed the enumeration cap 1000000"),
     (lambda count: {"class": {"random_lookup": {"count": count}}},
      "class.random_lookup: count x 2 table entries exceed the enumeration cap 1000000"),
-], ids=["t_grid", "random_lookup"])
+    (lambda count: {"probe_pairs": count},
+     "probe_pairs: probe pairs exceed the enumeration cap 1000000"),
+], ids=["t_grid", "random_lookup", "probe_pairs"])
 def test_a_count_past_the_enumeration_cap_is_refused_before_it_allocates(
         tmp_path, capsys, count, changes, message):
     # Refused before the grid or the class table is allocated: at 10**20 numpy
-    # refuses the allocation itself, and at 10**9 it would take gigabytes.
+    # refuses the allocation itself, and at 10**9 it would take gigabytes. The
+    # probe pairs allocate nothing, but run one after another without end.
     cfg = full_report_config(tmp_path / "out", **changes(count))
     path = tmp_path / "cfg.yaml"
     write_config(path, cfg)

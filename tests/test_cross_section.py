@@ -139,7 +139,7 @@ CASES = {
         "class.members[0]: member 'a' leaves [0, 1]"),
     "t-grid-cap": (
         {"t_grid": {"min": 0.0, "max": 1.0, "count": 10**20}},
-        "t_grid: t_grid count exceeds the enumeration cap 1000000"),
+        "t_grid: t_grid thresholds exceed the enumeration cap 1000000"),
     "lookup-cap": (
         {"class": {"random_lookup": {"count": 10**20}}},
         "class.random_lookup: count x 2 table entries exceed the enumeration cap 1000000"),
@@ -238,7 +238,7 @@ OUT_OF_RANGE = {
     "seed": -1, "n": 1, "c": 0.0, "delta": 1.5, "constants.probes": 0, "constants.fd_step": 0.5,
     "replications": 99, "draws": 99, "gaussian_draws": 99, "tail_replicas": 99,
     "oracle.replicas": 99, "t_grid": [-0.1], "s_grid": {"min": -0.5, "max": 0.5, "count": 3},
-    "class.members[].value": 1.5,
+    "class.members[].value": 1.5, "probe_pairs": 10**7,
 }
 
 

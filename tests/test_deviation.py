@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -892,6 +893,24 @@ def test_swing_refuses_a_point_of_the_wrong_length(stat):
 
 # ---------------------------------------------------------------------------
 # bounded-difference tail
+
+def test_exceedance_counts_as_the_masked_sums_do():
+    # Ties with the thresholds, unsorted and repeated thresholds, NaN excess
+    # (exceeding no threshold) and integer or unit weights.
+    rng = np.random.default_rng(30)
+    for case in range(200):
+        points, count = int(rng.integers(1, 300)), int(rng.integers(1, 20))
+        excess = np.round(rng.normal(size=points), 1)
+        excess[rng.random(points) < 0.05] = np.nan
+        thresholds = np.round(np.abs(rng.normal(size=count)), 1)
+        weights = rng.integers(1, 50, size=points) if case % 2 else np.ones(points)
+        masked = np.asarray([weights[excess > t].sum() for t in thresholds]) / weights.sum()
+        assert np.array_equal(deviation._exceedance(excess, weights, thresholds, 0.3)[0], masked)
+    # Thresholds x points masks of this took minutes.
+    start = time.perf_counter()
+    deviation._exceedance(rng.normal(size=10**5), np.ones(10**5), np.linspace(0.0, 1.0, 10**6), 1.0)
+    assert time.perf_counter() - start < 2.0
+
 
 def test_tail_degenerate_law():
     law = point_mass_law([0.5, 0.5, 0.5])

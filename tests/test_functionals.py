@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import math
 import time
@@ -220,6 +221,38 @@ def test_u_statistic_rejects_large_order():
 def test_u_statistic_subset_cap():
     with pytest.raises(ResourceError):
         u_statistic(40, product_kernel(9))  # C(40, 9) ~ 2.7e8
+
+
+def _cap_comparisons(tree: ast.Module) -> list[tuple[str | None, int]]:
+    """(enclosing function, line) of every comparison naming ENUM_CAP or
+    MAX_COUNT, outside the module-level assignments that define constants."""
+    caps = {"ENUM_CAP", "MAX_COUNT"}
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, ast.FunctionDef):
+            function = node.name
+        if isinstance(node, ast.Compare) and any(
+                getattr(name, "id", getattr(name, "attr", None)) in caps for name in ast.walk(node)):
+            found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    for statement in tree.body:
+        if not isinstance(statement, ast.Assign):
+            visit(statement, None)
+    return found
+
+
+def test_every_count_limit_is_compared_in_one_check():
+    # An enumeration is refused past ENUM_CAP only by check_enumeration, and a
+    # count past MAX_COUNT only by check_count, so each refusal reads the same
+    # wherever it is reached.
+    found = {}
+    for path in sorted(Path(functionals.__file__).parent.glob("*.py")):
+        for function, line in _cap_comparisons(ast.parse(path.read_text(encoding="utf-8"))):
+            found[f"{path.name}:{line}"] = function
+    assert set(found.values()) == {"check_enumeration", "check_count"}, found
 
 
 def test_u_statistic_subsets_stop_at_the_enumeration_cap():
