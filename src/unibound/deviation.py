@@ -20,17 +20,20 @@ Pieces, in dependency order:
   the empirical constant c_hat = mean deviation / ((L + M) Eg).
 * bounded-difference tail and swapped-coordinate process probes: direct
   Monte Carlo checks of the sub-Gaussian tail bounds the theory rests on.
+  The tail's swing sup is exact over one point per count type where the
+  statistic counts, over the lattice where it does not, and a sampled lower
+  bound past the enumeration cap.
 
 The exact and Monte Carlo oracles, the tail (the oracle's draws for one
-member), the swing (at a point, at sampled points and over the lattice)
-and the probe (at its mixed points) evaluate Phi through one function,
-which takes a batch of members as a slice of the class's rows and picks
-counts or rows once: a coordinate-symmetric statistic on a finite space
-is evaluated from support counts where a row of counts costs it no more
-than a row of values, and every other one from the members' images. An
-expectation or a tail frequency is a weighted sum over points. On the
-count path the points of the Monte Carlo oracle's and the tail's draws are
-their distinct count rows, found once per set before any batch of members
+member), the swing (at a point, at its count types, at sampled points and
+over the lattice) and the probe (at its mixed points) evaluate Phi through
+one function, which takes a batch of members as a slice of the class's
+rows and picks counts or rows once: a coordinate-symmetric statistic on a
+finite space is evaluated from support counts where a row of counts costs
+it no more than a row of values, and every other one from the members'
+images. An expectation or a tail frequency is a weighted sum over points.
+On the count path the points of the Monte Carlo oracle's and the tail's
+draws are their distinct count rows, found once per set before any batch of members
 and weighted by how many draws have each row. On the row path each draw is
 a point of weight 1, so each mean and standard error keeps the bits of a
 per-draw average. The exact oracle weights each lattice point by its
@@ -59,7 +62,8 @@ from .complexity import (EXACT, GAUSSIAN, MONTE_CARLO, ComplexityEstimate, check
                          rademacher_average)
 from .derivative_bounds import ConstantsReport
 from .errors import DomainError, OverrideRequiredError, ResourceError
-from .functionals import Statistic, batches, check_enumeration, lattice_indices, mean_statistic
+from .functionals import (Statistic, batches, check_enumeration, lattice_indices, mean_statistic,
+                          multiset_count, multiset_points)
 from .rng import as_stream, stream
 from .spaces import (
     FINITE,
@@ -533,8 +537,10 @@ def symmetrization_check_mean(law: ProductLaw, fc: FunctionClass, replications: 
 class SwingReport:
     """Sum over coordinates of the squared worst one-coordinate change.
 
-    ``sup_norm`` is exact when the full lattice fit under the cap, otherwise
-    a sampled lower bound (flagged by ``sup_is_exact = False``).
+    ``sup_norm`` is its sup over the lattice: exact (``sup_is_exact``) when
+    the points to enumerate fit under ENUM_CAP, one per count type for a
+    statistic that counts and every lattice point otherwise; past the cap a
+    sampled lower bound, flagged by ``sup_is_exact = False``.
     """
 
     at_point: float | None
@@ -585,6 +591,39 @@ def check_swing_space(space: SampleSpace) -> None:
         raise DomainError("swing sums need a finite sample space")
 
 
+def _type_swing_sup(stat: Statistic, single: FunctionClass, types: int) -> float:
+    """The sup of the counted swing sum over the lattice, from one point per
+    count type: the non-decreasing points of ``multiset_points``, in slices.
+
+    A counted point's swing sum adds each coordinate's squared spread, a
+    function of its support value and the point's counts, so every point of
+    a type has the same terms; they add in coordinate order, as for any
+    point of the lattice.
+    """
+    n, size = stat.n, single.space.size
+    # A point costs its indices and their offset copy while it is counted,
+    # and its counts, spreads, squares and present pairs.
+    return float(max(_swing_at_indices(stat, single, multiset_points(part, n, size)).max()
+                     for part in batches(types, 8 * (2 * n + 4 * size))))
+
+
+def _lattice_swing_sup(stat: Statistic, single: FunctionClass, points: int) -> float:
+    """The sup of the swing sum over every one of the ``points`` lattice
+    points: Phi at each, then each coordinate's spread along its axis."""
+    n, size = stat.n, single.space.size
+    phi = np.empty(points)
+    for part in batches(points, 2 * 8 * n):    # index and image rows
+        phi[part] = _phis_at(stat, single, lattice_indices(part, n, size))[0]
+    # Coordinate k is the middle axis of the (size^k, size, -1) view of the
+    # flat lattice; the swings add in coordinate order.
+    acc = np.zeros(points)
+    for k in range(n):
+        lattice, total = phi.reshape(size**k, size, -1), acc.reshape(size**k, size, -1)
+        swing = lattice.max(axis=1) - lattice.min(axis=1)
+        total += (swing * swing)[:, None]
+    return float(acc.max())
+
+
 def squared_swing_sum(
     stat: Statistic,
     member,
@@ -597,8 +636,12 @@ def squared_swing_sum(
 
     The swing at x sums, over coordinates k, the squared range of
     Phi(f(x with coordinate k replaced)) as the replacement runs over the
-    support. The sup over all lattice points is enumerated exactly within
-    ``lattice_points``' cap and otherwise maximized over SWING_SAMPLES points.
+    support. Its sup over the lattice is exact up to ENUM_CAP points to
+    enumerate: where the statistic counts (``_counted``), one point per
+    count type, C(n+s-1, s-1) of them (``multiset_count``); otherwise every
+    one of the s^n lattice points (``lattice_points``). Past the cap it is
+    the largest swing sum at SWING_SAMPLES points drawn from ``seed``, a
+    lower bound.
     """
     check_swing_space(space)
     n = stat.n
@@ -612,23 +655,15 @@ def squared_swing_sum(
             raise DomainError("sample vector does not match the statistic arity")
         at_point = float(_swing_at_indices(stat, single, x.point[None, :])[0])
 
+    counted = _counted(space, stat)
     try:
-        points = lattice_points(space, n)
+        points = multiset_count(n, size) if counted else lattice_points(space, n)
     except ResourceError:
         rng = as_stream(seed, "swing-sup")
         idx = rng.integers(0, size, size=(SWING_SAMPLES, n))
         return SwingReport(at_point, float(_swing_at_indices(stat, single, idx).max()), False)
-    phi = np.empty(points)
-    for part in batches(points, 2 * 8 * n):    # index and image rows
-        phi[part] = _phis_at(stat, single, lattice_indices(part, n, size))[0]
-    # Coordinate k is the middle axis of the (size^k, size, -1) view of the
-    # flat lattice; the swings add in coordinate order.
-    acc = np.zeros(points)
-    for k in range(n):
-        lattice, total = phi.reshape(size**k, size, -1), acc.reshape(size**k, size, -1)
-        swing = lattice.max(axis=1) - lattice.min(axis=1)
-        total += (swing * swing)[:, None]
-    return SwingReport(at_point, float(acc.max()), True)
+    sup = (_type_swing_sup if counted else _lattice_swing_sup)(stat, single, points)
+    return SwingReport(at_point, sup, True)
 
 
 def threshold_grid(grid, name: str) -> np.ndarray:

@@ -97,6 +97,42 @@ def check_enumeration(count: int, what: str) -> None:
         raise ResourceError(f"{what} exceed the enumeration cap {ENUM_CAP}")
 
 
+def multiset_count(k: int, size: int) -> int:
+    """C(k+size-1, size-1), the multisets of k of ``size`` support indices,
+    refused past ENUM_CAP. Past ``_CENTRAL_PAST_CAP`` the count is formed at
+    that order, which already passes the cap, so a huge count is never formed."""
+    count = math.comb(k + size - 1, min(k, size - 1, _CENTRAL_PAST_CAP))
+    check_enumeration(count, f"C({k}+{size}-1, {size - 1}) support multisets")
+    return count
+
+
+def multiset_points(part: slice, k: int, size: int) -> np.ndarray:
+    """The (rows, k) non-decreasing support indices of the multisets of k of
+    ``size`` support indices whose ranks lie in ``part``, ranked in
+    ``itertools.combinations_with_replacement`` order. The count is checked
+    by ``multiset_count`` first; each slice is decoded on its own.
+
+    A row keeps q, the count of multisets from its own to the last one that
+    shares its decoded positions. At position p, with L = k - p places left,
+    C(i+L-1, L) sequences of length L take their values among the top i
+    support indices; the row's value is size - i for the least i with at
+    least q of them, and q drops by the C(i+L-2, L) of them that lie
+    entirely above that value.
+    """
+    count = multiset_count(k, size)
+    q = count - np.arange(part.start, part.stop, dtype=np.int64)
+    # One contiguous row per position; the result is its transposed view.
+    idx = np.empty((k, q.shape[0]), dtype=np.int64)
+    for p in range(k):
+        places = k - p
+        # Each entry is at most ``count``, so the table fits int64.
+        above = np.array([math.comb(i + places - 1, places) for i in range(size + 1)])
+        top = np.searchsorted(above, q)
+        np.subtract(size, top, out=idx[p])
+        q -= above[top - 1]
+    return idx.T
+
+
 def lattice_indices(part: slice, k: int, size: int) -> np.ndarray:
     """The (rows, k) support indices of the flat support^k lattice codes in
     ``part``: code c lists its k digits in base ``size``, most significant
@@ -433,10 +469,7 @@ def u_statistic(n: int, kernel: Kernel) -> Statistic:
         runs, in point order, packed into min(m, s) columns. A multiset with
         fewer distinct points pads with run length 0."""
         kinds = multisets(size)
-        gather = np.fromiter(
-            itertools.chain.from_iterable(itertools.combinations_with_replacement(range(size), m)),
-            dtype=np.intp, count=kinds * m,
-        ).reshape(kinds, m)
+        gather = multiset_points(slice(0, kinds), m, size)
         # At each position, the length of the run of equal points starting
         # there, 0 inside a run.
         runs = np.zeros((kinds, m), dtype=np.intp)
@@ -455,8 +488,7 @@ def u_statistic(n: int, kernel: Kernel) -> Statistic:
 
     def count_form(support, counts):
         size = support.shape[1]
-        kinds = multisets(size)
-        check_enumeration(kinds, f"C({size}+{m}-1, {m}) = {kinds} support multisets")
+        kinds = multiset_count(m, size)
         gather, points, runs = multiset_tables(size)
         cols = counts.T
         members, rows = support.shape[0], counts.shape[0]

@@ -8,7 +8,8 @@ Each run writes two files into the output directory:
   Re-running the echoed configuration with the same seed and versions
   reproduces every numeric field bit for bit (timings aside).
 * ``table.csv``: a flat table, one row per replication or grid point, with
-  full round-trip decimal formatting.
+  full round-trip decimal formatting. A stage hands it over as columns, and
+  a float, boolean or integer array is formatted a slice of rows at a time.
 
 Exit codes: 0 success, 2 configuration error (every resource cap a
 configuration can reach included), 3 a library ResourceError, which no
@@ -48,6 +49,7 @@ from .deviation import (
     swap_process_probe,
     squared_swing_sum,
 )
+from .functionals import batches
 from .rng import stream
 from .spaces import sample
 
@@ -80,12 +82,28 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_table(path: Path, header: list[str], rows: list[tuple]) -> None:
+# How ``_fmt`` writes each value of an array of one of these kinds, applied
+# to the array's Python values.
+_ARRAY_FORMATS = {"f": repr, "b": lambda v: "true" if v else "false", "i": str, "u": str}
+# Bytes a table cell costs while its slice of rows is written: a short str
+# and the references to it.
+_CELL_BYTES = 96
+
+
+def _write_table(path: Path, header: list[str], columns: list) -> None:
+    """Write the equal-length ``columns`` under ``header`` with csv's writer,
+    formatting a slice of rows at a time."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        for part in batches(len(columns[0]), _CELL_BYTES * len(columns)):
+            cells = []
+            for column in columns:
+                if isinstance(column, np.ndarray) and column.dtype.kind in _ARRAY_FORMATS:
+                    cells.append(map(_ARRAY_FORMATS[column.dtype.kind], column[part].tolist()))
+                else:
+                    cells.append([_fmt(v) for v in column[part]])
+            writer.writerows(zip(*cells))
 
 
 class _Run:
@@ -117,7 +135,8 @@ class _Run:
                           settings["fd_step"], stream(exp.settings["seed"], "constants"))
 
 
-# Each stage takes the run and returns (results, (header, rows), ok).
+# Each stage takes the run and returns (results, (header, columns), ok), its
+# table as equal-length columns.
 
 def _run_complexity(run: _Run):
     """R and G of one sample's class image; the comparison estimates each
@@ -143,7 +162,7 @@ def _run_complexity(run: _Run):
     summary.append(f"rademacher monte-carlo     {mc.value!r} (stderr {mc.stderr!r})")
     summary.append(f"gaussian monte-carlo       {gauss.value!r} (stderr {gauss.stderr!r})")
     summary.append(f"comparison inequalities    {'ok' if comparison.ok else 'VIOLATED'}")
-    return results, (header, rows), comparison.ok
+    return results, (header, list(zip(*rows))), comparison.ok
 
 
 def _run_constants(run: _Run):
@@ -152,11 +171,11 @@ def _run_constants(run: _Run):
     run.summary.append(f"M ({report.method})         {report.mixed!r}")
     if report.detail is not None:
         header = ["coordinate", "grad_sup", "mixed_rowsq"]
-        rows = list(zip(range(exp.n), report.detail.grad_sup, report.detail.mixed_rowsq))
+        columns = [range(exp.n), report.detail.grad_sup, report.detail.mixed_rowsq]
     else:
         header = ["lipschitz", "mixed", "method"]
-        rows = [(report.lipschitz, report.mixed, report.method)]
-    return {"constants": report}, (header, rows), True
+        columns = [[report.lipschitz], [report.mixed], [report.method]]
+    return {"constants": report}, (header, columns), True
 
 
 def _run_deviation(run: _Run):
@@ -170,8 +189,8 @@ def _run_deviation(run: _Run):
         allow_numeric_constants=s["override_numeric_constants"],
     )
     header = ["replication", "deviation", "argmax", "image_gaussian", "exceeds_bound"]
-    rows = list(zip(range(s["replications"]), report.dev_samples, report.argmax_labels,
-                    report.image_g_samples, report.dev_samples > report.bound))
+    columns = [range(s["replications"]), report.dev_samples, report.argmax_labels,
+               report.image_g_samples, report.dev_samples > report.bound]
     oracle = report.oracle
     largest = "" if oracle.stderrs is None else f" (largest stderr {float(oracle.stderrs.max())!r})"
     summary.append(f"expectation oracle         {oracle.method}{largest}")
@@ -183,7 +202,7 @@ def _run_deviation(run: _Run):
         f"coverage at delta={s['delta']}    rate {report.violation_rate!r} "
         f"(allowance {report.violation_allowance!r}) -> {'ok' if report.coverage_ok else 'VIOLATED'}"
     )
-    return {"deviation": report}, (header, rows), report.coverage_ok
+    return {"deviation": report}, (header, columns), report.coverage_ok
 
 
 def _run_tail(run: _Run):
@@ -197,7 +216,7 @@ def _run_tail(run: _Run):
         oracle_method=s["oracle"]["method"], oracle_replicas=s["oracle"]["replicas"], swing=swing,
     )
     header = ["t", "empirical", "bound", "stderr", "violation"]
-    rows = list(zip(report.t_grid, report.empirical, report.bound, report.stderr, report.violations))
+    columns = [report.t_grid, report.empirical, report.bound, report.stderr, report.violations]
     summary.append(f"member                     {member.label}")
     summary.append(f"expected value             {report.expected_value!r}")
     summary.append(
@@ -205,7 +224,7 @@ def _run_tail(run: _Run):
         f"({'exact' if report.swing_is_exact else 'sampled lower bound'})"
     )
     summary.append(f"tail violations            {int(report.violations.sum())} -> {'ok' if report.ok else 'VIOLATED'}")
-    return {"tail": report}, (header, rows), report.ok
+    return {"tail": report}, (header, columns), report.ok
 
 
 def _run_probe(run: _Run):
@@ -230,18 +249,22 @@ def _run_probe(run: _Run):
 
     probes = run.timed("probes", run_probes)
     header = ["pair", "f", "g", "distance", "s", "empirical", "bound", "stderr", "violation"]
-    rows = []
+    # A pair's own values repeat over its grid; the grid's columns follow.
+    sizes = [len(probe.s_grid) for probe in probes]
+    columns = [np.repeat(np.arange(len(probes)), sizes)]
+    columns += [np.repeat([getattr(probe, name) for probe in probes], sizes)
+                for name in ("f_label", "g_label", "distance")]
+    columns += [np.concatenate([getattr(probe, name) for probe in probes])
+                for name in ("s_grid", "empirical", "bound", "stderr", "violations")]
     ok = True
-    for j, probe in enumerate(probes):
+    for probe in probes:
         ok = ok and probe.ok
-        rows.extend((j, probe.f_label, probe.g_label, probe.distance, *row) for row in zip(
-            probe.s_grid, probe.empirical, probe.bound, probe.stderr, probe.violations))
         summary.append(
             f"pair ({probe.f_label}, {probe.g_label})  d={probe.distance!r}  "
             f"violations {int(probe.violations.sum())}  zero-mean {'ok' if probe.zero_mean_ok else 'VIOLATED'}"
         )
     summary.append(f"process probes             {'ok' if ok else 'VIOLATED'}")
-    return {"probes": probes}, (header, rows), ok
+    return {"probes": probes}, (header, columns), ok
 
 
 # Each stage of ``config.STAGES``: its heading in a run of several stages,
@@ -284,7 +307,7 @@ def run_experiment(raw: dict, *, out_dir=None, seed=None, override=None):
         results.update(stage_results)
         ok = ok and stage_ok
     # A run writes the table of the last stage its kind always runs.
-    header, rows = tables[KINDS[kind][0][-1]]
+    header, columns = tables[KINDS[kind][0][-1]]
 
     record = {
         "artifact_version": __version__,
@@ -304,6 +327,6 @@ def run_experiment(raw: dict, *, out_dir=None, seed=None, override=None):
     with open(out_path / f"result.{kind}.json", "w", encoding="utf-8") as handle:
         json.dump(record, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    _write_table(out_path / "table.csv", header, rows)
+    _write_table(out_path / "table.csv", header, columns)
     run.summary.append(f"results written to {out_path}")
     return (EXIT_OK if ok else EXIT_INVARIANT), record, run.summary

@@ -9,7 +9,7 @@ import pytest
 import scipy
 import yaml
 
-from unibound import complexity, runner
+from unibound import complexity, functionals, runner
 from unibound.cli import main
 from unibound.config import KINDS, SCHEMA, STAGES, Experiment, resolve, validate_config
 from unibound.errors import ConfigError
@@ -224,6 +224,35 @@ def test_run_writes_record_and_table(tmp_path):
     assert on_disk["results"]["deviation"]["dev_mean"] == record["results"]["deviation"]["dev_mean"]
     header = table_path.read_text().splitlines()[0]
     assert header == "replication,deviation,argmax,image_gaussian,exceeds_bound"
+
+
+@pytest.mark.parametrize("labels", [
+    ["a", "b"],
+    ["plain", "a,b", "p2", 'say "x"', "p3", "p4", "two\nlines", "cr\r", "", "p5"],
+], ids=["plain", "quoted"])
+def test_table_is_written_as_csv_writes_each_formatted_cell(tmp_path, monkeypatch, labels):
+    # Floats of every repr form, booleans, integers and text that csv must
+    # or need not quote, formatted by column in slices of two rows, against
+    # csv's writer over each cell formatted by ``_fmt``.
+    import csv
+
+    monkeypatch.setattr(runner, "_CELL_BYTES", 2**18)
+    assert functionals.BATCH_BYTES // (2**18 * 7) == 2
+    rng = np.random.default_rng(3)
+    floats = np.concatenate([rng.random(40), [0.0, -0.0, 1e16, 1e-5, 1 / 3, np.inf, -np.inf, np.nan,
+                                              5e-324, 1.5e300]])
+    rows = len(floats)
+    columns = [range(rows), floats, rng.random(rows).astype(np.float32), floats > 0.5,
+               np.arange(rows, dtype=np.uint8), [labels[j % len(labels)] for j in range(rows)],
+               [(j, 0.25, np.float64(0.1), np.True_, "")[j % 5] for j in range(rows)]]
+    header = ["i", "x", "x32", "big", "u8", "label", "mixed"]
+    runner._write_table(tmp_path / "table.csv", header, columns)
+    with open(tmp_path / "expected.csv", "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        for row in zip(*columns):
+            writer.writerow([runner._fmt(v) for v in row])
+    assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
 
 def test_record_names_versions_and_oracle(tmp_path):

@@ -1,8 +1,10 @@
 import dataclasses
+import itertools
 import math
 import re
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from unibound.classes import (
     lookup_member,
     random_lookup_class,
 )
-from unibound.config import validate_config
+from unibound.config import load_config, resolve, validate_config
 from unibound.derivative_bounds import (
     ConstantsReport,
     closed_form_constants,
@@ -68,6 +70,7 @@ from unibound.spaces import (
     vector_from_values,
 )
 
+ROOT = Path(__file__).resolve().parent.parent
 BITS = finite_space([("0", 0.0), ("1", 1.0)])
 IDENTITY_TABLE = {"0": 0.0, "1": 1.0}
 
@@ -449,17 +452,25 @@ def test_counted_swing_holds_one_batch_of_variants(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["mean", "variance"])
-def test_tail_counts_in_bounded_memory(name):
+def test_tail_counts_in_bounded_memory(name, monkeypatch):
     # 200 000 tail draws of 64 coordinates cost about 300 MiB as uniforms,
     # values and indices; as support counts on 5 points they cost 8 MB.
     law = iid_law(uniform_on(FIVE_POINTS), 64)
     member = random_lookup_class(FIVE_POINTS, 1, 2).members[0]
     stat = STATISTICS[name](64)
+    # The swing sup is exact over the C(68, 4) = 814 385 count types, decoded
+    # in slices.
     rep, peak = _traced_peak(
         lambda: bounded_difference_tail(law, stat, member, [0.0, 0.05], 200_000, 1)
     )
-    assert rep.replicas == 200_000 and not rep.swing_is_exact
+    assert rep.replicas == 200_000 and rep.swing_is_exact
     assert peak < 64 * 2**20
+    # With the cap below the types the sup is sampled, a lower bound (for
+    # the mean, equal up to the order of its terms).
+    monkeypatch.setattr(functionals, "ENUM_CAP", 1000)
+    sampled = squared_swing_sum(stat, member, FIVE_POINTS, seed=1)
+    assert not sampled.sup_is_exact
+    assert rep.swing_norm >= sampled.sup_norm * (1.0 - TOL["rtol"])
 
 
 # ---------------------------------------------------------------------------
@@ -864,13 +875,104 @@ def test_swing_matches_brute_force_for_variance():
     assert rep.sup_norm == pytest.approx(best, abs=1e-14)
 
 
+def _points(size):
+    return finite_space([(str(j), j / (size - 1)) for j in range(size)])
+
+
+SWING_STATISTICS = ["mean", "variance", "smoothed-min", "product-2"]
+
+
+def _counted_swing_shapes(size, ns):
+    """(name, n, stat) of the swing statistics that count on ``size`` points
+    at each n of ``ns`` whose size^n lattice fits the enumeration cap."""
+    space = _points(size)
+    for name in SWING_STATISTICS:
+        for n in ns:
+            stat = STATISTICS[name](n)
+            if size**n <= functionals.ENUM_CAP and deviation._counted(space, stat):
+                yield name, n, stat
+
+
+@pytest.mark.parametrize("size", [2, 3, 4, 5])
+def test_type_swing_sup_matches_the_lattice(size):
+    # One non-decreasing point per count type against every lattice point,
+    # both evaluated from counts: a type's points add the same terms in other
+    # orders, so the sups may differ in their last bits only.
+    space = _points(size)
+    single = FunctionClass(space, random_lookup_class(space, 1, 8).members[:1])
+    shapes = list(_counted_swing_shapes(size, range(2, 20)))
+    assert {name for name, _, _ in shapes} == set(SWING_STATISTICS)
+    for name, n, stat in shapes:
+        types = deviation._type_swing_sup(stat, single, functionals.multiset_count(n, size))
+        lattice = deviation._lattice_swing_sup(stat, single, size**n)
+        np.testing.assert_allclose(types, lattice, rtol=2e-15, atol=0.0, err_msg=f"{name} n={n}")
+
+
+@pytest.mark.parametrize("config", ["configs/full_report.yaml",
+                                    "perfbench/workloads/ustat-report.yaml"])
+def test_type_swing_sup_keeps_the_lattice_bits_on_the_shipped_shapes(config):
+    exp = resolve(load_config(ROOT / config))
+    single = FunctionClass(exp.law.space, exp.fc.members[:1])
+    size = exp.law.space.size
+    types = deviation._type_swing_sup(exp.stat, single, functionals.multiset_count(exp.n, size))
+    assert types == deviation._lattice_swing_sup(exp.stat, single, size**exp.n)
+
+
+def test_type_swing_sup_keeps_the_sampled_bits_of_the_tail_mean():
+    # Every point of the 2^25 lattice adds 25 equal squared spreads of 1/25,
+    # so the sampled sup, which the tail_mean record held, was already this.
+    exp = resolve(load_config(ROOT / "configs/tail_mean.yaml"))
+    rep = squared_swing_sum(exp.stat, exp.fc.members[0], exp.law.space)
+    assert rep.sup_is_exact and repr(rep.sup_norm) == "0.04000000000000009"
+
+
+# At n <= 4 the mean and the variance count on at most 4 points and the
+# U-statistics of order 2 on at most 3, so 5 points give no shape.
+@pytest.mark.parametrize("size", [2, 3, 4])
+def test_type_swing_sup_matches_brute_force(size):
+    space = _points(size)
+    member = random_lookup_class(space, 1, 9).members[0]
+    shapes = list(_counted_swing_shapes(size, range(2, 5)))
+    assert shapes
+    for name, n, stat in shapes:
+        best = max(brute_force_swing(stat, member, space, list(point))
+                   for point in itertools.product(range(size), repeat=n))
+        rep = squared_swing_sum(stat, member, space)
+        assert rep.sup_is_exact
+        assert rep.sup_norm == pytest.approx(best, rel=1e-12, abs=1e-14), (name, n)
+
+
+def test_type_swing_sup_bounds_the_sampled_sup(monkeypatch):
+    # 5^12 lattice points and C(16, 4) = 1820 count types of 12 coordinates
+    # on 5 points. With the cap below the types the sup falls back to
+    # SWING_SAMPLES points, which understate it.
+    stat = sample_variance_statistic(12)
+    member = random_lookup_class(FIVE_POINTS, 1, 2).members[0]
+    exact = squared_swing_sum(stat, member, FIVE_POINTS, seed=1)
+    monkeypatch.setattr(functionals, "ENUM_CAP", 1000)
+    sampled = squared_swing_sum(stat, member, FIVE_POINTS, seed=1)
+    assert exact.sup_is_exact and not sampled.sup_is_exact
+    assert exact.sup_norm >= sampled.sup_norm
+
+
 def test_swing_sampled_fallback_flags_lower_bound():
-    n = 25  # 2^25 lattice exceeds the enumeration cap
+    # 2^25 lattice points exceed the enumeration cap, and the mean's 26 count
+    # types do not: counted, the sup is exact; imaged row by row, sampled.
+    n = 25
     stat = mean_statistic(n)
     member = lookup_member("id", BITS, IDENTITY_TABLE)
     rep = squared_swing_sum(stat, member, BITS, seed=3)
+    assert rep.sup_is_exact
+    assert rep.sup_norm == pytest.approx(1.0 / n, rel=1e-12)
+    rep = squared_swing_sum(_rows_only(stat), member, BITS, seed=3)
     assert not rep.sup_is_exact
     assert rep.sup_norm == pytest.approx(1.0 / n, rel=1e-12)
+    # Past the type cap too the counted sup is sampled: C(63, 31) types.
+    n, space = 32, finite_space([(str(j), j / 31) for j in range(32)])
+    member = random_lookup_class(space, 1, 5).members[0]
+    assert deviation._counted(space, mean_statistic(n))
+    rep = squared_swing_sum(mean_statistic(n), member, space, seed=3)
+    assert not rep.sup_is_exact and 0.0 < rep.sup_norm <= 1.0 / n
 
 
 def test_swing_needs_finite_space():
@@ -1143,10 +1245,27 @@ def test_tail_swing_and_probe_counts_match_rows(name, support):
     *((name, "2-point-iid") for name in COUNTED_STAGES if name != "product-3"),
 ])
 def test_sampled_swing_counts_match_rows(name, support):
+    # Past the lattice cap the row path samples, while the count path is
+    # exact over the count types, so it bounds the sample from above.
     space, _, _, n = SUPPORTS[support]
     member = random_lookup_class(space, 1, 8).members[0]
     stat = STATISTICS[name](n)
     counted, imaged = (squared_swing_sum(s, member, space, seed=2) for s in (stat, _rows_only(stat)))
+    assert counted.sup_is_exact and not imaged.sup_is_exact
+    assert counted.sup_norm >= imaged.sup_norm * (1.0 - TOL["rtol"])
+
+
+@pytest.mark.parametrize("name", ["mean", "variance", "squared-difference"])
+def test_sampled_swing_counts_match_rows_past_the_type_cap(name, monkeypatch):
+    # C(14, 4) = 1001 count types of 10 coordinates on 5 points pass a cap of
+    # 1000, so both paths sample the same points.
+    n = 10
+    member = random_lookup_class(FIVE_POINTS, 1, 8).members[0]
+    stat = STATISTICS[name](n)
+    assert deviation._counted(FIVE_POINTS, stat)
+    monkeypatch.setattr(functionals, "ENUM_CAP", 1000)
+    counted, imaged = (squared_swing_sum(s, member, FIVE_POINTS, seed=2)
+                       for s in (stat, _rows_only(stat)))
     assert not counted.sup_is_exact and not imaged.sup_is_exact
     np.testing.assert_allclose(counted.sup_norm, imaged.sup_norm, **TOL)
 

@@ -38,7 +38,7 @@ DIGESTS = {
     "deviate_variance": "0075e62321c829afc244eff76df13c96c4c8dfa8683df7ab35946f02e7b30975",
     "full_report": "84970969b6ebda551f9a648b69b53253a2c23d68fcd24dd698bf7995cecde874",
     "probe_variance": "08728f48be1204ba6d9b057fdb841970561df531331c75f544326b94c939d4e8",
-    "tail_mean": "90506ed0c4d2a31d791a082d83516ff3db8edbc3af5de340be0fa736a4f88e3c",
+    "tail_mean": "8d555c3e74a5d765e4c6057fc21ee8a0813019382ddfd19ab05139ac6d6527a3",
     "deviate_variance+monte-carlo": "6d46e82c0542adb444349e6d266c9c8f16a5d75e497f992cf51ce0276ff08ea0",
 }
 VARIANTS = {"monte-carlo": {"oracle": {"method": "monte-carlo", "replicas": 20000}}}

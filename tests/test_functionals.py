@@ -1,6 +1,8 @@
 import ast
 import dataclasses
+import itertools
 import math
+import re
 import time
 import tracemalloc
 from pathlib import Path
@@ -284,6 +286,54 @@ def test_lattice_indices_list_each_code_in_base_size_most_significant_first():
     assert np.array_equal(idx, np.stack(np.unravel_index(np.arange(5, 27), (3, 3, 3)), axis=1))
 
 
+@pytest.mark.parametrize("k, size", [(1, 1), (4, 1), (1, 5), (3, 2), (5, 3), (4, 6), (7, 4), (2, 30)])
+def test_multiset_points_rank_multisets_in_combinations_with_replacement_order(k, size):
+    count = functionals.multiset_count(k, size)
+    assert count == math.comb(k + size - 1, size - 1)
+    rows = functionals.multiset_points(slice(0, count), k, size)
+    assert rows.shape == (count, k)
+    assert np.all(np.diff(rows, axis=1) >= 0)
+    assert len({tuple(row) for row in rows.tolist()}) == count
+    assert rows.tolist() == [list(c) for c in itertools.combinations_with_replacement(range(size), k)]
+    # Any slice decodes on its own.
+    for step in (1, 2, 7):
+        parts = [functionals.multiset_points(slice(a, min(a + step, count)), k, size)
+                 for a in range(0, count, step)]
+        assert np.array_equal(np.concatenate(parts), rows)
+    # Their support counts are every composition of k into size parts.
+    # Stars and bars: size - 1 bars among k + size - 1 places.
+    compositions = set()
+    for bars in itertools.combinations(range(k + size - 1), size - 1):
+        edges = (-1, *bars, k + size - 1)
+        compositions.add(tuple(b - a - 1 for a, b in zip(edges, edges[1:])))
+    counts = support_counts(rows, size)
+    assert {tuple(c) for c in counts.tolist()} == compositions and len(counts) == len(compositions)
+
+
+@pytest.mark.parametrize("k, size", [(16, 32), (10**6, 10**6), (10**18, 3)])
+def test_multiset_points_refuse_past_the_enumeration_cap_before_allocating(k, size):
+    # C(47, 31) = 1.5e12 multisets at n = 16 on 32 points; a count past the
+    # cap at huge k or size is never formed in full.
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(ResourceError, match="support multisets exceed the enumeration cap"):
+            functionals.multiset_points(slice(0, 10), k, size)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16 and time.perf_counter() - start < 1.0
+
+
+def test_combinations_with_replacement_has_one_decoder():
+    # Every support multiset comes from functionals.multiset_points, so the
+    # count form and the swing sup rank them alike.
+    for path in sorted(Path(functionals.__file__).parent.glob("*.py")):
+        names = {getattr(node, "attr", getattr(node, "id", None))
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))}
+        assert "combinations_with_replacement" not in names, path.name
+
+
 def test_u_statistic_batches_hold_what_evaluating_them_allocates():
     # A smoothed-min row holds its (120, 2) subset gather and the kernel's
     # temporaries, 5 x 120 doubles; batched by the gather alone, a batch
@@ -384,8 +434,9 @@ def test_results_do_not_depend_on_the_batch_budget(tmp_path, monkeypatch):
             _run_outputs("deviate_variance", tmp_path / f"{tag}-mc-u", replications=100,
                          oracle={"method": "monte-carlo", "replicas": 1000},
                          law=EIGHT_POINT_LAW, **SMOOTHED_MIN_REPORT),
-            # The count path of the tail's draws and of the sampled swing
-            # (2^25 points), and of the probe on five support points.
+            # The count path of the tail's draws and of the swing's type
+            # decoder (26 types of 25 coordinates, in slices), and of the
+            # probe on five support points.
             _run_outputs("tail_mean", tmp_path / f"{tag}-tail", tail_replicas=2000),
             _run_outputs("probe_variance", tmp_path / f"{tag}-probe", draws=2000),
             rademacher_exact(y).value,
@@ -395,7 +446,7 @@ def test_results_do_not_depend_on_the_batch_budget(tmp_path, monkeypatch):
     # One to five rows per batch; one row for the U-statistic (C(12, 2) pairs);
     # one draw per slice and one member per call of the oracle's count form,
     # one multiset per batch of the U-statistic's; one draw of signs per
-    # probe slice and eight points per slice of the sampled swing.
+    # probe slice and one type per slice of the swing's decoder.
     monkeypatch.setattr(functionals, "BATCH_BYTES", 512)
     assert outputs("small") == default
 
@@ -495,5 +546,6 @@ def test_u_statistic_count_form_is_fast_at_high_order():
 def test_u_statistic_count_form_refuses_past_the_multiset_cap():
     stat = u_statistic(3, product_kernel(3))
     support = np.full((1, 200), 0.5)    # C(202, 3) multisets > 1e6
-    with pytest.raises(ResourceError):
+    with pytest.raises(ResourceError, match=re.escape(
+            "C(3+200-1, 199) support multisets exceed the enumeration cap 1000000")):
         stat.count_form(support, np.zeros((0, 200), dtype=np.int64))
