@@ -27,19 +27,17 @@ Pieces, in dependency order:
 The exact and Monte Carlo oracles, the tail (the oracle's draws for one
 member), the swing (at a point, at its count types, at sampled points and
 over the lattice) and the probe (at its mixed points) evaluate Phi through
-one function, which takes a batch of members as a slice of the class's
-rows and picks counts or rows once: a coordinate-symmetric statistic on a
-finite space is evaluated from support counts where a row of counts costs
-it no more than a row of values, and every other one from the members'
-images. An expectation or a tail frequency is a weighted sum over points.
-On the count path the points of the Monte Carlo oracle's and the tail's
-draws are their distinct count rows, found once per set before any batch of members
-and weighted by how many draws have each row. On the row path each draw is
-a point of weight 1, so each mean and standard error keeps the bits of a
-per-draw average. The exact oracle weights each lattice point by its
-product mass. The probe counts only its sigma-mix: the complementary mix's
-counts are the two points' counts less the mix's. Only the replications
-image rows.
+one function, which takes a batch of members as a slice of the class's rows
+and picks counts or rows once: a coordinate-symmetric statistic on a finite
+space is evaluated from support counts where a row of counts costs it no
+more than a row of values, and every other one from the members' images. An
+expectation or a tail frequency is a weighted sum over the slices of one
+point source, with three kinds of weight: a lattice point of the exact
+oracle weighs its product mass, a distinct count row of the draws (the
+count path) weighs how many draws have it, and a draw (the row path) weighs
+1, so one slice keeps the bits of a per-draw average. The probe counts only
+its sigma-mix: the complementary mix's counts are the two points' counts
+less the mix's. Only the replications image rows.
 
 The replications run in slices of replications. Each draws its point on
 its own stream; one gather images a slice, one call of the statistic on its
@@ -65,16 +63,8 @@ from .errors import DomainError, OverrideRequiredError, ResourceError
 from .functionals import (Statistic, batches, check_enumeration, lattice_indices, mean_statistic,
                           multiset_count, multiset_points)
 from .rng import as_stream, stream
-from .spaces import (
-    FINITE,
-    ProductLaw,
-    SampleSpace,
-    SampleVector,
-    draw_batch,
-    draw_counts,
-    sample,
-    support_counts,
-)
+from .spaces import (FINITE, ProductLaw, SampleSpace, SampleVector, draw_batch, draw_counts, sample,
+                     support_counts)
 
 ANALYTIC = "analytic"
 # The methods a caller may ask the expectation oracle for; ``auto`` picks
@@ -180,18 +170,31 @@ def _phis_at(stat: Statistic, fc: FunctionClass, points=None, counts=None,
     return np.stack([stat(fc.member_image(k, points)) for k in range(len(fc))[members]])
 
 
-def _draws(law: ProductLaw, stat: Statistic, replicas: int, rng):
-    """(at, weights): ``replicas`` draws from ``rng`` as the keyword
-    arguments ``_phis_at(stat, fc, **at)`` takes, with one weight per point.
-
-    Where the statistic counts, the points are the draws' distinct support
-    count rows, each weighted by how many draws have it. Otherwise they are
-    the draws themselves, each with weight 1.
-    """
-    if _counted(law.space, stat):
-        types, inverse = _count_types(draw_counts(law, replicas, rng), law.n)
-        return {"counts": types}, np.bincount(inverse)
-    return {"points": draw_batch(law, replicas, rng)}, np.ones(replicas)
+def _weighted_points(law: ProductLaw, stat: Statistic, method: str, replicas: int, rng):
+    """The points of an expectation under ``law`` in slices (at, weights),
+    ``at`` the keyword arguments of ``_phis_at(stat, fc, **at)``. ``exact``
+    gives the lattice, weighted by product mass. Otherwise the points are
+    ``replicas`` draws from ``rng``: where the statistic counts, their
+    distinct count rows in one slice, weighted by how many draws have each;
+    else the draws, weight 1 each, in slices on the one stream."""
+    n = law.n
+    if method == EXACT:
+        points, weights = lattice_points(law.space, n), law.weight_matrix    # (n, s)
+        # A point costs its index, weight and image rows of n values.
+        for part in batches(points, 3 * 8 * n):
+            idx = lattice_indices(part, n, law.space.size)
+            yield {"points": idx}, np.multiply.reduce(weights[np.arange(n)[None, :], idx], axis=1)
+    elif _counted(law.space, stat):
+        types, inverse = _count_types(draw_counts(law, replicas, rng), n)
+        weights = np.bincount(inverse)
+        del inverse    # one row index per draw, freed before the caller sums
+        yield {"counts": types}, weights
+    else:
+        # A draw costs its point, a member's image of it and the statistic's
+        # evaluation of that image.
+        for part in batches(replicas, 2 * 8 * n + stat.eval_bytes):
+            rows = part.stop - part.start
+            yield {"points": draw_batch(law, rows, rng)}, np.ones(rows)
 
 
 def expectation_oracle(
@@ -210,15 +213,13 @@ def expectation_oracle(
     errors). Otherwise it enumerates exactly when the space is finite and
     support^n fits under ENUM_CAP, and averages over ``replicas`` fresh
     draws beyond it. ``exact`` always enumerates, and requesting it beyond
-    the cap is a resource error; ``monte-carlo`` always draws. On a finite
-    space a statistic with a count form is evaluated from the draws'
-    support counts rather than from their images.
+    the cap is a resource error; ``monte-carlo`` always draws. Both sum over
+    the slices of ``_weighted_points``.
     """
     if law.space != fc.space:
         raise DomainError("law and class live in different sample spaces")
     if stat.n != law.n:
         raise DomainError("statistic arity does not match the law")
-    n = law.n
     if method == AUTO:
         if law.space.kind == FINITE and stat.product_expectation is not None:
             try:
@@ -228,43 +229,44 @@ def expectation_oracle(
             else:
                 return ExpectationOracle(ANALYTIC, fc.labels, _finite_expectations(values))
         try:
-            lattice_points(law.space, n)
+            lattice_points(law.space, law.n)
             method = EXACT
         except (DomainError, ResourceError):
             method = MONTE_CARLO
-    if method == EXACT:
-        points = lattice_points(law.space, n)
-        weights = law.weight_matrix            # (n, s)
-        values = np.zeros(len(fc))
-        # A point costs its index, weight and image rows of n values.
-        for part in batches(points, 3 * 8 * n):
-            idx = lattice_indices(part, n, law.space.size)
-            w = np.multiply.reduce(weights[np.arange(n)[None, :], idx], axis=1)
-            # A member costs its row of Phi and that row weighted. Each
-            # member sums its own contiguous row in numpy, not in a BLAS dot,
-            # so its value depends neither on its batch nor on BLAS threads.
-            for members in batches(len(fc), 2 * 8 * len(w)):
-                phis = _phis_at(stat, fc, idx, members=members)
-                values[members] += np.sum(w * phis, axis=1)
-        return ExpectationOracle(EXACT, fc.labels, _finite_expectations(values))
-    if method != MONTE_CARLO:
+    if method not in (EXACT, MONTE_CARLO):
         raise DomainError(f"unknown oracle method {method!r}")
-    check_draws(replicas, "replicas")
-    values = np.empty(len(fc))
-    stderrs = np.empty(len(fc))
-    at, weights = _draws(law, stat, replicas, as_stream(seed, "expectation-oracle"))
-    # A member costs its values at the points and their weighted terms; the
-    # deviations and their squares overwrite the values. Each member sums
-    # its own contiguous row in numpy, so under unit weights its mean and
-    # standard error keep the bits of ``phis.mean()`` and ``mean_stderr``.
-    for part in batches(len(fc), 2 * 8 * len(weights)):
-        phis = _phis_at(stat, fc, **at, members=part)
-        terms = np.multiply(phis, weights)
-        values[part] = terms.sum(axis=1) / replicas
-        np.subtract(phis, values[part, None], out=phis)
-        np.multiply(phis, phis, out=phis)
-        np.multiply(phis, weights, out=terms)
-        stderrs[part] = np.sqrt(terms.sum(axis=1) / (replicas - 1)) / math.sqrt(replicas)
+    drawn = method == MONTE_CARLO
+    if drawn:
+        check_draws(replicas, "replicas")
+    rng = as_stream(seed, "expectation-oracle") if drawn else None
+    # Squares are taken about each member's mean in the first slice and
+    # corrected to the overall mean at the end (Chan, Golub and LeVeque
+    # 1983); with one slice the correction is exactly 0.
+    sums, squares, shift = np.zeros(len(fc)), np.zeros(len(fc)), np.empty(len(fc))
+    for i, (at, weights) in enumerate(_weighted_points(law, stat, method, replicas, rng)):
+        # A member costs its values and their weighted terms, which the
+        # deviations and squares overwrite. Each member sums its own row in
+        # numpy, not in a BLAS dot, so no value depends on its batch or on
+        # BLAS threads, and in one slice of unit weights a mean and standard
+        # error keep the bits of ``phis.mean()`` and ``mean_stderr``.
+        for part in batches(len(fc), 2 * 8 * len(weights)):
+            phis = _phis_at(stat, fc, **at, members=part)
+            terms = np.multiply(phis, weights)
+            sums[part] += terms.sum(axis=1)
+            if not drawn:
+                continue
+            if i == 0:
+                shift[part] = sums[part] / weights.sum()
+            np.subtract(phis, shift[part, None], out=phis)
+            np.multiply(phis, phis, out=phis)
+            np.multiply(phis, weights, out=terms)
+            squares[part] += terms.sum(axis=1)
+    if not drawn:
+        return ExpectationOracle(EXACT, fc.labels, _finite_expectations(sums))
+    values = sums / replicas
+    # Rounding may take a true 0 below it.
+    squares = np.maximum(squares - replicas * (values - shift) ** 2, 0.0)
+    stderrs = np.sqrt(squares / (replicas - 1)) / math.sqrt(replicas)
     return ExpectationOracle(MONTE_CARLO, fc.labels, _finite_expectations(values), stderrs, replicas)
 
 
@@ -384,10 +386,8 @@ def _replicate(law: ProductLaw, fc: FunctionClass, stat: Statistic, replications
     holds.
     """
     check_draws(replications, "replications")
-    oracle = expectation_oracle(
-        law, fc, stat, oracle_method,
-        replicas=oracle_replicas, seed=stream(seed, f"{tag}/oracle"),
-    )
+    oracle = expectation_oracle(law, fc, stat, oracle_method, replicas=oracle_replicas,
+                                seed=stream(seed, f"{tag}/oracle"))
 
     devs = np.empty(replications)
     labels = []
@@ -750,15 +750,14 @@ def bounded_difference_tail(
     t = threshold_grid(t_grid, "t_grid")
     check_draws(replicas, "replicas")
     single = FunctionClass(law.space, (member,))
-    oracle = expectation_oracle(
-        law, single, stat, oracle_method,
-        replicas=oracle_replicas, seed=stream(seed, "tail/oracle"),
-    )
+    oracle = expectation_oracle(law, single, stat, oracle_method, replicas=oracle_replicas,
+                                seed=stream(seed, "tail/oracle"))
     expected = float(oracle.values[0])
     if swing is None:
         swing = squared_swing_sum(stat, member, law.space, seed=stream(seed, "tail/swing"))
-    at, weights = _draws(law, stat, replicas, stream(seed, "tail/x"))
-    excess = _phis_at(stat, single, **at)[0] - expected
+    slices = [(_phis_at(stat, single, **at)[0] - expected, weights) for at, weights
+              in _weighted_points(law, stat, MONTE_CARLO, replicas, stream(seed, "tail/x"))]
+    excess, weights = (np.concatenate(part) for part in zip(*slices))
     # exp(-2 t^2 / swing); halving the swing is exact.
     empirical, bound, stderr, violations = _exceedance(excess, weights, t, swing.sup_norm / 2.0)
     return TailReport(

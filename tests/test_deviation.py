@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import itertools
 import math
@@ -420,21 +421,34 @@ def test_monte_carlo_oracle_counts_in_bounded_memory():
 
 
 def test_row_path_monte_carlo_oracle_holds_its_draws_once():
-    # Class separation has no count form, so the oracle images its 20 000
-    # draws of 64 coordinates member by member. The draws are one array of
-    # support indices, and a member's image of them is one more of the same
-    # size; the rest is budgeted batches. The oracle peaks at 24.6 MiB; the
-    # draws' values kept beside their indices took it to 34.3 MiB.
+    # Class separation has no count form, so the oracle images its 200 000
+    # draws of 64 coordinates member by member. The draws come in budgeted
+    # slices on one stream, so the oracle peaks near 5.9 MiB whatever the
+    # number of draws.
     law = iid_law(uniform_on(FIVE_POINTS), 64)
     fc = random_lookup_class(FIVE_POINTS, 4, 1)
     stat = class_separation_statistic([32, 32])
     assert not deviation._counted(law.space, stat)
     oracle, peak = _traced_peak(
-        lambda: expectation_oracle(law, fc, stat, "monte-carlo", replicas=20_000, seed=1)
+        lambda: expectation_oracle(law, fc, stat, "monte-carlo", replicas=200_000, seed=1)
     )
-    assert oracle.method == "monte-carlo" and oracle.replicas == 20_000
-    draws = 20_000 * 64 * 8
-    assert peak < 2 * draws + 2 * functionals.BATCH_BYTES
+    assert oracle.method == "monte-carlo" and oracle.replicas == 200_000
+    assert peak < 8 * 2**20
+
+
+def test_row_path_tail_holds_its_draws_once():
+    # The tail's twin: its 200 000 draws are imaged in slices, and only
+    # each draw's excess and weight are kept, 3.2 MB. With its sampled swing
+    # the tail peaks near 14.4 MiB.
+    law = iid_law(uniform_on(FIVE_POINTS), 64)
+    member = random_lookup_class(FIVE_POINTS, 1, 1).members[0]
+    stat = class_separation_statistic([32, 32])
+    assert not deviation._counted(law.space, stat)
+    rep, peak = _traced_peak(
+        lambda: bounded_difference_tail(law, stat, member, [0.0, 0.01], 200_000, 1)
+    )
+    assert rep.replicas == 200_000
+    assert peak < 24 * 2**20
 
 
 def test_counted_swing_holds_one_batch_of_variants(monkeypatch):
@@ -1440,7 +1454,7 @@ def test_count_types_keep_the_bits_of_every_row(monkeypatch, name, shape):
     stat = STATISTICS[name](law.n)
     assert deviation._counted(law.space, stat)
     # Each distinct count row of the draws weighs as many draws as have it.
-    at, weights = deviation._draws(law, stat, 1000, stream(4, "tail/x"))
+    (at, weights), = deviation._weighted_points(law, stat, "monte-carlo", 1000, stream(4, "tail/x"))
     assert list(at) == ["counts"]
     types = at["counts"]
     expected = np.unique(draw_counts(law, 1000, stream(4, "tail/x")), axis=0, return_counts=True)
@@ -1469,10 +1483,8 @@ def test_count_types_keep_the_bits_of_every_row(monkeypatch, name, shape):
                                        err_msg=key)
 
 
-@pytest.mark.parametrize("case", ["class-separation-5-point", "variance-interval"])
-def test_row_path_monte_carlo_oracle_keeps_the_bits_of_every_draw(case):
-    # Unit weights leave each member's mean and standard error those of its
-    # values at every draw, bit for bit.
+def _row_path_case(case):
+    """(law, class, statistic) of an oracle that images its draws row by row."""
     if case == "class-separation-5-point":
         law, stat = five_point_law(6, 3), class_separation_statistic([2, 4])
         fc = random_lookup_class(FIVE_POINTS, 3, 8)
@@ -1481,9 +1493,57 @@ def test_row_path_monte_carlo_oracle_keeps_the_bits_of_every_draw(case):
         fc = FunctionClass(law.space, (ThresholdMember("low", 0.2, 0.5),
                                        ThresholdMember("high", 0.5, 0.3)))
     assert not deviation._counted(law.space, stat)
+    return law, fc, stat
+
+
+@pytest.mark.parametrize("case", ["class-separation-5-point", "variance-interval"])
+def test_row_path_monte_carlo_oracle_keeps_the_bits_of_every_draw(case):
+    # Unit weights leave each member's mean and standard error those of its
+    # values at every draw, bit for bit.
+    law, fc, stat = _row_path_case(case)
     oracle = expectation_oracle(law, fc, stat, "monte-carlo", replicas=2000, seed=6)
     points = draw_batch(law, 2000, as_stream(6, "expectation-oracle"))
     for k in range(len(fc)):
         phis = stat(fc.member_image(k, points))
         assert oracle.values[k] == phis.mean()
         assert oracle.stderrs[k] == complexity.mean_stderr(phis)
+
+
+@pytest.mark.parametrize("case", ["class-separation-5-point", "variance-interval"])
+def test_row_path_monte_carlo_oracle_in_slices_matches_one_slice(case, monkeypatch):
+    # Each slice's squares are taken about the first slice's mean and
+    # corrected to the overall mean, so the slices change only the order of
+    # the sums.
+    law, fc, stat = _row_path_case(case)
+
+    def draw():
+        return expectation_oracle(law, fc, stat, "monte-carlo", replicas=2000, seed=6)
+
+    slices = []
+    monkeypatch.setattr(deviation, "draw_batch",
+                        lambda law, rows, rng: slices.append(rows) or draw_batch(law, rows, rng))
+    whole = draw()
+    assert slices == [2000]
+    monkeypatch.setattr(functionals, "BATCH_BYTES", 150 * (2 * 8 * law.n + stat.eval_bytes))
+    sliced = draw()
+    assert len(slices) - 1 >= 10 and sum(slices) == 4000
+    np.testing.assert_allclose(sliced.values, whole.values, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(sliced.stderrs, whole.stderrs, rtol=1e-13, atol=0.0)
+
+
+def test_every_expectation_takes_its_points_from_one_source():
+    # The draws, their count types and the lattice reach an expectation only
+    # through _weighted_points, so the oracle and the tail sum one kind of
+    # slice whatever the method.
+    tree = ast.parse(Path(deviation.__file__).read_text(encoding="utf-8"))
+    calls = {
+        function.name: {node.func.id for node in ast.walk(function)
+                        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+        for function in tree.body if isinstance(function, ast.FunctionDef)
+    }
+    sources = {"draw_batch", "draw_counts", "_count_types"}
+    for source in sources:
+        assert {name for name, called in calls.items() if source in called} == {"_weighted_points"}
+    for name in ("expectation_oracle", "bounded_difference_tail"):
+        assert "_weighted_points" in calls[name]
+        assert not calls[name] & (sources | {"lattice_indices"}), name

@@ -14,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unibound import functionals
+from unibound.classes import ThresholdMember, random_lookup_class
 from unibound.complexity import rademacher_exact
+from unibound.deviation import SwingReport, bounded_difference_tail
 from unibound.derivative_bounds import estimate_constants_numeric, fd_hessian
 from unibound.errors import DomainError, ResourceError
 from unibound.functionals import (
@@ -31,7 +33,7 @@ from unibound.functionals import (
 )
 from unibound.rng import stream
 from unibound.runner import run_experiment
-from unibound.spaces import support_counts
+from unibound.spaces import beta_family, finite_space, iid_law, support_counts, uniform_on
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -422,6 +424,27 @@ EIGHT_POINT_LAW = {"space": {"kind": "finite", "support": [
 ]}}
 
 
+def _row_path_tails():
+    """Tails whose draws are imaged row by row, in slices: class separation
+    on five points, with its analytic oracle, and the variance of beta draws,
+    with a Monte Carlo oracle on the interval. That oracle sums its slices in
+    budget order, so its expected value may move in its last digits and is
+    left out; the tail's frequencies keep their bits. The swing only scales
+    the bound, so a fixed one skips its sampled sup."""
+    five = finite_space([(str(j), j / 4.0) for j in range(5)])
+    beta = iid_law(beta_family(2.0, 3.0), 8)
+    tails = [
+        bounded_difference_tail(iid_law(uniform_on(five), 12), class_separation_statistic([5, 7]),
+                                random_lookup_class(five, 1, 3).members[0], [0.0, 0.01, 0.03],
+                                2000, 3, swing=SwingReport(None, 1.0, True)),
+        bounded_difference_tail(beta, sample_variance_statistic(8), ThresholdMember("low", 0.2, 0.5),
+                                [0.0, 0.01, 0.03], 2000, 3, oracle_replicas=2000,
+                                swing=SwingReport(None, 1.0, True)),
+    ]
+    return ([tails[0].expected_value]
+            + [(t.oracle_method, t.empirical.tolist(), t.stderr.tolist()) for t in tails])
+
+
 def test_results_do_not_depend_on_the_batch_budget(tmp_path, monkeypatch):
     y = stream(5, "budget").random((6, 17))
 
@@ -439,6 +462,7 @@ def test_results_do_not_depend_on_the_batch_budget(tmp_path, monkeypatch):
             # probe on five support points.
             _run_outputs("tail_mean", tmp_path / f"{tag}-tail", tail_replicas=2000),
             _run_outputs("probe_variance", tmp_path / f"{tag}-probe", draws=2000),
+            _row_path_tails(),
             rademacher_exact(y).value,
         )
 
@@ -446,7 +470,8 @@ def test_results_do_not_depend_on_the_batch_budget(tmp_path, monkeypatch):
     # One to five rows per batch; one row for the U-statistic (C(12, 2) pairs);
     # one draw per slice and one member per call of the oracle's count form,
     # one multiset per batch of the U-statistic's; one draw of signs per
-    # probe slice and one type per slice of the swing's decoder.
+    # probe slice and one type per slice of the swing's decoder; one draw
+    # or two per slice of the row-path tails.
     monkeypatch.setattr(functionals, "BATCH_BYTES", 512)
     assert outputs("small") == default
 
