@@ -25,10 +25,10 @@ Pieces, in dependency order:
   bound past the enumeration cap.
 
 The exact and Monte Carlo oracles, the tail (the oracle's draws for one
-member), the swing (at a point, at its count types, at sampled points and
-over the lattice) and the probe (at its mixed points) evaluate Phi through
-one function, which takes a batch of members as a slice of the class's rows
-and picks counts or rows once: a coordinate-symmetric statistic on a finite
+member), the swing (at its count types, at sampled points and over the
+lattice) and the probe (at its mixed points) evaluate Phi through one
+function, which takes a batch of members as a slice of the class's rows and
+picks counts or rows once: a coordinate-symmetric statistic on a finite
 space is evaluated from support counts where a row of counts costs it no
 more than a row of values, and every other one from the members' images. An
 expectation or a tail frequency is a weighted sum over the slices of one
@@ -535,15 +535,15 @@ def symmetrization_check_mean(law: ProductLaw, fc: FunctionClass, replications: 
 
 @dataclass(frozen=True, eq=False)
 class SwingReport:
-    """Sum over coordinates of the squared worst one-coordinate change.
+    """The sup over the lattice of the swing sum: over coordinates, the sum
+    of the squared worst one-coordinate change of Phi(f(.)).
 
-    ``sup_norm`` is its sup over the lattice: exact (``sup_is_exact``) when
-    the points to enumerate fit under ENUM_CAP, one per count type for a
-    statistic that counts and every lattice point otherwise; past the cap a
-    sampled lower bound, flagged by ``sup_is_exact = False``.
+    ``sup_norm`` is exact (``sup_is_exact``) when the points to enumerate
+    fit under ENUM_CAP, one per count type for a statistic that counts and
+    every lattice point otherwise; past the cap it is a sampled lower bound,
+    flagged by ``sup_is_exact = False``.
     """
 
-    at_point: float | None
     sup_norm: float
     sup_is_exact: bool
 
@@ -591,22 +591,6 @@ def check_swing_space(space: SampleSpace) -> None:
         raise DomainError("swing sums need a finite sample space")
 
 
-def _type_swing_sup(stat: Statistic, single: FunctionClass, types: int) -> float:
-    """The sup of the counted swing sum over the lattice, from one point per
-    count type: the non-decreasing points of ``multiset_points``, in slices.
-
-    A counted point's swing sum adds each coordinate's squared spread, a
-    function of its support value and the point's counts, so every point of
-    a type has the same terms; they add in coordinate order, as for any
-    point of the lattice.
-    """
-    n, size = stat.n, single.space.size
-    # A point costs its indices and their offset copy while it is counted,
-    # and its counts, spreads, squares and present pairs.
-    return float(max(_swing_at_indices(stat, single, multiset_points(part, n, size)).max()
-                     for part in batches(types, 8 * (2 * n + 4 * size))))
-
-
 def _lattice_swing_sup(stat: Statistic, single: FunctionClass, points: int) -> float:
     """The sup of the swing sum over every one of the ``points`` lattice
     points: Phi at each, then each coordinate's spread along its axis."""
@@ -624,46 +608,35 @@ def _lattice_swing_sup(stat: Statistic, single: FunctionClass, points: int) -> f
     return float(acc.max())
 
 
-def squared_swing_sum(
-    stat: Statistic,
-    member,
-    space: SampleSpace,
-    x: SampleVector | None = None,
-    *,
-    seed=0,
-) -> SwingReport:
-    """Per-coordinate squared swings of Phi(f(.)) on a finite space.
+def squared_swing_sum(stat: Statistic, member, space: SampleSpace, *, seed=0) -> SwingReport:
+    """The sup over the lattice of the swing sum of Phi(f(.)), on a finite space.
 
-    The swing at x sums, over coordinates k, the squared range of
+    The swing sum at x adds, over coordinates k, the squared range of
     Phi(f(x with coordinate k replaced)) as the replacement runs over the
-    support. Its sup over the lattice is exact up to ENUM_CAP points to
-    enumerate: where the statistic counts (``_counted``), one point per
-    count type, C(n+s-1, s-1) of them (``multiset_count``); otherwise every
-    one of the s^n lattice points (``lattice_points``). Past the cap it is
-    the largest swing sum at SWING_SAMPLES points drawn from ``seed``, a
-    lower bound.
+    support. The sup is exact up to ENUM_CAP points to enumerate: where the
+    statistic counts (``_counted``), one point per count type, C(n+s-1, s-1)
+    of them (``multiset_points``), since every point of a type adds the same
+    terms in coordinate order; otherwise every one of the s^n lattice points.
+    Past the cap it is the largest swing sum at SWING_SAMPLES points drawn
+    from ``seed``, a lower bound.
     """
     check_swing_space(space)
-    n = stat.n
-    size = space.size
+    n, size = stat.n, space.size
     single = FunctionClass(space, (member,))
-    at_point = None
-    if x is not None:
-        if x.space != space:
-            raise DomainError("sample vector lives in a different sample space")
-        if x.n != n:
-            raise DomainError("sample vector does not match the statistic arity")
-        at_point = float(_swing_at_indices(stat, single, x.point[None, :])[0])
-
     counted = _counted(space, stat)
     try:
         points = multiset_count(n, size) if counted else lattice_points(space, n)
     except ResourceError:
         rng = as_stream(seed, "swing-sup")
-        idx = rng.integers(0, size, size=(SWING_SAMPLES, n))
-        return SwingReport(at_point, float(_swing_at_indices(stat, single, idx).max()), False)
-    sup = (_type_swing_sup if counted else _lattice_swing_sup)(stat, single, points)
-    return SwingReport(at_point, sup, True)
+        at, exact = [rng.integers(0, size, size=(SWING_SAMPLES, n))], False
+    else:
+        if not counted:
+            return SwingReport(_lattice_swing_sup(stat, single, points), True)
+        # A type's point costs its indices and their offset copy while it is
+        # counted, and its counts, spreads, squares and present pairs.
+        at = (multiset_points(part, n, size) for part in batches(points, 8 * (2 * n + 4 * size)))
+        exact = True
+    return SwingReport(float(max(_swing_at_indices(stat, single, idx).max() for idx in at)), exact)
 
 
 def threshold_grid(grid, name: str) -> np.ndarray:

@@ -843,10 +843,11 @@ def test_swing_constant_for_the_mean_on_bits():
     n = 6
     stat = mean_statistic(n)
     member = lookup_member("id", BITS, IDENTITY_TABLE)
+    single = FunctionClass(BITS, (member,))
     for seed in range(5):
         x = sample(bit_law(n), seed)
-        rep = squared_swing_sum(stat, member, BITS, x)
-        assert rep.at_point == pytest.approx(1.0 / n, rel=1e-12)
+        at_point = deviation._swing_at_indices(stat, single, x.point[None, :])[0]
+        assert at_point == pytest.approx(1.0 / n, rel=1e-12)
     rep = squared_swing_sum(stat, member, BITS)
     assert rep.sup_is_exact
     assert rep.sup_norm == pytest.approx(1.0 / n, rel=1e-12)
@@ -879,8 +880,9 @@ def test_swing_matches_brute_force_for_variance():
     stat = sample_variance_statistic(3)
     member = lookup_member("id", BITS, IDENTITY_TABLE)
     x = vector_from_values(BITS, [0.0, 0.0, 1.0])
-    rep = squared_swing_sum(stat, member, BITS, x)
-    assert rep.at_point == pytest.approx(brute_force_swing(stat, member, BITS, [0, 0, 1]), abs=1e-14)
+    at_point = deviation._swing_at_indices(stat, FunctionClass(BITS, (member,)), x.point[None, :])[0]
+    assert at_point == pytest.approx(brute_force_swing(stat, member, BITS, [0, 0, 1]), abs=1e-14)
+    rep = squared_swing_sum(stat, member, BITS)
     # exact sup: maximize the brute force over the whole lattice
     best = max(
         brute_force_swing(stat, member, BITS, [a, b, c])
@@ -917,7 +919,9 @@ def test_type_swing_sup_matches_the_lattice(size):
     shapes = list(_counted_swing_shapes(size, range(2, 20)))
     assert {name for name, _, _ in shapes} == set(SWING_STATISTICS)
     for name, n, stat in shapes:
-        types = deviation._type_swing_sup(stat, single, functionals.multiset_count(n, size))
+        rep = squared_swing_sum(stat, single.members[0], space)
+        assert rep.sup_is_exact, (name, n)
+        types = rep.sup_norm
         lattice = deviation._lattice_swing_sup(stat, single, size**n)
         np.testing.assert_allclose(types, lattice, rtol=2e-15, atol=0.0, err_msg=f"{name} n={n}")
 
@@ -928,8 +932,9 @@ def test_type_swing_sup_keeps_the_lattice_bits_on_the_shipped_shapes(config):
     exp = resolve(load_config(ROOT / config))
     single = FunctionClass(exp.law.space, exp.fc.members[:1])
     size = exp.law.space.size
-    types = deviation._type_swing_sup(exp.stat, single, functionals.multiset_count(exp.n, size))
-    assert types == deviation._lattice_swing_sup(exp.stat, single, size**exp.n)
+    rep = squared_swing_sum(exp.stat, single.members[0], exp.law.space)
+    assert rep.sup_is_exact
+    assert rep.sup_norm == deviation._lattice_swing_sup(exp.stat, single, size**exp.n)
 
 
 def test_type_swing_sup_keeps_the_sampled_bits_of_the_tail_mean():
@@ -995,16 +1000,6 @@ def test_swing_needs_finite_space():
 
     with pytest.raises(DomainError):
         squared_swing_sum(mean_statistic(3), identity_member(), interval_space())
-
-
-@pytest.mark.parametrize("stat", [sample_variance_statistic(8), class_separation_statistic([3, 5])],
-                         ids=["count-path", "row-path"])
-def test_swing_refuses_a_point_of_the_wrong_length(stat):
-    # The variance counts on a finite space, class separation images rows;
-    # counted, a point of 5 coordinates gave a swing above the sup over 8.
-    member = lookup_member("id", BITS, IDENTITY_TABLE)
-    with pytest.raises(DomainError, match="arity"):
-        squared_swing_sum(stat, member, BITS, sample(bit_law(5), 0))
 
 
 # ---------------------------------------------------------------------------
@@ -1235,12 +1230,14 @@ def test_tail_swing_and_probe_counts_match_rows(name, support):
     np.testing.assert_allclose(tails[0].swing_norm, tails[1].swing_norm, **TOL)
 
     x = sample(law, stream(5, "x"))
-    swings = [squared_swing_sum(s, fc.members[1], space, x) for s in (stat, rows)]
-    np.testing.assert_allclose(swings[0].at_point, swings[1].at_point, **TOL)
+    second = FunctionClass(space, fc.members[1:2])
+    at_x = [deviation._swing_at_indices(s, second, x.point[None, :]) for s in (stat, rows)]
+    np.testing.assert_allclose(*at_x, **TOL)
+    swings = [squared_swing_sum(s, fc.members[1], space) for s in (stat, rows)]
     np.testing.assert_allclose(swings[0].sup_norm, swings[1].sup_norm, **TOL)
     assert swings[0].sup_is_exact and swings[1].sup_is_exact
     # At a point on one support value every other value is absent.
-    lone, second = np.zeros((1, n), dtype=np.int64), FunctionClass(space, fc.members[1:2])
+    lone = np.zeros((1, n), dtype=np.int64)
     at_lone = [deviation._swing_at_indices(s, second, lone) for s in (stat, rows)]
     np.testing.assert_allclose(*at_lone, **TOL)
 
@@ -1282,6 +1279,22 @@ def test_sampled_swing_counts_match_rows_past_the_type_cap(name, monkeypatch):
                        for s in (stat, _rows_only(stat)))
     assert not counted.sup_is_exact and not imaged.sup_is_exact
     np.testing.assert_allclose(counted.sup_norm, imaged.sup_norm, **TOL)
+
+
+@pytest.mark.parametrize("stat, space, cap, expected", [
+    (sample_variance_statistic(10), FIVE_POINTS, 1000, "0.016955963751048724"),
+    (_rows_only(sample_variance_statistic(20)), BITS, None, "3.617467191370685e-06"),
+], ids=["counted-past-the-type-cap", "imaged-past-the-lattice-cap"])
+def test_sampled_swing_sup_keeps_its_bits(stat, space, cap, expected, monkeypatch):
+    # Past the cap the sup is the largest swing sum at SWING_SAMPLES points
+    # drawn from the seed: C(14, 4) = 1001 count types pass a cap of 1000,
+    # and 2^20 lattice points pass the default cap. Any change to the draws
+    # or to the max moves these bits.
+    if cap is not None:
+        monkeypatch.setattr(functionals, "ENUM_CAP", cap)
+    member = random_lookup_class(space, 1, 8).members[0]
+    rep = squared_swing_sum(stat, member, space, seed=2)
+    assert not rep.sup_is_exact and repr(rep.sup_norm) == expected
 
 
 def test_row_path_keeps_its_values():
@@ -1350,7 +1363,8 @@ def test_tail_swing_and_probe_evaluate_rows_only_without_counts(name, evaluated)
     x, x_alt = sample(law, stream(1, "x")), sample(law, stream(1, "x-alt"))
     expectation_oracle(law, fc, stat, "exact")
     bounded_difference_tail(law, stat, fc.members[0], [0.1], 500, 1, oracle_method="monte-carlo")
-    squared_swing_sum(stat, fc.members[0], BITS, x)
+    squared_swing_sum(stat, fc.members[0], BITS)
+    deviation._swing_at_indices(stat, FunctionClass(BITS, fc.members[:1]), x.point[None, :])
     swap_process_probe(x, x_alt, *fc.members, stat, constants, [0.1], 500, 1)
     assert bool(calls) == evaluated
 
@@ -1427,7 +1441,7 @@ def _typed_outputs(law, members, enumerable, stat):
     grid = [0.0, 0.01, 0.03]
     tail = bounded_difference_tail(law, stat, fc.members[0], grid, 1000, 4,
                                    oracle_method="monte-carlo", oracle_replicas=1000,
-                                   swing=deviation.SwingReport(None, 1.0, True))
+                                   swing=deviation.SwingReport(1.0, True))
     counts = draw_counts(law, 1000, stream(4, "tail/x"))
     phis = deviation._phis_at(stat, fc, counts=counts, members=slice(0, 1))[0]
     outputs = {
@@ -1531,19 +1545,32 @@ def test_row_path_monte_carlo_oracle_in_slices_matches_one_slice(case, monkeypat
     np.testing.assert_allclose(sliced.stderrs, whole.stderrs, rtol=1e-13, atol=0.0)
 
 
-def test_every_expectation_takes_its_points_from_one_source():
-    # The draws, their count types and the lattice reach an expectation only
-    # through _weighted_points, so the oracle and the tail sum one kind of
-    # slice whatever the method.
+def _deviation_calls():
+    """The names each top-level function of ``deviation`` calls."""
     tree = ast.parse(Path(deviation.__file__).read_text(encoding="utf-8"))
-    calls = {
+    return {
         function.name: {node.func.id for node in ast.walk(function)
                         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
         for function in tree.body if isinstance(function, ast.FunctionDef)
     }
+
+
+def test_every_expectation_takes_its_points_from_one_source():
+    # The draws, their count types and the lattice reach an expectation only
+    # through _weighted_points, so the oracle and the tail sum one kind of
+    # slice whatever the method.
+    calls = _deviation_calls()
     sources = {"draw_batch", "draw_counts", "_count_types"}
     for source in sources:
         assert {name for name, called in calls.items() if source in called} == {"_weighted_points"}
     for name in ("expectation_oracle", "bounded_difference_tail"):
         assert "_weighted_points" in calls[name]
         assert not calls[name] & (sources | {"lattice_indices"}), name
+
+
+def test_every_swing_sup_is_taken_in_one_function():
+    # The count types, the per-point swing and the lattice sweep are reached
+    # only from squared_swing_sum, so the swing has one entry and one max.
+    calls = _deviation_calls()
+    for route in ("multiset_points", "_swing_at_indices", "_lattice_swing_sup"):
+        assert {name for name, called in calls.items() if route in called} == {"squared_swing_sum"}

@@ -436,10 +436,10 @@ def _row_path_tails():
     tails = [
         bounded_difference_tail(iid_law(uniform_on(five), 12), class_separation_statistic([5, 7]),
                                 random_lookup_class(five, 1, 3).members[0], [0.0, 0.01, 0.03],
-                                2000, 3, swing=SwingReport(None, 1.0, True)),
+                                2000, 3, swing=SwingReport(1.0, True)),
         bounded_difference_tail(beta, sample_variance_statistic(8), ThresholdMember("low", 0.2, 0.5),
                                 [0.0, 0.01, 0.03], 2000, 3, oracle_replicas=2000,
-                                swing=SwingReport(None, 1.0, True)),
+                                swing=SwingReport(1.0, True)),
     ]
     return ([tails[0].expected_value]
             + [(t.oracle_method, t.empirical.tolist(), t.stderr.tolist()) for t in tails])
