@@ -10,13 +10,16 @@ appears: with s distinct columns, R is computed exactly over the
 prod_j (m_j + 1) count patterns of the multiplicities m_j when their
 antithetic pairs fit ``functionals.ENUM_CAP`` (with no repeated column, the
 2^(n-1) sign-pattern pairs, n <= 20) and by Monte Carlo otherwise; G by
-Monte Carlo with s normals per draw. Monte Carlo draws are antithetic:
-each eps (or gamma) is paired with its negation, the estimate is the mean
-of per-pair means, and the standard error is the sample standard deviation
-of the iid pair means over sqrt(pairs). Pairing keeps the estimator
-unbiased, makes every pair mean nonnegative (take the same maximizer on
-both sides), and makes translation invariance hold exactly under a shared
-stream.
+Monte Carlo with s normals per draw, or exactly on a class's support of
+one or two points, where ``gaussian_from_counts`` finds the hull of the
+class's support matrix once and each point's support counts rescale its
+edges (G is half the perimeter over sqrt(2 pi)). Monte Carlo draws are
+antithetic: each eps (or gamma) is paired with its negation, the estimate
+is the mean of per-pair means, and the standard error is the sample
+standard deviation of the iid pair means over sqrt(pairs). Pairing keeps
+the estimator unbiased, makes every pair mean nonnegative (take the same
+maximizer on both sides), and makes translation invariance hold exactly
+under a shared stream.
 
 G of a stack of images, such as one slice of the deviation experiment's
 replications, takes one call: ``gaussian_averages`` merges the columns of
@@ -265,6 +268,63 @@ def gaussian_mc(y, draws: int, seed) -> ComplexityEstimate:
     mat = _as_matrix(y)
     (means,) = _gaussian_means(mat[None], draws, [as_stream(seed, "gaussian-mc")])
     return _monte_carlo(means, GAUSSIAN)
+
+
+def _hull_edges(points: np.ndarray) -> np.ndarray:
+    """The (edges, 2) edge vectors of the convex hull of a (K, 2) point set,
+    once round it counter-clockwise (Andrew's monotone chain): a segment's
+    two edges, out and back, and one edge of length 0 for a single point.
+    Collinear points are dropped, so a collinear set is its segment."""
+    pts = sorted(set(map(tuple, points.tolist())))
+
+    def chain(seq):
+        """One half of the hull, dropping every point that does not turn left."""
+        out: list = []
+        for x, y in seq:
+            while len(out) >= 2:
+                (ox, oy), (ax, ay) = out[-2], out[-1]
+                if (ax - ox) * (y - oy) - (ay - oy) * (x - ox) > 0.0:
+                    break
+                out.pop()
+            out.append((x, y))
+        return out[:-1]
+
+    vertices = np.array(chain(pts) + chain(reversed(pts)) if len(pts) > 1 else pts)
+    return np.roll(vertices, -1, axis=0) - vertices
+
+
+# The largest support on which ``gaussian_from_counts`` is exact.
+EXACT_GAUSSIAN_SUPPORT = 2
+
+
+def gaussian_from_counts(support, counts) -> np.ndarray:
+    """Exact G of the image ``support[:, x]`` of each point x whose support
+    counts are a row of ``counts``, on a support of one or two points:
+    ``support`` is a class's (K, s) support matrix and ``counts`` (rows, s).
+
+    The image's distinct columns are the support columns scaled by sqrt(c_j),
+    and for a finite Y, G(Y) = V_1(conv Y) / sqrt(2 pi) with V_1 the first
+    intrinsic volume (Sudakov 1971; Tsirelson 1985). In the plane that is
+    half the hull's perimeter. A point's image is the class's points times
+    diag(sqrt(c_0), sqrt(c_1)), whose hull is the class's hull rescaled, so
+    the hull is found once and each row only rescales its edges:
+    G = sum_e sqrt(e_x^2 c_0 + e_y^2 c_1) / (2 sqrt(2 pi)). One member, a
+    collinear class, equal support columns (the diagonal) and a count of 0
+    need no case of their own. On one support point the image is one column
+    of multiplicity n, and G = sqrt(n) (max - min) / sqrt(2 pi). Every sum
+    is elementwise, with no BLAS product, so no value depends on BLAS
+    threads or on the other rows.
+    """
+    support = np.asarray(support, dtype=np.float64)
+    counts = np.asarray(counts)
+    size = support.shape[1]
+    if size > EXACT_GAUSSIAN_SUPPORT:
+        raise DomainError("exact Gaussian averages need at most two support points")
+    if size == 1:
+        return np.sqrt(counts[:, 0]) * (support.max() - support.min()) / math.sqrt(2.0 * math.pi)
+    squares = np.square(_hull_edges(support))
+    lengths = np.sqrt(counts[:, :1] * squares[:, 0] + counts[:, 1:] * squares[:, 1])
+    return lengths.sum(axis=1) / (2.0 * math.sqrt(2.0 * math.pi))
 
 
 @dataclass(frozen=True, eq=False)

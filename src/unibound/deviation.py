@@ -37,12 +37,18 @@ oracle weighs its product mass, a distinct count row of the draws (the
 count path) weighs how many draws have it, and a draw (the row path) weighs
 1, so one slice keeps the bits of a per-draw average. The probe counts only
 its sigma-mix: the complementary mix's counts are the two points' counts
-less the mix's. Only the replications image rows.
+less the mix's, and each distinct mix is evaluated once.
 
-The replications run in slices of replications. Each draws its point on
-its own stream; one gather images a slice, one call of the statistic on its
-(replications, |class|, n) stack gives every deviation, and one call
-averages its images, so a value does not depend on the slice it falls in.
+The replications run in slices of replications, and take their Phi from
+the same function. Each draws its point on its own stream; one call gives
+a slice's Phi, from support counts where the statistic counts, and every
+deviation, and one call averages the slice, so a value does not depend on
+the slice it falls in. On a support of one or two points the average is the
+exact G of each point's image from its support counts
+(``complexity.gaussian_from_counts``), and the replications draw no normals
+and image no rows; only Monte Carlo G, on three or more points or on the
+interval, and the symmetrization check's R image the class, one gather a
+slice.
 """
 
 from __future__ import annotations
@@ -55,9 +61,9 @@ import numpy as np
 from .classes import FunctionClass
 # gaussian_mc stays importable here: perfbench traces each layer through the
 # names this module imports, though the replications call gaussian_averages.
-from .complexity import (EXACT, GAUSSIAN, MONTE_CARLO, ComplexityEstimate, check_draws,
-                         gaussian_averages, gaussian_bytes, gaussian_mc, mean_stderr,
-                         rademacher_average)
+from .complexity import (EXACT, EXACT_GAUSSIAN_SUPPORT, GAUSSIAN, MONTE_CARLO, ComplexityEstimate,
+                         check_draws, gaussian_averages, gaussian_bytes, gaussian_from_counts,
+                         gaussian_mc, mean_stderr, rademacher_average)
 from .derivative_bounds import ConstantsReport
 from .errors import DomainError, OverrideRequiredError, ResourceError
 from .functionals import (Statistic, batches, check_enumeration, lattice_indices, mean_statistic,
@@ -151,7 +157,7 @@ def _count_types(counts: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return counts[first], inverse
 
 
-def _phis_at(stat: Statistic, fc: FunctionClass, points=None, counts=None,
+def _phis_at(stat: Statistic, fc: FunctionClass, points=None, counts=None, images=None,
              members: slice = slice(None)) -> np.ndarray:
     """Phi(f_k(x)) for the class members k in the slice ``members`` (all of
     them by default) at a batch of points x, as a (members, rows) array, one
@@ -161,12 +167,16 @@ def _phis_at(stat: Statistic, fc: FunctionClass, points=None, counts=None,
     finite space, values on the interval. Where the statistic counts on the
     class's space (``_counted``), Phi is evaluated from the points' support
     counts, which a caller that holds only those passes as ``counts``.
-    Otherwise Phi is evaluated from each member's image of the points.
+    Otherwise Phi is evaluated from each member's image of the points, or in
+    one call from the class's (points, |class|, n) stack ``images`` of them
+    where the caller holds it; each row's value is the same either way.
     """
     if _counted(fc.space, stat):
         if counts is None:
             counts = support_counts(points, fc.space.size)
         return stat.count_form(fc.support_matrix()[members], counts)
+    if images is not None:
+        return np.ascontiguousarray(stat(images[:, members]).T)
     return np.stack([stat(fc.member_image(k, points)) for k in range(len(fc))[members]])
 
 
@@ -271,19 +281,18 @@ def expectation_oracle(
 
 
 def uniform_deviation(
-    images: np.ndarray, fc: FunctionClass, stat: Statistic, oracle: ExpectationOracle
+    phis: np.ndarray, fc: FunctionClass, oracle: ExpectationOracle
 ) -> tuple[np.ndarray, tuple[str, ...]]:
     """sup over the class of E Phi(f(X')) - Phi(f(x)) at each point x of a
-    batch, with the first maximizing label; ``images`` is the class's
-    (points, |class|, n) stack ``fc.images(points)``, and the statistic is
-    called once on all its rows."""
+    batch, with the first maximizing label; ``phis`` is the (|class|, points)
+    array ``_phis_at`` gives, one row per member."""
     if oracle.labels != fc.labels:
         raise DomainError("oracle was built for a different class")
-    if images.ndim != 3 or images.shape[1] != len(fc):
-        raise DomainError("each image needs one row per class member")
-    gaps = oracle.values - stat(images)
-    best = np.argmax(gaps, axis=1)
-    return gaps[np.arange(len(best)), best], tuple(fc.labels[k] for k in best.tolist())
+    if phis.ndim != 2 or phis.shape[0] != len(fc):
+        raise DomainError("Phi needs one row per class member")
+    gaps = oracle.values[:, None] - phis
+    best = np.argmax(gaps, axis=0)
+    return gaps[best, np.arange(len(best))], tuple(fc.labels[k] for k in best.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +361,7 @@ class DeviationReport:
     dev_stderr: float
     image_g_samples: np.ndarray
     image_g: ComplexityEstimate
+    image_g_method: str    # how each replication's G(F(x)) was found: exact or Monte Carlo
     constants: ConstantsReport
     c_used: float
     delta: float
@@ -368,22 +378,25 @@ class DeviationReport:
 
 
 def _replicate(law: ProductLaw, fc: FunctionClass, stat: Statistic, replications: int,
-               seed: int, tag: str, average, average_bytes: int, *,
+               seed: int, tag: str, average, average_bytes: int, imaged: bool, *,
                oracle_method: str = DEFAULT_ORACLE_METHOD,
                oracle_replicas: int = DEFAULT_ORACLE_REPLICAS):
     """(oracle, deviations, argmax labels, averages) over the replications.
 
     The replications run in slices. Replication r samples x on the stream
     (seed, tag + "/x", r); a slice stacks its points, images the class at
-    them in one gather, forms its uniform deviations with one call of the
-    statistic, and hands the images to ``average(images, part)``, which
-    returns one value per replication in the slice ``part``.
+    them in one gather only where the average is ``imaged``, takes their Phi
+    from ``_phis_at`` (from support counts where the statistic counts, from
+    the images otherwise), forms its uniform deviations, and hands the
+    points and images (None unless ``imaged``) to ``average(points, images,
+    part)``, which returns one value per replication in the slice ``part``.
 
     A slice holds at most BATCH_BYTES. A replication counts its point and
-    its copy in the stack, its images and their gather, its rows' values
-    and gaps, what evaluating the statistic on its rows holds
-    (``stat.eval_bytes`` per row), and the ``average_bytes`` its average
-    holds.
+    its copy in the stack; its images and their gather where ``imaged``;
+    per member its Phi, their stacked copy and its gap; what evaluating Phi
+    holds, its counts and a count row per member or one member's image row
+    and the statistic's evaluation of it; and the ``average_bytes`` its
+    average holds.
     """
     check_draws(replications, "replications")
     oracle = expectation_oracle(law, fc, stat, oracle_method, replicas=oracle_replicas,
@@ -392,15 +405,19 @@ def _replicate(law: ProductLaw, fc: FunctionClass, stat: Statistic, replications
     devs = np.empty(replications)
     labels = []
     averages = np.empty(replications)
-    members = len(fc)
-    row_bytes = 8 * 2 * law.n + members * (8 * (2 * law.n + 2) + stat.eval_bytes) + average_bytes
-    for part in batches(replications, row_bytes):
+    n, members = law.n, len(fc)
+    if _counted(law.space, stat):
+        phi_bytes = 8 * law.space.size + members * stat.count_row_bytes(law.space.size)
+    else:
+        phi_bytes = 8 * n + stat.eval_bytes
+    image_bytes = 16 * members * n if imaged else 0
+    for part in batches(replications, 16 * n + image_bytes + 24 * members + phi_bytes + average_bytes):
         points = np.stack([sample(law, stream(seed, f"{tag}/x", r)).point
                            for r in range(part.start, part.stop)])
-        images = fc.images(points)
-        devs[part], best = uniform_deviation(images, fc, stat, oracle)
+        images = fc.images(points) if imaged else None
+        devs[part], best = uniform_deviation(_phis_at(stat, fc, points, images=images), fc, oracle)
         labels.extend(best)
-        averages[part] = average(images, part)
+        averages[part] = average(points, images, part)
     return oracle, devs, tuple(labels), averages
 
 
@@ -422,19 +439,39 @@ def deviation_experiment(
     """Replicate the uniform deviation and check bound coverage.
 
     Each replication draws one sample, records the uniform deviation, and
-    estimates the Gaussian average of the class image at that sample; the
-    image average across replications estimates E_X G(F(X)) on the same
-    draws the deviations use. Replication r derives its streams from
-    (seed, tag, r). The bound's inputs are checked before any replication.
+    finds the Gaussian average G(F(x)) of the class image at that sample;
+    the image average across replications estimates E_X G(F(X)) on the same
+    draws the deviations use. On a support of at most EXACT_GAUSSIAN_SUPPORT
+    points G(F(x)) is exact, from the sample's support counts
+    (``gaussian_from_counts``), and ``gaussian_draws`` goes unused;
+    elsewhere it averages ``gaussian_draws`` normals on the stream
+    (seed, "deviation/g", r) of replication r. ``image_g_method`` says which
+    ran. The bound's inputs and the draws are checked before any
+    replication.
     """
     check_bound_inputs(constants, c, delta, allow_numeric_constants)
+    check_draws(gaussian_draws, "gaussian_draws")
+    space, members = law.space, len(fc)
+    if space.kind == FINITE and space.size <= EXACT_GAUSSIAN_SUPPORT:
+        g_method, support = EXACT, fc.support_matrix()
 
-    def gaussian(images: np.ndarray, part: slice) -> np.ndarray:
-        rngs = [stream(seed, "deviation/g", r) for r in range(part.start, part.stop)]
-        return gaussian_averages(images, gaussian_draws, rngs)
+        def gaussian(points: np.ndarray, images: None, part: slice) -> np.ndarray:
+            return gaussian_from_counts(support, support_counts(points, space.size))
+
+        # Its counts, and a length and its square per hull edge: at most one
+        # edge per member, or a segment's two.
+        g_bytes = 8 * space.size + 16 * (members + 1)
+    else:
+        g_method = MONTE_CARLO
+
+        def gaussian(points: np.ndarray, images: np.ndarray, part: slice) -> np.ndarray:
+            rngs = [stream(seed, "deviation/g", r) for r in range(part.start, part.stop)]
+            return gaussian_averages(images, gaussian_draws, rngs)
+
+        g_bytes = gaussian_bytes(members, law.n)
 
     oracle, devs, labels, g_vals = _replicate(
-        law, fc, stat, replications, seed, "deviation", gaussian, gaussian_bytes(len(fc), law.n),
+        law, fc, stat, replications, seed, "deviation", gaussian, g_bytes, g_method == MONTE_CARLO,
         oracle_method=oracle_method, oracle_replicas=oracle_replicas,
     )
     dev_mean = float(devs.mean())
@@ -468,6 +505,7 @@ def deviation_experiment(
         dev_stderr=dev_stderr,
         image_g_samples=g_vals,
         image_g=image_g,
+        image_g_method=g_method,
         constants=constants,
         c_used=c,
         delta=delta,
@@ -510,14 +548,14 @@ def symmetrization_check_mean(law: ProductLaw, fc: FunctionClass, replications: 
     n = law.n
     stat = mean_statistic(n)
 
-    def rademacher(images: np.ndarray, part: slice) -> list[float]:
+    def rademacher(points: np.ndarray, images: np.ndarray, part: slice) -> list[float]:
         return [
             rademacher_average(image, SYMMETRIZATION_DRAWS, stream(seed, "symmetrization/r", r)).value
             for image, r in zip(images, range(part.start, part.stop))
         ]
 
     # Each image's Rademacher average runs alone, in its own batches.
-    _, devs, _, rads = _replicate(law, fc, stat, replications, seed, "symmetrization", rademacher, 0)
+    _, devs, _, rads = _replicate(law, fc, stat, replications, seed, "symmetrization", rademacher, 0, True)
     dev_mean = float(devs.mean())
     dev_stderr = mean_stderr(devs)
     rad_mean = float(rads.mean())
@@ -782,7 +820,8 @@ def _swap_process(stat: Statistic, pair: FunctionClass, x: SampleVector, x_alt: 
     it is the sigma-mix of the member's images, since sigma is 0 or 1; so
     Phi is evaluated at the mixed points. Where Phi reads counts, the two
     mixes together hold every coordinate of x and x_alt, so the
-    complementary mix's counts are the two points' counts less the mix's.
+    complementary mix's counts are the two points' counts less the mix's,
+    and Phi is evaluated once per distinct count row of a slice.
     """
     n = stat.n
     a, b = x.point, x_alt.point
@@ -797,9 +836,9 @@ def _swap_process(stat: Statistic, pair: FunctionClass, x: SampleVector, x_alt: 
     for part in batches(draws, 5 * 8 * n):
         swap = rng.integers(0, 2, size=(part.stop - part.start, n)) == 1
         if counted:
-            counts = support_counts(np.where(swap, a, b), size)
-            mixed = _phis_at(stat, pair, counts=counts)
-            swapped = _phis_at(stat, pair, counts=both - counts)
+            types, inverse = _count_types(support_counts(np.where(swap, a, b), size), n)
+            mixed = _phis_at(stat, pair, counts=types)[:, inverse]
+            swapped = _phis_at(stat, pair, counts=both - types)[:, inverse]
         else:
             mixed = _phis_at(stat, pair, np.where(swap, a, b))
             swapped = _phis_at(stat, pair, np.where(swap, b, a))

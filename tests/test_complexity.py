@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,13 +12,17 @@ from unibound.complexity import (
     _merged_columns,
     comparison_report,
     gaussian_averages,
+    gaussian_from_counts,
     gaussian_mc,
     mean_stderr,
     rademacher_exact,
     rademacher_mc,
 )
+from unibound.config import load_config, resolve
 from unibound.errors import DomainError, ResourceError
 from unibound.rng import as_stream, stream
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def random_dyadic_set(seed, k, n, denom=64):
@@ -239,6 +244,92 @@ def test_merged_gaussian_agrees_with_the_n_wide_estimator():
     ])
     spread = math.sqrt(merged.var(ddof=1) / 200 + wide.var(ddof=1) / 200)
     assert abs(merged.mean() - wide.mean()) <= 4.0 * spread
+
+
+# ---------------------------------------------------------------------------
+# exact G on one or two support points, from support counts
+
+def _image(support, counts):
+    """The image of the point with these support counts: each support
+    column repeated its count times."""
+    return np.repeat(np.asarray(support, dtype=np.float64), counts, axis=1)
+
+
+# name -> ((K, s) support matrix, support counts of one point)
+EXACT_G_CASES = {
+    "one-member": ([[0.3, 0.9]], [5, 7]),
+    "two-members": ([[0.1, 0.8], [0.6, 0.2]], [4, 9]),
+    "equal-columns": ([[0.2, 0.2], [0.7, 0.7], [0.5, 0.5]], [6, 5]),
+    "a-count-of-zero": (random_dyadic_set(8, 9, 2).tolist(), [0, 12]),
+    "one-point-support": ([[0.25], [0.75], [0.5]], [10]),
+    "eight-members": (random_dyadic_set(9, 8, 2).tolist(), [7, 9]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_G_CASES))
+def test_exact_gaussian_lies_within_four_standard_errors_of_monte_carlo(name):
+    support, counts = EXACT_G_CASES[name]
+    (exact,) = gaussian_from_counts(support, np.array([counts]))
+    est = gaussian_mc(_image(support, counts), 100_000, 41)
+    assert abs(exact - est.value) <= 4.0 * est.stderr + 1e-15
+    if name == "one-member":
+        assert exact == 0.0 and est.value == 0.0
+
+
+def test_exact_gaussian_of_a_segment_is_its_length_over_root_two_pi():
+    # Two members: the segment between their scaled points, whatever the count.
+    support = np.array([[0.1, 0.8], [0.6, 0.2]])
+    counts = np.array([[4, 9], [13, 0], [0, 13]])
+    lengths = np.sqrt(counts[:, 0] * 0.5**2 + counts[:, 1] * 0.6**2)
+    np.testing.assert_allclose(gaussian_from_counts(support, counts),
+                               lengths / math.sqrt(2.0 * math.pi), rtol=1e-15)
+    # One support point: one column of multiplicity n.
+    assert gaussian_from_counts([[0.25], [0.75]], np.array([[16]]))[0] == 4.0 * 0.5 / math.sqrt(2.0 * math.pi)
+
+
+def test_exact_gaussian_rows_do_not_depend_on_each_other():
+    support = random_dyadic_set(9, 8, 2)
+    counts = np.stack([np.arange(17), 16 - np.arange(17)], axis=1)
+    together = gaussian_from_counts(support, counts)
+    alone = [gaussian_from_counts(support, row[None])[0] for row in counts]
+    assert together.tolist() == alone
+    # Members' order and repeats leave the hull, so the value, unchanged.
+    shuffled = np.concatenate([support[::-1], support[:3]])
+    np.testing.assert_allclose(gaussian_from_counts(shuffled, counts), together, rtol=1e-14)
+
+
+def test_exact_gaussian_refuses_three_support_points():
+    with pytest.raises(DomainError):
+        gaussian_from_counts([[0.1, 0.2, 0.3]], np.array([[1, 1, 1]]))
+
+
+# The exact E_X G(F(X)) of the shipped two-point configurations at their own
+# seeds and of the ustat-report benchmark shape: the mean of the exact G
+# over the n + 1 count types, each weighed by its binomial mass.
+EXACT_EXPECTED_G = {
+    "deviate_mean": 1.3152416,
+    "deviate_variance": 1.3527745,
+    "full_report": 1.2958626,
+    "ustat-report": 1.7984906,
+}
+USTAT_REPORT_SHAPE = {
+    "kind": "deviate", "seed": 1, "n": 16,
+    "law": {"space": {"kind": "finite", "support": [
+        {"label": "0", "value": 0.0}, {"label": "1", "value": 1.0}]}},
+    "class": {"random_lookup": {"count": 16}}, "statistic": {"name": "mean"},
+    "constants": {"route": "closed-form"}, "delta": 0.1, "replications": 100,
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_EXPECTED_G))
+def test_expected_exact_gaussian_over_count_types(name):
+    raw = USTAT_REPORT_SHAPE if name == "ustat-report" else load_config(ROOT / "configs" / f"{name}.yaml")
+    exp = resolve(raw)
+    n, (w0, w1) = exp.n, exp.law.weight_matrix[0]
+    c0 = np.arange(n + 1)
+    pmf = np.array([math.comb(n, k) * w0**k * w1 ** (n - k) for k in range(n + 1)])
+    g = gaussian_from_counts(exp.fc.support_matrix(), np.stack([c0, n - c0], axis=1))
+    assert float((pmf * g).sum()) == pytest.approx(EXACT_EXPECTED_G[name], abs=1e-7)
 
 
 # ---------------------------------------------------------------------------

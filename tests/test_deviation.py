@@ -491,8 +491,9 @@ def test_tail_counts_in_bounded_memory(name, monkeypatch):
 # uniform deviation
 
 def deviation_at(x, fc, stat, oracle):
-    """The uniform deviation and its label at the one point x."""
-    (value,), (label,) = uniform_deviation(fc.image_matrix(x)[None], fc, stat, oracle)
+    """The uniform deviation and its label at the one point x, from each
+    member's image row."""
+    (value,), (label,) = uniform_deviation(stat(fc.image_matrix(x))[:, None], fc, oracle)
     return value, label
 
 
@@ -572,10 +573,11 @@ def test_deviation_oracle_class_mismatch():
     x = sample(law, 0)
     with pytest.raises(DomainError):
         deviation_at(x, other, stat, oracle)
+    phis = stat(fc.image_matrix(x))[:, None]
     with pytest.raises(DomainError):
-        uniform_deviation(fc.image_matrix(x)[None, :1], fc, stat, oracle)  # one row short
+        uniform_deviation(phis[:1], fc, oracle)  # one row short
     with pytest.raises(DomainError):
-        uniform_deviation(fc.image_matrix(x), fc, stat, oracle)  # not a stack
+        uniform_deviation(phis[:, 0], fc, oracle)  # not one row per member
 
 
 # ---------------------------------------------------------------------------
@@ -713,14 +715,15 @@ def test_experiment_replication_floor():
 
 def _one_at_a_time(law, fc, stat, oracle, replications, seed, tag, average):
     """(deviations, argmax labels, averages) of the replications run one at
-    a time: sample, image, uniform deviation, then ``average(image, r)``."""
+    a time: sample, Phi at the one point, uniform deviation, then
+    ``average(x, r)``."""
     devs, labels, averages = [], [], []
     for r in range(replications):
-        image = fc.image_matrix(sample(law, stream(seed, f"{tag}/x", r)))
-        (dev,), (label,) = uniform_deviation(image[None], fc, stat, oracle)
+        x = sample(law, stream(seed, f"{tag}/x", r))
+        (dev,), (label,) = uniform_deviation(deviation._phis_at(stat, fc, x.point[None]), fc, oracle)
         devs.append(dev)
         labels.append(label)
-        averages.append(average(image, r))
+        averages.append(average(x, r))
     return np.asarray(devs), tuple(labels), np.asarray(averages)
 
 
@@ -754,9 +757,9 @@ def test_sliced_replications_match_one_replication_at_a_time(name, monkeypatch):
     seed, replications = 5, 150
     slices = []
 
-    def counted(images, *args):
-        slices.append(len(images))
-        return uniform_deviation(images, *args)
+    def counted(phis, *args):
+        slices.append(phis.shape[1])
+        return uniform_deviation(phis, *args)
 
     monkeypatch.setattr(deviation, "uniform_deviation", counted)
     rep = deviation_experiment(law, fc, stat, ConstantsReport(1.0, 1.0, "closed-form"), 1.0, 0.1,
@@ -764,10 +767,15 @@ def test_sliced_replications_match_one_replication_at_a_time(name, monkeypatch):
     assert sum(slices) == replications and max(slices) > 1
     if len(fc) >= 64:    # a replication costs over 50 kB: several slices
         assert len(slices) >= 2
-    devs, labels, g = _one_at_a_time(
-        law, fc, stat, rep.oracle, replications, seed, "deviation",
-        lambda image, r: complexity.gaussian_mc(image, draws, stream(seed, "deviation/g", r)).value,
-    )
+    if law.space.kind == "finite" and law.space.size <= 2:
+        assert rep.image_g_method == "exact"
+        average = lambda x, r: complexity.gaussian_from_counts(
+            fc.support_matrix(), support_counts(x.point[None], law.space.size))[0]
+    else:
+        assert rep.image_g_method == "monte-carlo"
+        average = lambda x, r: complexity.gaussian_mc(
+            fc.image_matrix(x), draws, stream(seed, "deviation/g", r)).value
+    devs, labels, g = _one_at_a_time(law, fc, stat, rep.oracle, replications, seed, "deviation", average)
     assert rep.dev_samples.tobytes() == devs.tobytes()
     assert rep.argmax_labels == labels
     assert rep.image_g_samples.tobytes() == g.tobytes()
@@ -780,8 +788,8 @@ def test_sliced_symmetrization_matches_one_replication_at_a_time():
     oracle = expectation_oracle(law, fc, stat, seed=stream(seed, "symmetrization/oracle"))
     devs, _, rads = _one_at_a_time(
         law, fc, stat, oracle, replications, seed, "symmetrization",
-        lambda image, r: complexity.rademacher_average(
-            image, deviation.SYMMETRIZATION_DRAWS, stream(seed, "symmetrization/r", r)).value,
+        lambda x, r: complexity.rademacher_average(
+            fc.image_matrix(x), deviation.SYMMETRIZATION_DRAWS, stream(seed, "symmetrization/r", r)).value,
     )
     assert (rep.dev_mean, rep.dev_stderr) == (float(devs.mean()), complexity.mean_stderr(devs))
     assert (rep.rad_mean, rep.rad_stderr) == (float(rads.mean()), complexity.mean_stderr(rads))
@@ -1249,6 +1257,42 @@ def test_tail_swing_and_probe_counts_match_rows(name, support):
         np.testing.assert_allclose(counted, imaged, **TOL)
 
 
+@pytest.mark.parametrize("support", ["2-point-iid", "5-point-mixed"])
+@pytest.mark.parametrize("name", COUNTED_STAGES)
+def test_replicated_deviations_count_as_rows_do(name, support):
+    # The replications take Phi from support counts where the statistic
+    # counts, and each deviation is the row path's to rounding; G does not
+    # read the statistic, so it keeps its bits.
+    space, law_of, n, _ = SUPPORTS[support]
+    law, fc, stat = law_of(n, 4), random_lookup_class(space, 6, 9), STATISTICS[name](n)
+    reports = [deviation_experiment(law, fc, s, ConstantsReport(1.0, 1.0, "closed-form"), 1.0, 0.1,
+                                    120, 3, gaussian_draws=200, oracle_method="exact")
+               for s in (stat, _rows_only(stat))]
+    np.testing.assert_allclose(reports[0].oracle.values, reports[1].oracle.values, **TOL)
+    np.testing.assert_allclose(reports[0].dev_samples, reports[1].dev_samples, **TOL)
+    assert reports[0].image_g_samples.tobytes() == reports[1].image_g_samples.tobytes()
+    assert reports[0].image_g_method == ("exact" if space.size == 2 else "monte-carlo")
+
+
+def test_probe_evaluates_each_distinct_mix_once(monkeypatch):
+    # At the ustat-report shape, a slice of sign draws mixes two points into
+    # at most n + 1 distinct count rows; evaluating each once and gathering
+    # keeps the bits of evaluating every draw's row.
+    n = 16
+    law, stat = bit_law(n), STATISTICS["smoothed-min"](n)
+    pair = FunctionClass(BITS, random_lookup_class(BITS, 2, 3).members)
+    x, x_alt = sample(law, stream(1, "x")), sample(law, stream(1, "x-alt"))
+    rows = []
+    counted = dataclasses.replace(
+        stat, count_form=lambda support, counts: rows.append(len(counts)) or stat.count_form(support, counts))
+    typed = deviation._swap_process(counted, pair, x, x_alt, 20_000, stream(7, "sigma"))
+    assert max(rows) <= n + 1
+    monkeypatch.setattr(deviation, "_count_types", lambda counts, n: (counts, np.arange(len(counts))))
+    every = deviation._swap_process(stat, pair, x, x_alt, 20_000, stream(7, "sigma"))
+    for a, b in zip(typed, every):
+        assert a.tobytes() == b.tobytes()
+
+
 # Not product-3 on two points: its C(20, 3) subsets per row make the row
 # reference too slow there.
 @pytest.mark.parametrize("name, support", [
@@ -1558,11 +1602,14 @@ def _deviation_calls():
 def test_every_expectation_takes_its_points_from_one_source():
     # The draws, their count types and the lattice reach an expectation only
     # through _weighted_points, so the oracle and the tail sum one kind of
-    # slice whatever the method.
+    # slice whatever the method. The probe types its own mixed points, which
+    # are no draws of the law.
     calls = _deviation_calls()
     sources = {"draw_batch", "draw_counts", "_count_types"}
     for source in sources:
-        assert {name for name, called in calls.items() if source in called} == {"_weighted_points"}
+        callers = {name for name, called in calls.items() if source in called}
+        assert callers == ({"_weighted_points", "_swap_process"} if source == "_count_types"
+                           else {"_weighted_points"})
     for name in ("expectation_oracle", "bounded_difference_tail"):
         assert "_weighted_points" in calls[name]
         assert not calls[name] & (sources | {"lattice_indices"}), name

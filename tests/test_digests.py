@@ -34,12 +34,12 @@ PINNED_VERSIONS = ("3.11.7", "2.4.6", "1.17.1")
 DIGESTS = {
     "complexity_lookup": "5f17251a469444d6c9327cf83b0869cbe1ae5522f33dc760c325f956738d24a8",
     "constants_numeric_variance": "91df711281dd19e490e4fa0d538a5beea42bc973c789bb2dfd8dc6ff2e9c38bf",
-    "deviate_mean": "bdf33658e51e9a2e7f4def5149a19808642e3eff769bef845fb914cae7b6735e",
-    "deviate_variance": "0075e62321c829afc244eff76df13c96c4c8dfa8683df7ab35946f02e7b30975",
-    "full_report": "84970969b6ebda551f9a648b69b53253a2c23d68fcd24dd698bf7995cecde874",
+    "deviate_mean": "18627e5c39a029e0a40ca5f16c77fc9315b86487bcfbd3ec936eb5d352288792",
+    "deviate_variance": "a0bb399acfc629a09e2c1404801e5e0f6f4fe2e7a14b44551ce12c14a9bbfd18",
+    "full_report": "6100bad01a4b695b07589002fdba2754b6ba1c15a2abc2e74bb3596d35157261",
     "probe_variance": "08728f48be1204ba6d9b057fdb841970561df531331c75f544326b94c939d4e8",
     "tail_mean": "8d555c3e74a5d765e4c6057fc21ee8a0813019382ddfd19ab05139ac6d6527a3",
-    "deviate_variance+monte-carlo": "6d46e82c0542adb444349e6d266c9c8f16a5d75e497f992cf51ce0276ff08ea0",
+    "deviate_variance+monte-carlo": "761a11b23663b9bf2772bd1eb4f627e12c25fe8aef3b0743bf7f4625bc69aa83",
 }
 VARIANTS = {"monte-carlo": {"oracle": {"method": "monte-carlo", "replicas": 20000}}}
 
@@ -55,13 +55,13 @@ WORKLOADS = {
         "constants": {"route": "closed-form"}, "c": 1.0, "delta": 0.1,
         "replications": 200, "gaussian_draws": 2000,
         "oracle": {"method": "monte-carlo", "replicas": 100000},
-    }, "bfd0505dd0e4e4b96ac316b0eed1f3d4f34f0d8d03cd615c5668aee8061bfd49"),
+    }, "14c18e9e23c036d65c688494e7ff34cc3f53451998ab5130c5e9b911eb446077"),
     "replicate": ({
         "kind": "deviate", "seed": 1, "n": 16, "law": {"space": FIVE_POINTS},
         "class": {"random_lookup": {"count": 64}}, "statistic": {"name": "variance"},
         "constants": {"route": "closed-form"}, "c": 1.0, "delta": 0.1,
         "replications": 2000, "gaussian_draws": 2000, "oracle": {"method": "monte-carlo"},
-    }, "bb3592fca576f0828be307fc9d429b932a0f166b1ff70fb1d789482fb1d6288b"),
+    }, "3ba454373cd6f0ae87bc550f6afab38c783da1fc6499c52bb8c2af5a069353f4"),
     "ustat-report": ({
         "kind": "full-report", "seed": 1, "n": 16,
         "law": {"space": {"kind": "finite", "support": [
@@ -72,7 +72,7 @@ WORKLOADS = {
         "replications": 300, "draws": 20000, "gaussian_draws": 1000, "tail_replicas": 100000,
         "t_grid": {"min": 0.0, "max": 0.4, "count": 8},
         "s_grid": {"min": 0.02, "max": 0.3, "count": 6}, "probe_pairs": 3,
-    }, "84e0670776cb28d37450cf57b04b310b7317a14c4e55224533fb94a2071f344b"),
+    }, "80753d3657d666d3c984341b73af07bb6ee8c97df14410f9e4375bc122133a09"),
 }
 
 pytestmark = pytest.mark.skipif(

@@ -1,8 +1,9 @@
 """Start-up loads only what every run uses.
 
 ``scipy.special`` costs about a quarter of a second to import, and only the
-beta family needs it (for ``betaincinv``). Each test runs in a fresh process,
-since this one has long since imported everything.
+beta family needs it (for ``betaincinv``). The exact Gaussian average on two
+support points finds its hull in numpy, with no ``scipy.spatial``. Each test
+runs in a fresh process, since this one has long since imported everything.
 """
 
 import os
@@ -35,3 +36,12 @@ def test_beta_draws_load_betaincinv_on_first_use():
                "print(before, 'scipy.special' in sys.modules, values.dtype == 'float64',\n"
                "      bool(((values >= 0.0) & (values <= 1.0)).all()))\n")
     assert out.split() == ["False", "True", "True", "True"]
+
+
+def test_a_two_point_deviate_run_leaves_scipy_spatial_and_special_unloaded(tmp_path):
+    out = _run("import sys\n"
+               "from unibound.cli import main\n"
+               f"code = main(['run', {str(ROOT / 'configs' / 'deviate_mean.yaml')!r}, "
+               f"'--out', {str(tmp_path)!r}])\n"
+               "print(code, 'scipy.spatial' in sys.modules, 'scipy.special' in sys.modules)\n")
+    assert out.split()[-3:] == ["0", "False", "False"]
