@@ -5,10 +5,11 @@ finite support or as parametric forms on values (threshold ramps and clipped
 affine maps). The image of a class at a sample vector x is the finite set
 { (f(x_1), ..., f(x_n)) : f in class }, one row per member with duplicates
 retained; complexity averages act on that set. Members are imaged only
-through their class: ``images`` at a batch of points (``image_matrix`` at
-one sample vector's point), ``member_image`` for one member over a batch of
-draws. A batch of members is a slice of the class's rows, never a class of
-its own.
+through their class, by ``images`` at a batch of points (``image_matrix`` at
+one sample vector's point), from one table of one row per member: its values
+at the support points on a finite space, its ramp (a, b, theta, w) on the
+interval. A batch of members is a slice of the class's rows, never a class
+of its own.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .functionals import check_count, check_enumeration
+from .functionals import batches, check_count, check_enumeration
 from .rng import as_stream
 from .spaces import FINITE, SampleSpace, SampleVector
 
@@ -39,8 +40,29 @@ class LookupMember:
         return np.asarray(self.table, dtype=np.float64)
 
 
+def _ramp(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """clip(((a x + b) - theta) / w, 0, 1) per row (a, b, theta, w) on the last axis of ``rows``,
+    against ``values``: a threshold (1, 0, theta, w) or an affine map (a, b, 0, 1), bit for bit."""
+    a, b, theta, w = np.moveaxis(rows, -1, 0)
+    out = a * values
+    out += b
+    out -= theta
+    out /= w
+    return np.clip(out, 0.0, 1.0, out=out)
+
+
+class _RampMember:
+    """A member imaged by ``_ramp`` from its ``row``."""
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        return _ramp(np.asarray(self.row, dtype=np.float64), values)
+
+    def on_support(self, space: SampleSpace) -> np.ndarray:
+        return self.apply(space.support_values)
+
+
 @dataclass(frozen=True, eq=False)
-class ThresholdMember:
+class ThresholdMember(_RampMember):
     """x -> clamp((x - theta) / width, 0, 1); a ramp starting at theta."""
 
     label: str
@@ -51,26 +73,22 @@ class ThresholdMember:
         if self.width <= 0.0:
             raise DomainError("threshold width must be positive")
 
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        return np.clip((values - self.theta) / self.width, 0.0, 1.0)
-
-    def on_support(self, space: SampleSpace) -> np.ndarray:
-        return self.apply(space.support_values)
+    @property
+    def row(self) -> tuple[float, float, float, float]:
+        return (1.0, 0.0, self.theta, self.width)
 
 
 @dataclass(frozen=True, eq=False)
-class AffineClippedMember:
+class AffineClippedMember(_RampMember):
     """x -> clamp(slope * x + intercept, 0, 1)."""
 
     label: str
     slope: float
     intercept: float
 
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        return np.clip(self.slope * values + self.intercept, 0.0, 1.0)
-
-    def on_support(self, space: SampleSpace) -> np.ndarray:
-        return self.apply(space.support_values)
+    @property
+    def row(self) -> tuple[float, float, float, float]:
+        return (self.slope, self.intercept, 0.0, 1.0)
 
 
 def lookup_member(label: str, space: SampleSpace, mapping: dict) -> LookupMember:
@@ -114,23 +132,24 @@ class FunctionClass:
     members: tuple
     # Member labels, in member order.
     labels: tuple[str, ...] = field(init=False, repr=False)
-    # (|class|, support size) member values on a finite support, read-only.
-    _support: np.ndarray | None = field(default=None, init=False, repr=False)
+    # One read-only row per member: its support values, or on the interval its ramp row.
+    _table: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "labels", _member_labels(self.members))
-        # Range check: exhaustive on finite supports, on a grid for the interval.
         if self.space.kind == FINITE:
-            support = np.stack([m.on_support(self.space) for m in self.members])
-            _check_unit(self.labels, support, " on the support")
-            support.flags.writeable = False
-            object.__setattr__(self, "_support", support)
+            table = np.stack([m.on_support(self.space) for m in self.members])
+            grid, where = np.arange(self.space.size)[None], " on the support"
+        elif any(isinstance(m, LookupMember) for m in self.members):
+            raise DomainError("lookup members exist only on finite spaces")
         else:
-            grid = np.linspace(0.0, 1.0, _INTERVAL_GRID + 1)
-            for m in self.members:
-                if isinstance(m, LookupMember):
-                    raise DomainError("lookup members exist only on finite spaces")
-                _check_unit((m.label,), m.apply(grid), " on the grid")
+            table = np.array([m.row for m in self.members], dtype=np.float64)
+            grid, where = np.linspace(0.0, 1.0, _INTERVAL_GRID + 1)[None], " on the grid"
+        table.flags.writeable = False
+        object.__setattr__(self, "_table", table)
+        # Range check on the whole support or the interval's grid; a member holds its image and masks.
+        for part in batches(len(self), 2 * 8 * grid.size):
+            _check_unit(self.labels[part], self.images(grid, part)[0], where)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -142,33 +161,22 @@ class FunctionClass:
             raise DomainError("sample vector lives in a different sample space")
         return self.images(x.point[None])[0]
 
-    def images(self, points: np.ndarray) -> np.ndarray:
-        """The images F(x) at a (count, n) batch of points, as ``draw_batch``
-        gives them: a C-contiguous (count, |class|, n) array, one
-        ``image_matrix`` per point."""
-        count, n = points.shape
-        if self._support is not None:
-            # Rows stay C-contiguous, so row sums add in the same order as on
-            # per-member images; a [:, idx] gather is F-ordered and does not.
-            return np.ascontiguousarray(np.take(self._support, points, axis=1).transpose(1, 0, 2))
-        out = np.empty((count, len(self), n))
-        for k, m in enumerate(self.members):
-            out[:, k] = m.apply(points)
-        return out
-
-    def member_image(self, k: int, points: np.ndarray) -> np.ndarray:
-        """Member k's image of a batch of points of any shape, as
-        ``draw_batch`` gives them: support indices on a finite space, values
-        on the interval."""
-        if self._support is not None:
-            return np.take(self._support[k], points)
-        return self.members[k].apply(points)
+    def images(self, points: np.ndarray, members: slice = slice(None)) -> np.ndarray:
+        """The images F(x) of the members in the slice ``members`` (all by default) at a
+        (count, n) batch of points as ``draw_batch`` gives them: one C-contiguous (count,
+        members, n) array, gathered on a finite space, broadcast on the interval."""
+        if self.space.kind == FINITE:
+            by_member = np.take(self._table[members], points, axis=1)
+        else:
+            by_member = _ramp(self._table[members, None, None], points)
+        # C-contiguous rows sum in the order of one image row; an F-ordered gather would not.
+        return np.ascontiguousarray(by_member.transpose(1, 0, 2))
 
     def support_matrix(self) -> np.ndarray:
         """(|class|, support size) member values per support point, read-only."""
-        if self._support is None:
+        if self.space.kind != FINITE:
             raise DomainError("support matrix exists only for finite spaces")
-        return self._support
+        return self._table
 
 
 def _member_labels(members) -> tuple[str, ...]:

@@ -45,10 +45,10 @@ a slice's Phi, from support counts where the statistic counts, and every
 deviation, and one call averages the slice, so a value does not depend on
 the slice it falls in. On a support of one or two points the average is the
 exact G of each point's image from its support counts
-(``complexity.gaussian_from_counts``), and the replications draw no normals
-and image no rows; only Monte Carlo G, on three or more points or on the
-interval, and the symmetrization check's R image the class, one gather a
-slice.
+(``complexity.gaussian_from_counts``), and the replications draw no normals;
+only Phi of a statistic that does not count, Monte Carlo G (on three or more
+points or on the interval) and the symmetrization check's R image the class,
+one ``images`` call a slice.
 """
 
 from __future__ import annotations
@@ -159,25 +159,23 @@ def _count_types(counts: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _phis_at(stat: Statistic, fc: FunctionClass, points=None, counts=None, images=None,
              members: slice = slice(None)) -> np.ndarray:
-    """Phi(f_k(x)) for the class members k in the slice ``members`` (all of
-    them by default) at a batch of points x, as a (members, rows) array, one
-    contiguous row per member.
+    """Phi(f_k(x)) for the class members k in the slice ``members`` (all by default) at a
+    batch of points x, as a (members, rows) array, one contiguous row per member.
 
     The ``points`` come as ``draw_batch`` gives them: support indices on a
     finite space, values on the interval. Where the statistic counts on the
     class's space (``_counted``), Phi is evaluated from the points' support
     counts, which a caller that holds only those passes as ``counts``.
-    Otherwise Phi is evaluated from each member's image of the points, or in
-    one call from the class's (points, |class|, n) stack ``images`` of them
-    where the caller holds it; each row's value is the same either way.
+    Otherwise it is evaluated in one call from the members' images: the
+    caller's (points, |class|, n) stack ``images`` where it holds one, else
+    ``fc.images`` of the points; each row's value is the same either way.
     """
     if _counted(fc.space, stat):
         if counts is None:
             counts = support_counts(points, fc.space.size)
         return stat.count_form(fc.support_matrix()[members], counts)
-    if images is not None:
-        return np.ascontiguousarray(stat(images[:, members]).T)
-    return np.stack([stat(fc.member_image(k, points)) for k in range(len(fc))[members]])
+    images = fc.images(points, members) if images is None else images[:, members]
+    return np.ascontiguousarray(stat(images).T)
 
 
 def _weighted_points(law: ProductLaw, stat: Statistic, method: str, replicas: int, rng):
@@ -253,13 +251,14 @@ def expectation_oracle(
     # corrected to the overall mean at the end (Chan, Golub and LeVeque
     # 1983); with one slice the correction is exactly 0.
     sums, squares, shift = np.zeros(len(fc)), np.zeros(len(fc)), np.empty(len(fc))
+    # A member's row costs its value and weighted term, which the deviations and squares
+    # overwrite, and on the row path its image and the image's copy. Each member sums its
+    # own row in numpy, not in a BLAS dot, so no value depends on its batch or on BLAS
+    # threads, and in one slice of unit weights a mean and standard error keep the bits
+    # of ``phis.mean()`` and ``mean_stderr``.
+    member_row = 16 if _counted(law.space, stat) else 16 + 2 * 8 * law.n
     for i, (at, weights) in enumerate(_weighted_points(law, stat, method, replicas, rng)):
-        # A member costs its values and their weighted terms, which the
-        # deviations and squares overwrite. Each member sums its own row in
-        # numpy, not in a BLAS dot, so no value depends on its batch or on
-        # BLAS threads, and in one slice of unit weights a mean and standard
-        # error keep the bits of ``phis.mean()`` and ``mean_stderr``.
-        for part in batches(len(fc), 2 * 8 * len(weights)):
+        for part in batches(len(fc), member_row * len(weights)):
             phis = _phis_at(stat, fc, **at, members=part)
             terms = np.multiply(phis, weights)
             sums[part] += terms.sum(axis=1)
@@ -383,20 +382,18 @@ def _replicate(law: ProductLaw, fc: FunctionClass, stat: Statistic, replications
                oracle_replicas: int = DEFAULT_ORACLE_REPLICAS):
     """(oracle, deviations, argmax labels, averages) over the replications.
 
-    The replications run in slices. Replication r samples x on the stream
-    (seed, tag + "/x", r); a slice stacks its points, images the class at
-    them in one gather only where the average is ``imaged``, takes their Phi
-    from ``_phis_at`` (from support counts where the statistic counts, from
-    the images otherwise), forms its uniform deviations, and hands the
-    points and images (None unless ``imaged``) to ``average(points, images,
-    part)``, which returns one value per replication in the slice ``part``.
+    The replications run in slices. Replication r samples x on the stream (seed, tag +
+    "/x", r); a slice stacks its points, images the class at them in one call where the
+    average is ``imaged`` or Phi needs images, takes their Phi from ``_phis_at`` (from
+    support counts where the statistic counts, from the images otherwise), forms its
+    uniform deviations, and hands the points and images (or None) to ``average(points,
+    images, part)``, one value per replication in ``part``.
 
-    A slice holds at most BATCH_BYTES. A replication counts its point and
-    its copy in the stack; its images and their gather where ``imaged``;
-    per member its Phi, their stacked copy and its gap; what evaluating Phi
-    holds, its counts and a count row per member or one member's image row
-    and the statistic's evaluation of it; and the ``average_bytes`` its
-    average holds.
+    A slice holds at most BATCH_BYTES. A replication counts its point and its
+    copy in the stack; its images and their gather where imaged; per member
+    its Phi, their stacked copy and its gap; what evaluating Phi holds, its
+    counts and a count row per member or the statistic's evaluation of an
+    image row; and the ``average_bytes`` its average holds.
     """
     check_draws(replications, "replications")
     oracle = expectation_oracle(law, fc, stat, oracle_method, replicas=oracle_replicas,
@@ -409,7 +406,7 @@ def _replicate(law: ProductLaw, fc: FunctionClass, stat: Statistic, replications
     if _counted(law.space, stat):
         phi_bytes = 8 * law.space.size + members * stat.count_row_bytes(law.space.size)
     else:
-        phi_bytes = 8 * n + stat.eval_bytes
+        imaged, phi_bytes = True, stat.eval_bytes
     image_bytes = 16 * members * n if imaged else 0
     for part in batches(replications, 16 * n + image_bytes + 24 * members + phi_bytes + average_bytes):
         points = np.stack([sample(law, stream(seed, f"{tag}/x", r)).point
@@ -832,7 +829,7 @@ def _swap_process(stat: Statistic, pair: FunctionClass, x: SampleVector, x_alt: 
     y_f = np.empty(draws)
     y_g = np.empty(draws)
     # The slices fix how the sign draws split; a draw costs its signs, its
-    # two mixed points and a member's images of them.
+    # two mixed points and the pair's images of one of them.
     for part in batches(draws, 5 * 8 * n):
         swap = rng.integers(0, 2, size=(part.stop - part.start, n)) == 1
         if counted:
@@ -870,8 +867,7 @@ def swap_process_probe(
         raise DomainError("sample vectors do not match the statistic arity")
 
     pair = FunctionClass(x.space, (f, g))
-    fx, gx = pair.image_matrix(x)
-    fx_alt, gx_alt = pair.image_matrix(x_alt)
+    (fx, gx), (fx_alt, gx_alt) = pair.images(np.stack([x.point, x_alt.point]))
     distance = float(np.sqrt(((fx - gx) ** 2).sum() + ((fx_alt - gx_alt) ** 2).sum()))
 
     y_f, y_g = _swap_process(stat, pair, x, x_alt, draws, as_stream(seed, "process-probe"))

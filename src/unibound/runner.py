@@ -60,18 +60,14 @@ EXIT_INVARIANT = 4
 EXIT_IO = 5
 
 
-def _jsonable(obj):
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, np.ndarray):
+def _plain(obj):
+    """A record value JSON cannot encode, as one it can: a dataclass as its
+    fields, an array as nested lists, a numpy scalar as its Python value."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _fmt(value) -> str:
@@ -279,7 +275,7 @@ _STAGES = {
 
 
 def run_experiment(raw: dict, *, out_dir=None, seed=None, override=None):
-    """Execute a configuration; returns (exit code, record, summary lines).
+    """Execute a configuration; returns (exit code, record as written, summary lines).
 
     ``out_dir``, ``seed`` and ``override`` mirror the CLI flags and override
     their configuration counterparts before resolution, so the echoed
@@ -319,14 +315,13 @@ def run_experiment(raw: dict, *, out_dir=None, seed=None, override=None):
         },
         "kind": kind,
         "config": exp.echo,
-        "results": _jsonable(results),
+        "results": results,
         "wall_clock": run.seconds,
     }
+    text = json.dumps(record, indent=2, sort_keys=True, default=_plain) + "\n"
     out_path = Path(exp.settings["out"])
     out_path.mkdir(parents=True, exist_ok=True)
-    with open(out_path / f"result.{kind}.json", "w", encoding="utf-8") as handle:
-        json.dump(record, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    (out_path / f"result.{kind}.json").write_text(text, encoding="utf-8")
     _write_table(out_path / "table.csv", header, columns)
     run.summary.append(f"results written to {out_path}")
-    return (EXIT_OK if ok else EXIT_INVARIANT), record, run.summary
+    return (EXIT_OK if ok else EXIT_INVARIANT), json.loads(text), run.summary

@@ -1,8 +1,12 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unibound import classes
 from unibound.classes import (
     AffineClippedMember,
     FunctionClass,
@@ -16,6 +20,7 @@ from unibound.classes import (
 from unibound.errors import DomainError
 from unibound.rng import as_stream
 from unibound.spaces import (
+    beta_family,
     draw_batch,
     finite_space,
     iid_law,
@@ -149,6 +154,7 @@ def test_finite_image_gathers_the_support_matrix(idx):
 
 @pytest.mark.parametrize("space", [FIVE, interval_space()], ids=["finite", "interval"])
 def test_member_image_of_a_batch_matches_the_image_matrix(space):
+    # One member's image of a batch is the one-member slice of `images`.
     members = (ThresholdMember("ramp", 0.2, 0.45), AffineClippedMember("affine", -1.5, 1.1))
     if space.kind == "finite":
         members += (lookup_member("lookup", FIVE, {str(j): (j * 0.37) % 1.0 for j in range(5)}),)
@@ -156,7 +162,7 @@ def test_member_image_of_a_batch_matches_the_image_matrix(space):
     points = draw_batch(iid_law(uniform_on(space), 6), 7, seed=3)
     values = space.support_values[points] if space.kind == "finite" else points
     for k in range(len(fc)):
-        batch = fc.member_image(k, points)
+        batch = fc.images(points, slice(k, k + 1))[:, 0]
         assert batch.shape == (7, 6)
         for row in range(7):
             x = vector_from_values(space, values[row])
@@ -165,14 +171,55 @@ def test_member_image_of_a_batch_matches_the_image_matrix(space):
 
 @pytest.mark.parametrize("space", [FIVE, interval_space()], ids=["finite", "interval"])
 def test_images_of_a_batch_stack_the_image_matrices(space):
-    members = (ThresholdMember("ramp", 0.2, 0.45), AffineClippedMember("affine", -1.5, 1.1))
+    # A slice of members images as those rows of the whole class's images.
+    members = (ThresholdMember("ramp", 0.2, 0.45), AffineClippedMember("affine", -1.5, 1.1),
+               constant_member("half", 0.5))
+    if space.kind == "finite":
+        members += (lookup_member("lookup", FIVE, {str(j): (j * 0.37) % 1.0 for j in range(5)}),)
     fc = FunctionClass(space, members)
     points = draw_batch(iid_law(uniform_on(space), 6), 7, seed=5)
     values = space.support_values[points] if space.kind == "finite" else points
+    for part in (slice(None), slice(1, 3), slice(len(fc) - 1, len(fc))):
+        images = fc.images(points, part)
+        assert images.shape == (7, len(members[part]), 6) and images.flags["C_CONTIGUOUS"]
+        for row in range(7):
+            x = vector_from_values(space, values[row])
+            assert np.array_equal(images[row], fc.image_matrix(x)[part])
+
+
+def test_an_interval_class_images_a_batch_without_its_members(monkeypatch):
+    # One broadcast over the class's ramp rows images the batch, and each
+    # value has the bits of its member's own formula.
+    members = (ThresholdMember("wide", 0.25, 0.5), ThresholdMember("step", 0.5, 1e-9),
+               ThresholdMember("late", 0.9, 3.0), AffineClippedMember("down", -1.5, 1.1),
+               AffineClippedMember("steep", -20.0, 0.6), constant_member("half", 0.5),
+               identity_member())
+    fc = FunctionClass(interval_space(), members)
+    calls = []
+    for kind in (ThresholdMember, AffineClippedMember):
+        monkeypatch.setattr(kind, "apply", lambda self, values: calls.append(self) or values)
+    points = draw_batch(iid_law(beta_family(0.5, 0.5), 9), 40, seed=2)
+    points[0, :3] = (0.0, 0.5, 1.0)
     images = fc.images(points)
-    assert images.shape == (7, 2, 6) and images.flags["C_CONTIGUOUS"]
-    for row in range(7):
-        assert np.array_equal(images[row], fc.image_matrix(vector_from_values(space, values[row])))
+    assert calls == []
+    for k, m in enumerate(members):
+        if isinstance(m, ThresholdMember):
+            own = np.clip((points - m.theta) / m.width, 0.0, 1.0)
+        else:
+            own = np.clip(m.slope * points + m.intercept, 0.0, 1.0)
+        assert images[:, k].tobytes() == own.tobytes(), m.label
+
+
+def test_members_are_imaged_only_through_their_class():
+    # Member evaluation stays in classes.py: no other module calls a member's
+    # apply or on_support, and there is no per-member imaging method.
+    for path in Path(classes.__file__).parent.glob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        assert "member_image" not in text, path.name
+        if path.name != "classes.py":
+            called = {node.func.attr for node in ast.walk(ast.parse(text))
+                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
+            assert not called & {"apply", "on_support"}, path.name
 
 
 def test_support_matrix_is_read_only():

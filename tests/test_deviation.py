@@ -285,7 +285,7 @@ def test_oracle_row_path_images_one_batch_of_draws():
     stat = class_separation_statistic([2, 4])
     oracle = expectation_oracle(law, fc, stat, "monte-carlo", replicas=500, seed=3)
     idx = draw_batch(law, 500, as_stream(3, "expectation-oracle"))
-    phis = [stat(fc.member_image(k, idx)) for k in range(len(fc))]
+    phis = stat(fc.images(idx)).T
     assert np.array_equal(oracle.values, [p.mean() for p in phis])
 
 
@@ -1562,7 +1562,7 @@ def test_row_path_monte_carlo_oracle_keeps_the_bits_of_every_draw(case):
     oracle = expectation_oracle(law, fc, stat, "monte-carlo", replicas=2000, seed=6)
     points = draw_batch(law, 2000, as_stream(6, "expectation-oracle"))
     for k in range(len(fc)):
-        phis = stat(fc.member_image(k, points))
+        phis = stat(fc.images(points)[:, k])
         assert oracle.values[k] == phis.mean()
         assert oracle.stderrs[k] == complexity.mean_stderr(phis)
 
