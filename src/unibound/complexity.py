@@ -22,10 +22,16 @@ maximizer on both sides), and makes translation invariance hold exactly
 under a shared stream.
 
 G of a stack of images, such as one slice of the deviation experiment's
-replications, takes one call: ``gaussian_averages`` merges the columns of
-every image with one sort of the stack's columns, then runs each image's
-products in turn on its own stream. ``gaussian_mc`` is its one-image
-case, so an image's value does not depend on the stack it comes in.
+replications on the interval, takes one call: ``gaussian_averages`` merges
+the columns of every image with one sort of the stack's columns, then runs
+each image's products in turn on its own stream. ``gaussian_mc`` is its
+one-image case, so an image's value does not depend on the stack it comes
+in. On a finite space the image of a point x is ``support[:, x]``, so its
+distinct columns are the support columns present in x, taken at their first
+coordinate, with its support counts for multiplicities:
+``gaussian_from_points`` and ``rademacher_from_points`` find them from the
+class's support matrix and the points, forming no image and sorting only
+the class's s support columns, and keep every bit of the stack's values.
 """
 
 from __future__ import annotations
@@ -92,36 +98,81 @@ def _as_matrix(y) -> np.ndarray:
     return arr
 
 
+def _column_keys(columns: np.ndarray) -> np.ndarray:
+    """One key per column of ``columns``, a (..., K) array whose last axis
+    runs down a column: the dense rank of the column's bytes once -0.0 is
+    made 0.0, so two columns share a key exactly when they are equal as
+    floats. One sort of the bytes puts equal columns next to each other."""
+    members = columns.shape[-1]
+    cols = np.empty(columns.shape)
+    np.add(columns, 0.0, out=cols)    # -0.0 + 0.0 is 0.0
+    cols = cols.reshape(-1, members)
+    order = cols.view(f"V{8 * members}").ravel().argsort()
+    # Neighbours compare as words: np.unique compares them as void scalars,
+    # ten times slower at 256 members.
+    words = cols.view(np.int64)[order]
+    starts = np.concatenate(([True], (words[1:] != words[:-1]).any(axis=1)))
+    keys = np.empty(len(order), dtype=np.intp)
+    keys[order] = np.cumsum(starts) - 1
+    return keys
+
+
 def _merged_columns(images: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """For each image of a (count, K, n) stack: where each of its distinct
     columns first appears, in increasing order, and how many times it
     appears. Columns merge when they are equal as floats (0.0 and -0.0
     alike).
 
-    One sort of the bytes of all the stack's columns puts equal columns
-    next to each other and keys them; each key is then offset by its
-    image's position, so columns of different images never merge, and
-    ordering the distinct codes by their first appearance in the stack
-    orders them by image, then by position.
+    One sort keys all the stack's columns (``_column_keys``); each key is
+    then offset by its image's position, so columns of different images
+    never merge, and ordering the distinct codes by their first appearance
+    in the stack orders them by image, then by position.
     """
     count, members, n = images.shape
-    cols = np.empty((count * n, members))
-    np.add(images.transpose(0, 2, 1), 0.0, out=cols.reshape(count, n, members))    # -0.0 + 0.0 is 0.0
-    order = cols.view(f"V{8 * members}").ravel().argsort()
-    # Neighbours compare as words: np.unique compares them as void scalars,
-    # ten times slower at 256 members.
-    words = cols.view(np.int64)[order]
-    starts = np.concatenate(([True], (words[1:] != words[:-1]).any(axis=1)))
-    rank = np.cumsum(starts) - 1
-    keys = np.empty(count * n, dtype=np.intp)
-    keys[order] = rank
-    codes = keys.reshape(count, n) + (int(rank[-1]) + 1) * np.arange(count)[:, None]
+    keys = _column_keys(images.transpose(0, 2, 1)).reshape(count, n)
+    codes = keys + (int(keys.max()) + 1) * np.arange(count)[:, None]
     _, first, mult = np.unique(codes, return_index=True, return_counts=True)
     by_first = np.argsort(first)
     owner, keep = np.divmod(first[by_first], n)
     mult = mult[by_first]
     bounds = np.searchsorted(owner, np.arange(count + 1)).tolist()
     return [(keep[a:b], mult[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def _support_columns(support: np.ndarray, points: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For the image ``support[:, x]`` of each row x of ``points`` (support
+    indices of a finite space): the support index of each of its distinct
+    columns, in order of first appearance in x, and how many coordinates of
+    x it covers, with no image formed.
+
+    Column k of the image is support column x_k, so its distinct columns
+    are the support columns present, equal support columns (0.0 and -0.0
+    alike) merged once for the class, each taken at its first coordinate:
+    ``support[:, index]`` and the multiplicities are the columns
+    ``_merged_columns`` keeps in the image, bit for bit.
+    """
+    rows, n = points.shape
+    keys = _column_keys(support.T)
+    distinct = int(keys.max()) + 1
+    flat = (keys[points] + distinct * np.arange(rows)[:, None]).ravel()
+    mult = np.bincount(flat, minlength=rows * distinct).reshape(rows, distinct)
+    first = np.full(rows * distinct, n)
+    np.minimum.at(first, flat, np.tile(np.arange(n), rows))
+    first = first.reshape(rows, distinct)
+    # Absent columns sort last, at position n.
+    order = np.argsort(first, axis=1)
+    first = np.take_along_axis(first, order, axis=1)
+    mult = np.take_along_axis(mult, order, axis=1)
+    present = np.count_nonzero(mult, axis=1).tolist()
+    return [(x[at[:p]], m[:p]) for x, at, m, p in zip(points, first, mult, present)]
+
+
+def support_columns_bytes(n: int, size: int) -> int:
+    """Bytes one point of a batch holds at once in ``_support_columns`` on a
+    support of ``size`` points: a key, a code and a position per coordinate,
+    and per support column its multiplicity, first position, their sorted
+    copies, their order and its index."""
+    return 8 * (3 * n + 6 * size)
 
 
 def _binomial_shares(c: int) -> np.ndarray:
@@ -164,7 +215,18 @@ def rademacher_exact(y) -> ComplexityEstimate:
     pairs exceed ENUM_CAP.
 
     Y is first reduced to its s distinct columns, column j appearing m_j
-    times. The signs on column j's copies add up to 2 b_j - m_j, with b_j of
+    times (``_merged_rademacher``).
+    """
+    mat = _as_matrix(y)
+    ((keep, mult),) = _merged_columns(mat[None])
+    return _merged_rademacher(mat[:, keep], mult)
+
+
+def _merged_rademacher(merged: np.ndarray, mult: np.ndarray) -> ComplexityEstimate:
+    """Exact R(Y) of the Y whose distinct columns are ``merged``, column j
+    appearing ``mult[j]`` times.
+
+    The signs on column j's copies add up to 2 b_j - m_j, with b_j of
     them positive in C(m_j, b_j) of the 2^(m_j) ways, so R(Y) sums
     sup_y sum_j (2 b_j - m_j) y_j with weight prod_j C(m_j, b_j) / 2^(m_j)
     over the prod_j (m_j + 1) patterns b. Each pattern is enumerated with
@@ -174,9 +236,6 @@ def rademacher_exact(y) -> ComplexityEstimate:
     weighted per-pair sums, at most ENUM_CAP doubles, are kept and added in
     one pairwise sum, so the value does not depend on the batch size.
     """
-    mat = _as_matrix(y)
-    ((keep, mult),) = _merged_columns(mat[None])
-    merged = mat[:, keep]
     size = merged.shape[1]
     patterns = math.prod(int(c) + 1 for c in mult)
     # An odd number of patterns leaves out the middle one, b = m / 2, which is
@@ -185,7 +244,7 @@ def rademacher_exact(y) -> ComplexityEstimate:
     check_enumeration(half, f"{half} count-pattern pairs of {size} distinct columns")
     shares = [_binomial_shares(c) for c in mult.tolist()]
     pair_sums = np.empty(half)
-    for part in batches(half, 8 * (size + mat.shape[0])):    # coefficient and product rows
+    for part in batches(half, 8 * (size + merged.shape[0])):    # coefficient and product rows
         coeff, weight = _count_patterns(np.arange(part.start, part.stop, dtype=np.int64), mult, shares)
         prod = coeff @ merged.T
         pair_sums[part] = weight * (prod.max(axis=1) - prod.min(axis=1))
@@ -228,21 +287,36 @@ def rademacher_average(y, draws: int, seed) -> ComplexityEstimate:
         return rademacher_mc(y, draws, seed)
 
 
-def _gaussian_means(images: np.ndarray, draws: int, rngs) -> list[np.ndarray]:
-    """The antithetic pair means of G for each image of a (count, K, n)
-    stack, image i drawing its normals from ``rngs[i]``.
+def rademacher_from_points(support, points: np.ndarray, draws: int, rngs) -> np.ndarray:
+    """R of the image ``support[:, x]`` of each row x of ``points``, support
+    indices on a finite space with ``support`` a class's (K, s) support
+    matrix; each value is that of ``rademacher_average(support[:, x],
+    draws, rngs[i])``. The exact R comes from the point's distinct columns
+    (``_support_columns``); past ENUM_CAP the Monte Carlo R draws signs on
+    all n columns of the image, gathered for that point alone."""
+    values = []
+    for x, (index, mult), rng in zip(points, _support_columns(support, points), rngs):
+        try:
+            values.append(_merged_rademacher(support[:, index], mult).value)
+        except ResourceError:
+            values.append(rademacher_mc(np.take(support, x, axis=1), draws, rng).value)
+    return np.array(values)
 
-    Each image is first reduced to its s distinct columns, column j
-    appearing m_j times: the normals on column j's copies add up to
-    sqrt(m_j) times one normal, so each draw takes s normals against the
-    columns scaled by sqrt(m_j). One sort merges the columns of the whole
-    stack; the products then run one image at a time.
+
+def _gaussian_means(merged, draws: int, rngs):
+    """The antithetic pair means of G for each image given as its distinct
+    columns and how many times each appears, image i drawing its normals
+    from ``rngs[i]``, one image's at a time as they are asked for.
+
+    The normals on column j's m_j copies add up to sqrt(m_j) times one
+    normal, so each draw takes s normals against the s distinct columns
+    scaled by sqrt(m_j).
     """
     check_draws(draws, "draws")
-    return [
-        _antithetic_means(image[:, keep] * np.sqrt(mult), draws, rng, gaussian=True)
-        for image, (keep, mult), rng in zip(images, _merged_columns(images), rngs)
-    ]
+    return (
+        _antithetic_means(columns * np.sqrt(mult), draws, rng, gaussian=True)
+        for (columns, mult), rng in zip(merged, rngs)
+    )
 
 
 def gaussian_bytes(members: int, n: int) -> int:
@@ -258,15 +332,29 @@ def gaussian_bytes(members: int, n: int) -> int:
 def gaussian_averages(images: np.ndarray, draws: int, rngs) -> np.ndarray:
     """Monte Carlo G of each image of a (count, K, n) stack, image i drawing
     its normals from the generator ``rngs[i]``; each value is that of
-    ``gaussian_mc(images[i], draws, rngs[i])``."""
-    return np.array([means.mean() for means in _gaussian_means(images, draws, rngs)])
+    ``gaussian_mc(images[i], draws, rngs[i])``. One sort merges the columns
+    of the whole stack."""
+    merged = ((image[:, keep], mult) for image, (keep, mult) in zip(images, _merged_columns(images)))
+    return np.array([means.mean() for means in _gaussian_means(merged, draws, rngs)])
+
+
+def gaussian_from_points(support, points: np.ndarray, draws: int, rngs) -> np.ndarray:
+    """Monte Carlo G of the image ``support[:, x]`` of each row x of
+    ``points``, support indices on a finite space with ``support`` a
+    class's (K, s) support matrix, point i drawing its normals from
+    ``rngs[i]``. The distinct columns come from the points
+    (``_support_columns``), one point's at a time, so no image is formed;
+    each value is that of ``gaussian_averages`` on the points' images."""
+    merged = ((support[:, index], mult) for index, mult in _support_columns(support, points))
+    return np.array([means.mean() for means in _gaussian_means(merged, draws, rngs)])
 
 
 def gaussian_mc(y, draws: int, seed) -> ComplexityEstimate:
     """Monte Carlo G(Y), the one-image case of ``gaussian_averages``;
     normals come from ``rng.standard_normals``."""
     mat = _as_matrix(y)
-    (means,) = _gaussian_means(mat[None], draws, [as_stream(seed, "gaussian-mc")])
+    ((keep, mult),) = _merged_columns(mat[None])
+    (means,) = _gaussian_means([(mat[:, keep], mult)], draws, [as_stream(seed, "gaussian-mc")])
     return _monte_carlo(means, GAUSSIAN)
 
 

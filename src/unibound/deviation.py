@@ -40,15 +40,19 @@ its sigma-mix: the complementary mix's counts are the two points' counts
 less the mix's, and each distinct mix is evaluated once.
 
 The replications run in slices of replications, and take their Phi from
-the same function. Each draws its point on its own stream; one call gives
-a slice's Phi, from support counts where the statistic counts, and every
-deviation, and one call averages the slice, so a value does not depend on
-the slice it falls in. On a support of one or two points the average is the
-exact G of each point's image from its support counts
-(``complexity.gaussian_from_counts``), and the replications draw no normals;
-only Phi of a statistic that does not count, Monte Carlo G (on three or more
-points or on the interval) and the symmetrization check's R image the class,
-one ``images`` call a slice.
+the same function. Each draws its point on its own stream; one pass
+derives a slice's streams (``rng.streams``) and one inversion per
+coordinate law draws its points. One call gives a slice's Phi, from support
+counts where the statistic counts, and every deviation, and one call
+averages the slice, so a value does not depend on the slice it falls in.
+On a support of one or two points the average is the exact G of each
+point's image from its support counts (``complexity.gaussian_from_counts``),
+and the replications draw no normals. Elsewhere on a finite space Monte
+Carlo G and the symmetrization check's R take each point's distinct columns
+from the class's support matrix and the point itself. Only Phi of a
+statistic that does not count (on the interval, every statistic) images the
+class, one ``images`` call a slice, and the interval's averages read those
+images.
 """
 
 from __future__ import annotations
@@ -59,16 +63,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classes import FunctionClass
-# gaussian_mc stays importable here: perfbench traces each layer through the
-# names this module imports, though the replications call gaussian_averages.
+# gaussian_mc, sample and stream stay importable here: perfbench traces each
+# layer through the names this module imports, though the replications call
+# gaussian_averages or gaussian_from_points, draw their points through
+# ProductLaw.invert and take their generators from streams.
 from .complexity import (EXACT, EXACT_GAUSSIAN_SUPPORT, GAUSSIAN, MONTE_CARLO, ComplexityEstimate,
                          check_draws, gaussian_averages, gaussian_bytes, gaussian_from_counts,
-                         gaussian_mc, mean_stderr, rademacher_average)
+                         gaussian_from_points, gaussian_mc, mean_stderr, rademacher_average,
+                         rademacher_from_points, support_columns_bytes)
 from .derivative_bounds import ConstantsReport
 from .errors import DomainError, OverrideRequiredError, ResourceError
 from .functionals import (Statistic, batches, check_enumeration, lattice_indices, mean_statistic,
                           multiset_count, multiset_points)
-from .rng import as_stream, stream
+from .rng import as_stream, open_uniforms, stream, streams
 from .spaces import (FINITE, ProductLaw, SampleSpace, SampleVector, draw_batch, draw_counts, sample,
                      support_counts)
 
@@ -377,23 +384,28 @@ class DeviationReport:
 
 
 def _replicate(law: ProductLaw, fc: FunctionClass, stat: Statistic, replications: int,
-               seed: int, tag: str, average, average_bytes: int, imaged: bool, *,
+               seed: int, tag: str, average, average_bytes: int, *,
                oracle_method: str = DEFAULT_ORACLE_METHOD,
                oracle_replicas: int = DEFAULT_ORACLE_REPLICAS):
     """(oracle, deviations, argmax labels, averages) over the replications.
 
-    The replications run in slices. Replication r samples x on the stream (seed, tag +
-    "/x", r); a slice stacks its points, images the class at them in one call where the
-    average is ``imaged`` or Phi needs images, takes their Phi from ``_phis_at`` (from
-    support counts where the statistic counts, from the images otherwise), forms its
-    uniform deviations, and hands the points and images (or None) to ``average(points,
-    images, part)``, one value per replication in ``part``.
+    The replications run in slices. Replication r samples x from the uniforms
+    ``open_uniforms(rng, (1, n))`` of the stream (seed, tag + "/x", r), as
+    ``sample`` does on it; a slice takes its streams from one ``streams``
+    pass and its points from one ``ProductLaw.invert``. Where Phi needs
+    images (the statistic does not count, as on the interval) the slice
+    images the class at its points in one call. It takes their Phi from
+    ``_phis_at`` (from support counts where the statistic counts, from the
+    images otherwise), forms its uniform deviations, and hands the points and
+    images (or None) to ``average(points, images, part)``, one value per
+    replication in ``part``.
 
-    A slice holds at most BATCH_BYTES. A replication counts its point and its
-    copy in the stack; its images and their gather where imaged; per member
-    its Phi, their stacked copy and its gap; what evaluating Phi holds, its
-    counts and a count row per member or the statistic's evaluation of an
-    image row; and the ``average_bytes`` its average holds.
+    A slice holds at most BATCH_BYTES. A replication counts its uniforms and
+    what inverting them holds, as in ``draw_batch``; its images and their
+    gather where imaged; per member its Phi, their stacked copy and its gap;
+    what evaluating Phi holds, its counts and a count row per member or the
+    statistic's evaluation of an image row; and the ``average_bytes`` its
+    average holds.
     """
     check_draws(replications, "replications")
     oracle = expectation_oracle(law, fc, stat, oracle_method, replicas=oracle_replicas,
@@ -403,15 +415,17 @@ def _replicate(law: ProductLaw, fc: FunctionClass, stat: Statistic, replications
     labels = []
     averages = np.empty(replications)
     n, members = law.n, len(fc)
-    if _counted(law.space, stat):
+    counted = _counted(law.space, stat)
+    if counted:
         phi_bytes = 8 * law.space.size + members * stat.count_row_bytes(law.space.size)
     else:
-        imaged, phi_bytes = True, stat.eval_bytes
-    image_bytes = 16 * members * n if imaged else 0
-    for part in batches(replications, 16 * n + image_bytes + 24 * members + phi_bytes + average_bytes):
-        points = np.stack([sample(law, stream(seed, f"{tag}/x", r)).point
-                           for r in range(part.start, part.stop)])
-        images = fc.images(points) if imaged else None
+        phi_bytes = stat.eval_bytes + 16 * members * n
+    for part in batches(replications, 4 * 8 * n + 24 * members + phi_bytes + average_bytes):
+        u = np.empty((part.stop - part.start, n))
+        for row, rng in zip(u, streams(seed, f"{tag}/x", range(part.start, part.stop))):
+            row[:] = open_uniforms(rng, (1, n))
+        points = law.invert(u)
+        images = None if counted else fc.images(points)
         devs[part], best = uniform_deviation(_phis_at(stat, fc, points, images=images), fc, oracle)
         labels.extend(best)
         averages[part] = average(points, images, part)
@@ -442,14 +456,17 @@ def deviation_experiment(
     points G(F(x)) is exact, from the sample's support counts
     (``gaussian_from_counts``), and ``gaussian_draws`` goes unused;
     elsewhere it averages ``gaussian_draws`` normals on the stream
-    (seed, "deviation/g", r) of replication r. ``image_g_method`` says which
-    ran. The bound's inputs and the draws are checked before any
-    replication.
+    (seed, "deviation/g", r) of replication r, against the image's distinct
+    columns, which a finite space takes from the support matrix and the
+    point (``gaussian_from_points``) and the interval from the image.
+    ``image_g_method`` says which ran. The bound's inputs and the draws are
+    checked before any replication.
     """
     check_bound_inputs(constants, c, delta, allow_numeric_constants)
     check_draws(gaussian_draws, "gaussian_draws")
     space, members = law.space, len(fc)
-    if space.kind == FINITE and space.size <= EXACT_GAUSSIAN_SUPPORT:
+    finite = space.kind == FINITE
+    if finite and space.size <= EXACT_GAUSSIAN_SUPPORT:
         g_method, support = EXACT, fc.support_matrix()
 
         def gaussian(points: np.ndarray, images: None, part: slice) -> np.ndarray:
@@ -461,14 +478,16 @@ def deviation_experiment(
     else:
         g_method = MONTE_CARLO
 
-        def gaussian(points: np.ndarray, images: np.ndarray, part: slice) -> np.ndarray:
-            rngs = [stream(seed, "deviation/g", r) for r in range(part.start, part.stop)]
+        def gaussian(points: np.ndarray, images: np.ndarray | None, part: slice) -> np.ndarray:
+            rngs = streams(seed, "deviation/g", range(part.start, part.stop))
+            if finite:
+                return gaussian_from_points(fc.support_matrix(), points, gaussian_draws, rngs)
             return gaussian_averages(images, gaussian_draws, rngs)
 
-        g_bytes = gaussian_bytes(members, law.n)
+        g_bytes = support_columns_bytes(law.n, space.size) if finite else gaussian_bytes(members, law.n)
 
     oracle, devs, labels, g_vals = _replicate(
-        law, fc, stat, replications, seed, "deviation", gaussian, g_bytes, g_method == MONTE_CARLO,
+        law, fc, stat, replications, seed, "deviation", gaussian, g_bytes,
         oracle_method=oracle_method, oracle_replicas=oracle_replicas,
     )
     dev_mean = float(devs.mean())
@@ -540,19 +559,24 @@ def symmetrization_check_mean(law: ProductLaw, fc: FunctionClass, replications: 
     The statistic is the arithmetic mean of the law's n coordinates, the only
     one the check is valid for, and its oracle takes the default method. Each
     replication's Rademacher average is exact when it fits the enumeration
-    cap and takes SYMMETRIZATION_DRAWS Monte Carlo draws beyond.
+    cap and takes SYMMETRIZATION_DRAWS Monte Carlo draws on the stream
+    (seed, "symmetrization/r", r) beyond. On a finite space it comes from
+    the point's distinct columns (``rademacher_from_points``), on the
+    interval from the image.
     """
     n = law.n
     stat = mean_statistic(n)
+    finite = law.space.kind == FINITE
 
-    def rademacher(points: np.ndarray, images: np.ndarray, part: slice) -> list[float]:
-        return [
-            rademacher_average(image, SYMMETRIZATION_DRAWS, stream(seed, "symmetrization/r", r)).value
-            for image, r in zip(images, range(part.start, part.stop))
-        ]
+    def rademacher(points: np.ndarray, images: np.ndarray | None, part: slice) -> np.ndarray:
+        rngs = streams(seed, "symmetrization/r", range(part.start, part.stop))
+        if finite:
+            return rademacher_from_points(fc.support_matrix(), points, SYMMETRIZATION_DRAWS, rngs)
+        return [rademacher_average(image, SYMMETRIZATION_DRAWS, rng).value for image, rng in zip(images, rngs)]
 
-    # Each image's Rademacher average runs alone, in its own batches.
-    _, devs, _, rads = _replicate(law, fc, stat, replications, seed, "symmetrization", rademacher, 0, True)
+    # Past the merge, each Rademacher average runs alone, in its own batches.
+    r_bytes = support_columns_bytes(n, law.space.size) if finite else 0
+    _, devs, _, rads = _replicate(law, fc, stat, replications, seed, "symmetrization", rademacher, r_bytes)
     dev_mean = float(devs.mean())
     dev_stderr = mean_stderr(devs)
     rad_mean = float(rads.mean())

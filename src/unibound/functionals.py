@@ -289,26 +289,31 @@ def identity_kernel() -> Kernel:
 # ---------------------------------------------------------------------------
 # Built-in statistics
 
-def _count_sums(table: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """(K, rows) sums over the support of table[k, j] * counts[r, j].
+def _count_sums(tables, counts: np.ndarray) -> list[np.ndarray]:
+    """For each (K, s) table, the (K, rows) sums over the support of
+    table[k, j] * counts[r, j].
 
-    Each entry adds its terms one at a time in support order, so it does not
-    depend on how many rows or members share the call; a matrix product
-    would, since BLAS rounds a one-column product differently from a wider
-    one.
+    Each batch of points converts its counts to floats once for all the
+    tables; small integers convert exactly. Each entry adds its terms one at
+    a time in support order, so it does not depend on how many rows or
+    members share the call; a matrix product would, since BLAS rounds a
+    one-column product differently from a wider one.
     """
-    members, size = table.shape
-    out = np.empty((members, counts.shape[0]))
-    # A point costs its counts, and its sums and terms for every member.
-    for part in batches(counts.shape[0], 8 * (size + 2 * members)):
+    rows, size = counts.shape
+    outs = [np.empty((len(table), rows)) for table in tables]
+    members = max(len(table) for table in tables)
+    # A point costs its counts, its sums for every member of every table, and
+    # a term per member in a buffer the tables share.
+    for part in batches(rows, 8 * (size + sum(len(out) for out in outs) + members)):
         cols = np.ascontiguousarray(counts[part].T, dtype=np.float64)
-        acc = out[:, part]
-        np.multiply(table[:, :1], cols[0], out=acc)
-        term = np.empty_like(acc)
-        for j in range(1, size):
-            np.multiply(table[:, j:j + 1], cols[j], out=term)
-            acc += term
-    return out
+        terms = np.empty((members, part.stop - part.start))
+        for table, out in zip(tables, outs):
+            acc, term = out[:, part], terms[:len(table)]
+            np.multiply(table[:, :1], cols[0], out=acc)
+            for j in range(1, size):
+                np.multiply(table[:, j:j + 1], cols[j], out=term)
+                acc += term
+    return outs
 
 
 def _pair_sums(s):
@@ -346,7 +351,8 @@ def mean_statistic(n: int) -> Statistic:
         return (support @ weights.T).mean(axis=1)
 
     def count_form(support, counts):
-        return _count_sums(support, counts) / n
+        (total,) = _count_sums([support], counts)
+        return total / n
 
     return Statistic(
         "mean", n, evaluate, (1.0 / n, 0.0), product_expectation,
@@ -373,8 +379,7 @@ def sample_variance_statistic(n: int) -> Statistic:
         return _expected_pair_sums(support @ weights.T, (support * support) @ weights.T) / denom
 
     def count_form(support, counts):
-        total = _count_sums(support, counts)
-        out = _count_sums(support * support, counts)
+        total, out = _count_sums([support, support * support], counts)
         # (n * sq - total^2) / denom, in place.
         out *= n
         out -= np.square(total, out=total)

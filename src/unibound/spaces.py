@@ -189,6 +189,18 @@ class ProductLaw:
             return ((self.coordinates[0], slice(None)),)
         return tuple((coord, np.asarray(cols)) for coord, cols in groups.items())
 
+    def invert(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Map a (rows, n) array of uniforms in (0, 1] to draws, into ``out``
+        when given: support indices on a finite space, values on the
+        interval. Each distinct coordinate law inverts its coordinates'
+        uniforms in one call; inversion is elementwise, so the draws are
+        those of inverting row by row or coordinate by coordinate."""
+        if out is None:
+            out = np.empty(u.shape, dtype=np.int64 if self.space.kind == FINITE else np.float64)
+        for coord, cols in self._groups:
+            out[:, cols] = coord.invert(u[:, cols])
+        return out
+
     @property
     def weight_matrix(self) -> np.ndarray:
         """(n, support size) weight rows; finite spaces only."""
@@ -250,10 +262,8 @@ def draw_batch(law: ProductLaw, count: int, seed) -> np.ndarray:
     indices on a finite space, values on the interval.
 
     The uniforms come in slices of rows, each from one call on the one
-    stream, so they are those of one call. Each distinct coordinate law
-    inverts its coordinates' uniforms in one call per slice; inversion is
-    elementwise, so the draws are those of inverting coordinate by
-    coordinate.
+    stream, so they are those of one call, and ``ProductLaw.invert`` maps a
+    slice's uniforms to its draws.
     """
     check_count(count, "count")
     rng = as_stream(seed, "draw-batch")
@@ -261,9 +271,7 @@ def draw_batch(law: ProductLaw, count: int, seed) -> np.ndarray:
     # A row's inversion holds its uniforms, one law's gather of them, their
     # search positions and the draws.
     for part in batches(count, 4 * 8 * law.n):
-        u = open_uniforms(rng, (part.stop - part.start, law.n))
-        for coord, cols in law._groups:
-            drawn[part, cols] = coord.invert(u[:, cols])
+        law.invert(open_uniforms(rng, (part.stop - part.start, law.n)), out=drawn[part])
     return drawn
 
 

@@ -130,6 +130,17 @@ def test_criterion_06_symmetrization_bound_for_mean():
             f"dev {rep.dev_mean:.5f} <= (2/n) R {rep.bound_side:.5f} + slack {rep.allowance:.5f}")
 
 
+def test_criterion_06_report_is_pinned():
+    # Criterion 6's report at the acceptance seed, every field to the bit: a
+    # change to how the replications draw or average must not move it.
+    fc = random_lookup_class(BITS, 16, stream(ROOT_SEED, "acceptance/c6-class"))
+    rep = symmetrization_check_mean(bit_law(12), fc, 1000, ROOT_SEED + 6)
+    assert (rep.dev_mean, rep.dev_stderr) == (0.09391257926280147, 0.002330425201557446)
+    assert (rep.rad_mean, rep.rad_stderr) == (1.4908091672053745, 0.0009628229315084048)
+    assert (rep.bound_side, rep.allowance) == (0.24846819453422908, 0.009963582760568721)
+    assert rep.holds
+
+
 def test_criterion_07_bounded_difference_tail():
     n = 25
     member = lookup_member("id", BITS, {"0": 0.0, "1": 1.0})

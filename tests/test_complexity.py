@@ -6,21 +6,27 @@ import pytest
 from scipy import integrate
 from scipy.stats import norm
 
+from unibound.classes import FunctionClass, LookupMember
 from unibound.complexity import (
     _antithetic_means,
     _binomial_shares,
     _merged_columns,
+    _support_columns,
     comparison_report,
     gaussian_averages,
     gaussian_from_counts,
+    gaussian_from_points,
     gaussian_mc,
     mean_stderr,
+    rademacher_average,
     rademacher_exact,
+    rademacher_from_points,
     rademacher_mc,
 )
 from unibound.config import load_config, resolve
 from unibound.errors import DomainError, ResourceError
 from unibound.rng import as_stream, stream
+from unibound.spaces import finite_space
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -232,6 +238,67 @@ def test_gaussian_averages_of_a_stack_are_each_image_alone():
     values = gaussian_averages(images, 600, [stream(3, "stack", i) for i in range(len(images))])
     alone = [gaussian_mc(image, 600, stream(3, "stack", i)).value for i, image in enumerate(images)]
     assert values.tolist() == alone
+
+
+def _lookup_class(table):
+    """The class whose (K, s) support matrix is ``table``, on s labelled points."""
+    table = np.asarray(table, dtype=np.float64)
+    space = finite_space([(f"p{j}", j / table.shape[1]) for j in range(table.shape[1])])
+    return FunctionClass(space, tuple(LookupMember(f"f{k}", tuple(row)) for k, row in enumerate(table)))
+
+
+def _random_points(seed, rows, n, size):
+    return stream(seed, "points").integers(0, size, size=(rows, n))
+
+
+# name -> (class, (rows, n) support indices, Gaussian draws)
+POINT_CASES = {
+    # Support columns 0 and 2 are equal, so they merge in every point.
+    "equal-columns": lambda: (
+        _lookup_class([[0.1, 0.5, 0.1, 0.9], [0.7, 0.2, 0.7, 0.3], [0.4, 0.4, 0.4, 0.0]]),
+        _random_points(1, 6, 9, 4), 400),
+    # Columns 0 and 1 differ only in the sign of a zero, and merge.
+    "signed-zeros": lambda: (
+        _lookup_class([[0.0, -0.0, 0.3], [0.5, 0.5, 0.0]]), _random_points(2, 6, 7, 3), 400),
+    "one-value": lambda: (
+        _lookup_class(stream(3, "table").random((5, 4))), np.array([[2] * 8, [3, 1, 0, 0, 2, 2, 1, 3]]), 400),
+    "one-member": lambda: (_lookup_class([[0.2, 0.9, 0.4]]), _random_points(4, 5, 10, 3), 400),
+    "every-value": lambda: (
+        _lookup_class(stream(5, "table").random((6, 4))), np.array([[3, 0, 1, 2, 0, 1], [1, 2, 3, 0, 3, 3]]), 400),
+    # A pair costs 8 (s + 600) bytes, so the 1000 pairs take two slices.
+    "split-pairs": lambda: (
+        _lookup_class(stream(6, "table").random((600, 5))), _random_points(6, 3, 3, 5), 2000),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POINT_CASES))
+def test_support_columns_are_the_merged_columns_of_the_images(name):
+    fc, points, _ = POINT_CASES[name]()
+    merged = _merged_columns(fc.images(points))
+    for x, (index, mult), (keep, image_mult) in zip(points, _support_columns(fc.support_matrix(), points), merged):
+        assert index.tolist() == x[keep].tolist()
+        assert mult.tolist() == image_mult.tolist()
+
+
+@pytest.mark.parametrize("name", sorted(POINT_CASES))
+def test_gaussian_from_points_keeps_the_bits_of_the_images(name):
+    fc, points, draws = POINT_CASES[name]()
+    rngs = lambda: [stream(7, "points-g", i) for i in range(len(points))]
+    from_points = gaussian_from_points(fc.support_matrix(), points, draws, rngs())
+    assert from_points.tobytes() == gaussian_averages(fc.images(points), draws, rngs()).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(POINT_CASES) + ["past-the-cap"])
+def test_rademacher_from_points_keeps_the_bits_of_the_images(name):
+    if name == "past-the-cap":
+        # 22 distinct columns: 2^21 sign-pattern pairs, so R is sampled.
+        fc, points = _lookup_class(stream(8, "table").random((3, 22))), np.arange(22)[None, ::-1]
+    else:
+        fc, points, _ = POINT_CASES[name]()
+    rngs = lambda: [stream(9, "points-r", i) for i in range(len(points))]
+    from_points = rademacher_from_points(fc.support_matrix(), points, 1000, rngs())
+    alone = [rademacher_average(image, 1000, rng).value for image, rng in zip(fc.images(points), rngs())]
+    assert from_points.tobytes() == np.array(alone).tobytes()
 
 
 def test_merged_gaussian_agrees_with_the_n_wide_estimator():

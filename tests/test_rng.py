@@ -1,11 +1,14 @@
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
 
 import unibound
+from unibound import rng
 from unibound.errors import DomainError
-from unibound.rng import _tag_entropy, as_stream, open_uniforms, rademacher_signs, standard_normals, stream
+from unibound.rng import (_tag_entropy, as_stream, open_uniforms, rademacher_signs, standard_normals, stream,
+                          streams)
 
 BITS = unibound.finite_space([("0", 0.0), ("1", 1.0)])
 
@@ -89,3 +92,49 @@ def test_negative_root_seed_is_a_domain_error(call):
     # DomainError subclasses ValueError, so handlers of either catch it.
     with pytest.raises(DomainError, match="root seed must be a nonnegative integer"):
         call()
+
+
+# Roots of one, two and three words: past 4 words of entropy, SeedSequence
+# mixes each further word into its pool.
+STREAM_ROOTS = [0, 1, 2**32 + 5, 2**70 + 3]
+# Indices of one and two words; the run across 2^32 mixes both in one call.
+STREAM_INDICES = [0, 1, 2**32 - 1, 2**32, 2**40 + 7, 5] + list(range(2**32 - 2, 2**32 + 2))
+
+
+def _states(generators):
+    return [g.bit_generator.state for g in generators]
+
+
+@pytest.mark.parametrize("root", STREAM_ROOTS)
+def test_streams_are_the_stream_of_each_index(root):
+    expected = _states(stream(root, "deviation/x", i) for i in STREAM_INDICES)
+    assert _states(streams(root, "deviation/x", STREAM_INDICES)) == expected
+    drawn = [g.random(3).tolist() for g in streams(root, "deviation/x", STREAM_INDICES[:3])]
+    assert drawn == [stream(root, "deviation/x", i).random(3).tolist() for i in STREAM_INDICES[:3]]
+
+
+@pytest.mark.parametrize("root", STREAM_ROOTS)
+def test_streams_of_a_tag_of_one_word(root, monkeypatch):
+    # Below 2^32 the tag's entropy is one word, so a small root and index
+    # leave the pool short of its 4 words.
+    monkeypatch.setattr(rng, "_tag_entropy", lambda tag: 0x9E3779B9)
+    expected = _states(stream(root, "short", i) for i in STREAM_INDICES)
+    assert _states(streams(root, "short", STREAM_INDICES)) == expected
+
+
+def test_streams_make_each_generator_when_it_is_asked_for(monkeypatch):
+    made = []
+    real = rng.PCG64
+    monkeypatch.setattr(rng, "PCG64", lambda seed: made.append(None) or real(seed))
+    units = streams(3, "lazy", range(4000))
+    first = next(units)
+    assert len(made) == 1
+    seeded = weakref.ref(first.bit_generator.seed_seq)
+    del first
+    next(units)
+    assert len(made) == 2 and seeded() is None
+
+
+def test_streams_refuse_a_negative_root_seed():
+    with pytest.raises(DomainError, match="root seed must be a nonnegative integer"):
+        next(streams(-1, "x", [0]))
