@@ -21,17 +21,16 @@ the estimator unbiased, makes every pair mean nonnegative (take the same
 maximizer on both sides), and makes translation invariance hold exactly
 under a shared stream.
 
-G of a stack of images, such as one slice of the deviation experiment's
-replications on the interval, takes one call: ``gaussian_averages`` merges
-the columns of every image with one sort of the stack's columns, then runs
-each image's products in turn on its own stream. ``gaussian_mc`` is its
-one-image case, so an image's value does not depend on the stack it comes
-in. On a finite space the image of a point x is ``support[:, x]``, so its
-distinct columns are the support columns present in x, taken at their first
-coordinate, with its support counts for multiplicities:
-``gaussian_from_points`` and ``rademacher_from_points`` find them from the
-class's support matrix and the points, forming no image and sorting only
-the class's s support columns, and keep every bit of the stack's values.
+One merge finds the distinct columns of many images at once, from one key
+per column that two columns share exactly when they are equal as floats.
+The keys come from one sort of a stack's columns (``image_columns``) or, on
+a finite space, where the image of a point x is ``support[:, x]``, from one
+sort of the class's s support columns gathered at x (``point_columns``),
+which forms no image and gives the same columns bit for bit.
+``gaussian_averages`` and ``rademacher_averages`` take either source's
+columns and run each image in turn on its own stream; ``gaussian_mc``,
+``rademacher_exact`` and ``rademacher_average`` are their one-image case, so
+an image's value does not depend on the stack it comes in.
 """
 
 from __future__ import annotations
@@ -117,62 +116,54 @@ def _column_keys(columns: np.ndarray) -> np.ndarray:
     return keys
 
 
-def _merged_columns(images: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """For each image of a (count, K, n) stack: where each of its distinct
-    columns first appears, in increasing order, and how many times it
-    appears. Columns merge when they are equal as floats (0.0 and -0.0
-    alike).
+def _merge(keys: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For each row of a (rows, n) array of column keys, two columns sharing
+    a key exactly when they are equal as floats: where each distinct key
+    first appears, in increasing order, and how many times it appears.
 
-    One sort keys all the stack's columns (``_column_keys``); each key is
-    then offset by its image's position, so columns of different images
-    never merge, and ordering the distinct codes by their first appearance
-    in the stack orders them by image, then by position.
+    Each key is offset by its row, so columns of different rows never
+    merge; one sort finds the distinct codes, and ordering them by their
+    first appearance orders them by row, then by position.
     """
-    count, members, n = images.shape
-    keys = _column_keys(images.transpose(0, 2, 1)).reshape(count, n)
-    codes = keys + (int(keys.max()) + 1) * np.arange(count)[:, None]
+    rows, n = keys.shape
+    codes = keys + (int(keys.max()) + 1) * np.arange(rows)[:, None]
     _, first, mult = np.unique(codes, return_index=True, return_counts=True)
     by_first = np.argsort(first)
     owner, keep = np.divmod(first[by_first], n)
     mult = mult[by_first]
-    bounds = np.searchsorted(owner, np.arange(count + 1)).tolist()
+    bounds = np.searchsorted(owner, np.arange(rows + 1)).tolist()
     return [(keep[a:b], mult[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-def _support_columns(support: np.ndarray, points: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """For the image ``support[:, x]`` of each row x of ``points`` (support
-    indices of a finite space): the support index of each of its distinct
-    columns, in order of first appearance in x, and how many coordinates of
-    x it covers, with no image formed.
-
-    Column k of the image is support column x_k, so its distinct columns
-    are the support columns present, equal support columns (0.0 and -0.0
-    alike) merged once for the class, each taken at its first coordinate:
-    ``support[:, index]`` and the multiplicities are the columns
-    ``_merged_columns`` keeps in the image, bit for bit.
-    """
-    rows, n = points.shape
-    keys = _column_keys(support.T)
-    distinct = int(keys.max()) + 1
-    flat = (keys[points] + distinct * np.arange(rows)[:, None]).ravel()
-    mult = np.bincount(flat, minlength=rows * distinct).reshape(rows, distinct)
-    first = np.full(rows * distinct, n)
-    np.minimum.at(first, flat, np.tile(np.arange(n), rows))
-    first = first.reshape(rows, distinct)
-    # Absent columns sort last, at position n.
-    order = np.argsort(first, axis=1)
-    first = np.take_along_axis(first, order, axis=1)
-    mult = np.take_along_axis(mult, order, axis=1)
-    present = np.count_nonzero(mult, axis=1).tolist()
-    return [(x[at[:p]], m[:p]) for x, at, m, p in zip(points, first, mult, present)]
+def image_columns(images: np.ndarray):
+    """Each image of a (count, K, n) stack as its distinct columns, in order
+    of first appearance, and how many times each appears, one image at a
+    time. Columns merge when they are equal as floats (0.0 and -0.0 alike),
+    and one sort keys all the stack's columns."""
+    count, _, n = images.shape
+    merged = _merge(_column_keys(images.transpose(0, 2, 1)).reshape(count, n))
+    return ((image[:, keep], mult) for image, (keep, mult) in zip(images, merged))
 
 
-def support_columns_bytes(n: int, size: int) -> int:
-    """Bytes one point of a batch holds at once in ``_support_columns`` on a
-    support of ``size`` points: a key, a code and a position per coordinate,
-    and per support column its multiplicity, first position, their sorted
-    copies, their order and its index."""
-    return 8 * (3 * n + 6 * size)
+def point_columns(support: np.ndarray, points: np.ndarray):
+    """The image ``support[:, x]`` of each row x of ``points`` (support
+    indices of a finite space, ``support`` a class's (K, s) support matrix)
+    as ``image_columns`` gives it, bit for bit, with no image formed: column
+    k of the image is support column x_k, so only the class's s support
+    columns are sorted, and each point's keys are gathered from theirs."""
+    merged = _merge(_column_keys(support.T)[points])
+    return ((support[:, x[keep]], mult) for x, (keep, mult) in zip(points, merged))
+
+
+def merge_bytes(entries: int, n: int) -> int:
+    """Bytes one row of n columns holds at once while it is merged, each of
+    its columns keyed from ``entries`` values of its own (an image's K, or 0
+    for a point, whose keys are gathered from its class's support columns):
+    those values, their sorted copy and its neighbour comparison, and five
+    integers per column for their keys, codes and sort orders. One row at a
+    time then holds its distinct columns, and their averages run in slices
+    of draws within BATCH_BYTES."""
+    return (17 * entries + 40) * n
 
 
 def _binomial_shares(c: int) -> np.ndarray:
@@ -217,9 +208,8 @@ def rademacher_exact(y) -> ComplexityEstimate:
     Y is first reduced to its s distinct columns, column j appearing m_j
     times (``_merged_rademacher``).
     """
-    mat = _as_matrix(y)
-    ((keep, mult),) = _merged_columns(mat[None])
-    return _merged_rademacher(mat[:, keep], mult)
+    ((columns, mult),) = image_columns(_as_matrix(y)[None])
+    return _merged_rademacher(columns, mult)
 
 
 def _merged_rademacher(merged: np.ndarray, mult: np.ndarray) -> ComplexityEstimate:
@@ -287,19 +277,19 @@ def rademacher_average(y, draws: int, seed) -> ComplexityEstimate:
         return rademacher_mc(y, draws, seed)
 
 
-def rademacher_from_points(support, points: np.ndarray, draws: int, rngs) -> np.ndarray:
-    """R of the image ``support[:, x]`` of each row x of ``points``, support
-    indices on a finite space with ``support`` a class's (K, s) support
-    matrix; each value is that of ``rademacher_average(support[:, x],
-    draws, rngs[i])``. The exact R comes from the point's distinct columns
-    (``_support_columns``); past ENUM_CAP the Monte Carlo R draws signs on
-    all n columns of the image, gathered for that point alone."""
+def rademacher_averages(merged, image, draws: int, rngs) -> np.ndarray:
+    """R of each image given as its distinct columns and how many times each
+    appears (``image_columns`` or ``point_columns``), exact when its
+    count-pattern pairs fit ENUM_CAP; past it, Monte Carlo with ``draws``
+    signs from ``rngs[i]`` on all n columns of ``image(i)``, image i in
+    coordinate order. Each value is that of ``rademacher_average(image(i),
+    draws, rngs[i])``."""
     values = []
-    for x, (index, mult), rng in zip(points, _support_columns(support, points), rngs):
+    for i, ((columns, mult), rng) in enumerate(zip(merged, rngs)):
         try:
-            values.append(_merged_rademacher(support[:, index], mult).value)
+            values.append(_merged_rademacher(columns, mult).value)
         except ResourceError:
-            values.append(rademacher_mc(np.take(support, x, axis=1), draws, rng).value)
+            values.append(rademacher_mc(image(i), draws, rng).value)
     return np.array(values)
 
 
@@ -319,42 +309,18 @@ def _gaussian_means(merged, draws: int, rngs):
     )
 
 
-def gaussian_bytes(members: int, n: int) -> int:
-    """Bytes one (members, n) image of a stack holds at once in
-    ``gaussian_averages``: its columns, their sorted copy and its
-    neighbour comparison, and five integers per column for their keys,
-    codes and sort orders. One image at a time holds its distinct columns,
-    their scaled copy and its pair means, and its products with their
-    normals run in slices of pairs within BATCH_BYTES."""
-    return (17 * members + 40) * n
-
-
-def gaussian_averages(images: np.ndarray, draws: int, rngs) -> np.ndarray:
-    """Monte Carlo G of each image of a (count, K, n) stack, image i drawing
-    its normals from the generator ``rngs[i]``; each value is that of
-    ``gaussian_mc(images[i], draws, rngs[i])``. One sort merges the columns
-    of the whole stack."""
-    merged = ((image[:, keep], mult) for image, (keep, mult) in zip(images, _merged_columns(images)))
-    return np.array([means.mean() for means in _gaussian_means(merged, draws, rngs)])
-
-
-def gaussian_from_points(support, points: np.ndarray, draws: int, rngs) -> np.ndarray:
-    """Monte Carlo G of the image ``support[:, x]`` of each row x of
-    ``points``, support indices on a finite space with ``support`` a
-    class's (K, s) support matrix, point i drawing its normals from
-    ``rngs[i]``. The distinct columns come from the points
-    (``_support_columns``), one point's at a time, so no image is formed;
-    each value is that of ``gaussian_averages`` on the points' images."""
-    merged = ((support[:, index], mult) for index, mult in _support_columns(support, points))
+def gaussian_averages(merged, draws: int, rngs) -> np.ndarray:
+    """Monte Carlo G of each image given as its distinct columns and how
+    many times each appears (``image_columns`` or ``point_columns``), image
+    i drawing its normals from the generator ``rngs[i]``; each value is that
+    of ``gaussian_mc`` on the image with ``rngs[i]``."""
     return np.array([means.mean() for means in _gaussian_means(merged, draws, rngs)])
 
 
 def gaussian_mc(y, draws: int, seed) -> ComplexityEstimate:
     """Monte Carlo G(Y), the one-image case of ``gaussian_averages``;
     normals come from ``rng.standard_normals``."""
-    mat = _as_matrix(y)
-    ((keep, mult),) = _merged_columns(mat[None])
-    (means,) = _gaussian_means([(mat[:, keep], mult)], draws, [as_stream(seed, "gaussian-mc")])
+    (means,) = _gaussian_means(image_columns(_as_matrix(y)[None]), draws, [as_stream(seed, "gaussian-mc")])
     return _monte_carlo(means, GAUSSIAN)
 
 

@@ -47,12 +47,12 @@ counts where the statistic counts, and every deviation, and one call
 averages the slice, so a value does not depend on the slice it falls in.
 On a support of one or two points the average is the exact G of each
 point's image from its support counts (``complexity.gaussian_from_counts``),
-and the replications draw no normals. Elsewhere on a finite space Monte
-Carlo G and the symmetrization check's R take each point's distinct columns
-from the class's support matrix and the point itself. Only Phi of a
-statistic that does not count (on the interval, every statistic) images the
-class, one ``images`` call a slice, and the interval's averages read those
-images.
+and the replications draw no normals. Elsewhere Monte Carlo G and the
+symmetrization check's R take each point's distinct columns from one merge
+of the slice (``_distinct_columns``): on a finite space from the class's
+support matrix and the points, on the interval from the slice's images.
+Only Phi of a statistic that does not count (on the interval, every
+statistic) images the class, one ``images`` call a slice.
 """
 
 from __future__ import annotations
@@ -65,12 +65,11 @@ import numpy as np
 from .classes import FunctionClass
 # gaussian_mc, sample and stream stay importable here: perfbench traces each
 # layer through the names this module imports, though the replications call
-# gaussian_averages or gaussian_from_points, draw their points through
-# ProductLaw.invert and take their generators from streams.
+# gaussian_averages, draw their points through ProductLaw.invert and take
+# their generators from streams.
 from .complexity import (EXACT, EXACT_GAUSSIAN_SUPPORT, GAUSSIAN, MONTE_CARLO, ComplexityEstimate,
-                         check_draws, gaussian_averages, gaussian_bytes, gaussian_from_counts,
-                         gaussian_from_points, gaussian_mc, mean_stderr, rademacher_average,
-                         rademacher_from_points, support_columns_bytes)
+                         check_draws, gaussian_averages, gaussian_from_counts, gaussian_mc, image_columns,
+                         mean_stderr, merge_bytes, point_columns, rademacher_averages)
 from .derivative_bounds import ConstantsReport
 from .errors import DomainError, OverrideRequiredError, ResourceError
 from .functionals import (Statistic, batches, check_enumeration, lattice_indices, mean_statistic,
@@ -432,6 +431,18 @@ def _replicate(law: ProductLaw, fc: FunctionClass, stat: Statistic, replications
     return oracle, devs, tuple(labels), averages
 
 
+def _distinct_columns(fc: FunctionClass, n: int):
+    """(columns, bytes): ``columns(points, images)`` gives each replication's
+    image as its distinct columns and their multiplicities, and ``bytes`` is
+    what a replication holds while they are found (``merge_bytes``). A finite
+    space takes them from the class's support matrix and the points, with no
+    image formed; the interval from the slice's images."""
+    if fc.space.kind == FINITE:
+        support = fc.support_matrix()
+        return (lambda points, images: point_columns(support, points)), merge_bytes(0, n)
+    return (lambda points, images: image_columns(images)), merge_bytes(len(fc), n)
+
+
 def deviation_experiment(
     law: ProductLaw,
     fc: FunctionClass,
@@ -457,16 +468,14 @@ def deviation_experiment(
     (``gaussian_from_counts``), and ``gaussian_draws`` goes unused;
     elsewhere it averages ``gaussian_draws`` normals on the stream
     (seed, "deviation/g", r) of replication r, against the image's distinct
-    columns, which a finite space takes from the support matrix and the
-    point (``gaussian_from_points``) and the interval from the image.
+    columns (``_distinct_columns``).
     ``image_g_method`` says which ran. The bound's inputs and the draws are
     checked before any replication.
     """
     check_bound_inputs(constants, c, delta, allow_numeric_constants)
     check_draws(gaussian_draws, "gaussian_draws")
     space, members = law.space, len(fc)
-    finite = space.kind == FINITE
-    if finite and space.size <= EXACT_GAUSSIAN_SUPPORT:
+    if space.kind == FINITE and space.size <= EXACT_GAUSSIAN_SUPPORT:
         g_method, support = EXACT, fc.support_matrix()
 
         def gaussian(points: np.ndarray, images: None, part: slice) -> np.ndarray:
@@ -477,14 +486,11 @@ def deviation_experiment(
         g_bytes = 8 * space.size + 16 * (members + 1)
     else:
         g_method = MONTE_CARLO
+        columns, g_bytes = _distinct_columns(fc, law.n)
 
         def gaussian(points: np.ndarray, images: np.ndarray | None, part: slice) -> np.ndarray:
             rngs = streams(seed, "deviation/g", range(part.start, part.stop))
-            if finite:
-                return gaussian_from_points(fc.support_matrix(), points, gaussian_draws, rngs)
-            return gaussian_averages(images, gaussian_draws, rngs)
-
-        g_bytes = support_columns_bytes(law.n, space.size) if finite else gaussian_bytes(members, law.n)
+            return gaussian_averages(columns(points, images), gaussian_draws, rngs)
 
     oracle, devs, labels, g_vals = _replicate(
         law, fc, stat, replications, seed, "deviation", gaussian, g_bytes,
@@ -560,22 +566,19 @@ def symmetrization_check_mean(law: ProductLaw, fc: FunctionClass, replications: 
     one the check is valid for, and its oracle takes the default method. Each
     replication's Rademacher average is exact when it fits the enumeration
     cap and takes SYMMETRIZATION_DRAWS Monte Carlo draws on the stream
-    (seed, "symmetrization/r", r) beyond. On a finite space it comes from
-    the point's distinct columns (``rademacher_from_points``), on the
-    interval from the image.
+    (seed, "symmetrization/r", r) beyond. The exact R takes the image's
+    distinct columns (``_distinct_columns``); the Monte Carlo R images the
+    class at the one point.
     """
     n = law.n
     stat = mean_statistic(n)
-    finite = law.space.kind == FINITE
+    columns, r_bytes = _distinct_columns(fc, n)
 
     def rademacher(points: np.ndarray, images: np.ndarray | None, part: slice) -> np.ndarray:
         rngs = streams(seed, "symmetrization/r", range(part.start, part.stop))
-        if finite:
-            return rademacher_from_points(fc.support_matrix(), points, SYMMETRIZATION_DRAWS, rngs)
-        return [rademacher_average(image, SYMMETRIZATION_DRAWS, rng).value for image, rng in zip(images, rngs)]
+        image = lambda i: fc.images(points[i:i + 1])[0]
+        return rademacher_averages(columns(points, images), image, SYMMETRIZATION_DRAWS, rngs)
 
-    # Past the merge, each Rademacher average runs alone, in its own batches.
-    r_bytes = support_columns_bytes(n, law.space.size) if finite else 0
     _, devs, _, rads = _replicate(law, fc, stat, replications, seed, "symmetrization", rademacher, r_bytes)
     dev_mean = float(devs.mean())
     dev_stderr = mean_stderr(devs)

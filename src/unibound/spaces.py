@@ -93,6 +93,8 @@ class CoordinateDistribution:
             w = np.asarray(self.weights, dtype=np.float64)
             if w.shape != (self.space.size,):
                 raise DomainError(f"weight vector must match the support size {self.space.size}")
+            if not np.all(np.isfinite(w)):
+                raise DomainError("weights must be finite")
             if np.any(w < 0.0):
                 raise DomainError("weights must be nonnegative")
             if abs(float(w.sum()) - 1.0) > WEIGHT_TOL:
@@ -108,8 +110,8 @@ class CoordinateDistribution:
                     raise DomainError("bernoulli parameter must lie in [0, 1]")
             elif self.family == "beta":
                 a, b = self.params
-                if a <= 0.0 or b <= 0.0:
-                    raise DomainError("beta parameters must be positive")
+                if not (0.0 < a < np.inf and 0.0 < b < np.inf):
+                    raise DomainError("beta parameters must be finite and positive")
             elif self.params:
                 raise DomainError("uniform family takes no parameters")
 
@@ -340,7 +342,7 @@ def vector_from_values(space: SampleSpace, values) -> SampleVector:
     if vals.ndim != 1:
         raise DomainError("a sample vector is one-dimensional")
     if space.kind == INTERVAL:
-        if np.any(vals < 0.0) or np.any(vals > 1.0):
+        if not np.all((vals >= 0.0) & (vals <= 1.0)):
             raise DomainError("coordinates must lie in [0, 1]")
         return SampleVector(space, vals)
     support = space.support_values

@@ -1,4 +1,6 @@
+import ast
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,17 +12,16 @@ from unibound.classes import FunctionClass, LookupMember
 from unibound.complexity import (
     _antithetic_means,
     _binomial_shares,
-    _merged_columns,
-    _support_columns,
     comparison_report,
     gaussian_averages,
     gaussian_from_counts,
-    gaussian_from_points,
     gaussian_mc,
+    image_columns,
     mean_stderr,
+    point_columns,
     rademacher_average,
+    rademacher_averages,
     rademacher_exact,
-    rademacher_from_points,
     rademacher_mc,
 )
 from unibound.config import load_config, resolve
@@ -218,24 +219,24 @@ def test_columns_merge_in_order_of_first_appearance():
     # come first.
     a, b, c, d = [0.5, 0.0], [0.25, 1.0], [0.75, 0.5], [0.5, 0.25]
     y = np.array([a, b, [0.5, -0.0], c, b, d]).T
-    ((keep, mult),) = _merged_columns(y[None])
-    assert keep.tolist() == [0, 1, 3, 5]
+    ((columns, mult),) = image_columns(y[None])
+    assert columns.tobytes() == y[:, [0, 1, 3, 5]].tobytes()
     assert mult.tolist() == [2, 2, 1, 1]
 
 
 def test_merged_columns_of_a_stack_are_each_image_merged_alone():
     images = np.stack([finite_image(seed, 4, size, 9) for seed, size in enumerate([1, 3, 3, 5, 2, 3])])
-    merged = _merged_columns(images)
+    merged = list(image_columns(images))
     assert len(merged) == len(images)
-    for image, (keep, mult) in zip(images, merged):
-        ((alone_keep, alone_mult),) = _merged_columns(image[None])
-        assert np.array_equal(keep, alone_keep) and np.array_equal(mult, alone_mult)
+    for image, (columns, mult) in zip(images, merged):
+        ((alone_columns, alone_mult),) = image_columns(image[None])
+        assert columns.tobytes() == alone_columns.tobytes() and np.array_equal(mult, alone_mult)
         assert mult.sum() == image.shape[1]
 
 
 def test_gaussian_averages_of_a_stack_are_each_image_alone():
     images = np.stack([finite_image(seed, 5, size, 12) for seed, size in enumerate([2, 4, 4, 1, 12])])
-    values = gaussian_averages(images, 600, [stream(3, "stack", i) for i in range(len(images))])
+    values = gaussian_averages(image_columns(images), 600, [stream(3, "stack", i) for i in range(len(images))])
     alone = [gaussian_mc(image, 600, stream(3, "stack", i)).value for i, image in enumerate(images)]
     assert values.tolist() == alone
 
@@ -274,9 +275,11 @@ POINT_CASES = {
 @pytest.mark.parametrize("name", sorted(POINT_CASES))
 def test_support_columns_are_the_merged_columns_of_the_images(name):
     fc, points, _ = POINT_CASES[name]()
-    merged = _merged_columns(fc.images(points))
-    for x, (index, mult), (keep, image_mult) in zip(points, _support_columns(fc.support_matrix(), points), merged):
-        assert index.tolist() == x[keep].tolist()
+    merged = list(image_columns(fc.images(points)))
+    from_points = list(point_columns(fc.support_matrix(), points))
+    assert len(from_points) == len(merged) == len(points)
+    for (columns, mult), (from_image, image_mult) in zip(from_points, merged):
+        assert columns.tobytes() == from_image.tobytes()
         assert mult.tolist() == image_mult.tolist()
 
 
@@ -284,8 +287,9 @@ def test_support_columns_are_the_merged_columns_of_the_images(name):
 def test_gaussian_from_points_keeps_the_bits_of_the_images(name):
     fc, points, draws = POINT_CASES[name]()
     rngs = lambda: [stream(7, "points-g", i) for i in range(len(points))]
-    from_points = gaussian_from_points(fc.support_matrix(), points, draws, rngs())
-    assert from_points.tobytes() == gaussian_averages(fc.images(points), draws, rngs()).tobytes()
+    from_points = gaussian_averages(point_columns(fc.support_matrix(), points), draws, rngs())
+    from_images = gaussian_averages(image_columns(fc.images(points)), draws, rngs())
+    assert from_points.tobytes() == from_images.tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(POINT_CASES) + ["past-the-cap"])
@@ -296,9 +300,44 @@ def test_rademacher_from_points_keeps_the_bits_of_the_images(name):
     else:
         fc, points, _ = POINT_CASES[name]()
     rngs = lambda: [stream(9, "points-r", i) for i in range(len(points))]
-    from_points = rademacher_from_points(fc.support_matrix(), points, 1000, rngs())
+    image = lambda i: fc.images(points[i:i + 1])[0]
+    from_points = rademacher_averages(point_columns(fc.support_matrix(), points), image, 1000, rngs())
     alone = [rademacher_average(image, 1000, rng).value for image, rng in zip(fc.images(points), rngs())]
     assert from_points.tobytes() == np.array(alone).tobytes()
+
+
+def _calls_in_src():
+    """(file, enclosing top-level function, call node) for every call in
+    the package's sources."""
+    import unibound
+    for path in sorted(Path(unibound.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    yield path.name, getattr(top, "name", None), node
+
+
+def test_columns_are_merged_in_one_function():
+    # One merge turns column keys into distinct columns, and only an image
+    # stack and a finite space's points make keys for it, so the two sources
+    # cannot drift apart.
+    first_positions, keyers = set(), set()
+    for module, function, call in _calls_in_src():
+        func = call.func
+        if (isinstance(func, ast.Attribute) and func.attr == "unique"
+                and any(k.arg == "return_index" for k in call.keywords)):
+            first_positions.add((module, function))
+        if isinstance(func, ast.Name) and func.id == "_column_keys":
+            keyers.add((module, function))
+    assert first_positions == {("complexity.py", "_merge")}
+    assert keyers == {("complexity.py", "image_columns"), ("complexity.py", "point_columns")}
+    gone = ("_support_columns", "gaussian_from_points", "rademacher_from_points",
+            "support_columns_bytes", "gaussian_bytes")
+    src = Path(__file__).resolve().parent.parent / "src"
+    for path in src.rglob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        assert not [name for name in gone if re.search(rf"\b{name}\b", text)], path
 
 
 def test_merged_gaussian_agrees_with_the_n_wide_estimator():

@@ -783,9 +783,23 @@ def test_sliced_replications_match_one_replication_at_a_time(name, monkeypatch):
     assert rep.image_g_samples.tobytes() == g.tobytes()
 
 
-def test_sliced_symmetrization_matches_one_replication_at_a_time():
-    n, seed, replications = 12, 9, 150
-    law, fc, stat = bit_law(n), random_lookup_class(BITS, 16, 47), mean_statistic(n)
+# name -> (law, class); the statistic is the mean of the law's coordinates.
+SYMMETRIZATION_CASES = {
+    "bits": lambda: (bit_law(12), random_lookup_class(BITS, 16, 47)),
+    # At most 12 distinct columns: R is exact.
+    "interval-exact": lambda: (iid_law(uniform_on(interval_space()), 12), THRESHOLDS),
+    # The first member is the identity, so 22 draws image to 22 distinct
+    # columns, whose 2^21 sign-pattern pairs pass the cap: R is sampled.
+    "interval-past-cap": lambda: (iid_law(beta_family(0.5, 0.5), 22), FunctionClass(interval_space(), (
+        ThresholdMember("id", 0.0, 1.0), ThresholdMember("t", 0.5, 0.25)))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIZATION_CASES))
+def test_sliced_symmetrization_matches_one_replication_at_a_time(name):
+    seed, replications = 9, 150
+    law, fc = SYMMETRIZATION_CASES[name]()
+    stat = mean_statistic(law.n)
     rep = symmetrization_check_mean(law, fc, replications, seed)
     oracle = expectation_oracle(law, fc, stat, seed=stream(seed, "symmetrization/oracle"))
     devs, _, rads = _one_at_a_time(

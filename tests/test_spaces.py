@@ -66,6 +66,9 @@ def test_weight_validation():
         finite_weights(BITS, [-0.1, 1.1])
     with pytest.raises(DomainError):
         finite_weights(BITS, [1.0])
+    # NaN fails every comparison, so the sum check alone would pass it.
+    with pytest.raises(DomainError, match="finite"):
+        finite_weights(BITS, [np.nan, 1.0])
 
 
 def test_support_validation():
@@ -124,6 +127,9 @@ def test_family_parameter_validation():
         bernoulli(1.5)
     with pytest.raises(DomainError):
         beta_family(0.0, 1.0)
+    for a, b in [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, np.inf)]:
+        with pytest.raises(DomainError):
+            beta_family(a, b)
 
 
 def test_vector_from_values_matches_support():
@@ -134,6 +140,8 @@ def test_vector_from_values_matches_support():
         vector_from_values(BITS, [0.5])
     with pytest.raises(DomainError):
         vector_from_values(interval_space(), [1.2])
+    with pytest.raises(DomainError):
+        vector_from_values(interval_space(), [0.5, np.nan])
 
 
 FIVE = finite_space([(str(j), j / 4) for j in range(5)])
